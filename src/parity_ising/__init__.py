@@ -9,7 +9,7 @@ oracle for small systems.
 
 Submodules (also re-exported lazily at package level, see below):
 
-    free_fermion   Bogoliubov diagonalization and ground-state overlaps
+    free_fermion   chain matrix, polar-factor ground-state overlaps, spectra
     parity_game    win probability, utility, advantage density b(g)
     perturbation   derivatives of the utility in the couplings
     disorder       random-coupling ensembles and Monte Carlo averaging

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericsError
-from .free_fermion import build_nambu, diagonalize_nambu, log_overlap_squared, reference_transform_g0
+from .free_fermion import ghz_log_overlap_squared
 from .parity_game import utility_clean, utility_from_log_overlap
 from .perturbation import (
     CovarianceMatrix,
@@ -201,9 +201,7 @@ def _sample_utility(ensemble: DisorderEnsemble, g: np.ndarray) -> float:
     # Covers sigma = 0 for every kind, making E[u] = u(g_bar) bit-exact there.
     if ensemble.kind == "gaussian_perfect" or ensemble.sigma == 0.0:
         return utility_clean(float(g[0]), ensemble.n_sites)
-    transform = diagonalize_nambu(build_nambu(g))
-    log_o_plus = log_overlap_squared(reference_transform_g0(ensemble.n_sites), transform)
-    return utility_from_log_overlap(log_o_plus, ensemble.n_sites)
+    return utility_from_log_overlap(ghz_log_overlap_squared(g), ensemble.n_sites)
 
 
 @dataclass(frozen=True)

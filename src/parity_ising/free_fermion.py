@@ -9,25 +9,32 @@ here works in the even fermion-parity sector, which contains the ground state
 for positive fields, so the fermions obey antiperiodic boundary conditions and
 only even chain lengths are supported.
 
-Two routes to the ground state are provided:
+Following Lieb, Schultz & Mattis (Ann. Phys. 16, 407 (1961)), the hopping
+block A (symmetric) and pairing block B (antisymmetric) of the quadratic form
+enter only through one real N x N matrix,
 
-* clean chains: analytic Fourier + Bogoliubov rotation at uniform coupling g
-  (``uniform_transform``), including the g -> 0+ limit where the even-sector
-  ground state becomes the GHZ state (``reference_transform_g0``);
-* random chains: numerical diagonalization of the 2N x 2N single-particle
-  matrix in Nambu form (``build_nambu`` / ``diagonalize_nambu``).
+    Z = A - B:   Z_jj = g_j,   Z_{j+1,j} = -1,   Z_{0,N-1} = +1,
 
-Either route yields N x N blocks (U, V) defining quasiparticle operators
-gamma = U^dag c + V^dag c^dag whose vacuum is the ground state.  The squared
-overlap of two such vacua is a determinant,
+where the flipped wrap-around bond is the antiperiodic boundary condition
+(``chain_matrix``).  The singular values of Z are the quasiparticle
+energies, and its orthogonal polar factor W = U V^T (from the SVD
+Z = U diag(s) V^T) fixes the ground state: up to a convention-dependent
+sign, W is the off-diagonal block of its Majorana covariance matrix.  The
+squared overlap of two such Gaussian states follows from their covariances
+(Bravyi, QIC 5, 216 (2005)),
 
-    |<psi_a|psi_b>|^2 = |det(U_a^dag U_b + V_a^dag V_b)|,
+    |<psi_a|psi_b>|^2 = |det((W_a + W_b) / 2)|,
 
 evaluated in log space so that exponentially small GHZ overlaps survive to
-large N.
+large N.  The GHZ reference is the g -> 0+ limit, whose factor W0 = Z(g = 0)
+is a signed cyclic shift, so W0^T W is a row roll of W with one sign flip.
 
-Conventions: sites are indexed 0..N-1, the Nambu vector is
-(c_0..c_{N-1}, c_0^dag..c_{N-1}^dag), positive wavenumbers are the odd
+Z is never singular: its only permutation terms are the diagonal and the
+N-cycle, so det Z = prod_j g_j + 1 > 0 and W is unique.  The factor is still
+checked for orthogonality and for a resolvable smallest singular value
+before it is used.
+
+Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
 sin(theta_k) = sin(k)/eps_k, cos(theta_k) = (g - cos k)/eps_k with
 eps_k = sqrt(1 + g^2 - 2 g cos k).
@@ -35,7 +42,6 @@ eps_k = sqrt(1 + g^2 - 2 g cos k).
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -85,32 +91,6 @@ class BogoliubovSpectrum:
     cos_theta: np.ndarray
 
 
-@dataclass(frozen=True)
-class FermionTransform:
-    """Blocks (U, V) of a quasiparticle transform and its energies.
-
-    The full 2N x 2N transform is Q = [[U, conj(V)], [V, conj(U)]]; its
-    first N columns are the positive-energy eigenvectors (u_mu, v_mu) of the
-    single-particle matrix, columns sorted by ascending energy.
-    """
-
-    u_block: np.ndarray
-    v_block: np.ndarray
-    energies: np.ndarray
-
-    @property
-    def n_sites(self) -> int:
-        return self.u_block.shape[0]
-
-
-@dataclass(frozen=True)
-class NambuMatrices:
-    """Blocks A (symmetric) and B (antisymmetric) of the single-particle matrix."""
-
-    a_block: np.ndarray
-    b_block: np.ndarray
-
-
 def allowed_wavenumbers(n_sites: int) -> np.ndarray:
     """Positive antiperiodic wavenumbers (2m+1) pi/N, m = 0..N/2-1."""
     if n_sites < 4 or n_sites % 2:
@@ -141,162 +121,73 @@ def bogoliubov_spectrum(g: float, n_sites: int) -> BogoliubovSpectrum:
     )
 
 
-def _momentum_transform(n_sites: int, theta, eps) -> FermionTransform:
-    """Assemble (U, V) from angle and energy functions on signed wavenumbers.
+def chain_matrix(couplings) -> np.ndarray:
+    """The even-sector chain matrix Z = A - B at fields g_j.
 
-    The real-space blocks follow from composing the antiperiodic Fourier
-    transform c_j = e^{-i pi/4} / sqrt(N) sum_k e^{ikj} c_k with the rotation
-    c_k = cos(theta_k/2) gamma_k - sin(theta_k/2) gamma_{-k}^dag:
-
-        U_{jk} = e^{-i pi/4} e^{ikj} cos(theta_k/2) / sqrt(N)
-        V_{jk} = e^{+i pi/4} e^{ikj} sin(theta_k/2) / sqrt(N)
-    """
-    k_pos = allowed_wavenumbers(n_sites)
-    k_all = np.concatenate([k_pos, -k_pos])
-    eps_all = eps(k_all)
-    # Column order: ascending energy, negative k first inside each +-k pair.
-    order = np.lexsort((k_all, eps_all))
-    k_all = k_all[order]
-    eps_all = eps_all[order]
-
-    half = theta(k_all) / 2.0
-    j = np.arange(n_sites)
-    phase = np.exp(1j * np.outer(j, k_all)) / math.sqrt(n_sites)
-    u = np.exp(-1j * np.pi / 4.0) * phase * np.cos(half)
-    v = np.exp(+1j * np.pi / 4.0) * phase * np.sin(half)
-    transform = FermionTransform(u_block=u, v_block=v, energies=eps_all)
-    _require_unitary(transform)
-    return transform
-
-
-@lru_cache(maxsize=16)
-def reference_transform_g0(n_sites: int) -> FermionTransform:
-    """Quasiparticle transform of the g -> 0+ (GHZ) reference state.
-
-    Built from the analytic limit angle theta_k = sign(k) (pi - |k|) with
-    eps_k = 1, not by diagonalizing at a small finite field.  Cached per
-    chain length; treat the blocks as read-only.
-    """
-    transform = _momentum_transform(
-        n_sites,
-        theta=lambda k: np.copysign(np.pi - np.abs(k), k),
-        eps=np.ones_like,
-    )
-    transform.u_block.flags.writeable = False
-    transform.v_block.flags.writeable = False
-    transform.energies.flags.writeable = False
-    return transform
-
-
-def uniform_transform(g: float, n_sites: int) -> FermionTransform:
-    """Quasiparticle transform of the clean chain at uniform coupling g."""
-    if g <= 0.0 or not math.isfinite(g):
-        raise ValueError("coupling must be positive and finite")
-    return _momentum_transform(
-        n_sites,
-        theta=lambda k: np.arctan2(np.sin(k), g - np.cos(k)),
-        eps=lambda k: _dispersion(g, k),
-    )
-
-
-def build_nambu(couplings) -> NambuMatrices:
-    """Single-particle blocks of the even-sector chain at fields g_j.
-
-    A carries the fields on the diagonal and -1/2 hopping on the bonds, B the
-    +-1/2 pairing; the wrap-around bond enters with flipped sign, which is
-    the antiperiodic boundary condition of the even parity sector.
+    Fields on the diagonal, -1 on the subdiagonal, and +1 in the corner
+    (0, N-1) for the antiperiodic wrap-around bond.
     """
     g = as_couplings(couplings)
     n = g.size
-    a = np.zeros((n, n))
-    b = np.zeros((n, n))
-    np.fill_diagonal(a, g)
-    for j in range(n - 1):
-        a[j, j + 1] = a[j + 1, j] = -0.5
-        b[j, j + 1] = -0.5
-        b[j + 1, j] = +0.5
-    a[n - 1, 0] = a[0, n - 1] = +0.5
-    b[n - 1, 0] = +0.5
-    b[0, n - 1] = -0.5
-    return NambuMatrices(a_block=a, b_block=b)
+    z = np.diag(g)
+    z[np.arange(1, n), np.arange(n - 1)] = -1.0
+    z[0, n - 1] = 1.0
+    return z
 
 
-def assemble_single_particle(matrices: NambuMatrices) -> np.ndarray:
-    """The full 2N x 2N real symmetric matrix [[A, B], [-B, -A]]."""
-    a, b = matrices.a_block, matrices.b_block
-    return np.block([[a, b], [-b, -a]])
-
-
-def diagonalize_nambu(matrices: NambuMatrices) -> FermionTransform:
-    """Positive-energy eigenvectors of the single-particle matrix.
-
-    The spectrum comes in +-eps pairs.  The transform keeps the N
-    non-negative energies (ascending) and their eigenvectors (u_mu, v_mu);
-    each negative partner is the particle-hole image (conj v, conj u) and is
-    reconstructed rather than read off the solver, so Q is unitary by
-    construction whenever the positive half is orthonormal.
+def polar_factor(couplings) -> np.ndarray:
+    """The orthogonal polar factor W = U V^T of the chain matrix Z = U diag(s) V^T.
 
     Raises
     ------
     NumericsError
-        If the eigensolver fails to converge or the assembled transform
-        misses the unitarity budget.
+        If the SVD fails, W misses the orthogonality budget, or the smallest
+        singular value is not resolved.
     """
-    h = assemble_single_particle(matrices)
-    n = matrices.a_block.shape[0]
+    z = chain_matrix(couplings)
+    n = z.shape[0]
     try:
-        evals, evecs = np.linalg.eigh(h)
+        u, s, vt = np.linalg.svd(z)
     except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"eigensolver failed on a {2*n} x {2*n} matrix") from exc
-    transform = FermionTransform(
-        u_block=evecs[:n, n:].copy(),
-        v_block=evecs[n:, n:].copy(),
-        energies=evals[n:].copy(),
-    )
-    _require_unitary(transform)
-    return transform
-
-
-def _require_unitary(transform: FermionTransform, tol: float = UNITARITY_TOL):
-    u, v = transform.u_block, transform.v_block
-    n = u.shape[0]
-    q = np.block([[u, v.conj()], [v, u.conj()]])
-    defect = np.abs(q.conj().T @ q - np.eye(2 * n)).max()
-    if defect > tol:
+        raise NumericsError(f"SVD failed on a {n} x {n} chain matrix") from exc
+    w = u @ vt
+    defect = np.abs(w.T @ w - np.eye(n)).max()
+    if defect > UNITARITY_TOL:
         raise NumericsError(
-            f"quasiparticle transform is not unitary (defect {defect:.3e} > {tol:.1e})"
+            f"polar factor is not orthogonal (defect {defect:.3e} > {UNITARITY_TOL:.1e})"
         )
+    if s[-1] <= n * np.finfo(float).eps * s[0]:
+        raise NumericsError(
+            f"chain matrix is numerically singular (singular values {s[-1]:.3e} / {s[0]:.3e})"
+        )
+    return w
 
 
-def log_overlap_squared(left: FermionTransform, right: FermionTransform) -> float:
-    """log |<psi_left|psi_right>|^2 between two quasiparticle vacua.
+def ghz_log_overlap_squared(couplings) -> float:
+    """log |<GHZ+|psi(g)>|^2 for the chain at fields g_j.
 
-    Computed as log|det(U_l^dag U_r + V_l^dag V_r)| through an LU
-    factorization in log-magnitude form, so overlaps far below the smallest
-    positive float are still meaningful.  Returns -inf for orthogonal states.
+    Computed as log|det((I + W0^T W)/2)| from the polar factor W of the
+    chain matrix, through an LU factorization in log-magnitude form, so
+    overlaps far below the smallest positive float are still meaningful.
+    Returns -inf for a state orthogonal to the GHZ state.
+
+    Raises
+    ------
+    NumericsError
+        If ``polar_factor`` fails its checks, or the determinant exceeds 1
+        beyond roundoff.
     """
-    if left.n_sites != right.n_sites:
-        raise ValueError("transforms act on different chain lengths")
-    m = left.u_block.conj().T @ right.u_block + left.v_block.conj().T @ right.v_block
-    _, logabs = np.linalg.slogdet(m)
+    w = polar_factor(couplings)
+    n = w.shape[0]
+    # W0^T W moves row j+1 of W to row j with a minus sign and row 0 to row N-1.
+    m = np.concatenate((-w[1:], w[:1]))
+    m[np.diag_indices(n)] += 1.0
+    _, logabs = np.linalg.slogdet(0.5 * m)
     if logabs > OVERLAP_SLACK:
         raise NumericsError(
             f"overlap determinant exceeds 1 beyond roundoff (log value {logabs:.3e})"
         )
     return min(logabs, 0.0)
-
-
-def overlap_squared(left: FermionTransform, right: FermionTransform) -> float:
-    """Squared ground-state overlap |<psi_left|psi_right>|^2, clamped to [0, 1]."""
-    return math.exp(log_overlap_squared(left, right))
-
-
-def ghz_log_overlap_squared(couplings) -> float:
-    """log |<GHZ+|psi(g)>|^2 for the chain at fields g_j."""
-    g = as_couplings(couplings)
-    reference = reference_transform_g0(g.size)
-    state = diagonalize_nambu(build_nambu(g))
-    return log_overlap_squared(reference, state)
 
 
 def ghz_overlap_squared(couplings) -> float:

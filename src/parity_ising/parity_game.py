@@ -203,13 +203,19 @@ class UtilityReport:
 
 
 def utility_report(n_players: int, overlap_plus_sq: float, overlap_minus_sq: float = 0.0) -> UtilityReport:
-    """Full scoring of a state given its GHZ weights."""
+    """Full scoring of a state given its GHZ weights.
+
+    The utility is taken as log(o+ - o-) + (ceil(N/2) - 1) log 2, the
+    closed form of log[(p - 1/2) / (p_cl* - 1/2)].  Forming p - 1/2 and
+    p_cl* - 1/2 first would cancel once o+ or 2^{-ceil(N/2)} drops below
+    the float resolution of 1/2.
+    """
     p = quantum_win_probability(overlap_plus_sq, overlap_minus_sq)
-    edge = p - 0.5
-    if edge <= 0.0:
+    bias = overlap_plus_sq - overlap_minus_sq
+    if bias <= 0.0:
         u = -math.inf
     else:
-        u = math.log(edge / (classical_bound(n_players) - 0.5))
+        u = math.log(bias) + (math.ceil(n_players / 2) - 1) * LOG2
     density = u / n_players
     return UtilityReport(
         n_players=n_players,

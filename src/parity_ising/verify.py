@@ -54,15 +54,10 @@ def _result(name, module, observed, expected, tol, inputs, started, relative=Fal
     )
 
 
-def _determinant_log_overlap(g: np.ndarray) -> float:
-    transform = free_fermion.diagonalize_nambu(free_fermion.build_nambu(g))
-    return free_fermion.log_overlap_squared(
-        free_fermion.reference_transform_g0(g.size), transform
-    )
-
-
 def _utility_free_fermion(g: np.ndarray) -> float:
-    return parity_game.utility_from_log_overlap(_determinant_log_overlap(g), g.size)
+    return parity_game.utility_from_log_overlap(
+        free_fermion.ghz_log_overlap_squared(g), g.size
+    )
 
 
 def check_dense_overlap(n_sites=8, draws=3):
@@ -72,7 +67,7 @@ def check_dense_overlap(n_sites=8, draws=3):
     for rep in range(draws):
         started = time.perf_counter()
         g = rng.uniform(0.2, 3.0, n_sites)
-        o_plus = math.exp(_determinant_log_overlap(g))
+        o_plus = free_fermion.ghz_overlap_squared(g)
         dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
         out.append(
             _result(
@@ -120,7 +115,7 @@ def check_finite_differences(n_sites=40, couplings=(0.8, 1.3)):
     """chi' and chi'' against central differences of the determinant route."""
 
     def chi(g_scalar: float) -> float:
-        return _determinant_log_overlap(np.full(n_sites, g_scalar))
+        return free_fermion.ghz_log_overlap_squared(np.full(n_sites, g_scalar))
 
     out = []
     for g in couplings:

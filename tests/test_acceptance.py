@@ -20,11 +20,6 @@ from parity_ising import parity_game as pg
 from parity_ising import perturbation as pt
 
 
-def _det_overlap(g: np.ndarray) -> float:
-    transform = ff.diagonalize_nambu(ff.build_nambu(g))
-    return ff.log_overlap_squared(ff.reference_transform_g0(g.size), transform)
-
-
 def test_criterion_01_protocol_equals_overlap_formula():
     # >= 50 randomized states at N in {4,6,8,10}, ground and parity-mixed,
     # |simulated p - (1 + o+ - o-)/2| <= 1e-10
@@ -58,7 +53,7 @@ def test_criterion_02_determinant_matches_dense_overlap():
     for n, draws in ((4, 4), (6, 4), (8, 4), (10, 4), (12, 2)):
         for _ in range(draws):
             g = rng.uniform(0.2, 3.0, n)
-            via_det = math.exp(_det_overlap(g))
+            via_det = ff.ghz_overlap_squared(g)
             via_dense, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
             worst = max(worst, abs(via_det - via_dense))
     elapsed = time.perf_counter() - started
@@ -115,7 +110,7 @@ def test_criterion_07_derivatives_against_finite_differences():
     n = 40
 
     def chi(g: float) -> float:
-        return _det_overlap(np.full(n, g))
+        return ff.ghz_log_overlap_squared(np.full(n, g))
 
     for g in (0.5, 0.8, 1.3, 2.0):
         h = 1e-4
@@ -126,7 +121,7 @@ def test_criterion_07_derivatives_against_finite_differences():
         assert pt.chi_double_prime(g, n) == pytest.approx(fd2, rel=1e-4)
 
     def utility(g: np.ndarray) -> float:
-        return pg.utility_from_log_overlap(_det_overlap(g), g.size)
+        return pg.utility_from_log_overlap(ff.ghz_log_overlap_squared(g), g.size)
 
     numeric = oracle.numerical_hessian(utility, np.full(12, 1.3), step=1e-3)
     kernel = pt.hessian_kernel(1.3, 12).matrix()

@@ -250,3 +250,13 @@ def test_no_partial_files_left_behind(tmp_path):
     assert cli.main(["critical-scaling", "--n", "8", "--out", str(tmp_path / "c.csv")]) == 0
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".partial-")]
     assert leftovers == []
+
+
+def test_artifacts_honour_the_umask(tmp_path):
+    out = tmp_path / "c.csv"
+    previous = os.umask(0o022)
+    try:
+        assert cli.main(["critical-scaling", "--n", "8", "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert os.stat(out).st_mode & 0o777 == 0o644

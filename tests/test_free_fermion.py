@@ -1,11 +1,12 @@
-"""Momentum-space construction, Nambu diagonalization, and overlap routes."""
-
-import math
+"""Momentum-space spectrum, the chain matrix, and the polar-factor overlap route."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parity_ising import free_fermion as ff
+from parity_ising import oracle
 from parity_ising.errors import NumericsError
 
 
@@ -47,26 +48,30 @@ def test_dispersion_and_angles():
     assert np.all(spec.energies > 0)
 
 
-def test_transform_blocks_are_unitary():
-    for n in (4, 8, 14):
-        for transform in (ff.reference_transform_g0(n), ff.uniform_transform(0.7, n)):
-            u, v = transform.u_block, transform.v_block
-            q = np.block([[u, v.conj()], [v, u.conj()]])
-            np.testing.assert_allclose(q.conj().T @ q, np.eye(2 * n), atol=1e-12)
-
-
-def test_reference_transform_is_cached_and_frozen():
-    a = ff.reference_transform_g0(6)
-    b = ff.reference_transform_g0(6)
-    assert a.u_block is b.u_block
+def test_chain_matrix_structure():
+    g = np.array([0.9, 1.1, 1.3, 0.7, 1.0, 0.8])
+    n = g.size
+    z = ff.chain_matrix(g)
+    expected = np.diag(g) + np.diag(-np.ones(n - 1), -1)
+    # the wrap-around bond sits in the opposite corner with the opposite
+    # sign, which is what selects the even-fermion-parity (antiperiodic) sector
+    expected[0, n - 1] = 1.0
+    np.testing.assert_array_equal(z, expected)  # zeros everywhere else
+    # only the diagonal and the N-cycle contribute to the determinant
+    assert np.linalg.det(z) == pytest.approx(np.prod(g) + 1.0, rel=1e-12)
     with pytest.raises(ValueError):
-        a.u_block[0, 0] = 0.0
+        ff.chain_matrix([1.0, 1.0, 1.0])
+
+
+def _nambu_blocks(g):
+    """Hopping block A (symmetric part of Z) and pairing block B (minus its antisymmetric part)."""
+    z = ff.chain_matrix(g)
+    return (z + z.T) / 2.0, (z.T - z) / 2.0
 
 
 def test_nambu_block_structure():
     g = np.array([0.9, 1.1, 1.3, 0.7, 1.0, 0.8])
-    mats = ff.build_nambu(g)
-    a, b = mats.a_block, mats.b_block
+    a, b = _nambu_blocks(g)
     np.testing.assert_array_equal(a, a.T)
     np.testing.assert_array_equal(b, -b.T)
     np.testing.assert_array_equal(np.diag(a), g)
@@ -79,37 +84,42 @@ def test_nambu_block_structure():
 
 
 def test_single_particle_matrix_is_symmetric():
-    h = ff.assemble_single_particle(ff.build_nambu(np.array([1.0, 0.5, 2.0, 1.5])))
+    """[[A, B], [-B, -A]] is symmetric and its spectrum is +-(singular values of Z)."""
+    g = np.array([1.0, 0.5, 2.0, 1.5])
+    a, b = _nambu_blocks(g)
+    h = np.block([[a, b], [-b, -a]])
     np.testing.assert_array_equal(h, h.T)
     assert h.shape == (8, 8)
+    singular = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
+    np.testing.assert_allclose(
+        np.linalg.eigvalsh(h), np.sort(np.concatenate((-singular, singular))), rtol=0, atol=1e-12
+    )
 
 
-def test_diagonalize_matches_uniform_solution():
-    """The Nambu eigensolver must reproduce the analytic uniform transform.
+def test_transform_blocks_are_unitary():
+    """The polar factor W that carries the ground state is orthogonal.
 
-    Energies agree as multisets and the two transforms give identical
-    overlaps against the reference, even though individual eigenvector
-    phases and degenerate-pair mixtures may differ.
+    In the g -> 0+ limit it is the signed cyclic shift W0 = Z(g = 0) that the
+    overlap route rolls rows by.
     """
+    rng = np.random.default_rng(5)
+    for n in (4, 8, 14):
+        shift = ff.chain_matrix(np.ones(n)) - np.eye(n)
+        for g in (np.full(n, 1e-12), np.full(n, 0.7), rng.uniform(0.2, 3.0, n)):
+            w = ff.polar_factor(g)
+            np.testing.assert_allclose(w.T @ w, np.eye(n), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ff.polar_factor(np.full(n, 1e-12)), shift, rtol=0, atol=1e-10)
+
+
+def test_singular_values_match_uniform_spectrum():
+    """At uniform g the singular values of Z are the energies eps_k, each twice."""
     n = 16
     for g in (0.3, 1.0, 1.7):
-        analytic = ff.uniform_transform(g, n)
-        numeric = ff.diagonalize_nambu(ff.build_nambu(np.full(n, g)))
+        singular = np.linalg.svd(ff.chain_matrix(np.full(n, g)), compute_uv=False)
+        energies = ff.bogoliubov_spectrum(g, n).energies
         np.testing.assert_allclose(
-            np.sort(numeric.energies), np.sort(analytic.energies), atol=1e-12
+            np.sort(singular), np.sort(np.repeat(energies, 2)), rtol=0, atol=1e-12
         )
-        assert math.isclose(
-            ff.log_overlap_squared(ff.reference_transform_g0(n), numeric),
-            ff.log_overlap_squared(ff.reference_transform_g0(n), analytic),
-            abs_tol=1e-11,
-        )
-
-
-def test_overlap_of_state_with_itself_is_one():
-    t = ff.uniform_transform(0.9, 10)
-    assert ff.log_overlap_squared(t, t) == 0.0
-    s = ff.diagonalize_nambu(ff.build_nambu(np.array([0.5, 1.5, 1.0, 2.0, 0.8, 1.2])))
-    assert ff.log_overlap_squared(s, s) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_overlap_never_exceeds_one():
@@ -147,15 +157,61 @@ def test_nonfinite_couplings_rejected_by_pipeline():
         ff.ghz_log_overlap_squared([1.0, 1.0, np.inf, 1.0])
 
 
-def test_transform_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        ff.log_overlap_squared(ff.reference_transform_g0(6), ff.uniform_transform(1.0, 8))
+def test_unitarity_guard_catches_corruption(monkeypatch):
+    """A non-orthogonal polar factor or an unresolved singular value raises."""
+    g = np.array([0.5, 1.5, 1.0, 2.0, 0.8, 1.2])
+    svd = np.linalg.svd
+
+    def scaled_u(z):
+        u, s, vt = svd(z)
+        return 2.0 * u, s, vt
+
+    def singular(z):
+        u, s, vt = svd(z)
+        s = s.copy()
+        s[-1] = 0.0
+        return u, s, vt
+
+    for corrupt in (scaled_u, singular):
+        monkeypatch.setattr(ff.np.linalg, "svd", corrupt)
+        with pytest.raises(NumericsError):
+            ff.ghz_log_overlap_squared(g)
+    monkeypatch.undo()
+    assert ff.ghz_log_overlap_squared(g) < 0.0
 
 
-def test_unitarity_guard_catches_corruption():
-    t = ff.uniform_transform(1.1, 6)
-    broken = ff.FermionTransform(
-        u_block=2.0 * t.u_block, v_block=t.v_block, energies=t.energies
-    )
-    with pytest.raises(NumericsError):
-        ff._require_unitary(broken)
+# Property tests over random positive fields on even chains.  Derandomized and
+# without an example database, so every run draws the same examples.
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def _fields(max_sites: int):
+    return st.integers(2, max_sites // 2).flatmap(
+        lambda half: st.lists(
+            st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False),
+            min_size=2 * half,
+            max_size=2 * half,
+        )
+    ).map(np.array)
+
+
+@PROPERTY_SETTINGS
+@given(_fields(40))
+def test_property_ghz_weight_is_a_probability(g):
+    o_plus = ff.ghz_overlap_squared(g)
+    assert 0.0 <= o_plus <= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(_fields(40), st.integers(1, 39))
+def test_property_ghz_weight_invariant_under_shift_and_reversal(g, shift):
+    log_o = ff.ghz_log_overlap_squared(g)
+    assert ff.ghz_log_overlap_squared(np.roll(g, shift % g.size)) == pytest.approx(log_o, abs=1e-11)
+    assert ff.ghz_log_overlap_squared(g[::-1]) == pytest.approx(log_o, abs=1e-11)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(_fields(10))
+def test_property_ghz_weight_matches_dense_oracle(g):
+    dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
+    assert ff.ghz_overlap_squared(g) == pytest.approx(dense_plus, abs=1e-9)

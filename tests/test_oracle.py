@@ -40,8 +40,8 @@ def test_ground_state_is_normalized_and_flip_even():
 @pytest.mark.parametrize("n,g", [(6, 0.7), (8, 1.3)])
 def test_ground_energy_matches_quasiparticle_sum(n, g):
     state = oracle.dense_ground_state(np.full(n, g))
-    transform = ff.diagonalize_nambu(ff.build_nambu(np.full(n, g)))
-    assert state.energy == pytest.approx(-float(transform.energies.sum()), rel=1e-10)
+    energies = np.linalg.svd(ff.chain_matrix(np.full(n, g)), compute_uv=False)
+    assert state.energy == pytest.approx(-float(energies.sum()), rel=1e-10)
 
 
 def test_ground_state_matches_full_spectrum():

@@ -138,3 +138,12 @@ def test_utility_report_consistency():
     assert losing.p_quantum == 0.25
     assert losing.utility == -math.inf
     assert losing.advantage_class == "none"
+
+
+@pytest.mark.parametrize("n", [100, 110])
+def test_utility_report_survives_tiny_overlaps(n):
+    # o+ is below 1e-15 here, and from N = 107 on the classical edge
+    # 2^{-ceil(N/2)} is below the float resolution of 1/2, so forming
+    # p - 1/2 would lose the utility
+    report = pg.utility_report(n, ff.ghz_overlap_squared(np.full(n, 1.6)))
+    assert report.utility == pytest.approx(pg.utility_clean(1.6, n), rel=1e-9)
