@@ -14,7 +14,7 @@ Submodules (also re-exported lazily at package level, see below):
     perturbation   derivatives of the utility in the couplings
     disorder       random-coupling ensembles and Monte Carlo averaging
     asymptotics    critical scaling and thermodynamic closed forms
-    oracle         dense small-N ground truth and protocol simulation
+    oracle         small-N ground truth (sector Lanczos), protocol simulation
     verify         cross-route consistency checks
     cli            command-line interface
 

@@ -1,17 +1,25 @@
-"""Brute-force cross-checks: dense diagonalization, game simulation, stencils.
+"""Brute-force cross-checks: sector diagonalization, game simulation, stencils.
 
 Everything in this module deliberately avoids the free-fermion machinery so
 it can arbitrate it.  The spin Hamiltonian
 
-    H = -sum_j Z_j Z_{j+1} - sum_j g_j X_j     (ring, N <= 12)
+    H = -sum_j Z_j Z_{j+1} - sum_j g_j X_j     (ring)
 
-is built in the computational basis with site j stored in bit j of the basis
-index (little endian).  H commutes with the global spin flip P = prod_j X_j,
-and for positive fields the ground state lies in the P = +1 sector, so the
-ground state is computed in the symmetrized half-dimension basis
-(|b> + |flip b>)/sqrt(2) and lifted back to the full register.  This keeps
-the result deterministic even deep in the ferromagnet, where the two GHZ-like
-states are degenerate to far beyond machine precision.
+is written in the computational basis with site j stored in bit j of the
+basis index (little endian).  H commutes with the global spin flip
+P = prod_j X_j, and for positive fields the ground state lies in the P = +1
+sector.  The ground state is therefore computed in the symmetrized basis
+(|b> + |flip b>)/sqrt(2) of dimension 2^(N-1), N <= 16, where H is a sparse
+matrix with N + 1 entries per column, by Lanczos (ARPACK) for the lowest two
+eigenpairs, and lifted back to the full register.  Working in the sector
+keeps the result deterministic even deep in the ferromagnet, where the two
+GHZ-like states are degenerate to far beyond machine precision.  Lanczos
+starts from the all-ones vector: for g_j > 0, -H is non-negative and
+irreducible in the sector, so its ground state is unique with one-signed
+amplitudes (Perron-Frobenius) and overlaps that start, and a fixed start
+makes reruns bit-identical.  The returned eigenpairs are checked a
+posteriori against their residual.  The full 2^N matrix is built only by
+dense_hamiltonian (N <= 12), for commutator and spectrum checks.
 
 The parity game is simulated gate by gate: every promise input (even total),
 a diag(1, i^{a_j}) phase on each qubit, a Hadamard on each qubit, then the
@@ -22,12 +30,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import NumericsError
 from .free_fermion import as_couplings
 
 MAX_DENSE_SITES = 12
+MAX_SECTOR_SITES = 16
 DEGENERACY_GAP = 1e-10
+# Bound on max|H v - E v| of a returned eigenpair, relative to the norm bound
+# ||H|| <= N (1 + max g); Lanczos reaches about 20 ulp of it up to N = 16.
+RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,18 +92,21 @@ def _zz_diagonal(n: int, idx: np.ndarray) -> np.ndarray:
 
 
 def dense_ground_state(couplings) -> DenseState:
-    """Even-sector ground state of the ring at fields g_j, by dense eigh.
+    """Even-sector ground state of the ring at fields g_j, by sparse Lanczos.
 
-    Diagonalizes in the spin-flip-symmetric basis of dimension 2^(N-1),
-    lifts the lowest eigenvector to the full register, and fixes the global
-    phase by making the largest-magnitude amplitude real positive.  The
-    reported gap is the even-sector excitation gap; if it falls below the
-    degeneracy threshold the state is flagged via DenseState.degenerate.
+    Builds H in the spin-flip-symmetric basis of dimension 2^(N-1) as a
+    sparse matrix, takes its lowest two eigenpairs from ARPACK started at
+    the all-ones vector, lifts the lowest eigenvector to the full register,
+    and fixes the global phase by making the largest-magnitude amplitude
+    real positive.  Raises NumericsError when ARPACK fails or an eigenpair
+    misses the residual bound RESIDUAL_TOL * N (1 + max g).  The reported
+    gap is the even-sector excitation gap; if it falls below the degeneracy
+    threshold the state is flagged via DenseState.degenerate.
     """
     g = as_couplings(couplings)
     n = g.size
-    if n > MAX_DENSE_SITES:
-        raise ValueError(f"dense diagonalization capped at {MAX_DENSE_SITES} sites")
+    if n > MAX_SECTOR_SITES:
+        raise ValueError(f"sector diagonalization capped at {MAX_SECTOR_SITES} sites")
     dim = 1 << n
     full = dim - 1
     idx = np.arange(dim)
@@ -98,15 +115,23 @@ def dense_ground_state(couplings) -> DenseState:
     pos[reps] = np.arange(reps.size)
     pos[reps ^ full] = np.arange(reps.size)
 
-    h = np.zeros((reps.size, reps.size))
-    h[np.arange(reps.size), np.arange(reps.size)] = _zz_diagonal(n, reps)
-    for j in range(n):
-        h[pos[reps ^ (1 << j)], np.arange(reps.size)] += -g[j]
+    cols = np.arange(reps.size)
+    rows = np.concatenate([cols, *(pos[reps ^ (1 << j)] for j in range(n))])
+    vals = np.concatenate([_zz_diagonal(n, reps), np.repeat(-g, reps.size)])
+    h = sparse.csr_array(
+        (vals, (rows, np.tile(cols, n + 1))), shape=(reps.size, reps.size)
+    )
 
     try:
-        evals, evecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError("dense eigensolver failed") from exc
+        evals, evecs = eigsh(h, k=2, which="SA", tol=0, v0=np.ones(reps.size))
+    except ArpackError as exc:
+        raise NumericsError("sector eigensolver failed") from exc
+    residual = float(np.max(np.abs(h @ evecs - evecs * evals)))
+    bound = RESIDUAL_TOL * n * (1.0 + float(np.max(g)))
+    if not residual <= bound:
+        raise NumericsError(
+            f"sector eigenpair residual {residual:.3e} exceeds {bound:.3e}"
+        )
 
     psi = np.zeros(dim)
     psi[reps] = evecs[:, 0]

@@ -202,20 +202,26 @@ class UtilityReport:
     advantage_class: str
 
 
-def utility_report(n_players: int, overlap_plus_sq: float, overlap_minus_sq: float = 0.0) -> UtilityReport:
-    """Full scoring of a state given its GHZ weights.
+def utility_report(
+    n_players: int, log_overlap_plus_sq: float, log_overlap_minus_sq: float = -math.inf
+) -> UtilityReport:
+    """Full scoring of a state given the logs of its GHZ weights.
 
     The utility is taken as log(o+ - o-) + (ceil(N/2) - 1) log 2, the
-    closed form of log[(p - 1/2) / (p_cl* - 1/2)].  Forming p - 1/2 and
-    p_cl* - 1/2 first would cancel once o+ or 2^{-ceil(N/2)} drops below
-    the float resolution of 1/2.
+    closed form of log[(p - 1/2) / (p_cl* - 1/2)], with
+    log(o+ - o-) = log o+ + log1p(-exp(log o- - log o+)).  Working from the
+    logs keeps the utility exact where o+ underflows (clean chains at
+    g = 1.6 from N ~ 2200); forming p - 1/2 and p_cl* - 1/2 first would
+    cancel once o+ or 2^{-ceil(N/2)} drops below the float resolution of 1/2.
     """
-    p = quantum_win_probability(overlap_plus_sq, overlap_minus_sq)
-    bias = overlap_plus_sq - overlap_minus_sq
-    if bias <= 0.0:
+    p = quantum_win_probability(math.exp(log_overlap_plus_sq), math.exp(log_overlap_minus_sq))
+    if log_overlap_minus_sq >= log_overlap_plus_sq:
         u = -math.inf
     else:
-        u = math.log(bias) + (math.ceil(n_players / 2) - 1) * LOG2
+        log_bias = log_overlap_plus_sq + math.log1p(
+            -math.exp(log_overlap_minus_sq - log_overlap_plus_sq)
+        )
+        u = log_bias + (math.ceil(n_players / 2) - 1) * LOG2
     density = u / n_players
     return UtilityReport(
         n_players=n_players,

@@ -1,11 +1,11 @@
 """Self-check registry: cross-route consistency tests run by `cli verify`.
 
 Every check compares two independent computations of the same quantity
-(determinant vs dense diagonalization, analytic derivative vs finite
+(determinant vs sector diagonalization, analytic derivative vs finite
 difference, kernel contraction vs direct formula, finite-N sum vs closed
 form) and returns a CheckResult carrying the observed and expected values,
 the tolerance, and enough input detail to rerun by hand.  The fast level
-finishes in seconds; the full level adds the N=12 dense comparisons, the
+finishes in seconds; the full level adds the N=12 oracle comparisons, the
 thermodynamic crossover, and a short Monte Carlo run.
 
 Checks call library functions through their module namespaces on purpose:
@@ -61,7 +61,7 @@ def _utility_free_fermion(g: np.ndarray) -> float:
 
 
 def check_dense_overlap(n_sites=8, draws=3):
-    """Determinant route vs dense even-sector diagonalization, random couplings."""
+    """Determinant route vs the oracle's even-sector Lanczos, random couplings."""
     rng = np.random.default_rng(813250)
     out = []
     for rep in range(draws):

@@ -1,15 +1,17 @@
-"""Dense diagonalization and gate-level game simulation against closed forms.
+"""Sector diagonalization and gate-level game simulation against closed forms.
 
 These are the arbiters used elsewhere, so they get their own independent
-checks: spectrum against the quasiparticle energies, protocol output against
-hand-computable states, and the finite-difference stencils against an exact
-quadratic.
+checks: spectrum against the quasiparticle energies and the full dense
+spectrum, the solver's determinism and failure paths, protocol output
+against hand-computable states, and the finite-difference stencils against
+an exact quadratic.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from parity_ising import free_fermion as ff
 from parity_ising import oracle
@@ -74,9 +76,59 @@ def test_weak_field_ground_state_is_even_ghz():
 
 def test_size_cap():
     with pytest.raises(ValueError):
-        oracle.dense_ground_state(np.full(14, 1.0))
+        oracle.dense_ground_state(np.full(18, 1.0))
     with pytest.raises(ValueError):
         oracle.dense_hamiltonian(np.full(14, 1.0))
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_sector_oracle_matches_polar_route_beyond_dense_cap(n):
+    rng = np.random.default_rng(1400 + n)
+    g = rng.uniform(0.2, 3.0, n)
+    dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
+    assert ff.ghz_overlap_squared(g) == pytest.approx(dense_plus, rel=1e-9)
+
+
+def test_ground_state_reruns_are_bit_identical():
+    g = np.random.default_rng(77).uniform(0.2, 3.0, 10)
+    first = oracle.dense_ground_state(g)
+    second = oracle.dense_ground_state(g)
+    np.testing.assert_array_equal(first.amplitudes, second.amplitudes)
+    assert (first.energy, first.gap) == (second.energy, second.gap)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_ground_state_amplitudes_are_one_signed(n):
+    # Perron-Frobenius: -H is non-negative and irreducible in the sector.
+    # Not asserted for g below ~1e-2, where the smallest amplitudes sit at
+    # roundoff and may flip sign.
+    rng = np.random.default_rng(300 + n)
+    for _ in range(3):
+        state = oracle.dense_ground_state(rng.uniform(0.2, 3.0, n))
+        assert np.all(state.amplitudes.real > 0.0)
+
+
+def test_arpack_failure_raises_numerics_error(monkeypatch):
+    def no_convergence(h, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((h.shape[0], 0)))
+
+    monkeypatch.setattr(oracle, "eigsh", no_convergence)
+    with pytest.raises(NumericsError):
+        oracle.dense_ground_state(np.full(6, 1.0))
+
+
+def test_residual_check_catches_perturbed_eigenvector(monkeypatch):
+    real_eigsh = oracle.eigsh
+
+    def perturbed(h, **kwargs):
+        evals, evecs = real_eigsh(h, **kwargs)
+        evecs = evecs.copy()
+        evecs[0, 0] += 1e-8
+        return evals, evecs
+
+    monkeypatch.setattr(oracle, "eigsh", perturbed)
+    with pytest.raises(NumericsError):
+        oracle.dense_ground_state(np.full(6, 1.0))
 
 
 def test_degenerate_flag_thresholds():

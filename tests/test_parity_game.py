@@ -126,15 +126,19 @@ def test_classification_bands():
 
 
 def test_utility_report_consistency():
-    report = pg.utility_report(8, 0.4)
+    report = pg.utility_report(8, math.log(0.4))
     assert report.n_players == 8
     assert report.p_random == 0.5
     assert report.p_classical_opt == pg.classical_bound(8)
-    assert report.p_quantum == pg.quantum_win_probability(0.4, 0.0)
+    assert report.p_quantum == pytest.approx(pg.quantum_win_probability(0.4, 0.0), rel=1e-15)
     assert report.utility == pytest.approx(pg.utility_from_overlap(0.4, 8), rel=1e-14)
     assert report.advantage_class in ("strong", "weak", "none")
 
-    losing = pg.utility_report(8, 0.0, 0.5)
+    mixed = pg.utility_report(8, math.log(0.4), math.log(0.1))
+    assert mixed.p_quantum == pytest.approx(0.65, rel=1e-15)
+    assert mixed.utility == pytest.approx(math.log(0.3) + 3 * math.log(2.0), rel=1e-14)
+
+    losing = pg.utility_report(8, -math.inf, math.log(0.5))
     assert losing.p_quantum == 0.25
     assert losing.utility == -math.inf
     assert losing.advantage_class == "none"
@@ -145,5 +149,18 @@ def test_utility_report_survives_tiny_overlaps(n):
     # o+ is below 1e-15 here, and from N = 107 on the classical edge
     # 2^{-ceil(N/2)} is below the float resolution of 1/2, so forming
     # p - 1/2 would lose the utility
-    report = pg.utility_report(n, ff.ghz_overlap_squared(np.full(n, 1.6)))
+    report = pg.utility_report(n, ff.ghz_log_overlap_squared(np.full(n, 1.6)))
     assert report.utility == pytest.approx(pg.utility_clean(1.6, n), rel=1e-9)
+
+
+def test_utility_report_survives_underflowing_overlap():
+    # at N = 4000, g = 1.6 the weight o+ = exp(-1474) underflows to 0.0
+    n = 4000
+    expected = pg.utility_clean(1.6, n)
+    log_o_plus = expected - (math.ceil(n / 2) - 1) * math.log(2.0)
+    assert math.exp(log_o_plus) == 0.0
+    report = pg.utility_report(n, log_o_plus)
+    assert expected == pytest.approx(-88.9, abs=0.05)
+    assert report.utility == pytest.approx(expected, rel=1e-9)
+    assert report.p_quantum == 0.5
+    assert report.advantage_class == "none"
