@@ -12,12 +12,14 @@ over the positive antiperiodic wavenumbers, with
 so the rescaled perfectly-correlated second variation chi''/(2N) grows like
 -N/16: weak uniform disorder at criticality is catastrophically risk
 averse.  Away from criticality the N -> infinity derivatives have closed
-forms in complete elliptic integrals of parameter m = 4g/(1+g)^2, evaluated
-here by the arithmetic-geometric mean.
+forms in complete elliptic integrals of parameter m = 4g/(1+g)^2, taken
+from scipy.special.
 """
 
 import math
 from dataclasses import dataclass
+
+from scipy import special
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -83,30 +85,15 @@ def critical_scaling(n_sites: int) -> CriticalScalingReport:
     )
 
 
-def elliptic_km_em(m: float, tol: float = 1e-12) -> tuple[float, float]:
+def elliptic_km_em(m: float) -> tuple[float, float]:
     """Complete elliptic integrals K(m) and E(m), parameter convention.
 
-    Arithmetic-geometric mean iteration: K = pi / (2 agm(1, sqrt(1-m))),
-    E = K (1 - sum_n 2^{n-1} c_n^2).  Converges quadratically; iterated to
-    machine precision (the tol argument bounds the final c_n).
+    scipy.special.ellipk and ellipe, for m in [0, 1) only: K diverges at
+    m = 1, the critical coupling.
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"parameter m must lie in [0, 1), got {m}")
-    a = 1.0
-    b = math.sqrt(1.0 - m)
-    c_sum = 0.5 * m  # 2^{-1} c_0^2 with c_0 = sqrt(m)
-    factor = 0.5
-    for _ in range(64):
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        factor *= 2.0
-        c_sum += factor * c * c
-        if abs(c) < tol * max(a, 1.0):
-            break
-    else:
-        raise RuntimeError("AGM iteration failed to converge")
-    big_k = math.pi / (2.0 * a)
-    return big_k, big_k * (1.0 - c_sum)
+    return float(special.ellipk(m)), float(special.ellipe(m))
 
 
 def dchi_dg_thermodynamic(g: float) -> float:

@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from .errors import NumericsError
 from .free_fermion import allowed_wavenumbers, _dispersion
@@ -153,8 +153,8 @@ def advantage_density(g: float) -> float:
     return total / (2.0 * np.pi)
 
 
-def find_advantage_boundary(bracket=(1.4, 1.6), tol: float = 1e-6) -> float:
-    """Coupling g* where b(g) changes sign, by bisection.
+def find_advantage_boundary(bracket=(1.4, 1.6)) -> float:
+    """Coupling g* where b(g) changes sign, by Brent's method to 1e-12 in g.
 
     The advantage density is positive below g* and negative above; g* is
     where the chain stops beating the best classical strategy in the
@@ -167,13 +167,7 @@ def find_advantage_boundary(bracket=(1.4, 1.6), tol: float = 1e-6) -> float:
         raise NumericsError(
             f"advantage boundary not bracketed by ({lo}, {hi}): b = ({b_lo:.3e}, {b_hi:.3e})"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if advantage_density(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return optimize.brentq(advantage_density, lo, hi, xtol=1e-12)
 
 
 def classify(density: float) -> str:

@@ -31,10 +31,9 @@ in terms of which chi'(g) = -sum_k f_k.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import optimize
 
 from .errors import NumericsError
 from .free_fermion import allowed_wavenumbers, _dispersion
@@ -49,30 +48,24 @@ def f_k(g: float, k) -> np.ndarray:
     the subtraction-free form g sin^2 k / (eps^2 (eps + 1 - g cos k)).
     Accepts scalar or array k.
     """
+    return _mode_arrays(g, k)[1]
+
+
+def _mode_arrays(g: float, k):
+    """(eps, f, cos_theta, sin_theta) at wavenumbers k of any shape."""
     if g <= 0.0 or not math.isfinite(g):
         raise ValueError("coupling must be positive and finite")
     k = np.asarray(k, dtype=float)
     eps = _dispersion(g, k)
-    sk = np.sin(k)
-    return g * sk * sk / (eps * eps * (eps + 1.0 - g * np.cos(k)))
-
-
-def _mode_arrays(g: float, n_sites: int):
-    """(k, eps, f, cos_theta, sin_theta) over positive wavenumbers."""
-    if g <= 0.0 or not math.isfinite(g):
-        raise ValueError("coupling must be positive and finite")
-    k = allowed_wavenumbers(n_sites)
-    eps = _dispersion(g, k)
     ck = np.cos(k)
     sk = np.sin(k)
     f = g * sk * sk / (eps * eps * (eps + 1.0 - g * ck))
-    return k, eps, f, (g - ck) / eps, sk / eps
+    return eps, f, (g - ck) / eps, sk / eps
 
 
 def chi_prime(g: float, n_sites: int) -> float:
     """d chi / dg at uniform coupling g: -sum_{k>0} f_k(g)."""
-    _, _, f, _, _ = _mode_arrays(g, n_sites)
-    return -float(np.sum(f))
+    return -float(np.sum(f_k(g, allowed_wavenumbers(n_sites))))
 
 
 def chi_double_prime(g: float, n_sites: int) -> float:
@@ -82,7 +75,7 @@ def chi_double_prime(g: float, n_sites: int) -> float:
     in the ferromagnet (risk averse), positive in the paramagnet, and
     ~ -N^2/8 at the critical point.
     """
-    _, eps, f, ct, st = _mode_arrays(g, n_sites)
+    eps, f, ct, st = _mode_arrays(g, allowed_wavenumbers(n_sites))
     terms = 2.0 * f * ct / eps - 0.5 * f * f - 0.5 * st * st / (eps * eps)
     return float(np.sum(terms))
 
@@ -93,16 +86,16 @@ def laplacian_u(g_bar: float, n_sites: int) -> float:
     This is the closed-form contraction matching independent site noise:
     E[u] - chi ~ (sigma^2/2) laplacian_u.
     """
-    _, eps, f, ct, _ = _mode_arrays(g_bar, n_sites)
-    e1 = eps[:, None]
-    e2 = eps[None, :]
+    k = allowed_wavenumbers(n_sites)
+    return (2.0 / n_sites) * float(np.sum(_laplacian_bracket(k[:, None], k[None, :], g_bar)))
+
+
+def _laplacian_bracket(p1, p2, g: float) -> np.ndarray:
+    """Summand of the Laplacian over mode pairs, broadcast over p1 and p2."""
+    e1, f1, c1, _ = _mode_arrays(g, p1)
+    e2, f2, c2, _ = _mode_arrays(g, p2)
     s = e1 + e2
-    bracket = (
-        -e1 * e2 * np.outer(f, f)
-        + s * (ct[:, None] * f[None, :] + f[:, None] * ct[None, :])
-        + (np.outer(ct, ct) - 1.0)
-    )
-    return (2.0 / n_sites) * float(np.sum(bracket / (s * s)))
+    return (-e1 * e2 * (f1 * f2) + s * (c1 * f2 + f1 * c2) + (c1 * c2 - 1.0)) / (s * s)
 
 
 @dataclass(frozen=True)
@@ -115,8 +108,13 @@ class HessianKernel:
 
     def matrix(self) -> np.ndarray:
         """The full Hessian h((j - l) mod N) as an N x N array."""
-        idx = np.arange(self.n_sites)
-        return self.values[(idx[:, None] - idx[None, :]) % self.n_sites]
+        return self.values[_ring_offsets(self.n_sites)]
+
+
+def _ring_offsets(n_sites: int) -> np.ndarray:
+    """(j - l) mod N for every site pair: the circulant index of h."""
+    idx = np.arange(n_sites)
+    return (idx[:, None] - idx[None, :]) % n_sites
 
 
 def hessian_kernel(g_bar: float, n_sites: int) -> HessianKernel:
@@ -124,10 +122,12 @@ def hessian_kernel(g_bar: float, n_sites: int) -> HessianKernel:
 
     Momentum-space double sum with cos((p1 + p2) d) and cos((p1 - p2) d)
     weights.  Both p1 +- p2 are integer multiples of 2 pi / N, so the sum
-    collapses onto N Fourier buckets first and the d-dependence is applied
-    once per bucket; the result is identical to the direct triple loop.
+    collapses onto N Fourier buckets first, and the d-dependence is the real
+    part of one real FFT of the bucket weights.  That FFT gives d = 0..N/2;
+    the rest is mirrored, so h(d) = h(N - d) holds by construction.
     """
-    k, eps, f, ct, st = _mode_arrays(g_bar, n_sites)
+    k = allowed_wavenumbers(n_sites)
+    eps, f, ct, st = _mode_arrays(g_bar, k)
     theta = np.arctan2(st, ct)
     m = eps.size
 
@@ -156,13 +156,8 @@ def hessian_kernel(g_bar: float, n_sites: int) -> HessianKernel:
     coeff = np.bincount(bucket_plus.ravel(), weights=a_plus.ravel(), minlength=n_sites)
     coeff += np.bincount(bucket_minus.ravel(), weights=a_minus.ravel(), minlength=n_sites)
 
-    d = np.arange(n_sites)
-    cos_table = np.cos((2.0 * np.pi / n_sites) * np.outer(d, np.arange(n_sites)))
-    values = (2.0 / n_sites**2) * (cos_table @ coeff)
-    # h(d) = h(N - d) holds exactly in the mode sum but the two cosine buckets
-    # accumulate in different orders; average out the last-ulp residue so
-    # matrix() is symmetric to the bit.
-    values = 0.5 * (values + values[(-d) % n_sites])
+    half = np.fft.rfft(coeff).real
+    values = (2.0 / n_sites**2) * np.concatenate((half, half[-2:0:-1]))
     return HessianKernel(base_coupling=g_bar, n_sites=n_sites, values=values)
 
 
@@ -238,15 +233,16 @@ class SecondVariationReport:
 def second_variation(g_bar: float, n_sites: int, covariance: CovarianceMatrix) -> SecondVariationReport:
     """Contract the Hessian kernel with a disorder covariance.
 
-    du2 = (1/2) sum_{jl} C_{jl} h((j - l) mod N).  The rescaled field is
-    du2 / (N sigma^2), the quantity plotted against coupling and
-    correlation length.
+    du2 = (1/2) sum_{jl} C_{jl} h((j - l) mod N) = (1/2) sum_d h(d) w_d,
+    where w_d = sum_j C[j, (j - d) mod N] are the wrapped diagonal sums of
+    C.  The rescaled field is du2 / (N sigma^2), the quantity plotted
+    against coupling and correlation length.
     """
     c = covariance.entries
     if c.shape != (n_sites, n_sites):
         raise ValueError("covariance shape does not match the chain length")
-    kernel = hessian_kernel(g_bar, n_sites)
-    value = 0.5 * float(np.sum(c * kernel.matrix()))
+    wrapped = np.bincount(_ring_offsets(n_sites).ravel(), weights=c.ravel(), minlength=n_sites)
+    value = 0.5 * float(hessian_kernel(g_bar, n_sites).values @ wrapped)
     denom = n_sites * covariance.sigma**2
     return SecondVariationReport(
         g_bar=g_bar,
@@ -270,58 +266,47 @@ def first_variation(g_bar: float, n_sites: int, delta_g) -> float:
 # Thermodynamic limit of the Laplacian
 
 
-def _laplacian_bracket(p1: float, p2: float, g: float) -> float:
-    e1 = math.sqrt(1.0 + g * g - 2.0 * g * math.cos(p1))
-    e2 = math.sqrt(1.0 + g * g - 2.0 * g * math.cos(p2))
-    s1, s2 = math.sin(p1), math.sin(p2)
-    f1 = g * s1 * s1 / (e1 * e1 * (e1 + 1.0 - g * math.cos(p1)))
-    f2 = g * s2 * s2 / (e2 * e2 * (e2 + 1.0 - g * math.cos(p2)))
-    c1 = (g - math.cos(p1)) / e1
-    c2 = (g - math.cos(p2)) / e2
-    s = e1 + e2
-    return (-e1 * e2 * f1 * f2 + s * (f2 * c1 + f1 * c2) + (c1 * c2 - 1.0)) / (s * s)
-
-
 def laplacian_density_limit(g: float) -> float:
     """N -> infinity limit of laplacian_u(g, N) / N, as a double integral.
 
-    (1/(2 pi^2)) integral over (0, pi)^2 of the Laplacian bracket.  The
-    integrand peaks at the origin with scale |1 - g|, so both axes are split
-    there for the adaptive quadrature.
+    (1/(2 pi^2)) integral over (0, pi)^2 of the Laplacian bracket, by a
+    tensor Gauss-Legendre rule of 24 nodes per panel.  The integrand peaks
+    at the origin with scale delta = |1 - g|, so the panels are graded
+    toward it, with breakpoints 0, delta, 4 delta, 16 delta, ... and pi.
+    The 12-node rule on the same panels gauges the error over the whole
+    square; above 1e-6 (absolute, before the 1/(2 pi^2)) it is a
+    NumericsError.
     """
     if g <= 0.0 or g == 1.0 or not math.isfinite(g):
         raise ValueError("coupling must be positive, finite and away from 1")
-    cut = min(0.5, max(10.0 * abs(1.0 - g), 1e-3))
-
-    def inner(p1: float) -> float:
-        val, _ = integrate.quad(
-            _laplacian_bracket,
-            0.0,
-            np.pi,
-            args=(p1, g),
-            points=[cut],
-            epsabs=1e-11,
-            epsrel=1e-9,
-            limit=200,
-        )
-        return val
-
-    total, abserr = integrate.quad(
-        inner, 0.0, np.pi, points=[cut], epsabs=1e-9, epsrel=1e-8, limit=200
-    )
-    if abserr > 1e-6:
+    edges = [0.0]
+    scale = abs(1.0 - g)
+    while scale < np.pi:
+        edges.append(scale)
+        scale *= 4.0
+    edges = np.array(edges + [np.pi])
+    lo = edges[:-1, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    totals = []
+    for order in (24, 12):
+        x, w = np.polynomial.legendre.leggauss(order)
+        nodes = (lo + half * (x + 1.0)).ravel()
+        weights = (half * w).ravel()
+        totals.append(weights @ _laplacian_bracket(nodes[:, None], nodes[None, :], g) @ weights)
+    total, error = totals[0], abs(totals[0] - totals[1])
+    if not error <= 1e-6:
         raise NumericsError(
-            f"Laplacian double quadrature did not converge (error {abserr:.3e})"
+            f"Laplacian double quadrature did not converge (error {error:.3e})"
         )
-    return total / (2.0 * np.pi**2)
+    return float(total) / (2.0 * np.pi**2)
 
 
-def laplacian_crossover_thermodynamic(bracket=(0.95, 0.998), tol: float = 1e-4) -> float:
+def laplacian_crossover_thermodynamic(bracket=(0.95, 0.998)) -> float:
     """Coupling where the thermodynamic Laplacian density changes sign.
 
     Below the crossover independent site noise lowers the expected utility,
-    above it raises it.  Bisection to the requested tolerance; the default
-    bracket straddles the known sign change just below the critical point.
+    above it raises it.  Brent's method to 1e-12 in g; the default bracket
+    straddles the known sign change just below the critical point.
     """
     lo, hi = bracket
     v_lo = laplacian_density_limit(lo)
@@ -330,10 +315,4 @@ def laplacian_crossover_thermodynamic(bracket=(0.95, 0.998), tol: float = 1e-4) 
         raise NumericsError(
             f"Laplacian crossover not bracketed by ({lo}, {hi}): ({v_lo:.3e}, {v_hi:.3e})"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if laplacian_density_limit(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return optimize.brentq(laplacian_density_limit, lo, hi, xtol=1e-12)

@@ -15,11 +15,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from parity_ising import free_fermion as ff
 from parity_ising import oracle
 from parity_ising import parity_game as pg
 from parity_ising import perturbation as pt
+from parity_ising.errors import NumericsError
 
 
 def _chi(g: float, n: int) -> float:
@@ -127,6 +129,18 @@ def test_second_variation_perfect_and_iid_routes():
         assert iid.value == pytest.approx(0.5 * sigma**2 * pt.laplacian_u(g, n), rel=1e-10)
 
 
+def test_second_variation_matches_direct_contraction():
+    # Reference: (1/2) sum_{jl} C_{jl} h((j - l) mod N) over the full matrices,
+    # for covariances that are not circulant.
+    n, sigma = 30, 0.03
+    for g in (0.6, 1.5):
+        matrix = pt.hessian_kernel(g, n).matrix()
+        for mode in ("linear", "ring"):
+            cov = pt.exponential_covariance(sigma, 4.0, n, distance_mode=mode)
+            direct = 0.5 * float(np.sum(cov.entries * matrix))
+            assert pt.second_variation(g, n, cov).value == pytest.approx(direct, rel=1e-12)
+
+
 def test_second_variation_zero_sigma():
     report = pt.second_variation(1.2, 10, pt.iid_covariance(0.0, 10))
     assert report.value == 0.0
@@ -157,28 +171,33 @@ def test_quadratic_response_is_the_taylor_coefficient():
 
 
 def test_laplacian_thermodynamic_limit_matches_finite_sums():
-    for g in (0.8, 1.2):
+    for g in (0.8, 0.95, 0.99, 1.2):
         limit = pt.laplacian_density_limit(g)
-        assert pt.laplacian_u(g, 2048) / 2048 == pytest.approx(limit, rel=1e-8)
+        assert pt.laplacian_u(g, 4096) / 4096 == pytest.approx(limit, rel=1e-8)
 
 
 def test_laplacian_crossover_band_and_finite_size_agreement():
     crossover = pt.laplacian_crossover_thermodynamic()
     assert abs(crossover - 0.9902) < 5e-4
 
-    # independent route: bisect the finite-N momentum sum instead
+    # independent route: the root of the finite-N momentum sum instead
     def density(g, n=4096):
         return pt.laplacian_u(g, n) / n
 
-    lo, hi = 0.95, 0.998
-    assert density(lo) < 0 < density(hi)
-    while hi - lo > 1e-5:
-        mid = 0.5 * (lo + hi)
-        if density(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    assert crossover == pytest.approx(0.5 * (lo + hi), abs=1e-3)
+    assert density(0.95) < 0 < density(0.998)
+    finite = brentq(density, 0.95, 0.998, xtol=1e-12)
+    assert crossover == pytest.approx(finite, abs=1e-6)
+
+
+def test_laplacian_quadrature_gate_catches_unresolved_bracket(monkeypatch):
+    # A bracket with a jump across the diagonal p1 + p2 = 1 defeats the
+    # Gauss-Legendre panels: the two orders disagree and the gate fires.
+    def discontinuous(p1, p2, g):
+        return np.where(p1 + p2 < 1.0, 1.0, 0.0)
+
+    monkeypatch.setattr(pt, "_laplacian_bracket", discontinuous)
+    with pytest.raises(NumericsError):
+        pt.laplacian_density_limit(0.8)
 
 
 def test_invalid_coupling_rejected():
