@@ -37,7 +37,9 @@ before it is used.
 Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
 sin(theta_k) = sin(k)/eps_k, cos(theta_k) = (g - cos k)/eps_k with
-eps_k = sqrt(1 + g^2 - 2 g cos k).
+eps_k^2 = (1 - g)^2 + 4 g sin^2(k/2), and q_k = eps_k + 1 - g cos k =
+2 eps_k cos^2((theta_k - theta_k^0)/2) against the g -> 0+ angle pi - k.
+``_modes`` writes them once, without subtraction near g = 1 and k = 0.
 """
 
 import math
@@ -98,8 +100,21 @@ def allowed_wavenumbers(n_sites: int) -> np.ndarray:
     return np.pi * (2.0 * np.arange(n_sites // 2) + 1.0) / n_sites
 
 
-def _dispersion(g: float, k: np.ndarray) -> np.ndarray:
-    return np.sqrt(1.0 + g * g - 2.0 * g * np.cos(k))
+def _modes(g: float, k):
+    """(eps, q, cos theta, sin theta) of the clean chain at wavenumbers k of any shape.
+
+    q = eps + 1 - g cos k, or g^2 sin^2 k / (eps - 1 + g cos k) where g cos k > 1.
+    """
+    if g <= 0.0 or not math.isfinite(g):
+        raise ValueError("coupling must be positive and finite")
+    k = np.asarray(k, dtype=float)
+    versine = 2.0 * np.sin(0.5 * k) ** 2  # 1 - cos k
+    sk = np.sin(k)
+    eps = np.sqrt((1.0 - g) ** 2 + 2.0 * g * versine)
+    rest = (1.0 - g) + g * versine  # 1 - g cos k
+    outer = eps + np.abs(rest)
+    q = np.where(rest >= 0.0, outer, (g * sk) ** 2 / outer)
+    return eps, q, ((g - 1.0) + versine) / eps, sk / eps
 
 
 def bogoliubov_spectrum(g: float, n_sites: int) -> BogoliubovSpectrum:
@@ -108,17 +123,9 @@ def bogoliubov_spectrum(g: float, n_sites: int) -> BogoliubovSpectrum:
     The g -> 0+ limit is reached smoothly: eps_k -> 1, cos(theta_k) -> -cos k,
     sin(theta_k) -> sin k.
     """
-    if g <= 0.0 or not math.isfinite(g):
-        raise ValueError("coupling must be positive and finite")
     k = allowed_wavenumbers(n_sites)
-    eps = _dispersion(g, k)
-    return BogoliubovSpectrum(
-        coupling=g,
-        wavenumbers=k,
-        energies=eps,
-        sin_theta=np.sin(k) / eps,
-        cos_theta=(g - np.cos(k)) / eps,
-    )
+    eps, _, cos_theta, sin_theta = _modes(g, k)
+    return BogoliubovSpectrum(g, k, eps, sin_theta, cos_theta)
 
 
 def chain_matrix(couplings) -> np.ndarray:

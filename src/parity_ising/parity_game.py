@@ -27,7 +27,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from .errors import NumericsError
-from .free_fermion import allowed_wavenumbers, _dispersion
+from .free_fermion import _modes, allowed_wavenumbers
 
 LOG2 = math.log(2.0)
 STRONG_DENSITY = 0.5 * LOG2
@@ -88,30 +88,23 @@ def utility_clean(g: float, n_sites: int) -> float:
 
         chi = (ceil(N/2) - 1) log 2 + sum_{k>0} log cos^2((theta_k - theta_k^0)/2),
 
-    with cos(theta_k - theta_k^0) = (1 - g cos k)/eps_k inserted exactly, so
-    no determinant is involved and the clean baseline is cheap at any N.
+    where 2 cos^2((theta_k - theta_k^0)/2) = q_k / eps_k with
+    q_k = eps_k + 1 - g cos k from ``free_fermion._modes``, so no
+    determinant is involved and the clean baseline is cheap at any N.
     """
-    if g <= 0.0 or not math.isfinite(g):
-        raise ValueError("coupling must be positive and finite")
-    k = allowed_wavenumbers(n_sites)
-    cos_delta = (1.0 - g * np.cos(k)) / _dispersion(g, k)
-    # log cos^2(delta/2) = log1p(cos delta) - log 2
-    return (math.ceil(n_sites / 2) - 1) * LOG2 + float(
-        np.sum(np.log1p(cos_delta)) - k.size * LOG2
-    )
+    eps, q, _, _ = _modes(g, allowed_wavenumbers(n_sites))
+    return (math.ceil(n_sites / 2) - 1) * LOG2 + float(np.sum(np.log(q / eps)) - eps.size * LOG2)
 
 
 def _density_integrand(k: float, g: float) -> float:
     # Per-site limit of chi/N: the (N/2 - 1) log 2 prefactor cancels the
-    # -log 2 per mode from cos^2(./2) = (1 + cos .)/2, leaving bare log1p.
-    eps = math.sqrt(1.0 + g * g - 2.0 * g * math.cos(k))
-    rest = 1.0 - g * math.cos(k)
-    if rest >= 0.0:
-        return math.log1p(rest / eps)
-    # For g cos k > 1 the direct form cancels catastrophically near the
-    # k -> 0 log singularity; eps + rest = g^2 sin^2 k / (eps - rest) is
-    # exact and stable there (both factors strictly positive).
-    return math.log((g * math.sin(k)) ** 2 / (eps - rest)) - math.log(eps)
+    # -log 2 per mode, leaving log(q/eps).  Scalar twin of free_fermion._modes,
+    # since a numpy call per node would dominate quad.
+    versine = 2.0 * math.sin(0.5 * k) ** 2
+    eps = math.sqrt((1.0 - g) ** 2 + 2.0 * g * versine)
+    rest = (1.0 - g) + g * versine
+    outer = eps + abs(rest)
+    return math.log((outer if rest >= 0.0 else (g * math.sin(k)) ** 2 / outer) / eps)
 
 
 def advantage_density(g: float) -> float:

@@ -21,12 +21,14 @@ belongs to the square of the first variation, not to the Hessian of the
 utility, and it is deliberately excluded from h(d).  Including it breaks the
 contraction identities; the finite-difference Hessian test is the arbiter.
 
-All per-mode quantities live on the positive antiperiodic wavenumbers.  The
-building block is
+All per-mode quantities live on the positive antiperiodic wavenumbers and
+come from the subtraction-free eps_k, q_k, cos(theta_k) and sin(theta_k) of
+``free_fermion._modes``.  With t_k = tan((theta_k^0 - theta_k)/2) = g sin k / q_k,
 
-    f_k(g) = g sin^2 k / (eps_k^2 (eps_k + 1 - g cos k)),
+    f_k(g) = g sin^2 k / (eps_k^2 q_k) = t_k sin(theta_k) / eps_k,
 
-in terms of which chi'(g) = -sum_k f_k.
+and chi'(g) = -sum_k f_k.  The kernel's weights over mode pairs are written
+once, in ``_pair_weights``, which the Laplacian and its N -> oo limit sum.
 """
 
 import math
@@ -36,31 +38,23 @@ import numpy as np
 from scipy import optimize
 
 from .errors import NumericsError
-from .free_fermion import allowed_wavenumbers, _dispersion
-
-CONTRACTION_TOL = 1e-8
+from .free_fermion import _modes, allowed_wavenumbers
 
 
 def f_k(g: float, k) -> np.ndarray:
     """Per-mode response coefficient of the clean utility at coupling g.
 
-    Equal to -(1/eps_k) tan((theta_k - theta_k^0)/2) sin(theta_k), written in
-    the subtraction-free form g sin^2 k / (eps^2 (eps + 1 - g cos k)).
-    Accepts scalar or array k.
+    Equal to -(1/eps_k) tan((theta_k - theta_k^0)/2) sin(theta_k), i.e. the
+    subtraction-free g sin^2 k / (eps^2 q).  Accepts scalar or array k.
     """
-    return _mode_arrays(g, k)[1]
+    eps, t, _, st = _mode_arrays(g, k)
+    return t * st / eps
 
 
 def _mode_arrays(g: float, k):
-    """(eps, f, cos_theta, sin_theta) at wavenumbers k of any shape."""
-    if g <= 0.0 or not math.isfinite(g):
-        raise ValueError("coupling must be positive and finite")
-    k = np.asarray(k, dtype=float)
-    eps = _dispersion(g, k)
-    ck = np.cos(k)
-    sk = np.sin(k)
-    f = g * sk * sk / (eps * eps * (eps + 1.0 - g * ck))
-    return eps, f, (g - ck) / eps, sk / eps
+    """(eps, t, cos_theta, sin_theta) at wavenumbers k of any shape."""
+    eps, q, ct, st = _modes(g, k)
+    return eps, g * np.sin(k) / q, ct, st
 
 
 def chi_prime(g: float, n_sites: int) -> float:
@@ -75,7 +69,8 @@ def chi_double_prime(g: float, n_sites: int) -> float:
     in the ferromagnet (risk averse), positive in the paramagnet, and
     ~ -N^2/8 at the critical point.
     """
-    eps, f, ct, st = _mode_arrays(g, allowed_wavenumbers(n_sites))
+    eps, t, ct, st = _mode_arrays(g, allowed_wavenumbers(n_sites))
+    f = t * st / eps
     terms = 2.0 * f * ct / eps - 0.5 * f * f - 0.5 * st * st / (eps * eps)
     return float(np.sum(terms))
 
@@ -83,19 +78,43 @@ def chi_double_prime(g: float, n_sites: int) -> float:
 def laplacian_u(g_bar: float, n_sites: int) -> float:
     """Trace of the utility Hessian, sum_j d^2 u / dg_j^2, at uniform g_bar.
 
-    This is the closed-form contraction matching independent site noise:
-    E[u] - chi ~ (sigma^2/2) laplacian_u.
+    The contraction for independent site noise, E[u] - chi ~ (sigma^2/2)
+    laplacian_u, and equal to N h(0): (2/N) sum of a_plus + a_minus over mode
+    pairs, in 64-row blocks that stay in cache.  Tested against a one-site
+    stencil N [u(g + h e_0) - 2 u(g) + u(g - h e_0)] / h^2.
     """
     k = allowed_wavenumbers(n_sites)
-    return (2.0 / n_sites) * float(np.sum(_laplacian_bracket(k[:, None], k[None, :], g_bar)))
+    total = 0.0
+    for rows in np.array_split(k, -(-k.size // 64)):
+        a_plus, a_minus = _pair_weights(rows[:, None], k, g_bar)
+        total += float(np.sum(a_plus + a_minus))
+    return (2.0 / n_sites) * total
 
 
-def _laplacian_bracket(p1, p2, g: float) -> np.ndarray:
-    """Summand of the Laplacian over mode pairs, broadcast over p1 and p2."""
-    e1, f1, c1, _ = _mode_arrays(g, p1)
-    e2, f2, c2, _ = _mode_arrays(g, p2)
+def _pair_weights(p1, p2, g: float):
+    """Weights (a_plus, a_minus) of cos((p1 + p2) d) and cos((p1 - p2) d) in h(d).
+
+    Broadcast over wavenumber arrays p1 and p2.  The angles enter through
+    the half angles of each mode, the larger of cos(theta/2) and sin(theta/2)
+    from |cos theta| and the other as sin(theta)/2 over it, so no angle is
+    subtracted.  The first-variation cross term is excluded (module docstring).
+    """
+    modes = []
+    for p in (p1, p2):
+        eps, t, ct, st = _mode_arrays(g, p)
+        big = np.sqrt(0.5 * (1.0 + np.abs(ct)))
+        small, up = st / (2.0 * big), ct >= 0.0
+        modes.append((eps, t, t / eps, np.where(up, big, small), np.where(up, small, big)))
+    (e1, t1, r1, c1, s1), (e2, t2, r2, c2, s2) = modes
+    tt = t1 * t2
     s = e1 + e2
-    return (-e1 * e2 * (f1 * f2) + s * (c1 * f2 + f1 * c2) + (c1 * c2 - 1.0)) / (s * s)
+    sc, cs = s2 * c1, c2 * s1  # sin(theta2/2) cos(theta1/2), cos(theta2/2) sin(theta1/2)
+    sin_diff, sin_sum = sc - cs, sc + cs  # sin((theta2 -+ theta1)/2)
+    cc, ss = c1 * c2, s1 * s2
+    a_plus = (tt - 1.0) * sin_diff**2 + s * sin_diff * (cc + ss) * (r2 - r1)
+    a_minus = s * sin_sum * (cc - ss) * (r1 + r2) - (tt + 1.0) * sin_sum**2
+    s *= s
+    return a_plus / s, a_minus / s
 
 
 @dataclass(frozen=True)
@@ -127,30 +146,8 @@ def hessian_kernel(g_bar: float, n_sites: int) -> HessianKernel:
     the rest is mirrored, so h(d) = h(N - d) holds by construction.
     """
     k = allowed_wavenumbers(n_sites)
-    eps, f, ct, st = _mode_arrays(g_bar, k)
-    theta = np.arctan2(st, ct)
-    m = eps.size
-
-    s = eps[:, None] + eps[None, :]
-    s2 = s * s
-    # tan((theta^0 - theta)/2) = eps f / sin(theta) = g sin k / (eps + 1 - g cos k)
-    t_rev = g_bar * np.sin(k) / (eps + 1.0 - g_bar * np.cos(k))
-    tt = np.outer(t_rev, t_rev)
-    gg = t_rev / eps  # = f / sin(theta)
-    g_sum = gg[None, :] + gg[:, None]
-    g_diff = gg[None, :] - gg[:, None]
-    th_diff = theta[None, :] - theta[:, None]
-    th_sum = theta[None, :] + theta[:, None]
-
-    sin2_diff = np.sin(th_diff / 2.0) ** 2
-    sin2_sum = np.sin(th_sum / 2.0) ** 2
-    # Weight of cos((p1 + p2) d): first-variation cross term excluded, see
-    # the module docstring.
-    a_plus = (tt - 1.0) * sin2_diff / s2 + np.sin(th_diff) * g_diff / (2.0 * s)
-    # Weight of cos((p1 - p2) d)
-    a_minus = -(tt + 1.0) * sin2_sum / s2 + np.sin(th_sum) * g_sum / (2.0 * s)
-
-    idx = np.arange(m)
+    a_plus, a_minus = _pair_weights(k[:, None], k[None, :], g_bar)
+    idx = np.arange(k.size)
     bucket_plus = (idx[:, None] + idx[None, :] + 1) % n_sites
     bucket_minus = (idx[:, None] - idx[None, :]) % n_sites
     coeff = np.bincount(bucket_plus.ravel(), weights=a_plus.ravel(), minlength=n_sites)
@@ -269,13 +266,13 @@ def first_variation(g_bar: float, n_sites: int, delta_g) -> float:
 def laplacian_density_limit(g: float) -> float:
     """N -> infinity limit of laplacian_u(g, N) / N, as a double integral.
 
-    (1/(2 pi^2)) integral over (0, pi)^2 of the Laplacian bracket, by a
-    tensor Gauss-Legendre rule of 24 nodes per panel.  The integrand peaks
-    at the origin with scale delta = |1 - g|, so the panels are graded
-    toward it, with breakpoints 0, delta, 4 delta, 16 delta, ... and pi.
-    The 12-node rule on the same panels gauges the error over the whole
-    square; above 1e-6 (absolute, before the 1/(2 pi^2)) it is a
-    NumericsError.
+    (1/(2 pi^2)) integral over (0, pi)^2 of a_plus + a_minus, by a tensor
+    Gauss-Legendre rule of 24 nodes per panel.  The integrand peaks at the
+    origin with scale delta = |1 - g|, so the panels are graded toward it,
+    with breakpoints 0, delta, 4 delta, 16 delta, ... and pi.  The 12-node
+    rule on the same panels gauges the error over the whole square; above
+    1e-6 (absolute, before the 1/(2 pi^2)) it is a NumericsError.  Tested
+    against a finer rule for |1 - g| down to 1e-6 on either side of 1.
     """
     if g <= 0.0 or g == 1.0 or not math.isfinite(g):
         raise ValueError("coupling must be positive, finite and away from 1")
@@ -292,7 +289,8 @@ def laplacian_density_limit(g: float) -> float:
         x, w = np.polynomial.legendre.leggauss(order)
         nodes = (lo + half * (x + 1.0)).ravel()
         weights = (half * w).ravel()
-        totals.append(weights @ _laplacian_bracket(nodes[:, None], nodes[None, :], g) @ weights)
+        a_plus, a_minus = _pair_weights(nodes[:, None], nodes[None, :], g)
+        totals.append(weights @ (a_plus + a_minus) @ weights)
     total, error = totals[0], abs(totals[0] - totals[1])
     if not error <= 1e-6:
         raise NumericsError(

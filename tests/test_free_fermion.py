@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from parity_ising import free_fermion as ff
 from parity_ising import oracle
+from parity_ising import parity_game as pg
 from parity_ising.errors import NumericsError
 
 
@@ -215,3 +216,23 @@ def test_property_ghz_weight_invariant_under_shift_and_reversal(g, shift):
 def test_property_ghz_weight_matches_dense_oracle(g):
     dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
     assert ff.ghz_overlap_squared(g) == pytest.approx(dense_plus, abs=1e-9)
+
+
+_UNIFORM_G = st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY_SETTINGS
+@given(_UNIFORM_G, st.integers(2, 20))
+def test_property_polar_route_matches_mode_product(g, half):
+    n = 2 * half
+    via_polar = pg.utility_from_log_overlap(ff.ghz_log_overlap_squared(np.full(n, g)), n)
+    assert via_polar == pytest.approx(pg.utility_clean(g, n), abs=1e-11)
+
+
+@PROPERTY_SETTINGS
+@given(_UNIFORM_G, _UNIFORM_G, st.integers(2, 20))
+def test_property_ghz_weight_does_not_increase_with_uniform_coupling(g1, g2, half):
+    n = 2 * half
+    low, high = sorted((g1, g2))
+    log_low = ff.ghz_log_overlap_squared(np.full(n, low))
+    assert ff.ghz_log_overlap_squared(np.full(n, high)) <= log_low + 1e-13

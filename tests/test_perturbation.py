@@ -8,7 +8,9 @@ each other through the two contraction identities
     N h(0)       = laplacian    (independent shifts)
 
 plus an exact Gauss-Hermite expectation that pins the quadratic response
-as the true second-order Taylor coefficient.
+as the true second-order Taylor coefficient.  The kernel and the Laplacian
+sum the same pair weights, so the Laplacian is also held to a one-site
+central difference N d^2 u / dg_0^2.
 """
 
 import math
@@ -66,6 +68,11 @@ def test_kernel_contraction_identities(g):
         pt.chi_double_prime(g, n), rel=1e-8
     )
     assert n * float(kernel.values[0]) == pytest.approx(pt.laplacian_u(g, n), rel=1e-8)
+    h, e0 = 1e-3, np.eye(n)[0]
+    u = [pg.utility_from_log_overlap(ff.ghz_log_overlap_squared(g + side * h * e0), n)
+         for side in (1.0, 0.0, -1.0)]
+    stencil = n * (u[0] - 2.0 * u[1] + u[2]) / h**2
+    assert pt.laplacian_u(g, n) == pytest.approx(stencil, rel=1e-4)
 
 
 def test_kernel_matrix_is_symmetric_circulant():
@@ -189,13 +196,37 @@ def test_laplacian_crossover_band_and_finite_size_agreement():
     assert crossover == pytest.approx(finite, abs=1e-6)
 
 
+def _finer_laplacian_limit(g, order=48, ratio=2.0):
+    """The Laplacian density on twice as many nodes per panel, graded by 2, not 4."""
+    edges = [0.0]
+    scale = abs(1.0 - g)
+    while scale < np.pi:
+        edges.append(scale)
+        scale *= ratio
+    edges = np.array(edges + [np.pi])
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    weights = (half * w).ravel()
+    a_plus, a_minus = pt._pair_weights(nodes[:, None], nodes[None, :], g)
+    return float(weights @ (a_plus + a_minus) @ weights) / (2.0 * np.pi**2)
+
+
+@pytest.mark.parametrize("g", [1.0 - 1e-6, 1.0 + 1e-6, 1.0001, 1.001, 1.0015])
+def test_laplacian_limit_converges_next_to_criticality(g):
+    # The integrand peaks at k ~ |1 - g|, where the mode formulas must keep
+    # their digits; two graded rules of different refinement then agree.
+    assert pt.laplacian_density_limit(g) == pytest.approx(_finer_laplacian_limit(g), rel=1e-10)
+
+
 def test_laplacian_quadrature_gate_catches_unresolved_bracket(monkeypatch):
-    # A bracket with a jump across the diagonal p1 + p2 = 1 defeats the
+    # Pair weights with a jump across the diagonal p1 + p2 = 1 defeat the
     # Gauss-Legendre panels: the two orders disagree and the gate fires.
     def discontinuous(p1, p2, g):
-        return np.where(p1 + p2 < 1.0, 1.0, 0.0)
+        step = np.where(p1 + p2 < 1.0, 1.0, 0.0)
+        return step, np.zeros_like(step)
 
-    monkeypatch.setattr(pt, "_laplacian_bracket", discontinuous)
+    monkeypatch.setattr(pt, "_pair_weights", discontinuous)
     with pytest.raises(NumericsError):
         pt.laplacian_density_limit(0.8)
 

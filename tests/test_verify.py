@@ -1,9 +1,10 @@
 """The self-check registry: all levels green, failures attributable.
 
-The mutation test at the bottom is the important one: it breaks the Hessian
-kernel's distance attribution while preserving the d = 0 entry, and requires
-the contraction checks to catch it.  That works because checks resolve
-library functions through their module namespaces at call time.
+The mutation tests at the bottom are the important ones: one breaks the
+Hessian kernel's distance attribution while preserving the d = 0 entry, the
+other scales the pair weight a_plus that the kernel and the Laplacian share,
+and the contraction checks must catch each.  That works because checks
+resolve library functions through their module namespaces at call time.
 """
 
 import json
@@ -65,3 +66,18 @@ def test_broken_kernel_attribution_is_caught(monkeypatch):
     assert failed
     assert all("sum(kernel)" in name for name in failed)
     assert any("chi_double_prime" in name for name in failed)
+
+
+def test_scaled_pair_weight_is_caught_by_the_laplacian_stencil(monkeypatch):
+    # a_plus 1% too large moves N*kernel(0) and laplacian_u together, so a
+    # comparison of the two would pass; the one-site finite difference of
+    # the determinant route does not move.
+    real = pt._pair_weights
+
+    def scaled(p1, p2, g):
+        a_plus, a_minus = real(p1, p2, g)
+        return 1.01 * a_plus, a_minus
+
+    monkeypatch.setattr(pt, "_pair_weights", scaled)
+    failed = {r.name for r in verify.failures(verify.check_contractions())}
+    assert any("laplacian_u vs one-site finite difference" in name for name in failed)
