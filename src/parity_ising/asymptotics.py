@@ -19,7 +19,6 @@ from scipy.special.
 import math
 from dataclasses import dataclass
 
-from scipy import special
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -91,6 +90,8 @@ def elliptic_km_em(m: float) -> tuple[float, float]:
     scipy.special.ellipk and ellipe, for m in [0, 1) only: K diverges at
     m = 1, the critical coupling.
     """
+    from scipy import special
+
     if not 0.0 <= m < 1.0:
         raise ValueError(f"parameter m must lie in [0, 1), got {m}")
     return float(special.ellipk(m)), float(special.ellipe(m))

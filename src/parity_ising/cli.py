@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .errors import NumericsError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 THREAD_ENV_VAR = "PARITY_ISING_THREADS"
 _BLAS_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -233,7 +233,10 @@ def cmd_montecarlo(args) -> int:
         "config": config,
         "result": {
             "n_samples": result.n_samples,
-            "n_rejected": result.n_rejected,
+            "n_redraws": result.n_redraws,
+            "n_degenerate": result.n_degenerate,
+            "max_orthogonality_defect": result.max_orthogonality_defect,
+            "min_singular_ratio": result.min_singular_ratio,
             "seed": result.seed,
             "mean_utility": result.mean_utility,
             "stderr": result.stderr,

@@ -12,11 +12,18 @@ with E[delta_g] = 0.  Four kinds are supported, named by their covariance:
 Sampling is reproducible and order-independent: sample number `index` of a
 run with seed `seed` is drawn from its own counter-based stream keyed by
 (seed, index), so serial and parallel execution produce identical results.
+A run re-keys one Philox generator per sample instead of building a new one,
+and scores every sample with one ``free_fermion.ChainOverlap``; both give
+exactly what the one-shot ``sample_couplings`` and
+``ghz_log_overlap_squared`` give, at a cost close to the SVD alone.
 
 Couplings must stay positive.  The default policy redraws the offending
 sample from its own stream (and reports how often); the strict policy aborts
 the run.  In the parameter regimes of interest a violation is many standard
 deviations out, so the truncation bias is far below statistical resolution.
+A run reports its positivity redraws, its zero-overlap (-inf) samples, and
+the worst orthogonality defect and smallest singular-value ratio its overlap
+kernel saw.
 """
 
 import math
@@ -26,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericsError
-from .free_fermion import ghz_log_overlap_squared
+from .free_fermion import ChainOverlap
 from .parity_game import utility_clean, utility_from_log_overlap
 from .perturbation import (
     CovarianceMatrix,
@@ -174,45 +181,69 @@ def _draw(ensemble: DisorderEnsemble, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(ensemble.mean - half, ensemble.mean + half, n)
 
 
+class _RunDraws:
+    """The coupling draws of one run: one Philox generator, re-keyed per sample.
+
+    ``draw(index)`` points the generator at the start of the stream that
+    ``sample_stream(seed, index)`` opens, so it returns the same fields at
+    a fraction of the cost of a new generator.
+    """
+
+    def __init__(self, ensemble: DisorderEnsemble, seed: int):
+        self.ensemble = ensemble
+        self._rng = sample_stream(seed, 0)
+        self._start = self._rng.bit_generator.state
+
+    def draw(self, index: int) -> tuple[np.ndarray, int]:
+        """Fields of sample `index` and the number of positivity redraws they took."""
+        if not 0 <= index < 2**64:
+            raise ValueError("sample index must be nonnegative and below 2**64")
+        self._start["state"]["key"][0] = index
+        self._rng.bit_generator.state = self._start
+        for attempt in range(MAX_REDRAWS):
+            g = _draw(self.ensemble, self._rng)
+            if (g > 0.0).all():
+                return g, attempt
+            if self.ensemble.positivity_policy == "reject_run":
+                raise ValueError(
+                    f"sample {index} drew a nonpositive coupling under reject_run policy"
+                )
+        raise NumericsError(
+            f"exceeded {MAX_REDRAWS} positivity redraws; ensemble is misconfigured"
+        )
+
+
 def sample_couplings(ensemble: DisorderEnsemble, seed: int, index: int) -> tuple[np.ndarray, int]:
     """One coupling realization and the number of positivity redraws it took.
 
     Redraws come from the same per-sample stream, so the result is a pure
     function of (ensemble, seed, index).
     """
-    rng = sample_stream(seed, index)
-    for attempt in range(MAX_REDRAWS):
-        g = _draw(ensemble, rng)
-        if np.all(g > 0.0):
-            return g, attempt
-        if ensemble.positivity_policy == "reject_run":
-            raise ValueError(
-                f"sample {index} drew a nonpositive coupling under reject_run policy"
-            )
-    raise NumericsError(
-        f"exceeded {MAX_REDRAWS} positivity redraws; ensemble is misconfigured"
-    )
+    return _RunDraws(ensemble, seed).draw(index)
 
 
-def _sample_utility(ensemble: DisorderEnsemble, g: np.ndarray) -> float:
+def _sample_utility(ensemble: DisorderEnsemble, g: np.ndarray, overlap: ChainOverlap) -> float:
     # A perfect-correlation draw is a uniform chain, where the momentum-space
     # product form of the utility is exact and much cheaper than the general
     # determinant route.  The two routes agree to machine precision (tested).
     # Covers sigma = 0 for every kind, making E[u] = u(g_bar) bit-exact there.
     if ensemble.kind == "gaussian_perfect" or ensemble.sigma == 0.0:
         return utility_clean(float(g[0]), ensemble.n_sites)
-    return utility_from_log_overlap(ghz_log_overlap_squared(g), ensemble.n_sites)
+    return utility_from_log_overlap(overlap(g), ensemble.n_sites)
 
 
 @dataclass(frozen=True)
 class MonteCarloResult:
     """Sample statistics of the utility under one ensemble and seed.
 
-    `n_samples` counts the realizations that entered the moments; draws whose
-    utility is -inf (zero overlap) are excluded and tallied in `n_rejected`
-    together with positivity redraws.  The histogram bins the per-site shift
-    (u(g) - u(g_bar)) / N over `n_samples` values, with outliers clipped into
-    the edge bins.
+    `n_samples` counts the realizations that entered the moments.  Draws
+    whose utility is -inf (zero overlap) are excluded and counted in
+    `n_degenerate`; `n_redraws` counts positivity redraws.  The histogram
+    bins the per-site shift (u(g) - u(g_bar)) / N over `n_samples` values,
+    with outliers clipped into the edge bins.  `max_orthogonality_defect`
+    (worst max|W^T W - I|) and `min_singular_ratio` (smallest s_min / s_max
+    of the chain matrix) report the numerics of the overlap kernel; both are
+    None when no sample needed it.
     """
 
     n_samples: int
@@ -222,8 +253,11 @@ class MonteCarloResult:
     clean_utility: float
     histogram_edges: np.ndarray
     histogram_counts: np.ndarray
-    n_rejected: int
+    n_redraws: int
+    n_degenerate: int
     seed: int
+    max_orthogonality_defect: float | None
+    min_singular_ratio: float | None
 
 
 def density_stderr(result: MonteCarloResult, n_sites: int) -> float:
@@ -249,21 +283,26 @@ def expected_utility(
     """Monte Carlo estimate of the expected utility under the ensemble.
 
     Draws `n_samples` coupling realizations from per-sample streams and
-    evaluates the exact utility of each.  The clean value u(g_bar) is
-    reported alongside for shift and histogram construction.
+    evaluates the exact utility of each.  The run keeps one re-keyed
+    generator and one ``ChainOverlap`` for all its samples, so the same
+    (ensemble, seed) gives the same draws and values as the per-sample
+    route ``sample_couplings`` -> ``ghz_log_overlap_squared``.  The clean
+    value u(g_bar) is reported alongside for shift and histogram
+    construction.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     clean = utility_clean(ensemble.mean, ensemble.n_sites)
+    draws = _RunDraws(ensemble, seed)
+    overlap = ChainOverlap(ensemble.n_sites)
     utilities = np.empty(n_samples)
-    n_rejected = 0
+    n_redraws = 0
     for index in range(n_samples):
-        g, redraws = sample_couplings(ensemble, seed, index)
-        n_rejected += redraws
-        utilities[index] = _sample_utility(ensemble, g)
+        g, redraws = draws.draw(index)
+        n_redraws += redraws
+        utilities[index] = _sample_utility(ensemble, g, overlap)
 
     finite = np.isfinite(utilities)
-    n_rejected += int(np.count_nonzero(~finite))
     kept = utilities[finite]
     if kept.size == 0:
         raise NumericsError("every sample produced a degenerate (-inf) utility")
@@ -271,6 +310,7 @@ def expected_utility(
     mean_u = float(np.mean(kept))
     stderr = float(np.std(kept, ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
     edges, counts = _shift_histogram((kept - clean) / ensemble.n_sites)
+    measured = overlap.evaluations > 0
     return MonteCarloResult(
         n_samples=int(kept.size),
         mean_utility=mean_u,
@@ -279,8 +319,11 @@ def expected_utility(
         clean_utility=clean,
         histogram_edges=edges,
         histogram_counts=counts,
-        n_rejected=n_rejected,
+        n_redraws=n_redraws,
+        n_degenerate=int(n_samples - kept.size),
         seed=seed,
+        max_orthogonality_defect=overlap.max_defect if measured else None,
+        min_singular_ratio=overlap.min_singular_ratio if measured else None,
     )
 
 

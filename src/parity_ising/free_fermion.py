@@ -31,8 +31,11 @@ is a signed cyclic shift, so W0^T W is a row roll of W with one sign flip.
 
 Z is never singular: its only permutation terms are the diagonal and the
 N-cycle, so det Z = prod_j g_j + 1 > 0 and W is unique.  The factor is still
-checked for orthogonality and for a resolvable smallest singular value
-before it is used.
+checked for orthogonality before it is used, and that sign of det Z orients
+a singular pair too small to resolve.  ``ChainOverlap`` is the one overlap
+route: a caller with many fields of one length keeps one object, and
+``polar_factor`` and ``ghz_log_overlap_squared`` are single calls of a fresh
+one.
 
 Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
@@ -46,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import NumericsError
 
@@ -75,9 +79,9 @@ def as_couplings(values) -> np.ndarray:
     n = g.size
     if n < 4 or n % 2:
         raise ValueError(f"chain length must be even and >= 4, got {n}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("couplings must be finite")
-    if np.any(g <= 0.0):
+    if (g <= 0.0).any():
         raise ValueError("couplings must be strictly positive")
     return g
 
@@ -128,6 +132,19 @@ def bogoliubov_spectrum(g: float, n_sites: int) -> BogoliubovSpectrum:
     return BogoliubovSpectrum(g, k, eps, sin_theta, cos_theta)
 
 
+def _bonds(n_sites: int) -> np.ndarray:
+    """Z without its diagonal, in the column-major layout LAPACK works on."""
+    z = np.zeros((n_sites, n_sites), order="F")
+    z[np.arange(1, n_sites), np.arange(n_sites - 1)] = -1.0
+    z[0, n_sites - 1] = 1.0
+    return z
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonal of a square column-major array."""
+    return a.ravel(order="F")[:: a.shape[0] + 1]
+
+
 def chain_matrix(couplings) -> np.ndarray:
     """The even-sector chain matrix Z = A - B at fields g_j.
 
@@ -135,48 +152,139 @@ def chain_matrix(couplings) -> np.ndarray:
     (0, N-1) for the antiperiodic wrap-around bond.
     """
     g = as_couplings(couplings)
-    n = g.size
-    z = np.diag(g)
-    z[np.arange(1, n), np.arange(n - 1)] = -1.0
-    z[0, n - 1] = 1.0
+    z = _bonds(g.size)
+    _diagonal(z)[:] = g
     return z
+
+
+class ChainOverlap:
+    """The GHZ-overlap kernel for chains of one length, reusable across calls.
+
+    A caller that evaluates many field configurations of one length (a
+    Monte Carlo run) makes one object and calls it per configuration.  The
+    object holds the bonds of Z, the ``dgesdd`` work size and scratch for
+    Z, W^T W - I and (I + W0^T W)/2, so a call allocates little beyond the
+    arrays LAPACK returns.  ``polar`` returns W; calling the object returns
+    log o+.  Every call validates the fields, turns a LAPACK failure into a
+    NumericsError, holds W to UNITARITY_TOL and guards the smallest singular
+    value.
+
+    Fields of strong contrast can push one domain wall's singular value
+    below the resolvable floor s_min <= N eps s_max.  Its singular pair then
+    fixes W only up to the relative sign of u_N and v_N.  Since
+    det Z = prod_j g_j + 1 > 0, det W = det U det V^T must be +1, and the
+    last column of U is flipped when it is not.  Only this branch pays for
+    the two determinants.  A second unresolved singular value (two or more
+    near-zero modes, as from separate ferromagnetic domains) raises.
+
+    Over its calls the object records ``evaluations``, the worst
+    orthogonality defect max|W^T W - I| (``max_defect``) and the smallest
+    s_min / s_max (``min_singular_ratio``).  The scratch is reused, so one
+    object must not be shared between threads.
+    """
+
+    def __init__(self, n_sites: int):
+        if n_sites < 4 or n_sites % 2:
+            raise ValueError(f"chain length must be even and >= 4, got {n_sites}")
+        self.n_sites = n_sites
+        self._bonds = _bonds(n_sites)
+        work, info = lapack.dgesdd_lwork(n_sites, n_sites)
+        if info:
+            raise NumericsError(f"dgesdd work-size query failed (info {info})")
+        self._lwork = int(work)
+        self._z, self._w, self._gram, self._m = (
+            np.empty((n_sites, n_sites), order="F") for _ in range(4)
+        )
+        self._z_diagonal, self._gram_diagonal, self._m_diagonal = (
+            _diagonal(a) for a in (self._z, self._gram, self._m)
+        )
+        self.evaluations = 0
+        self.max_defect = 0.0
+        self.min_singular_ratio = 1.0
+
+    def polar(self, couplings) -> np.ndarray:
+        """The orthogonal polar factor W = U V^T of Z at fields g.
+
+        The result is scratch that the object's next call overwrites.
+        """
+        g = as_couplings(couplings)
+        n = self.n_sites
+        if g.size != n:
+            raise ValueError(f"expected {n} couplings, got {g.size}")
+        z = self._z
+        np.copyto(z, self._bonds)
+        self._z_diagonal[:] = g
+        u, s, vt, info = lapack.dgesdd(z, lwork=self._lwork, overwrite_a=1)
+        if info:
+            raise NumericsError(f"SVD failed on a {n} x {n} chain matrix (dgesdd info {info})")
+        self.evaluations += 1
+        self.min_singular_ratio = min(self.min_singular_ratio, float(s[-1] / s[0]))
+        floor = n * np.finfo(float).eps * s[0]
+        if s[-1] <= floor:
+            if s[-2] <= floor:
+                raise NumericsError(
+                    f"chain matrix has two or more unresolved singular values "
+                    f"({s[-2]:.3e}, {s[-1]:.3e} / {s[0]:.3e})"
+                )
+            if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
+                u[:, -1] *= -1.0
+        w = np.matmul(u, vt, out=self._w)
+        gram = np.matmul(w.T, w, out=self._gram)
+        self._gram_diagonal -= 1.0
+        defect = float(np.abs(gram, out=gram).max())
+        self.max_defect = max(self.max_defect, defect)
+        if defect > UNITARITY_TOL:
+            raise NumericsError(
+                f"polar factor is not orthogonal (defect {defect:.3e} > {UNITARITY_TOL:.1e})"
+            )
+        return w
+
+    def __call__(self, couplings) -> float:
+        """log |<GHZ+|psi(g)>|^2 = log|det((I + W0^T W)/2)|; -inf at an exactly zero pivot."""
+        w = self.polar(couplings)
+        m = self._m
+        # W0^T W moves row j+1 of W to row j with a minus sign and row 0 to row N-1.
+        np.negative(w[1:], out=m[:-1])
+        m[-1] = w[0]
+        self._m_diagonal += 1.0
+        m *= 0.5
+        lu, _, info = lapack.dgetrf(m, overwrite_a=1)
+        if info < 0:
+            raise NumericsError(f"dgetrf rejected argument {-info}")
+        if info > 0:
+            return -math.inf
+        logabs = float(np.sum(np.log(np.abs(lu.diagonal()))))
+        if logabs > OVERLAP_SLACK:
+            raise NumericsError(
+                f"overlap determinant exceeds 1 beyond roundoff (log value {logabs:.3e})"
+            )
+        return min(logabs, 0.0)
 
 
 def polar_factor(couplings) -> np.ndarray:
     """The orthogonal polar factor W = U V^T of the chain matrix Z = U diag(s) V^T.
 
+    One call of a fresh ``ChainOverlap``.
+
     Raises
     ------
     NumericsError
-        If the SVD fails, W misses the orthogonality budget, or the smallest
-        singular value is not resolved.
+        If the SVD fails, W misses the orthogonality budget, or more than one
+        singular value is unresolved.
     """
-    z = chain_matrix(couplings)
-    n = z.shape[0]
-    try:
-        u, s, vt = np.linalg.svd(z)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"SVD failed on a {n} x {n} chain matrix") from exc
-    w = u @ vt
-    defect = np.abs(w.T @ w - np.eye(n)).max()
-    if defect > UNITARITY_TOL:
-        raise NumericsError(
-            f"polar factor is not orthogonal (defect {defect:.3e} > {UNITARITY_TOL:.1e})"
-        )
-    if s[-1] <= n * np.finfo(float).eps * s[0]:
-        raise NumericsError(
-            f"chain matrix is numerically singular (singular values {s[-1]:.3e} / {s[0]:.3e})"
-        )
-    return w
+    g = as_couplings(couplings)
+    return ChainOverlap(g.size).polar(g)
 
 
 def ghz_log_overlap_squared(couplings) -> float:
     """log |<GHZ+|psi(g)>|^2 for the chain at fields g_j.
 
     Computed as log|det((I + W0^T W)/2)| from the polar factor W of the
-    chain matrix, through an LU factorization in log-magnitude form, so
+    chain matrix, as the sum of log|u_ii| over an LU factorization, so
     overlaps far below the smallest positive float are still meaningful.
-    Returns -inf for a state orthogonal to the GHZ state.
+    Returns -inf for a state orthogonal to the GHZ state.  One call of a
+    fresh ``ChainOverlap``; loops over many fields of one length should keep
+    one object instead.
 
     Raises
     ------
@@ -184,17 +292,8 @@ def ghz_log_overlap_squared(couplings) -> float:
         If ``polar_factor`` fails its checks, or the determinant exceeds 1
         beyond roundoff.
     """
-    w = polar_factor(couplings)
-    n = w.shape[0]
-    # W0^T W moves row j+1 of W to row j with a minus sign and row 0 to row N-1.
-    m = np.concatenate((-w[1:], w[:1]))
-    m[np.diag_indices(n)] += 1.0
-    _, logabs = np.linalg.slogdet(0.5 * m)
-    if logabs > OVERLAP_SLACK:
-        raise NumericsError(
-            f"overlap determinant exceeds 1 beyond roundoff (log value {logabs:.3e})"
-        )
-    return min(logabs, 0.0)
+    g = as_couplings(couplings)
+    return ChainOverlap(g.size)(g)
 
 
 def ghz_overlap_squared(couplings) -> float:

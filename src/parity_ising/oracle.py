@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import NumericsError
 from .free_fermion import as_couplings
@@ -103,6 +101,9 @@ def dense_ground_state(couplings) -> DenseState:
     gap is the even-sector excitation gap; if it falls below the degeneracy
     threshold the state is flagged via DenseState.degenerate.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import ArpackError, eigsh
+
     g = as_couplings(couplings)
     n = g.size
     if n > MAX_SECTOR_SITES:

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import NumericsError
 from .free_fermion import _modes, allowed_wavenumbers
@@ -115,6 +114,8 @@ def advantage_density(g: float) -> float:
     integrable log singularity) at k -> 0 when g is near 1, so the interval
     is split there.  Absolute accuracy 1e-10 or a NumericsError.
     """
+    from scipy import integrate
+
     if g <= 0.0 or not math.isfinite(g):
         raise ValueError("coupling must be positive and finite")
     if g == 1.0:
@@ -153,6 +154,8 @@ def find_advantage_boundary(bracket=(1.4, 1.6)) -> float:
     where the chain stops beating the best classical strategy in the
     thermodynamic limit.
     """
+    from scipy import optimize
+
     lo, hi = bracket
     b_lo = advantage_density(lo)
     b_hi = advantage_density(hi)

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import NumericsError
 from .free_fermion import _modes, allowed_wavenumbers
@@ -306,6 +305,8 @@ def laplacian_crossover_thermodynamic(bracket=(0.95, 0.998)) -> float:
     above it raises it.  Brent's method to 1e-12 in g; the default bracket
     straddles the known sign change just below the critical point.
     """
+    from scipy import optimize
+
     lo, hi = bracket
     v_lo = laplacian_density_limit(lo)
     v_hi = laplacian_density_limit(hi)

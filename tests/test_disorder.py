@@ -7,12 +7,16 @@ asserted with ==.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from parity_ising import disorder as dis
+from parity_ising import free_fermion as ff
 from parity_ising import parity_game as pg
 from parity_ising import perturbation as pt
 from parity_ising.errors import NumericsError
@@ -157,6 +161,86 @@ def test_positivity_redraws_counted_and_respected():
     assert total_redraws > 0
 
 
+def _stream_draw(ensemble, seed, index):
+    """Sample `index` drawn from a fresh sample_stream, redraws included."""
+    rng = dis.sample_stream(seed, index)
+    for attempt in range(dis.MAX_REDRAWS):
+        g = dis._draw(ensemble, rng)
+        if np.all(g > 0.0):
+            return g, attempt
+    raise AssertionError("no positive draw")
+
+
+@pytest.mark.parametrize(
+    "ens",
+    [
+        dis.gaussian_iid(1.2, 0.3, 8),
+        dis.gaussian_perfect(1.0, 0.2, 8),
+        dis.gaussian_correlated(1.0, 0.3, 2.0, 8),
+        dis.uniform_iid(1.0, 0.8, 8),
+        dis.gaussian_iid(0.05, 0.5, 4),  # most raw draws need a redraw
+    ],
+    ids=dis.KINDS + ("redraws",),
+)
+def test_rekeyed_generator_draws_what_sample_stream_draws(ens):
+    draws = dis._RunDraws(ens, 23)
+    redraws = 0
+    for index in (4, 0, 7, 7, 1, 2**40):
+        g, extra = draws.draw(index)
+        expected, expected_extra = _stream_draw(ens, 23, index)
+        np.testing.assert_array_equal(g, expected)
+        assert extra == expected_extra
+        redraws += extra
+    if ens.mean == 0.05:
+        assert redraws > 0
+    with pytest.raises(ValueError):
+        draws.draw(-1)
+
+
+@pytest.mark.parametrize(
+    "ens",
+    [dis.uniform_iid(1.6, 2.0, 40), dis.gaussian_iid(1.3, 0.1, 40), dis.gaussian_correlated(1.6, 0.04, 5.0, 200)],
+    ids=("uniform-40", "iid-40", "correlated-200"),
+)
+def test_run_matches_per_sample_route(ens):
+    """One kernel and one re-keyed generator per run give the one-shot route's numbers."""
+    n_samples = 20 if ens.n_sites == 200 else 150
+    result = dis.expected_utility(ens, n_samples, seed=41)
+    utilities, redraws, ratios = [], 0, []
+    for index in range(n_samples):
+        g, extra = dis.sample_couplings(ens, 41, index)
+        redraws += extra
+        utilities.append(pg.utility_from_log_overlap(ff.ghz_log_overlap_squared(g), ens.n_sites))
+        s = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
+        ratios.append(s[-1] / s[0])
+    assert result.n_samples == n_samples
+    assert result.n_redraws == redraws
+    assert result.mean_utility == pytest.approx(np.mean(utilities), rel=1e-12, abs=0.0)
+    assert result.min_singular_ratio == pytest.approx(min(ratios), rel=1e-10)
+    assert 0.0 < result.max_orthogonality_defect <= ff.UNITARITY_TOL
+
+
+def test_redraws_and_degenerate_samples_are_counted_apart():
+    ens = dis.gaussian_iid(0.05, 0.5, 4)
+    result = dis.expected_utility(ens, 30, seed=3)
+    assert result.n_redraws == sum(dis.sample_couplings(ens, 3, i)[1] for i in range(30)) > 0
+    assert result.n_degenerate == 0
+    assert result.n_samples == 30
+
+
+def test_monte_carlo_import_path_leaves_scipy_solvers_unloaded():
+    """Importing the sampler loads no scipy quadrature, root finder, special function or sparse code."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dis.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import sys, parity_ising.disorder; "
+        "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.sparse') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_positivity_reject_run_aborts():
     ens = dis.gaussian_iid(0.05, 0.5, 4, positivity_policy="reject_run")
     with pytest.raises(ValueError):
@@ -177,7 +261,10 @@ def test_sigma_zero_collapses_to_clean_value(ens):
     result = dis.expected_utility(ens, 5, seed=99)
     assert result.mean_utility == pg.utility_clean(1.6, 8)
     assert result.stderr == 0.0
-    assert result.n_rejected == 0
+    assert result.n_redraws == result.n_degenerate == 0
+    # a uniform chain is scored by the mode product, so no SVD ran
+    assert result.max_orthogonality_defect is None
+    assert result.min_singular_ratio is None
     assert result.histogram_counts.sum() == 5
     assert result.histogram_counts[dis.HISTOGRAM_BINS // 2] == 5
 
@@ -210,23 +297,24 @@ def test_degenerate_utilities_excluded_from_moments(monkeypatch):
     real = dis._sample_utility
     calls = {"n": 0}
 
-    def flaky(ensemble, g):
+    def flaky(ensemble, g, overlap):
         calls["n"] += 1
         if calls["n"] % 3 == 0:
             return -math.inf
-        return real(ensemble, g)
+        return real(ensemble, g, overlap)
 
     monkeypatch.setattr(dis, "_sample_utility", flaky)
     ens = dis.gaussian_iid(1.1, 0.02, 8)
     result = dis.expected_utility(ens, 30, seed=14)
     assert result.n_samples == 20
-    assert result.n_rejected == 10
+    assert result.n_degenerate == 10
+    assert result.n_redraws == 0
     assert math.isfinite(result.mean_utility)
     assert result.histogram_counts.sum() == 20
 
 
 def test_all_degenerate_raises(monkeypatch):
-    monkeypatch.setattr(dis, "_sample_utility", lambda ensemble, g: -math.inf)
+    monkeypatch.setattr(dis, "_sample_utility", lambda ensemble, g, overlap: -math.inf)
     with pytest.raises(NumericsError):
         dis.expected_utility(dis.gaussian_iid(1.1, 0.02, 8), 10, seed=15)
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from parity_ising import free_fermion as ff
@@ -112,13 +113,13 @@ def test_arpack_failure_raises_numerics_error(monkeypatch):
     def no_convergence(h, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((h.shape[0], 0)))
 
-    monkeypatch.setattr(oracle, "eigsh", no_convergence)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(NumericsError):
         oracle.dense_ground_state(np.full(6, 1.0))
 
 
 def test_residual_check_catches_perturbed_eigenvector(monkeypatch):
-    real_eigsh = oracle.eigsh
+    real_eigsh = scipy.sparse.linalg.eigsh
 
     def perturbed(h, **kwargs):
         evals, evecs = real_eigsh(h, **kwargs)
@@ -126,7 +127,7 @@ def test_residual_check_catches_perturbed_eigenvector(monkeypatch):
         evecs[0, 0] += 1e-8
         return evals, evecs
 
-    monkeypatch.setattr(oracle, "eigsh", perturbed)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
     with pytest.raises(NumericsError):
         oracle.dense_ground_state(np.full(6, 1.0))
 
