@@ -21,11 +21,19 @@ Submodules (also re-exported lazily at package level, see below):
 Importing the package does not import numpy/scipy; submodules load on first
 attribute access.  The CLI relies on this to apply its thread-count setting
 before the numeric stack initializes.
+
+Run telemetry (Monte Carlo counts and rates, per-check verify times) goes to
+DEBUG records on the ``parity_ising`` logger, which has only a NullHandler:
+nothing prints unless the application configures logging, for example
+``logging.basicConfig(level=logging.DEBUG)``.
 """
 
+import logging
 from importlib import import_module
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 _SUBMODULES = (
     "asymptotics",

@@ -143,18 +143,24 @@ def cmd_second_variation(args) -> int:
     grid = _grid(args.g_min, args.g_max, args.steps)
     rows = []
     for n in args.n:
-        for g in grid:
+        if args.kind == "perfect":
+            rows.extend((n, g, None, perturbation.chi_double_prime(g, n) / (2.0 * n)) for g in grid)
+        elif args.kind == "iid":
+            rows.extend((n, g, None, perturbation.laplacian_u(g, n) / (2.0 * n)) for g in grid)
+        else:
+            # The kernel depends on (N, g) only and the covariance on (N, xi)
+            # only: build each once, one N x N covariance at a time, and
+            # contract every pair.
+            kernels = [perturbation.hessian_kernel(g, n) for g in grid]
+            columns = []
             for xi in xi_list:
-                if args.kind == "perfect":
-                    value = perturbation.chi_double_prime(g, n) / (2.0 * n)
-                elif args.kind == "iid":
-                    value = perturbation.laplacian_u(g, n) / (2.0 * n)
-                else:
-                    covariance = perturbation.exponential_covariance(
-                        1.0, xi, n, distance_mode=args.distance
-                    )
-                    value = perturbation.second_variation(g, n, covariance).rescaled
-                rows.append((n, g, xi, value))
+                covariance = perturbation.exponential_covariance(1.0, xi, n, distance_mode=args.distance)
+                columns.append([kernel.contract(covariance).rescaled for kernel in kernels])
+            rows.extend(
+                (n, g, xi, column[i])
+                for i, g in enumerate(grid)
+                for xi, column in zip(xi_list, columns)
+            )
     config = {
         "command": "second-variation",
         "kind": args.kind,

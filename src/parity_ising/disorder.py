@@ -15,7 +15,9 @@ run with seed `seed` is drawn from its own counter-based stream keyed by
 A run re-keys one Philox generator per sample instead of building a new one,
 and scores every sample with one ``free_fermion.ChainOverlap``; both give
 exactly what the one-shot ``sample_couplings`` and
-``ghz_log_overlap_squared`` give, at a cost close to the SVD alone.
+``ghz_log_overlap_squared`` give, at a cost close to the SVD alone.  Where
+every draw is a uniform chain (the shared shift, or sigma = 0) the run
+scores all its samples with one vectorized ``utility_clean`` call instead.
 
 Couplings must stay positive.  The default policy redraws the offending
 sample from its own stream (and reports how often); the strict policy aborts
@@ -26,7 +28,9 @@ the worst orthogonality defect and smallest singular-value ratio its overlap
 kernel saw.
 """
 
+import logging
 import math
+import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -51,6 +55,8 @@ HISTOGRAM_BINS = 101
 HISTOGRAM_SPAN_STDS = 5.0
 MAX_REDRAWS = 1000
 COVARIANCE_EIGENVALUE_FLOOR = -1e-10
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -223,12 +229,6 @@ def sample_couplings(ensemble: DisorderEnsemble, seed: int, index: int) -> tuple
 
 
 def _sample_utility(ensemble: DisorderEnsemble, g: np.ndarray, overlap: ChainOverlap) -> float:
-    # A perfect-correlation draw is a uniform chain, where the momentum-space
-    # product form of the utility is exact and much cheaper than the general
-    # determinant route.  The two routes agree to machine precision (tested).
-    # Covers sigma = 0 for every kind, making E[u] = u(g_bar) bit-exact there.
-    if ensemble.kind == "gaussian_perfect" or ensemble.sigma == 0.0:
-        return utility_clean(float(g[0]), ensemble.n_sites)
     return utility_from_log_overlap(overlap(g), ensemble.n_sites)
 
 
@@ -286,21 +286,34 @@ def expected_utility(
     evaluates the exact utility of each.  The run keeps one re-keyed
     generator and one ``ChainOverlap`` for all its samples, so the same
     (ensemble, seed) gives the same draws and values as the per-sample
-    route ``sample_couplings`` -> ``ghz_log_overlap_squared``.  The clean
-    value u(g_bar) is reported alongside for shift and histogram
-    construction.
+    route ``sample_couplings`` -> ``ghz_log_overlap_squared``.  Where every
+    draw is a uniform chain (``gaussian_perfect``, or sigma = 0) the loop
+    only collects each sample's coupling, and one ``utility_clean`` call
+    scores them all, each value equal to the per-sample call bit for bit.
+    The clean value u(g_bar) is reported alongside for shift and histogram
+    construction.  One DEBUG record on the ``parity_ising.disorder`` logger
+    gives the run's sample, redraw and degenerate counts, its seconds and
+    its evaluations per second.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    started = time.perf_counter()
     clean = utility_clean(ensemble.mean, ensemble.n_sites)
     draws = _RunDraws(ensemble, seed)
     overlap = ChainOverlap(ensemble.n_sites)
+    # A perfect-correlation draw is a uniform chain, where the momentum-space
+    # product form of the utility is exact and much cheaper than the general
+    # determinant route.  The two routes agree to machine precision (tested).
+    # Covers sigma = 0 for every kind, making E[u] = u(g_bar) bit-exact there.
+    uniform = ensemble.kind == "gaussian_perfect" or ensemble.sigma == 0.0
     utilities = np.empty(n_samples)
     n_redraws = 0
     for index in range(n_samples):
         g, redraws = draws.draw(index)
         n_redraws += redraws
-        utilities[index] = _sample_utility(ensemble, g, overlap)
+        utilities[index] = g[0] if uniform else _sample_utility(ensemble, g, overlap)
+    if uniform:
+        utilities = utility_clean(utilities, ensemble.n_sites)
 
     finite = np.isfinite(utilities)
     kept = utilities[finite]
@@ -311,6 +324,12 @@ def expected_utility(
     stderr = float(np.std(kept, ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
     edges, counts = _shift_histogram((kept - clean) / ensemble.n_sites)
     measured = overlap.evaluations > 0
+    seconds = time.perf_counter() - started
+    _log.debug(
+        "expected_utility %s N=%d: %d samples, %d redraws, %d degenerate, %.3f s, %.0f evaluations/s",
+        ensemble.kind, ensemble.n_sites, kept.size, n_redraws, n_samples - kept.size,
+        seconds, n_samples / seconds,
+    )
     return MonteCarloResult(
         n_samples=int(kept.size),
         mean_utility=mean_u,

@@ -104,12 +104,15 @@ def allowed_wavenumbers(n_sites: int) -> np.ndarray:
     return np.pi * (2.0 * np.arange(n_sites // 2) + 1.0) / n_sites
 
 
-def _modes(g: float, k):
-    """(eps, q, cos theta, sin theta) of the clean chain at wavenumbers k of any shape.
+def _modes(g, k):
+    """(eps, q, cos theta, sin theta) of the clean chain at couplings g and wavenumbers k.
 
-    q = eps + 1 - g cos k, or g^2 sin^2 k / (eps - 1 + g cos k) where g cos k > 1.
+    g is a float or an array that broadcasts against k (a column of
+    couplings against a row of wavenumbers gives one chain per row); k has
+    any shape.  q = eps + 1 - g cos k, or g^2 sin^2 k / (eps - 1 + g cos k)
+    where g cos k > 1.
     """
-    if g <= 0.0 or not math.isfinite(g):
+    if not np.all((np.asarray(g) > 0.0) & np.isfinite(g)):
         raise ValueError("coupling must be positive and finite")
     k = np.asarray(k, dtype=float)
     versine = 2.0 * np.sin(0.5 * k) ** 2  # 1 - cos k

@@ -23,7 +23,8 @@ dense_hamiltonian (N <= 12), for commutator and spectrum checks.
 
 The parity game is simulated gate by gate: every promise input (even total),
 a diag(1, i^{a_j}) phase on each qubit, a Hadamard on each qubit, then the
-win condition sum_j b_j = (sum_j a_j)/2 mod 2 on the measured bits.
+win condition sum_j b_j = (sum_j a_j)/2 mod 2 on the measured bits.  A
+block of inputs goes through the gates at once, one input per row.
 """
 
 import math
@@ -40,6 +41,12 @@ DEGENERACY_GAP = 1e-10
 # Bound on max|H v - E v| of a returned eigenpair, relative to the norm bound
 # ||H|| <= N (1 + max g); Lanczos reaches about 20 ulp of it up to N = 16.
 RESIDUAL_TOL = 1e-12
+# Lanczos basis size.  ARPACK's default of 20 vectors stalls on the second
+# eigenpair of chains with strong field contrast (10^-4 x 6 + 10^4 x 6 did
+# not converge in 20481 iterations); 40 resolves it in a few restarts.
+LANCZOS_BASIS = 40
+# Largest (inputs, 2^N) complex block the protocol simulation holds at once.
+PROTOCOL_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,7 @@ def dense_ground_state(couplings) -> DenseState:
 
     Builds H in the spin-flip-symmetric basis of dimension 2^(N-1) as a
     sparse matrix, takes its lowest two eigenpairs from ARPACK started at
-    the all-ones vector, lifts the lowest eigenvector to the full register,
+    the all-ones vector with a basis of LANCZOS_BASIS vectors, lifts the lowest eigenvector to the full register,
     and fixes the global phase by making the largest-magnitude amplitude
     real positive.  Raises NumericsError when ARPACK fails or an eigenpair
     misses the residual bound RESIDUAL_TOL * N (1 + max g).  The reported
@@ -116,15 +123,22 @@ def dense_ground_state(couplings) -> DenseState:
     pos[reps] = np.arange(reps.size)
     pos[reps ^ full] = np.arange(reps.size)
 
+    # The COO triplets are temporaries, so only the CSR matrix stays alive
+    # next to the Lanczos basis.
     cols = np.arange(reps.size)
-    rows = np.concatenate([cols, *(pos[reps ^ (1 << j)] for j in range(n))])
-    vals = np.concatenate([_zz_diagonal(n, reps), np.repeat(-g, reps.size)])
     h = sparse.csr_array(
-        (vals, (rows, np.tile(cols, n + 1))), shape=(reps.size, reps.size)
+        (
+            np.concatenate([_zz_diagonal(n, reps), np.repeat(-g, reps.size)]),
+            (np.concatenate([cols, *(pos[reps ^ (1 << j)] for j in range(n))]), np.tile(cols, n + 1)),
+        ),
+        shape=(reps.size, reps.size),
     )
 
     try:
-        evals, evecs = eigsh(h, k=2, which="SA", tol=0, v0=np.ones(reps.size))
+        evals, evecs = eigsh(
+            h, k=2, which="SA", tol=0, v0=np.ones(reps.size),
+            ncv=min(LANCZOS_BASIS, reps.size),
+        )
     except ArpackError as exc:
         raise NumericsError("sector eigensolver failed") from exc
     residual = float(np.max(np.abs(h @ evecs - evecs * evals)))
@@ -157,19 +171,24 @@ def ghz_overlaps(state: DenseState) -> tuple[float, float]:
     return float(o_plus), float(o_minus)
 
 
-def _fwht(vec: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform (Hadamard on every qubit)."""
-    out = vec.copy()
-    h = 1
-    n = out.size
-    while h < n:
-        out = out.reshape(-1, 2 * h)
-        top = out[:, :h].copy()
-        out[:, :h] = top + out[:, h:]
-        out[:, h:] = top - out[:, h:]
-        out = out.reshape(-1)
-        h *= 2
-    return out / math.sqrt(n)
+def _fwht_rows(block: np.ndarray) -> np.ndarray:
+    """Normalized Walsh-Hadamard transform (Hadamard on every qubit) of each row.
+
+    Constant-geometry butterflies: each pass applies H to the lowest qubit
+    and rotates it to the top, writing contiguous halves, so after one pass
+    per qubit every qubit has had its Hadamard and is back in place.  The
+    passes alternate between the block and one scratch array of its size.
+    """
+    rows, dim = block.shape
+    half = dim // 2
+    src, dst = block, np.empty_like(block)
+    for _ in range(dim.bit_length() - 1):
+        pairs = src.reshape(rows, half, 2)
+        np.add(pairs[:, :, 0], pairs[:, :, 1], out=dst[:, :half])
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=dst[:, half:])
+        src, dst = dst, src
+    src *= 1.0 / math.sqrt(dim)
+    return src
 
 
 def simulate_bbt(state: DenseState) -> float:
@@ -178,7 +197,9 @@ def simulate_bbt(state: DenseState) -> float:
     Enumerates all even-weight inputs a.  For each, applies the per-qubit
     phase diag(1, i^{a_j}) and Hadamard, then sums the probability of output
     strings whose parity equals (sum_j a_j)/2 mod 2.  Exact up to roundoff;
-    cost O(4^N) overall.
+    cost O(4^N) overall.  Inputs are simulated in blocks, each one row of a
+    (block, 2^N) complex array, with blocks sized so that no array exceeds
+    PROTOCOL_BLOCK_BYTES.
     """
     n = state.n_qubits
     if n < 3:
@@ -188,19 +209,23 @@ def simulate_bbt(state: DenseState) -> float:
     if psi.shape != (dim,):
         raise ValueError("amplitude vector does not match the qubit count")
     pc = _popcounts(dim)
-    even_out = pc % 2 == 0
+    odd_out = (pc & 1).astype(float)
     i_pow = 1j ** np.arange(4)
     idx = np.arange(dim)
 
     inputs = idx[pc % 2 == 0]
+    block_rows = max(1, PROTOCOL_BLOCK_BYTES // (psi.itemsize * dim))
     total = 0.0
-    for a in inputs:
-        phase = i_pow[pc[np.bitwise_and(idx, a)] % 4]
-        after = _fwht(psi * phase)
-        weights = np.abs(after) ** 2
-        target_even = (pc[a] // 2) % 2 == 0
-        mask = even_out if target_even else ~even_out
-        total += float(np.sum(weights[mask]))
+    for start in range(0, inputs.size, block_rows):
+        a = inputs[start : start + block_rows]
+        block = i_pow[pc[np.bitwise_and(a[:, None], idx)] & 3]
+        block *= psi
+        after = _fwht_rows(block)
+        weights = after.real**2 + after.imag**2
+        # win when the output parity equals (sum_j a_j)/2 mod 2
+        p_odd = weights @ odd_out
+        p_even = weights @ (1.0 - odd_out)
+        total += float(np.sum(np.where((pc[a] >> 1) & 1, p_odd, p_even)))
     return total / inputs.size
 
 

@@ -34,6 +34,8 @@ STRONG_DENSITY = 0.5 * LOG2
 STRONG_BAND = 1e-9
 # Absolute error budget for the advantage-density quadrature.
 QUAD_TOL = 1e-10
+# Chains times modes that utility_clean holds in one block (64 KiB per array).
+CLEAN_BLOCK_MODES = 1 << 13
 
 
 def _check_players(n_players: int):
@@ -79,7 +81,7 @@ def utility_from_log_overlap(log_overlap_plus_sq: float, n_players: int) -> floa
     return (math.ceil(n_players / 2) - 1) * LOG2 + log_overlap_plus_sq
 
 
-def utility_clean(g: float, n_sites: int) -> float:
+def utility_clean(g, n_sites: int):
     """Utility chi(g) of the clean chain at uniform coupling g.
 
     Evaluated by summing the per-mode angle differences against the g -> 0+
@@ -90,9 +92,25 @@ def utility_clean(g: float, n_sites: int) -> float:
     where 2 cos^2((theta_k - theta_k^0)/2) = q_k / eps_k with
     q_k = eps_k + 1 - g cos k from ``free_fermion._modes``, so no
     determinant is involved and the clean baseline is cheap at any N.
+
+    g may be a float or a one-dimensional array of couplings, one chain
+    each, which returns an array.  A float is the one-element case, so an
+    array entry equals the float call bit for bit.  Chains are scored in
+    row blocks of at most CLEAN_BLOCK_MODES modes, which bounds the memory
+    at any N and array length.
     """
-    eps, q, _, _ = _modes(g, allowed_wavenumbers(n_sites))
-    return (math.ceil(n_sites / 2) - 1) * LOG2 + float(np.sum(np.log(q / eps)) - eps.size * LOG2)
+    if np.ndim(g) == 0:
+        return float(utility_clean(np.array([g], dtype=float), n_sites)[0])
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 1:
+        raise ValueError("couplings must be a float or a one-dimensional array")
+    k = allowed_wavenumbers(n_sites)
+    out = np.empty(g.size)
+    rows = max(1, CLEAN_BLOCK_MODES // k.size)
+    for start in range(0, g.size, rows):
+        eps, q, _, _ = _modes(g[start : start + rows, None], k)
+        out[start : start + rows] = np.sum(np.log(q / eps), axis=1) - k.size * LOG2
+    return (math.ceil(n_sites / 2) - 1) * LOG2 + out
 
 
 def _density_integrand(k: float, g: float) -> float:

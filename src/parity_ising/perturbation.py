@@ -33,6 +33,7 @@ once, in ``_pair_weights``, which the Laplacian and its N -> oo limit sum.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,7 +119,11 @@ def _pair_weights(p1, p2, g: float):
 
 @dataclass(frozen=True)
 class HessianKernel:
-    """Ring-periodic second derivative of u versus site separation."""
+    """Ring-periodic second derivative of u versus site separation.
+
+    The kernel does not depend on the disorder, so one kernel per (N, g)
+    serves every covariance through ``contract``.
+    """
 
     base_coupling: float
     n_sites: int
@@ -127,6 +132,28 @@ class HessianKernel:
     def matrix(self) -> np.ndarray:
         """The full Hessian h((j - l) mod N) as an N x N array."""
         return self.values[_ring_offsets(self.n_sites)]
+
+    def contract(self, covariance: "CovarianceMatrix") -> "SecondVariationReport":
+        """Mean second-order utility shift under a disorder covariance.
+
+        du2 = (1/2) sum_{jl} C_{jl} h((j - l) mod N) = (1/2) sum_d h(d) w_d,
+        with w_d the covariance's wrapped diagonal sums.  The rescaled field
+        is du2 / (N sigma^2), the quantity plotted against coupling and
+        correlation length.
+        """
+        n = self.n_sites
+        if covariance.entries.shape != (n, n):
+            raise ValueError("covariance shape does not match the chain length")
+        value = 0.5 * float(self.values @ covariance.wrapped)
+        denom = n * covariance.sigma**2
+        return SecondVariationReport(
+            g_bar=self.base_coupling,
+            n_sites=n,
+            kind=covariance.kind,
+            sigma=covariance.sigma,
+            value=value,
+            rescaled=value / denom if denom > 0.0 else math.nan,
+        )
 
 
 def _ring_offsets(n_sites: int) -> np.ndarray:
@@ -166,6 +193,12 @@ class CovarianceMatrix:
     kind: str  # "perfect" | "iid" | "exponential"
     xi: float | None = None
     distance_mode: str = "linear"
+
+    @cached_property
+    def wrapped(self) -> np.ndarray:
+        """Wrapped diagonal sums w_d = sum_j C[j, (j - d) mod N], formed on first use."""
+        n = self.entries.shape[0]
+        return np.bincount(_ring_offsets(n).ravel(), weights=self.entries.ravel(), minlength=n)
 
 
 def perfect_covariance(sigma: float, n_sites: int) -> CovarianceMatrix:
@@ -227,27 +260,12 @@ class SecondVariationReport:
 
 
 def second_variation(g_bar: float, n_sites: int, covariance: CovarianceMatrix) -> SecondVariationReport:
-    """Contract the Hessian kernel with a disorder covariance.
+    """Contract the Hessian kernel at (N, g_bar) with a disorder covariance.
 
-    du2 = (1/2) sum_{jl} C_{jl} h((j - l) mod N) = (1/2) sum_d h(d) w_d,
-    where w_d = sum_j C[j, (j - d) mod N] are the wrapped diagonal sums of
-    C.  The rescaled field is du2 / (N sigma^2), the quantity plotted
-    against coupling and correlation length.
+    One call of ``hessian_kernel`` and one ``HessianKernel.contract``; a
+    sweep over many covariances at one (N, g_bar) should keep the kernel.
     """
-    c = covariance.entries
-    if c.shape != (n_sites, n_sites):
-        raise ValueError("covariance shape does not match the chain length")
-    wrapped = np.bincount(_ring_offsets(n_sites).ravel(), weights=c.ravel(), minlength=n_sites)
-    value = 0.5 * float(hessian_kernel(g_bar, n_sites).values @ wrapped)
-    denom = n_sites * covariance.sigma**2
-    return SecondVariationReport(
-        g_bar=g_bar,
-        n_sites=n_sites,
-        kind=covariance.kind,
-        sigma=covariance.sigma,
-        value=value,
-        rescaled=value / denom if denom > 0.0 else math.nan,
-    )
+    return hessian_kernel(g_bar, n_sites).contract(covariance)
 
 
 def first_variation(g_bar: float, n_sites: int, delta_g) -> float:
@@ -270,7 +288,8 @@ def laplacian_density_limit(g: float) -> float:
     origin with scale delta = |1 - g|, so the panels are graded toward it,
     with breakpoints 0, delta, 4 delta, 16 delta, ... and pi.  The 12-node
     rule on the same panels gauges the error over the whole square; above
-    1e-6 (absolute, before the 1/(2 pi^2)) it is a NumericsError.  Tested
+    1e-6 (absolute, before the 1/(2 pi^2)) it is a NumericsError.  Node
+    rows are summed in blocks of 64, as in ``laplacian_u``.  Tested
     against a finer rule for |1 - g| down to 1e-6 on either side of 1.
     """
     if g <= 0.0 or g == 1.0 or not math.isfinite(g):
@@ -288,8 +307,11 @@ def laplacian_density_limit(g: float) -> float:
         x, w = np.polynomial.legendre.leggauss(order)
         nodes = (lo + half * (x + 1.0)).ravel()
         weights = (half * w).ravel()
-        a_plus, a_minus = _pair_weights(nodes[:, None], nodes[None, :], g)
-        totals.append(weights @ (a_plus + a_minus) @ weights)
+        total = 0.0
+        for rows in np.array_split(np.arange(nodes.size), -(-nodes.size // 64)):
+            a_plus, a_minus = _pair_weights(nodes[rows, None], nodes, g)
+            total += weights[rows] @ (a_plus + a_minus) @ weights
+        totals.append(total)
     total, error = totals[0], abs(totals[0] - totals[1])
     if not error <= 1e-6:
         raise NumericsError(

@@ -14,6 +14,7 @@ import pytest
 
 from parity_ising import cli
 from parity_ising import parity_game as pg
+from parity_ising import perturbation as pt
 from parity_ising import verify
 from parity_ising.errors import NumericsError
 
@@ -93,6 +94,26 @@ def test_second_variation_row_layout(tmp_path):
     _, _, rows2 = _read_csv(out2)
     assert len(rows2) == 10
     assert {r[2] for r in rows2} == {"1.0000000000000000e+00", "2.0000000000000000e+00"}
+
+
+@pytest.mark.parametrize("mode", ["linear", "ring"])
+def test_exponential_rows_equal_per_point_second_variation(tmp_path, mode):
+    """One kernel per (N, g) and one covariance per (N, xi) change no bit of any row."""
+    out = tmp_path / "sv.csv"
+    xis = (0.5, 3.0, 40.0)
+    assert cli.main([
+        "second-variation", "--kind", "exponential", "--n", "8", "40",
+        "--g-min", "0.9", "--g-max", "1.6", "--steps", "4",
+        "--xi", *map(str, xis), "--distance", mode, "--out", str(out),
+    ]) == 0
+    _, _, rows = _read_csv(out)
+    expected = [
+        (n, g, xi, pt.second_variation(g, n, pt.exponential_covariance(1.0, xi, n, mode)).rescaled)
+        for n in (8, 40)
+        for g in cli._grid(0.9, 1.6, 4)
+        for xi in xis
+    ]
+    assert [(int(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in rows] == expected
 
 
 def test_second_variation_xi_flag_misuse(tmp_path):
@@ -201,6 +222,29 @@ def test_verify_fast_exit_and_report(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert len(report["checks"]) == 20
     assert all(check["passed"] for check in report["checks"])
+
+
+def test_debug_logging_leaves_cli_output_unchanged(tmp_path, capsys, caplog):
+    argv = ["verify", "--level", "fast"]
+    assert cli.main(argv) == 0
+    quiet = capsys.readouterr()
+    with caplog.at_level("DEBUG", logger="parity_ising"):
+        assert cli.main(argv) == 0
+        mc = ["montecarlo", "--kind", "gaussian_perfect", "--n", "8", "--g", "1.2",
+              "--sigma", "0.1", "--samples", "20", "--out", str(tmp_path / "mc.json")]
+        assert cli.main(mc) == 0
+    loud = capsys.readouterr()
+    strip = lambda text: [line.rsplit(" (", 1)[0] for line in text.splitlines()]  # drop elapsed times
+    assert strip(loud.out) == strip(quiet.out)
+    assert loud.err == quiet.err == ""
+    assert {r.name for r in caplog.records} == {"parity_ising.verify", "parity_ising.disorder"}
+    # the artifact stays timing-free, so reruns stay byte-identical
+    assert set(json.loads((tmp_path / "mc.json").read_text())["result"]) == {
+        "n_samples", "n_redraws", "n_degenerate", "max_orthogonality_defect",
+        "min_singular_ratio", "seed", "mean_utility", "stderr", "mean_density",
+        "density_stderr", "clean_utility", "clean_density", "shift", "predicted_shift",
+        "histogram",
+    }
 
 
 def test_verify_failure_exits_4(monkeypatch, capsys):

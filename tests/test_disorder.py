@@ -220,6 +220,43 @@ def test_run_matches_per_sample_route(ens):
     assert 0.0 < result.max_orthogonality_defect <= ff.UNITARITY_TOL
 
 
+@pytest.mark.parametrize(
+    "ens",
+    [dis.gaussian_perfect(1.3, 0.1, 40), dis.gaussian_perfect(0.2, 0.15, 8)],
+    ids=("perfect-40", "perfect-redraws-8"),
+)
+def test_uniform_chain_run_matches_per_sample_route(ens):
+    """One vectorized scoring gives what sample_couplings -> utility_clean gives, bit for bit."""
+    result = dis.expected_utility(ens, 400, seed=17)
+    utilities, redraws = [], 0
+    for index in range(400):
+        g, extra = dis.sample_couplings(ens, 17, index)
+        redraws += extra
+        utilities.append(pg.utility_clean(float(g[0]), ens.n_sites))
+    utilities = np.array(utilities)
+    assert result.n_samples == 400
+    assert result.n_redraws == redraws
+    assert result.mean_utility == float(np.mean(utilities))
+    edges, counts = dis._shift_histogram((utilities - result.clean_utility) / ens.n_sites)
+    np.testing.assert_array_equal(result.histogram_edges, edges)
+    np.testing.assert_array_equal(result.histogram_counts, counts)
+    assert result.max_orthogonality_defect is None
+    if ens.mean == 0.2:
+        assert redraws > 0
+
+
+def test_run_telemetry_is_one_debug_record(caplog):
+    ens = dis.gaussian_iid(0.05, 0.5, 4)
+    with caplog.at_level("DEBUG", logger="parity_ising"):
+        result = dis.expected_utility(ens, 30, seed=3)
+    records = [r for r in caplog.records if r.name == "parity_ising.disorder"]
+    assert len(records) == 1
+    assert records[0].levelname == "DEBUG"
+    message = records[0].getMessage()
+    assert f"30 samples, {result.n_redraws} redraws, 0 degenerate" in message
+    assert "evaluations/s" in message
+
+
 def test_redraws_and_degenerate_samples_are_counted_apart():
     ens = dis.gaussian_iid(0.05, 0.5, 4)
     result = dis.expected_utility(ens, 30, seed=3)

@@ -181,6 +181,57 @@ def test_protocol_equals_overlap_formula_on_random_states(n):
         )
 
 
+def _per_input_protocol(state: oracle.DenseState) -> float:
+    """The protocol one input at a time, with an in-place butterfly transform."""
+    n = state.n_qubits
+    dim = 1 << n
+    psi = np.asarray(state.amplitudes, dtype=complex)
+    pc = oracle._popcounts(dim)
+    even_out = pc % 2 == 0
+    i_pow = 1j ** np.arange(4)
+    idx = np.arange(dim)
+    inputs = idx[pc % 2 == 0]
+    total = 0.0
+    for a in inputs:
+        out = psi * i_pow[pc[np.bitwise_and(idx, a)] % 4]
+        h = 1
+        while h < dim:
+            out = out.reshape(-1, 2 * h)
+            top = out[:, :h].copy()
+            out[:, :h] = top + out[:, h:]
+            out[:, h:] = top - out[:, h:]
+            out = out.reshape(-1)
+            h *= 2
+        weights = np.abs(out / math.sqrt(dim)) ** 2
+        mask = even_out if (pc[a] // 2) % 2 == 0 else ~even_out
+        total += float(np.sum(weights[mask]))
+    return total / inputs.size
+
+
+@pytest.mark.parametrize("block_bytes", [oracle.PROTOCOL_BLOCK_BYTES, 3 * 16 * 2**6])
+def test_blocked_protocol_matches_per_input_reference(monkeypatch, block_bytes):
+    # The small size gives blocks of three inputs at N = 6 (a short last
+    # block) and of one input from N = 7 on.
+    monkeypatch.setattr(oracle, "PROTOCOL_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(4711)
+    for n in range(3, 11):
+        states = []
+        if n % 2 == 0:
+            states.append(oracle.dense_ground_state(rng.uniform(0.2, 3.0, n)))
+        for _ in range(2):
+            amp = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            states.append(oracle.DenseState(amp / np.linalg.norm(amp), n))
+        for state in states:
+            assert oracle.simulate_bbt(state) == pytest.approx(_per_input_protocol(state), abs=1e-13)
+
+
+def test_extreme_contrast_chain_converges():
+    # ARPACK's default 20-vector basis failed on this chain after 20481 iterations.
+    g = np.array([1e-4] * 6 + [1e4] * 6)
+    dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
+    assert math.log(dense_plus) == pytest.approx(ff.ghz_log_overlap_squared(g), rel=1e-12)
+
+
 def test_protocol_input_validation():
     amp = np.zeros(4, dtype=complex)
     amp[0] = 1.0

@@ -66,6 +66,22 @@ def test_utility_clean_matches_determinant_route():
             assert pg.utility_clean(g, n) == pytest.approx(via_det, abs=1e-10)
 
 
+@pytest.mark.parametrize("block_modes", [pg.CLEAN_BLOCK_MODES, 50])
+@pytest.mark.parametrize("n", [4, 40, 2000])
+def test_vectorized_clean_utility_equals_scalar_calls(monkeypatch, block_modes, n):
+    monkeypatch.setattr(pg, "CLEAN_BLOCK_MODES", block_modes)
+    rng = np.random.default_rng(n)
+    g = np.concatenate([rng.uniform(0.01, 3.0, 300), 1.0 + rng.uniform(-1e-6, 1e-6, 20), [1.0, 1e-9, 200.0]])
+    values = pg.utility_clean(g, n)
+    assert values.shape == g.shape
+    np.testing.assert_array_equal(values, [pg.utility_clean(float(x), n) for x in g])
+    assert isinstance(pg.utility_clean(1.3, n), float)
+    with pytest.raises(ValueError):
+        pg.utility_clean(np.array([1.0, 0.0]), n)
+    with pytest.raises(ValueError):
+        pg.utility_clean(np.ones((2, 2)), n)
+
+
 def test_utility_clean_limits():
     assert pg.utility_clean(1e-9, 40) == pytest.approx(19 * math.log(2.0), abs=1e-7)
     with pytest.raises(ValueError):

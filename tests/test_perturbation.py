@@ -148,6 +148,23 @@ def test_second_variation_matches_direct_contraction():
             assert pt.second_variation(g, n, cov).value == pytest.approx(direct, rel=1e-12)
 
 
+def test_one_kernel_contracts_every_covariance():
+    n = 20
+    kernel = pt.hessian_kernel(1.3, n)
+    for cov in (
+        pt.perfect_covariance(0.1, n),
+        pt.iid_covariance(0.1, n),
+        pt.exponential_covariance(0.1, 3.0, n, distance_mode="ring"),
+    ):
+        assert kernel.contract(cov) == pt.second_variation(1.3, n, cov)
+        assert cov.wrapped is cov.wrapped  # formed once per covariance
+        np.testing.assert_allclose(
+            cov.wrapped, [np.trace(np.roll(cov.entries, d, axis=1)) for d in range(n)], rtol=1e-14
+        )
+    with pytest.raises(ValueError):
+        kernel.contract(pt.iid_covariance(0.1, n + 2))
+
+
 def test_second_variation_zero_sigma():
     report = pt.second_variation(1.2, 10, pt.iid_covariance(0.0, 10))
     assert report.value == 0.0

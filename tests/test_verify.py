@@ -8,6 +8,7 @@ resolve library functions through their module namespaces at call time.
 """
 
 import json
+import logging
 
 import pytest
 
@@ -26,6 +27,19 @@ def test_full_level_is_green():
     results = verify.run_checks("full")
     assert len(results) == 27
     assert verify.failures(results) == ()
+
+
+def test_check_times_go_to_the_package_logger(caplog):
+    with caplog.at_level("DEBUG", logger="parity_ising"):
+        verify.run_checks("fast")
+    records = [r for r in caplog.records if r.name == "parity_ising.verify"]
+    assert [r.getMessage().split(":")[0] for r in records] == [c.__name__ for c in verify.FAST_CHECKS]
+    assert all(r.levelname == "DEBUG" for r in records)
+
+
+def test_package_logger_has_only_a_null_handler():
+    handlers = logging.getLogger("parity_ising").handlers
+    assert [type(h) for h in handlers] == [logging.NullHandler]
 
 
 def test_unknown_level_rejected():
