@@ -22,7 +22,8 @@ Importing the package does not import numpy/scipy; submodules load on first
 attribute access.  The CLI relies on this to apply its thread-count setting
 before the numeric stack initializes.
 
-Run telemetry (Monte Carlo counts and rates, per-check verify times) goes to
+Run telemetry (Monte Carlo counts and rates, per-check verify times, the
+error estimate of each thermodynamic integral) goes to
 DEBUG records on the ``parity_ising`` logger, which has only a NullHandler:
 nothing prints unless the application configures logging, for example
 ``logging.basicConfig(level=logging.DEBUG)``.

@@ -80,18 +80,22 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _write_json(path, schema, config, **body):
+    """A JSON artifact: the self-describing head, then the body's keys in order."""
+    payload = {
+        "schema": schema,
+        "version": SCHEMA_VERSION,
+        "artifact": f"parity-ising {__version__}",
+        "generated": _timestamp(),
+        "config": config,
+        **body,
+    }
+    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+
+
 def _write_table(path, schema, config, columns, rows, fmt="csv"):
     if fmt == "json":
-        payload = {
-            "schema": schema,
-            "version": SCHEMA_VERSION,
-            "artifact": f"parity-ising {__version__}",
-            "generated": _timestamp(),
-            "config": config,
-            "columns": list(columns),
-            "rows": [list(row) for row in rows],
-        }
-        _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+        _write_json(path, schema, config, columns=list(columns), rows=[list(row) for row in rows])
         return
     lines = [
         f"# schema={schema} version={SCHEMA_VERSION}",
@@ -231,13 +235,11 @@ def cmd_montecarlo(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
     }
-    payload = {
-        "schema": "montecarlo",
-        "version": SCHEMA_VERSION,
-        "artifact": f"parity-ising {__version__}",
-        "generated": _timestamp(),
-        "config": config,
-        "result": {
+    _write_json(
+        args.out,
+        "montecarlo",
+        config,
+        result={
             "n_samples": result.n_samples,
             "n_redraws": result.n_redraws,
             "n_degenerate": result.n_degenerate,
@@ -254,8 +256,7 @@ def cmd_montecarlo(args) -> int:
             "predicted_shift": disorder.predicted_shift(ensemble),
             "histogram": histogram_path,
         },
-    }
-    _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    )
 
     edges = result.histogram_edges
     hist_rows = [
@@ -326,15 +327,12 @@ def cmd_verify(args) -> int:
     fails = verify.failures(results)
     print(f"{len(results) - len(fails)}/{len(results)} checks passed at level {args.level}")
     if args.out:
-        report = {
-            "schema": "verify",
-            "version": SCHEMA_VERSION,
-            "artifact": f"parity-ising {__version__}",
-            "generated": _timestamp(),
-            "config": {"command": "verify", "level": args.level},
-            "checks": [r.as_dict() for r in results],
-        }
-        _atomic_write(args.out, json.dumps(report, indent=2) + "\n")
+        _write_json(
+            args.out,
+            "verify",
+            {"command": "verify", "level": args.level},
+            checks=[r.as_dict() for r in results],
+        )
     if fails:
         print(json.dumps([f.as_dict() for f in fails], indent=2))
         return 4

@@ -43,8 +43,13 @@ sin(theta_k) = sin(k)/eps_k, cos(theta_k) = (g - cos k)/eps_k with
 eps_k^2 = (1 - g)^2 + 4 g sin^2(k/2), and q_k = eps_k + 1 - g cos k =
 2 eps_k cos^2((theta_k - theta_k^0)/2) against the g -> 0+ angle pi - k.
 ``_modes`` writes them once, without subtraction near g = 1 and k = 0.
+In the N -> oo limit a mode sum (1/N) sum_k becomes (1/2 pi) times an
+integral over (0, pi), which ``wavenumber_integral`` evaluates by one
+graded Gauss-Legendre rule for every thermodynamic quantity.
 """
 
+import functools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -57,6 +62,10 @@ UNITARITY_TOL = 1e-10
 # Raw determinants may exceed 1 by roundoff; anything worse than this slack
 # indicates a genuine numerical failure rather than noise.
 OVERLAP_SLACK = 1e-8
+# Gauss-Legendre orders of wavenumber_integral: the value, then its error gauge.
+LEGENDRE_ORDERS = (24, 12)
+
+_log = logging.getLogger(__name__)
 
 
 def as_couplings(values) -> np.ndarray:
@@ -102,6 +111,41 @@ def allowed_wavenumbers(n_sites: int) -> np.ndarray:
     if n_sites < 4 or n_sites % 2:
         raise ValueError(f"chain length must be even and >= 4, got {n_sites}")
     return np.pi * (2.0 * np.arange(n_sites // 2) + 1.0) / n_sites
+
+
+@functools.lru_cache(maxsize=len(LEGENDRE_ORDERS))
+def _legendre(order: int):
+    return np.polynomial.legendre.leggauss(order)
+
+
+def wavenumber_integral(rule, floor: float, tol: float, label: str) -> tuple[float, float]:
+    """The N -> oo counterpart of ``allowed_wavenumbers``: an integral over k in (0, pi).
+
+    ``rule(k, w)`` applies one quadrature rule, nodes k and weights w, to the
+    integrand: ``w @ f(k)`` in one dimension, ``w @ F(k, k) @ w`` for a
+    tensor rule in two.  The rule is Gauss-Legendre on panels graded toward
+    k = 0, where the modes vary on the scale |1 - g|: the breakpoints are
+    pi 4^-j for j = 0, 1, ... down to the first at or below ``floor``, then 0.
+    Returns the value of the 24-node rule and, as its error, the distance
+    from the 12-node rule on the same panels.  An error above ``tol`` is a
+    NumericsError.  Each call logs one DEBUG record with the label, the
+    error and the node count per axis.
+    """
+    edges = [np.pi]
+    while edges[-1] > floor:
+        edges.append(edges[-1] / 4.0)
+    edges = np.array([0.0, *reversed(edges)])
+    lo = edges[:-1, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    values = []
+    for order in LEGENDRE_ORDERS:
+        x, w = _legendre(order)
+        values.append(float(rule((lo + half * (x + 1.0)).ravel(), (half * w).ravel())))
+    value, error = values[0], abs(values[0] - values[1])
+    _log.debug("%s: error %.3e over %d nodes", label, error, half.size * LEGENDRE_ORDERS[0])
+    if not error <= tol:
+        raise NumericsError(f"{label} quadrature did not converge (error {error:.3e} > {tol:.1e})")
+    return value, error
 
 
 def _modes(g, k):

@@ -16,7 +16,9 @@ strategy, u = 0 ties the bound.  For even-sector Ising ground states
 (o- = 0) it reduces to u = (ceil(N/2) - 1) log 2 + log o+.  Its clean-chain
 value chi(g) and the per-site density b(g) = lim u/N quantify how much
 advantage survives at coupling g; b crosses zero at g ~ 1.506, where the
-chain stops beating the classical bound.
+chain stops beating the classical bound.  Both read the modes of
+``free_fermion._modes``: chi sums them over the allowed wavenumbers, and b
+integrates them by ``free_fermion.wavenumber_integral``.
 """
 
 import math
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .free_fermion import _modes, allowed_wavenumbers
+from .free_fermion import _modes, allowed_wavenumbers, wavenumber_integral
 
 LOG2 = math.log(2.0)
 STRONG_DENSITY = 0.5 * LOG2
@@ -34,6 +36,8 @@ STRONG_DENSITY = 0.5 * LOG2
 STRONG_BAND = 1e-9
 # Absolute error budget for the advantage-density quadrature.
 QUAD_TOL = 1e-10
+# Smallest panel breakpoint of the advantage-density rule.
+DENSITY_FLOOR = 1e-12
 # Chains times modes that utility_clean holds in one block (64 KiB per array).
 CLEAN_BLOCK_MODES = 1 << 13
 
@@ -113,27 +117,16 @@ def utility_clean(g, n_sites: int):
     return (math.ceil(n_sites / 2) - 1) * LOG2 + out
 
 
-def _density_integrand(k: float, g: float) -> float:
-    # Per-site limit of chi/N: the (N/2 - 1) log 2 prefactor cancels the
-    # -log 2 per mode, leaving log(q/eps).  Scalar twin of free_fermion._modes,
-    # since a numpy call per node would dominate quad.
-    versine = 2.0 * math.sin(0.5 * k) ** 2
-    eps = math.sqrt((1.0 - g) ** 2 + 2.0 * g * versine)
-    rest = (1.0 - g) + g * versine
-    outer = eps + abs(rest)
-    return math.log((outer if rest >= 0.0 else (g * math.sin(k)) ** 2 / outer) / eps)
-
-
 def advantage_density(g: float) -> float:
     """Thermodynamic utility density b(g) = lim_N chi(g)/N.
 
-    Adaptive quadrature of (1/2 pi) log(1 + (1 - g cos k)/eps_k) over
-    k in (0, pi).  The integrand develops a sharp feature (for g > 1 an
-    integrable log singularity) at k -> 0 when g is near 1, so the interval
-    is split there.  Absolute accuracy 1e-10 or a NumericsError.
+    The (N/2 - 1) log 2 prefactor of chi cancels the -log 2 per mode, so
+    b = (1/2 pi) integral over k in (0, pi) of log(q_k/eps_k), with q and eps
+    from ``free_fermion._modes``, by ``free_fermion.wavenumber_integral``.
+    For g > 1 the integrand goes as 2 log k at k -> 0 whatever the
+    coupling, so its panels are graded down to the fixed DENSITY_FLOOR.
+    Absolute accuracy QUAD_TOL on b or a NumericsError.
     """
-    from scipy import integrate
-
     if g <= 0.0 or not math.isfinite(g):
         raise ValueError("coupling must be positive and finite")
     if g == 1.0:
@@ -141,28 +134,12 @@ def advantage_density(g: float) -> float:
             "advantage density is continuous but not smooth at g = 1",
             stacklevel=2,
         )
-    gap = abs(1.0 - g)
-    if 1e-12 < gap < 0.3:
-        cuts = [0.0, min(0.3, 8.0 * gap), np.pi]
-    else:
-        cuts = [0.0, np.pi]
-    total = 0.0
-    err = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        with warnings.catch_warnings():
-            # the returned abserr is gated below; the advisory warning about
-            # the k -> 0 log singularity (g > 1) is expected and harmless
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, abserr = integrate.quad(
-                _density_integrand, lo, hi, args=(g,), epsabs=1e-11, epsrel=1e-11, limit=400
-            )
-        total += val
-        err += abserr
-    if err > QUAD_TOL:
-        raise NumericsError(
-            f"advantage-density quadrature did not converge (error {err:.3e})"
-        )
-    return total / (2.0 * np.pi)
+
+    def rule(k, w):
+        eps, q, _, _ = _modes(g, k)
+        return w @ np.log(q / eps) / (2.0 * np.pi)
+
+    return wavenumber_integral(rule, DENSITY_FLOOR, QUAD_TOL, "advantage density")[0]
 
 
 def find_advantage_boundary(bracket=(1.4, 1.6)) -> float:

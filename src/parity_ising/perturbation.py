@@ -28,7 +28,8 @@ come from the subtraction-free eps_k, q_k, cos(theta_k) and sin(theta_k) of
     f_k(g) = g sin^2 k / (eps_k^2 q_k) = t_k sin(theta_k) / eps_k,
 
 and chi'(g) = -sum_k f_k.  The kernel's weights over mode pairs are written
-once, in ``_pair_weights``, which the Laplacian and its N -> oo limit sum.
+once, in ``_pair_weights``, which the Laplacian sums over mode pairs and
+its N -> oo limit integrates by ``free_fermion.wavenumber_integral``.
 """
 
 import math
@@ -38,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericsError
-from .free_fermion import _modes, allowed_wavenumbers
+from .free_fermion import _modes, allowed_wavenumbers, wavenumber_integral
 
 
 def f_k(g: float, k) -> np.ndarray:
@@ -283,41 +284,26 @@ def first_variation(g_bar: float, n_sites: int, delta_g) -> float:
 def laplacian_density_limit(g: float) -> float:
     """N -> infinity limit of laplacian_u(g, N) / N, as a double integral.
 
-    (1/(2 pi^2)) integral over (0, pi)^2 of a_plus + a_minus, by a tensor
-    Gauss-Legendre rule of 24 nodes per panel.  The integrand peaks at the
-    origin with scale delta = |1 - g|, so the panels are graded toward it,
-    with breakpoints 0, delta, 4 delta, 16 delta, ... and pi.  The 12-node
-    rule on the same panels gauges the error over the whole square; above
-    1e-6 (absolute, before the 1/(2 pi^2)) it is a NumericsError.  Node
-    rows are summed in blocks of 64, as in ``laplacian_u``.  Tested
-    against a finer rule for |1 - g| down to 1e-6 on either side of 1.
+    (1/(2 pi^2)) integral over (0, pi)^2 of a_plus + a_minus, by the tensor
+    product of ``free_fermion.wavenumber_integral``'s rule with itself.  The
+    integrand peaks at the origin with scale |1 - g|, which is the floor of
+    the panel grading.  The gate is 1e-6 absolute on the integral before the
+    1/(2 pi^2).  Node rows are summed in blocks of 64, as in
+    ``laplacian_u``.  Tested against a finer rule for |1 - g| down to 1e-6
+    on either side of 1.
     """
     if g <= 0.0 or g == 1.0 or not math.isfinite(g):
         raise ValueError("coupling must be positive, finite and away from 1")
-    edges = [0.0]
-    scale = abs(1.0 - g)
-    while scale < np.pi:
-        edges.append(scale)
-        scale *= 4.0
-    edges = np.array(edges + [np.pi])
-    lo = edges[:-1, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    totals = []
-    for order in (24, 12):
-        x, w = np.polynomial.legendre.leggauss(order)
-        nodes = (lo + half * (x + 1.0)).ravel()
-        weights = (half * w).ravel()
+
+    def rule(k, w):
         total = 0.0
-        for rows in np.array_split(np.arange(nodes.size), -(-nodes.size // 64)):
-            a_plus, a_minus = _pair_weights(nodes[rows, None], nodes, g)
-            total += weights[rows] @ (a_plus + a_minus) @ weights
-        totals.append(total)
-    total, error = totals[0], abs(totals[0] - totals[1])
-    if not error <= 1e-6:
-        raise NumericsError(
-            f"Laplacian double quadrature did not converge (error {error:.3e})"
-        )
-    return float(total) / (2.0 * np.pi**2)
+        for rows in np.array_split(np.arange(k.size), -(-k.size // 64)):
+            a_plus, a_minus = _pair_weights(k[rows, None], k, g)
+            total += w[rows] @ (a_plus + a_minus) @ w
+        return total
+
+    value, _ = wavenumber_integral(rule, abs(1.0 - g), 1e-6, "Laplacian density")
+    return value / (2.0 * np.pi**2)
 
 
 def laplacian_crossover_thermodynamic(bracket=(0.95, 0.998)) -> float:

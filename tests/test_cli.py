@@ -237,7 +237,9 @@ def test_debug_logging_leaves_cli_output_unchanged(tmp_path, capsys, caplog):
     strip = lambda text: [line.rsplit(" (", 1)[0] for line in text.splitlines()]  # drop elapsed times
     assert strip(loud.out) == strip(quiet.out)
     assert loud.err == quiet.err == ""
-    assert {r.name for r in caplog.records} == {"parity_ising.verify", "parity_ising.disorder"}
+    assert {r.name for r in caplog.records} == {
+        "parity_ising.verify", "parity_ising.disorder", "parity_ising.free_fermion"
+    }
     # the artifact stays timing-free, so reruns stay byte-identical
     assert set(json.loads((tmp_path / "mc.json").read_text())["result"]) == {
         "n_samples", "n_redraws", "n_degenerate", "max_orthogonality_defect",

@@ -1,4 +1,9 @@
-"""Momentum-space spectrum, the chain matrix, and the polar-factor overlap route."""
+"""Momentum-space spectrum and its N -> oo rule, the chain matrix, and the polar-factor overlap route."""
+
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from parity_ising import free_fermion as ff
 from parity_ising import oracle
 from parity_ising import parity_game as pg
+from parity_ising import perturbation as pt
 from parity_ising.errors import NumericsError
 
 
@@ -22,6 +28,65 @@ def test_allowed_wavenumbers_are_odd_multiples():
 def test_wavenumbers_reject_bad_sizes(bad):
     with pytest.raises(ValueError):
         ff.allowed_wavenumbers(bad)
+
+
+@pytest.mark.parametrize(
+    "integrand, exact, abs_tol, rel_tol",
+    [
+        (np.log, math.pi * math.log(math.pi) - math.pi, 1e-13, 0.0),
+        (lambda k: np.log(np.sin(0.5 * k)), -math.pi * math.log(2.0), 1e-13, 0.0),
+        (lambda k: k**5, math.pi**6 / 6.0, 0.0, 1e-14),
+    ],
+    ids=["log k", "log sin(k/2)", "k^5"],
+)
+def test_wavenumber_integral_of_known_integrands(integrand, exact, abs_tol, rel_tol):
+    # the grading toward k = 0 resolves the log singularities there
+    value, error = ff.wavenumber_integral(lambda k, w: w @ integrand(k), 1e-12, 1e-10, "test")
+    assert value == pytest.approx(exact, abs=abs_tol, rel=rel_tol)
+    assert error <= 1e-10
+    assert ff._legendre.cache_info().currsize <= len(ff.LEGENDRE_ORDERS)
+
+
+def test_wavenumber_integral_gate_and_grading():
+    # a step at k = 1 lies inside the panel (pi/4, pi), which no order resolves
+    with pytest.raises(NumericsError):
+        ff.wavenumber_integral(lambda k, w: w @ (k < 1.0), 1e-12, 1e-6, "step")
+    # breakpoints pi 4^-j down to the first at or below the floor: 0, pi/16, pi/4, pi
+    nodes = []
+    ff.wavenumber_integral(lambda k, w: nodes.append(k) or 0.0, 0.2, 1.0, "grading")
+    assert [k.size for k in nodes] == [3 * order for order in ff.LEGENDRE_ORDERS]
+    assert np.all((nodes[0] > 0.0) & (nodes[0] < np.pi))
+    assert np.sum(nodes[0] < np.pi / 16) == np.sum(nodes[0] > np.pi / 4) == ff.LEGENDRE_ORDERS[0]
+
+
+def test_quadrature_error_is_logged_not_printed(capsys, caplog):
+    pg.advantage_density(1.3)
+    pt.laplacian_density_limit(0.8)
+    assert capsys.readouterr() == ("", "")
+    with caplog.at_level("DEBUG", logger="parity_ising"):
+        pg.advantage_density(1.3)
+        pt.laplacian_density_limit(0.8)
+    assert capsys.readouterr() == ("", "")
+    records = [r for r in caplog.records if r.name == "parity_ising.free_fermion"]
+    assert [r.levelname for r in records] == ["DEBUG", "DEBUG"]
+    density, laplacian = (r.getMessage() for r in records)
+    assert density.startswith("advantage density: error ") and density.endswith(" nodes")
+    assert laplacian.startswith("Laplacian density: error ")
+
+
+def test_thermodynamic_integrals_leave_scipy_quadrature_unloaded():
+    """Every submodule, both integrals and both roots, and no scipy.integrate."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ff.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import importlib, pkgutil, sys, parity_ising; "
+        "[importlib.import_module('parity_ising.' + m.name) for m in pkgutil.iter_modules(parity_ising.__path__)]; "
+        "parity_ising.parity_game.find_advantage_boundary(); "
+        "parity_ising.perturbation.laplacian_crossover_thermodynamic(); "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_coupling_validation():

@@ -1,8 +1,9 @@
 """Win probability, utility, and the advantage density b(g).
 
-Reference values for b(g) and the zero crossing g* were frozen from an
-independent 30-digit tanh-sinh quadrature of the density integral; the
-library must reproduce them through its own adaptive quadrature.
+Reference values for b(g) and the zero crossing g* were frozen from
+independent 30- and 40-digit tanh-sinh quadratures of the density
+integral; the library must reproduce them to 1e-13 through its graded
+Gauss-Legendre rule.
 """
 
 import math
@@ -15,7 +16,8 @@ from parity_ising import free_fermion as ff
 from parity_ising import parity_game as pg
 from parity_ising.errors import NumericsError
 
-# independently computed at 30-digit precision, truncated to 17 significant digits
+# independently computed at 30-digit precision, truncated to 17 significant
+# digits, and (from 1 - 1e-13 on the list) at 40 digits at the exact floats
 B_REFERENCE = {
     0.01: 0.34656734010418327,
     0.5: 0.32970095354706214,
@@ -23,6 +25,10 @@ B_REFERENCE = {
     1.55: -0.010795304858587739,
     1.6: -0.022217835069983742,
     2.0: -0.090861556753220794,
+    1.0 - 1e-13: 0.23654821778214046742,
+    1.0 + 1e-13: 0.23654821778113989383,
+    3.0: -0.17830242594889494643,
+    1e6: -0.34657309027997265467,
 }
 G_STAR_REFERENCE = 1.5059674722607538
 
@@ -94,7 +100,21 @@ def test_utility_clean_limits():
 def test_advantage_density_frozen_values(g, expected):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # expected at g = 1
-        assert pg.advantage_density(g) == pytest.approx(expected, abs=1e-9)
+        assert pg.advantage_density(g) == pytest.approx(expected, abs=1e-13)
+
+
+def test_density_quadrature_gate_catches_unresolved_jump(monkeypatch):
+    # A q that doubles at k = 1 puts a jump inside a Gauss-Legendre panel:
+    # the two orders disagree and the gate fires.
+    modes = pg._modes
+
+    def jumping(g, k):
+        eps, q, cos_theta, sin_theta = modes(g, k)
+        return eps, np.where(k < 1.0, q, 2.0 * q), cos_theta, sin_theta
+
+    monkeypatch.setattr(pg, "_modes", jumping)
+    with pytest.raises(NumericsError):
+        pg.advantage_density(0.8)
 
 
 def test_advantage_density_strong_limit():
@@ -119,7 +139,7 @@ def test_advantage_density_validation_and_critical_warning():
 
 def test_boundary_location():
     g_star = pg.find_advantage_boundary()
-    assert abs(g_star - G_STAR_REFERENCE) < 2e-6
+    assert abs(g_star - G_STAR_REFERENCE) < 1e-11
     assert abs(g_star - 1.506) < 1e-3
 
 
