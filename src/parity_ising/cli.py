@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import astuple
 from datetime import datetime, timezone
 
 from . import __version__
@@ -276,22 +277,7 @@ def cmd_montecarlo(args) -> int:
 def cmd_critical_scaling(args) -> int:
     from . import asymptotics
 
-    rows = []
-    for n in args.n:
-        report = asymptotics.critical_scaling(n)
-        rows.append(
-            (
-                n,
-                report.s1_exact,
-                report.s1_asymptotic,
-                report.s2_exact,
-                report.s2_asymptotic,
-                report.chi2_critical_exact,
-                report.chi2_critical_asymptotic,
-                report.rescaled_sv_critical,
-                report.rescaled_sv_asymptotic,
-            )
-        )
+    rows = [astuple(asymptotics.critical_scaling(n)) for n in args.n]
     config = {"command": "critical-scaling", "n": list(args.n)}
     _write_table(
         args.out,

@@ -148,6 +148,22 @@ def wavenumber_integral(rule, floor: float, tol: float, label: str) -> tuple[flo
     return value, error
 
 
+def bracketed_root(f, bracket, label: str) -> float:
+    """Root of f between the ends of ``bracket`` by Brent's method to 1e-12.
+
+    f must take strictly opposite signs at the two ends, in either order;
+    otherwise NumericsError.  scipy.optimize loads on the first call, so
+    importing this module does not pull it in.
+    """
+    from scipy import optimize
+
+    lo, hi = bracket
+    f_lo, f_hi = f(lo), f(hi)
+    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
+        raise NumericsError(f"{label} not bracketed by ({lo}, {hi}): ({f_lo:.3e}, {f_hi:.3e})")
+    return optimize.brentq(f, lo, hi, xtol=1e-12)
+
+
 def _modes(g, k):
     """(eps, q, cos theta, sin theta) of the clean chain at couplings g and wavenumbers k.
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError
-from .free_fermion import _modes, allowed_wavenumbers, wavenumber_integral
+from .free_fermion import _modes, allowed_wavenumbers, bracketed_root, wavenumber_integral
 
 LOG2 = math.log(2.0)
 STRONG_DENSITY = 0.5 * LOG2
@@ -149,16 +148,7 @@ def find_advantage_boundary(bracket=(1.4, 1.6)) -> float:
     where the chain stops beating the best classical strategy in the
     thermodynamic limit.
     """
-    from scipy import optimize
-
-    lo, hi = bracket
-    b_lo = advantage_density(lo)
-    b_hi = advantage_density(hi)
-    if not (b_lo > 0.0 > b_hi):
-        raise NumericsError(
-            f"advantage boundary not bracketed by ({lo}, {hi}): b = ({b_lo:.3e}, {b_hi:.3e})"
-        )
-    return optimize.brentq(advantage_density, lo, hi, xtol=1e-12)
+    return bracketed_root(advantage_density, bracket, "advantage boundary")
 
 
 def classify(density: float) -> str:

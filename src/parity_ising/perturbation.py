@@ -38,8 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericsError
-from .free_fermion import _modes, allowed_wavenumbers, wavenumber_integral
+from .free_fermion import _modes, allowed_wavenumbers, bracketed_root, wavenumber_integral
 
 
 def f_k(g: float, k) -> np.ndarray:
@@ -313,13 +312,4 @@ def laplacian_crossover_thermodynamic(bracket=(0.95, 0.998)) -> float:
     above it raises it.  Brent's method to 1e-12 in g; the default bracket
     straddles the known sign change just below the critical point.
     """
-    from scipy import optimize
-
-    lo, hi = bracket
-    v_lo = laplacian_density_limit(lo)
-    v_hi = laplacian_density_limit(hi)
-    if not (v_lo < 0.0 < v_hi):
-        raise NumericsError(
-            f"Laplacian crossover not bracketed by ({lo}, {hi}): ({v_lo:.3e}, {v_hi:.3e})"
-        )
-    return optimize.brentq(laplacian_density_limit, lo, hi, xtol=1e-12)
+    return bracketed_root(laplacian_density_limit, bracket, "Laplacian crossover")

@@ -188,13 +188,6 @@ def test_singular_values_match_uniform_spectrum():
         )
 
 
-def test_overlap_never_exceeds_one():
-    rng = np.random.default_rng(99)
-    for _ in range(20):
-        g = rng.uniform(0.2, 3.0, 8)
-        assert ff.ghz_log_overlap_squared(g) <= 0.0
-
-
 def test_ghz_overlap_limits():
     # g -> 0+: the ground state becomes the even GHZ state itself
     assert ff.ghz_overlap_squared(np.full(8, 1e-8)) == pytest.approx(1.0, abs=1e-6)

@@ -117,10 +117,6 @@ def test_density_quadrature_gate_catches_unresolved_jump(monkeypatch):
         pg.advantage_density(0.8)
 
 
-def test_advantage_density_strong_limit():
-    assert pg.advantage_density(1e-4) == pytest.approx(0.5 * math.log(2.0), abs=1e-6)
-
-
 def test_advantage_density_is_finite_n_limit():
     # chi(g)/N at N=4000 approximates the density to its 1/N correction
     for g in (0.6, 1.3):

@@ -1,16 +1,16 @@
-"""Derivatives of the utility in the couplings, against independent stencils.
+"""Derivatives of the utility in the couplings, against independent routes.
 
-The analytic chi', chi'', Laplacian, and Hessian kernel are all checked
-against central differences of the determinant-route utility, and against
-each other through the two contraction identities
+The analytic chi', chi'', Laplacian, and Hessian kernel are tied to each
+other by the two contraction identities
 
     N sum_d h(d) = chi''        (shared shift)
     N h(0)       = laplacian    (independent shifts)
 
-plus an exact Gauss-Hermite expectation that pins the quadratic response
-as the true second-order Taylor coefficient.  The kernel and the Laplacian
-sum the same pair weights, so the Laplacian is also held to a one-site
-central difference N d^2 u / dg_0^2.
+and pinned as true second-order Taylor coefficients by an exact
+Gauss-Hermite expectation.  Their comparisons with central differences of
+the determinant-route utility are computed by the `verify` registry and
+judged here (`check_contractions`) and in release criterion 07
+(`check_finite_differences`, `check_kernel_vs_stencil`).
 """
 
 import math
@@ -20,9 +20,8 @@ import pytest
 from scipy.optimize import brentq
 
 from parity_ising import free_fermion as ff
-from parity_ising import oracle
-from parity_ising import parity_game as pg
 from parity_ising import perturbation as pt
+from parity_ising import verify
 from parity_ising.errors import NumericsError
 
 
@@ -35,17 +34,6 @@ def test_mode_response_closed_form_at_criticality():
     k = ff.allowed_wavenumbers(16)
     s = np.sin(k / 2.0)
     np.testing.assert_allclose(pt.f_k(1.0, k), (1.0 - s) / (2.0 * s), rtol=1e-13)
-
-
-def test_chi_derivatives_against_finite_differences():
-    n = 40
-    for g in (0.5, 1.3):
-        h = 1e-4
-        fd1 = (_chi(g + h, n) - _chi(g - h, n)) / (2 * h)
-        assert pt.chi_prime(g, n) == pytest.approx(fd1, rel=1e-4)
-        h = 1e-3
-        fd2 = (_chi(g + h, n) - 2 * _chi(g, n) + _chi(g - h, n)) / h**2
-        assert pt.chi_double_prime(g, n) == pytest.approx(fd2, rel=1e-4)
 
 
 def test_first_variation_is_mean_times_chi_prime():
@@ -63,16 +51,12 @@ def test_first_variation_is_mean_times_chi_prime():
 @pytest.mark.parametrize("g", [0.7, 1.0, 1.4])
 def test_kernel_contraction_identities(g):
     n = 24
-    kernel = pt.hessian_kernel(g, n)
-    assert n * float(np.sum(kernel.values)) == pytest.approx(
-        pt.chi_double_prime(g, n), rel=1e-8
+    kernel_sum, stencil = verify.check_contractions(n, (g,))
+    assert kernel_sum.observed == pytest.approx(kernel_sum.expected, rel=1e-8)
+    assert stencil.observed == pytest.approx(stencil.expected, rel=1e-4)
+    assert n * float(pt.hessian_kernel(g, n).values[0]) == pytest.approx(
+        pt.laplacian_u(g, n), rel=1e-8
     )
-    assert n * float(kernel.values[0]) == pytest.approx(pt.laplacian_u(g, n), rel=1e-8)
-    h, e0 = 1e-3, np.eye(n)[0]
-    u = [pg.utility_from_log_overlap(ff.ghz_log_overlap_squared(g + side * h * e0), n)
-         for side in (1.0, 0.0, -1.0)]
-    stencil = n * (u[0] - 2.0 * u[1] + u[2]) / h**2
-    assert pt.laplacian_u(g, n) == pytest.approx(stencil, rel=1e-4)
 
 
 def test_kernel_matrix_is_symmetric_circulant():
@@ -81,20 +65,6 @@ def test_kernel_matrix_is_symmetric_circulant():
     np.testing.assert_array_equal(m, m.T)
     for shift in range(1, 10):
         np.testing.assert_allclose(np.diag(m, shift), m[0, shift], rtol=0, atol=1e-15)
-
-
-def test_kernel_matches_numerical_mixed_partials():
-    """h(i - j) must be the actual Hessian of the utility at a uniform point."""
-    n = 12
-
-    def utility(g_vec):
-        return pg.utility_from_log_overlap(ff.ghz_log_overlap_squared(g_vec), n)
-
-    for g_bar in (0.8, 1.3):
-        numeric = oracle.numerical_hessian(utility, np.full(n, g_bar), step=1e-3)
-        analytic = pt.hessian_kernel(g_bar, n).matrix()
-        rel = np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic)
-        assert rel < 1e-3
 
 
 def test_covariance_constructors():
@@ -201,16 +171,19 @@ def test_laplacian_thermodynamic_limit_matches_finite_sums():
 
 
 def test_laplacian_crossover_band_and_finite_size_agreement():
-    crossover = pt.laplacian_crossover_thermodynamic()
-    assert abs(crossover - 0.9902) < 5e-4
-
-    # independent route: the root of the finite-N momentum sum instead
-    def density(g, n=4096):
+    # independent route: the root of the finite-N momentum sum, which at
+    # N = 2048 lies 3e-12 from the thermodynamic crossover
+    def density(g, n=2048):
         return pt.laplacian_u(g, n) / n
 
     assert density(0.95) < 0 < density(0.998)
     finite = brentq(density, 0.95, 0.998, xtol=1e-12)
-    assert crossover == pytest.approx(finite, abs=1e-6)
+    assert pt.laplacian_crossover_thermodynamic() == pytest.approx(finite, abs=1e-9)
+
+
+def test_crossover_requires_bracketing():
+    with pytest.raises(NumericsError):
+        pt.laplacian_crossover_thermodynamic(bracket=(0.5, 0.9))
 
 
 def _finer_laplacian_limit(g, order=48, ratio=2.0):
