@@ -50,7 +50,6 @@ _SUBMODULES = (
 
 _EXPORTS = {
     "NumericsError": "errors",
-    "ghz_overlap_squared": "free_fermion",
     "ghz_log_overlap_squared": "free_fermion",
     "bogoliubov_spectrum": "free_fermion",
     "classical_bound": "parity_game",

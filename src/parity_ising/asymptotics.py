@@ -134,16 +134,3 @@ def _elliptic_parameter(g: float) -> float:
     if g == 1.0:
         raise ValueError("elliptic closed forms diverge at the critical coupling")
     return 4.0 * g / (1.0 + g) ** 2
-
-
-def near_critical_expansion(g: float) -> float:
-    """Two-term near-critical expansion 1/(2(g-1)) - (3/4) log|1-g|.
-
-    Valid for 0 < |g - 1| < 0.2.  Note the normalization: this is 2 pi times
-    the elliptic form d2chi_dg2_thermodynamic(g)/2; the leading pole and log
-    amplitudes are what matter here, not the absolute scale.
-    """
-    delta = g - 1.0
-    if not 0.0 < abs(delta) < 0.2:
-        raise ValueError("expansion valid only for 0 < |g - 1| < 0.2")
-    return 0.5 / delta - 0.75 * math.log(abs(delta))

@@ -15,9 +15,10 @@ Rewriting a file is atomic (temp file in the target directory + rename).
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 4 verification failure.
 
-The only environment variable read is PARITY_ISING_THREADS, which caps the
-linear-algebra thread pools; it must be applied before the numeric stack is
-loaded, which is why the science modules are imported inside the handlers.
+The only environment variable read is PARITY_ISING_THREADS, which sizes the
+linear-algebra thread pools whose own variable (OMP_NUM_THREADS etc.) is
+unset; an explicit pool variable wins.  It must be applied before the numeric
+stack is loaded, which is why the science modules are imported inside the handlers.
 """
 
 import argparse
@@ -232,7 +233,7 @@ def cmd_montecarlo(args) -> int:
         "width": ensemble.width,
         "xi": ensemble.xi,
         "distance": ensemble.distance_mode,
-        "positivity_policy": ensemble.positivity_policy,
+        "positivity_policy": "reject_sample",  # the one policy: redraw, counted in n_redraws
         "samples": args.samples,
         "seed": args.seed,
     }

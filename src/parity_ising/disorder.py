@@ -19,10 +19,11 @@ exactly what the one-shot ``sample_couplings`` and
 every draw is a uniform chain (the shared shift, or sigma = 0) the run
 scores all its samples with one vectorized ``utility_clean`` call instead.
 
-Couplings must stay positive.  The default policy redraws the offending
-sample from its own stream (and reports how often); the strict policy aborts
-the run.  In the parameter regimes of interest a violation is many standard
-deviations out, so the truncation bias is far below statistical resolution.
+Couplings must stay positive.  A draw with a nonpositive field is redrawn
+from the same per-sample stream, and every redraw is counted; there is no
+other policy.  In the parameter regimes of interest a violation is many
+standard deviations out, so the truncation bias is far below statistical
+resolution.
 A run reports its positivity redraws, its zero-overlap (-inf) samples, and
 the worst orthogonality defect and smallest singular-value ratio its overlap
 kernel saw.
@@ -49,7 +50,6 @@ from .perturbation import (
 
 GAUSSIAN_KINDS = ("gaussian_iid", "gaussian_perfect", "gaussian_correlated")
 KINDS = GAUSSIAN_KINDS + ("uniform_iid",)
-POLICIES = ("reject_sample", "reject_run")
 
 HISTOGRAM_BINS = 101
 HISTOGRAM_SPAN_STDS = 5.0
@@ -70,13 +70,10 @@ class DisorderEnsemble:
     xi: float | None = None
     distance_mode: str = "linear"
     width: float | None = None
-    positivity_policy: str = "reject_sample"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.positivity_policy not in POLICIES:
-            raise ValueError(f"unknown positivity policy {self.positivity_policy!r}")
         if not (math.isfinite(self.mean) and self.mean > 0.0):
             raise ValueError("mean coupling must be positive and finite")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
@@ -97,33 +94,25 @@ class DisorderEnsemble:
             raise ValueError("width is only meaningful for uniform_iid")
 
 
-def gaussian_iid(mean: float, sigma: float, n_sites: int, positivity_policy: str = "reject_sample") -> DisorderEnsemble:
-    return DisorderEnsemble(mean, n_sites, "gaussian_iid", sigma, positivity_policy=positivity_policy)
+def gaussian_iid(mean: float, sigma: float, n_sites: int) -> DisorderEnsemble:
+    return DisorderEnsemble(mean, n_sites, "gaussian_iid", sigma)
 
 
-def gaussian_perfect(mean: float, sigma: float, n_sites: int, positivity_policy: str = "reject_sample") -> DisorderEnsemble:
-    return DisorderEnsemble(mean, n_sites, "gaussian_perfect", sigma, positivity_policy=positivity_policy)
+def gaussian_perfect(mean: float, sigma: float, n_sites: int) -> DisorderEnsemble:
+    return DisorderEnsemble(mean, n_sites, "gaussian_perfect", sigma)
 
 
 def gaussian_correlated(
-    mean: float,
-    sigma: float,
-    xi: float,
-    n_sites: int,
-    distance_mode: str = "linear",
-    positivity_policy: str = "reject_sample",
+    mean: float, sigma: float, xi: float, n_sites: int, distance_mode: str = "linear"
 ) -> DisorderEnsemble:
     return DisorderEnsemble(
-        mean, n_sites, "gaussian_correlated", sigma,
-        xi=xi, distance_mode=distance_mode, positivity_policy=positivity_policy,
+        mean, n_sites, "gaussian_correlated", sigma, xi=xi, distance_mode=distance_mode
     )
 
 
-def uniform_iid(mean: float, width: float, n_sites: int, positivity_policy: str = "reject_sample") -> DisorderEnsemble:
+def uniform_iid(mean: float, width: float, n_sites: int) -> DisorderEnsemble:
     sigma = width / (2.0 * math.sqrt(3.0))
-    return DisorderEnsemble(
-        mean, n_sites, "uniform_iid", sigma, width=width, positivity_policy=positivity_policy,
-    )
+    return DisorderEnsemble(mean, n_sites, "uniform_iid", sigma, width=width)
 
 
 def covariance_matrix(ensemble: DisorderEnsemble) -> CovarianceMatrix:
@@ -210,10 +199,6 @@ class _RunDraws:
             g = _draw(self.ensemble, self._rng)
             if (g > 0.0).all():
                 return g, attempt
-            if self.ensemble.positivity_policy == "reject_run":
-                raise ValueError(
-                    f"sample {index} drew a nonpositive coupling under reject_run policy"
-                )
         raise NumericsError(
             f"exceeded {MAX_REDRAWS} positivity redraws; ensemble is misconfigured"
         )

@@ -34,8 +34,7 @@ N-cycle, so det Z = prod_j g_j + 1 > 0 and W is unique.  The factor is still
 checked for orthogonality before it is used, and that sign of det Z orients
 a singular pair too small to resolve.  ``ChainOverlap`` is the one overlap
 route: a caller with many fields of one length keeps one object, and
-``polar_factor`` and ``ghz_log_overlap_squared`` are single calls of a fresh
-one.
+``ghz_log_overlap_squared`` is a single call of a fresh one.
 
 Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
@@ -324,21 +323,6 @@ class ChainOverlap:
         return min(logabs, 0.0)
 
 
-def polar_factor(couplings) -> np.ndarray:
-    """The orthogonal polar factor W = U V^T of the chain matrix Z = U diag(s) V^T.
-
-    One call of a fresh ``ChainOverlap``.
-
-    Raises
-    ------
-    NumericsError
-        If the SVD fails, W misses the orthogonality budget, or more than one
-        singular value is unresolved.
-    """
-    g = as_couplings(couplings)
-    return ChainOverlap(g.size).polar(g)
-
-
 def ghz_log_overlap_squared(couplings) -> float:
     """log |<GHZ+|psi(g)>|^2 for the chain at fields g_j.
 
@@ -352,13 +336,8 @@ def ghz_log_overlap_squared(couplings) -> float:
     Raises
     ------
     NumericsError
-        If ``polar_factor`` fails its checks, or the determinant exceeds 1
-        beyond roundoff.
+        If the polar factor fails the checks of ``ChainOverlap.polar``, or the
+        determinant exceeds 1 beyond roundoff.
     """
     g = as_couplings(couplings)
     return ChainOverlap(g.size)(g)
-
-
-def ghz_overlap_squared(couplings) -> float:
-    """|<GHZ+|psi(g)>|^2, the even-GHZ weight of the ground state."""
-    return math.exp(ghz_log_overlap_squared(couplings))

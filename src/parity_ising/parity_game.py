@@ -62,22 +62,12 @@ def quantum_win_probability(overlap_plus_sq: float, overlap_minus_sq: float) -> 
     return 0.5 * (1.0 + overlap_plus_sq - overlap_minus_sq)
 
 
-def utility_from_overlap(overlap_plus_sq: float, n_players: int) -> float:
-    """Utility of an even-parity state from its GHZ+ weight.
-
-    Returns -inf at zero overlap; the upper bound (ceil(N/2) - 1) log 2 is
-    reached only by the GHZ state itself.
-    """
-    _check_players(n_players)
-    if not -1e-12 <= overlap_plus_sq <= 1.0 + 1e-9:
-        raise ValueError(f"squared overlap {overlap_plus_sq} outside [0, 1]")
-    if overlap_plus_sq <= 0.0:
-        return -math.inf
-    return utility_from_log_overlap(math.log(overlap_plus_sq), n_players)
-
-
 def utility_from_log_overlap(log_overlap_plus_sq: float, n_players: int) -> float:
-    """Utility from log o+; the log-domain companion of utility_from_overlap."""
+    """Utility of an even-parity state from the log of its GHZ+ weight.
+
+    Returns -inf at zero overlap (log o+ = -inf); the upper bound
+    (ceil(N/2) - 1) log 2 is reached only by the GHZ state itself.
+    """
     _check_players(n_players)
     if log_overlap_plus_sq > 1e-9:
         raise ValueError("log squared overlap must be <= 0")

@@ -268,14 +268,6 @@ def second_variation(g_bar: float, n_sites: int, covariance: CovarianceMatrix) -
     return hessian_kernel(g_bar, n_sites).contract(covariance)
 
 
-def first_variation(g_bar: float, n_sites: int, delta_g) -> float:
-    """First-order utility shift (sum_j delta_g_j / N) chi'(g_bar)."""
-    delta = np.asarray(delta_g, dtype=float)
-    if delta.shape != (n_sites,):
-        raise ValueError("perturbation shape does not match the chain length")
-    return float(np.mean(delta)) * chi_prime(g_bar, n_sites)
-
-
 # ---------------------------------------------------------------------------
 # Thermodynamic limit of the Laplacian
 

@@ -42,7 +42,7 @@ def test_criterion_02_determinant_matches_dense_overlap():
     results = [r for n, draws in pairs for r in verify.check_dense_overlap(n, draws)]
     worst = max(abs(r.observed - r.expected) for r in results)
     elapsed = time.perf_counter() - started
-    print(f"criterion 02: {len(results)} overlaps, worst gap {worst:.2e} ({elapsed:.1f}s)")
+    print(f"criterion 02: {len(results)} overlaps, worst log o+ gap {worst:.2e} ({elapsed:.1f}s)")
     assert len(results) == 18
     assert worst <= 1e-9
     assert elapsed < 120.0

@@ -88,10 +88,11 @@ def test_elliptic_domain():
     assert big_e == pytest.approx(math.pi / 2.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("g", [0.5, 0.9, 1.1, 1.5, 2.5])
+@pytest.mark.parametrize("g", [0.5, 0.9, 0.98, 1.02, 1.1, 1.5, 2.5])
 def test_thermodynamic_derivatives_match_large_chain(g):
     # Off criticality the finite-N corrections decay exponentially, so a
-    # 2000-site mode sum agrees to near machine precision.
+    # 2000-site mode sum agrees to near machine precision; at |1 - g| = 0.02
+    # this pins the near-critical pole and log of the elliptic forms.
     assert asy.dchi_dg_thermodynamic(g) == pytest.approx(
         pt.chi_prime(g, 2000) / 2000, rel=1e-12
     )
@@ -122,27 +123,3 @@ def test_thermodynamic_derivative_validation():
             asy.dchi_dg_thermodynamic(bad)
         with pytest.raises(ValueError):
             asy.d2chi_dg2_thermodynamic(bad)
-
-
-def test_near_critical_expansion_values():
-    assert asy.near_critical_expansion(1.01) == pytest.approx(
-        50.0 - 0.75 * math.log(0.01), rel=1e-12
-    )
-    assert asy.near_critical_expansion(0.99) == pytest.approx(
-        -50.0 - 0.75 * math.log(0.01), rel=1e-12
-    )
-
-
-def test_near_critical_expansion_tracks_elliptic_form():
-    # Same pole and log amplitudes, normalization 2 pi x (elliptic / 2)
-    for g in (0.98, 1.02):
-        assert asy.near_critical_expansion(g) == pytest.approx(
-            math.pi * asy.d2chi_dg2_thermodynamic(g), rel=0.05
-        )
-
-
-def test_near_critical_expansion_domain():
-    # 0.8 and 1.2 are avoided: 1 - 0.8 rounds just below the 0.2 cutoff
-    for bad in (1.0, 0.75, 1.25, 0.5):
-        with pytest.raises(ValueError):
-            asy.near_critical_expansion(bad)

@@ -135,6 +135,7 @@ def test_montecarlo_payload_and_histogram(tmp_path):
         "--sigma", "0.02", "--samples", "40", "--seed", "7", "--out", str(out),
     ]) == 0
     payload = json.loads(out.read_text())
+    assert payload["config"]["positivity_policy"] == "reject_sample"
     result = payload["result"]
     assert result["n_samples"] == 40
     assert result["seed"] == 7

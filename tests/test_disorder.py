@@ -43,8 +43,6 @@ def test_ensemble_validation():
     with pytest.raises(ValueError):
         # width is a uniform-only field
         dis.DisorderEnsemble(1.0, 8, "gaussian_iid", 0.1, width=0.4)
-    with pytest.raises(ValueError):
-        dis.gaussian_iid(1.0, 0.1, 8, positivity_policy="clip")
 
 
 def test_uniform_factory_sets_matching_sigma():
@@ -276,12 +274,6 @@ def test_monte_carlo_import_path_leaves_scipy_solvers_unloaded():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-
-
-def test_positivity_reject_run_aborts():
-    ens = dis.gaussian_iid(0.05, 0.5, 4, positivity_policy="reject_run")
-    with pytest.raises(ValueError):
-        dis.expected_utility(ens, 20, seed=0)
 
 
 @pytest.mark.parametrize(

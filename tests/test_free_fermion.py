@@ -170,11 +170,12 @@ def test_transform_blocks_are_unitary():
     """
     rng = np.random.default_rng(5)
     for n in (4, 8, 14):
+        kernel = ff.ChainOverlap(n)
         shift = ff.chain_matrix(np.ones(n)) - np.eye(n)
         for g in (np.full(n, 1e-12), np.full(n, 0.7), rng.uniform(0.2, 3.0, n)):
-            w = ff.polar_factor(g)
+            w = kernel.polar(g)
             np.testing.assert_allclose(w.T @ w, np.eye(n), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ff.polar_factor(np.full(n, 1e-12)), shift, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(kernel.polar(np.full(n, 1e-12)), shift, rtol=0, atol=1e-10)
 
 
 def test_singular_values_match_uniform_spectrum():
@@ -190,13 +191,13 @@ def test_singular_values_match_uniform_spectrum():
 
 def test_ghz_overlap_limits():
     # g -> 0+: the ground state becomes the even GHZ state itself
-    assert ff.ghz_overlap_squared(np.full(8, 1e-8)) == pytest.approx(1.0, abs=1e-6)
+    assert math.exp(ff.ghz_log_overlap_squared(np.full(8, 1e-8))) == pytest.approx(1.0, abs=1e-6)
     # deep paramagnet: overlap ~ 2 |<0...0|+...+>|^2 = 2^(1-N)
-    assert ff.ghz_overlap_squared(np.full(8, 200.0)) == pytest.approx(2.0**-7, rel=0.05)
+    assert math.exp(ff.ghz_log_overlap_squared(np.full(8, 200.0))) == pytest.approx(2.0**-7, rel=0.05)
 
 
 def test_ghz_overlap_decreases_with_uniform_coupling():
-    values = [ff.ghz_overlap_squared(np.full(10, g)) for g in (0.2, 0.6, 1.0, 1.4, 2.0)]
+    values = [ff.ghz_log_overlap_squared(np.full(10, g)) for g in (0.2, 0.6, 1.0, 1.4, 2.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -236,7 +237,7 @@ def test_unitarity_guard_catches_corruption(monkeypatch):
 
     for corrupt in (scaled_u, two_zero_singular_values, failed):
         monkeypatch.setattr(ff.lapack, "dgesdd", corrupt)
-        for route in (ff.polar_factor, ff.ghz_log_overlap_squared):
+        for route in (ff.ChainOverlap(g.size).polar, ff.ghz_log_overlap_squared):
             with pytest.raises(NumericsError):
                 route(g)
     monkeypatch.undo()
@@ -280,7 +281,7 @@ def test_kernel_reuse_matches_one_shot_calls():
     draws = [rng.uniform(0.2, 3.0, 12) for _ in range(20)]
     for g in draws:
         assert kernel(g) == ff.ghz_log_overlap_squared(g)
-    np.testing.assert_array_equal(kernel.polar(draws[0]), ff.polar_factor(draws[0]))
+    np.testing.assert_array_equal(kernel.polar(draws[0]), ff.ChainOverlap(12).polar(draws[0]))
     assert kernel.evaluations == 21
     assert 0.0 < kernel.max_defect <= ff.UNITARITY_TOL
     ratios = [np.linalg.svd(ff.chain_matrix(g), compute_uv=False) for g in draws]
@@ -342,8 +343,7 @@ def _fields(max_sites: int):
 @PROPERTY_SETTINGS
 @given(_fields(40))
 def test_property_ghz_weight_is_a_probability(g):
-    o_plus = ff.ghz_overlap_squared(g)
-    assert 0.0 <= o_plus <= 1.0
+    assert -math.inf <= ff.ghz_log_overlap_squared(g) <= 0.0
 
 
 @PROPERTY_SETTINGS
@@ -358,7 +358,7 @@ def test_property_ghz_weight_invariant_under_shift_and_reversal(g, shift):
 @given(_fields(10))
 def test_property_ghz_weight_matches_dense_oracle(g):
     dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
-    assert ff.ghz_overlap_squared(g) == pytest.approx(dense_plus, abs=1e-9)
+    assert ff.ghz_log_overlap_squared(g) == pytest.approx(math.log(dense_plus), abs=1e-9)
 
 
 _UNIFORM_G = st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False)

@@ -87,7 +87,7 @@ def test_sector_oracle_matches_polar_route_beyond_dense_cap(n):
     rng = np.random.default_rng(1400 + n)
     g = rng.uniform(0.2, 3.0, n)
     dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
-    assert ff.ghz_overlap_squared(g) == pytest.approx(dense_plus, rel=1e-9)
+    assert ff.ghz_log_overlap_squared(g) == pytest.approx(math.log(dense_plus), abs=1e-9)
 
 
 def test_ground_state_reruns_are_bit_identical():

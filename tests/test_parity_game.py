@@ -58,8 +58,8 @@ def test_utility_normalization():
     # (1/2) / 2^(-ceil(N/2)) and the utility is (ceil(N/2) - 1) log 2
     for n in (4, 7, 10):
         expected = (math.ceil(n / 2) - 1) * math.log(2.0)
-        assert pg.utility_from_overlap(1.0, n) == pytest.approx(expected, rel=1e-15)
-    assert pg.utility_from_overlap(0.0, 6) == -math.inf
+        assert pg.utility_from_log_overlap(0.0, n) == pytest.approx(expected, rel=1e-15)
+    assert pg.utility_from_log_overlap(-math.inf, 6) == -math.inf
     assert pg.utility_from_log_overlap(-3.0, 6) == pytest.approx(2 * math.log(2.0) - 3.0)
 
 
@@ -163,7 +163,7 @@ def test_utility_report_consistency():
     assert report.p_random == 0.5
     assert report.p_classical_opt == pg.classical_bound(8)
     assert report.p_quantum == pytest.approx(pg.quantum_win_probability(0.4, 0.0), rel=1e-15)
-    assert report.utility == pytest.approx(pg.utility_from_overlap(0.4, 8), rel=1e-14)
+    assert report.utility == pytest.approx(pg.utility_from_log_overlap(math.log(0.4), 8), rel=1e-14)
     assert report.advantage_class in ("strong", "weak", "none")
 
     mixed = pg.utility_report(8, math.log(0.4), math.log(0.1))

@@ -36,18 +36,6 @@ def test_mode_response_closed_form_at_criticality():
     np.testing.assert_allclose(pt.f_k(1.0, k), (1.0 - s) / (2.0 * s), rtol=1e-13)
 
 
-def test_first_variation_is_mean_times_chi_prime():
-    rng = np.random.default_rng(3)
-    delta = rng.normal(0, 0.01, 20)
-    value = pt.first_variation(1.1, 20, delta)
-    assert value == pytest.approx(float(np.mean(delta)) * pt.chi_prime(1.1, 20), rel=1e-14)
-    # and it is the actual first-order response to a uniform shift
-    h = 1e-5
-    assert pt.first_variation(1.1, 20, np.full(20, h)) == pytest.approx(
-        _chi(1.1 + h, 20) - _chi(1.1, 20), abs=5e-9
-    )
-
-
 @pytest.mark.parametrize("g", [0.7, 1.0, 1.4])
 def test_kernel_contraction_identities(g):
     n = 24

@@ -10,8 +10,11 @@ resolve library functions through their module namespaces at call time.
 import json
 import logging
 
+import numpy as np
 import pytest
 
+import parity_ising
+from parity_ising import oracle
 from parity_ising import perturbation as pt
 from parity_ising import verify
 
@@ -40,6 +43,31 @@ def test_check_times_go_to_the_package_logger(caplog):
 def test_package_logger_has_only_a_null_handler():
     handlers = logging.getLogger("parity_ising").handlers
     assert [type(h) for h in handlers] == [logging.NullHandler]
+
+
+def test_every_exported_name_resolves():
+    """Each name in __all__ loads through the lazy __getattr__, so no deleted name lingers in _EXPORTS."""
+    for name in parity_ising.__all__:
+        assert getattr(parity_ising, name) is not None, name
+
+
+@pytest.mark.parametrize("check", [verify.check_dense_overlap, verify.check_game_theorem])
+def test_registry_streams_are_keyed_by_chain_length(check, monkeypatch):
+    """The couplings a check draws at N = 4 do not reappear as the leading sites of its draws at N = 6."""
+    drawn = {}
+    real = oracle.dense_ground_state
+
+    def recording(g):
+        drawn.setdefault(len(g), []).append(np.array(g))
+        return real(g)
+
+    monkeypatch.setattr(oracle, "dense_ground_state", recording)
+    for n in (4, 6):
+        check(n, draws=3)
+    assert drawn[4] and drawn[6]
+    for short in drawn[4]:
+        for long in drawn[6]:
+            assert not np.array_equal(long[:4], short)
 
 
 def test_unknown_level_rejected():
