@@ -192,6 +192,8 @@ def _build_ensemble(args):
     from . import disorder
 
     kind = args.kind
+    if args.xi is not None and kind != "gaussian_correlated":
+        raise ValueError("--xi applies only to gaussian_correlated")
     if kind == "uniform_iid":
         if args.sigma is not None and args.width is not None:
             raise ValueError("give either --sigma or --width, not both")

@@ -125,7 +125,6 @@ class HessianKernel:
     serves every covariance through ``contract``.
     """
 
-    base_coupling: float
     n_sites: int
     values: np.ndarray  # h(d) for d = 0..N-1; h(d) = h(N-d)
 
@@ -146,14 +145,8 @@ class HessianKernel:
             raise ValueError("covariance shape does not match the chain length")
         value = 0.5 * float(self.values @ covariance.wrapped)
         denom = n * covariance.sigma**2
-        return SecondVariationReport(
-            g_bar=self.base_coupling,
-            n_sites=n,
-            kind=covariance.kind,
-            sigma=covariance.sigma,
-            value=value,
-            rescaled=value / denom if denom > 0.0 else math.nan,
-        )
+        rescaled = value / denom if denom > 0.0 else math.nan
+        return SecondVariationReport(value=value, rescaled=rescaled)
 
 
 def _ring_offsets(n_sites: int) -> np.ndarray:
@@ -181,18 +174,15 @@ def hessian_kernel(g_bar: float, n_sites: int) -> HessianKernel:
 
     half = np.fft.rfft(coeff).real
     values = (2.0 / n_sites**2) * np.concatenate((half, half[-2:0:-1]))
-    return HessianKernel(base_coupling=g_bar, n_sites=n_sites, values=values)
+    return HessianKernel(n_sites=n_sites, values=values)
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Disorder covariance C_{jl} with its generating parameters."""
+    """Disorder covariance C_{jl} and the site standard deviation sigma it scales with."""
 
     entries: np.ndarray
     sigma: float
-    kind: str  # "perfect" | "iid" | "exponential"
-    xi: float | None = None
-    distance_mode: str = "linear"
 
     @cached_property
     def wrapped(self) -> np.ndarray:
@@ -204,15 +194,13 @@ class CovarianceMatrix:
 def perfect_covariance(sigma: float, n_sites: int) -> CovarianceMatrix:
     """All-ones covariance sigma^2: one shared Gaussian shift on every site."""
     _check_sigma(sigma)
-    return CovarianceMatrix(
-        entries=sigma * sigma * np.ones((n_sites, n_sites)), sigma=sigma, kind="perfect"
-    )
+    return CovarianceMatrix(entries=sigma * sigma * np.ones((n_sites, n_sites)), sigma=sigma)
 
 
 def iid_covariance(sigma: float, n_sites: int) -> CovarianceMatrix:
     """Diagonal covariance sigma^2 I: independent noise per site."""
     _check_sigma(sigma)
-    return CovarianceMatrix(entries=sigma * sigma * np.eye(n_sites), sigma=sigma, kind="iid")
+    return CovarianceMatrix(entries=sigma * sigma * np.eye(n_sites), sigma=sigma)
 
 
 def exponential_covariance(
@@ -233,13 +221,7 @@ def exponential_covariance(
     dist = np.abs(idx[:, None] - idx[None, :]).astype(float)
     if distance_mode == "ring":
         dist = np.minimum(dist, n_sites - dist)
-    return CovarianceMatrix(
-        entries=sigma * sigma * np.exp(-dist / xi),
-        sigma=sigma,
-        kind="exponential",
-        xi=xi,
-        distance_mode=distance_mode,
-    )
+    return CovarianceMatrix(entries=sigma * sigma * np.exp(-dist / xi), sigma=sigma)
 
 
 def _check_sigma(sigma: float):
@@ -251,10 +233,6 @@ def _check_sigma(sigma: float):
 class SecondVariationReport:
     """Mean second-order utility shift for one covariance."""
 
-    g_bar: float
-    n_sites: int
-    kind: str
-    sigma: float
     value: float  # E[u] - chi(gbar) to second order
     rescaled: float  # value / (N sigma^2)
 

@@ -14,12 +14,13 @@ from parity_ising import perturbation as pt
 
 
 def test_trig_sums_smallest_chain_by_hand():
-    # N = 2 has the single wavenumber k = pi/2: sin(k/2) = sqrt(2)/2
-    assert asy.s1_exact(2) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert asy.s2_exact(2) == pytest.approx(2.0, rel=1e-15)
+    # N = 4 has k = pi/4 and 3pi/4: sin(k/2) = sqrt(2 -+ sqrt 2)/2, so
+    # S1 = 2 sqrt(2 + sqrt 2) and S2 = 4/(2 - sqrt 2) + 4/(2 + sqrt 2) = 8
+    assert asy.s1_exact(4) == pytest.approx(2.0 * math.sqrt(2.0 + math.sqrt(2.0)), rel=1e-15)
+    assert asy.s2_exact(4) == pytest.approx(8.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("n", [2, 8, 40, 200, 1000])
+@pytest.mark.parametrize("n", [4, 8, 40, 200, 1000])
 def test_s2_is_exactly_half_n_squared(n):
     assert asy.s2_exact(n) == pytest.approx(0.5 * n * n, rel=1e-13)
 
@@ -29,6 +30,12 @@ def test_trig_sum_validation():
         asy.s1_exact(7)
     with pytest.raises(ValueError):
         asy.s2_exact(0)
+    # the chain-length rule of allowed_wavenumbers, message included
+    with pytest.raises(ValueError) as mode_sum:
+        pt.chi_double_prime(1.0, 2)
+    with pytest.raises(ValueError) as critical:
+        asy.critical_scaling(2)
+    assert str(critical.value) == str(mode_sum.value)
 
 
 def test_s1_asymptotic_error_shrinks():

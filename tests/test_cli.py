@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from parity_ising import cli
+from parity_ising import disorder as dis
 from parity_ising import parity_game as pg
 from parity_ising import perturbation as pt
 from parity_ising import verify
@@ -116,6 +117,18 @@ def test_exponential_rows_equal_per_point_second_variation(tmp_path, mode):
     assert [(int(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in rows] == expected
 
 
+def test_second_variation_iid_rows_are_the_laplacian(tmp_path):
+    out = tmp_path / "sv_iid.csv"
+    assert cli.main([
+        "second-variation", "--kind", "iid", "--n", "8", "40",
+        "--g-min", "0.5", "--g-max", "1.5", "--steps", "4", "--out", str(out),
+    ]) == 0
+    _, _, rows = _read_csv(out)
+    assert all(r[2] == "" for r in rows)
+    expected = [(n, g, pt.laplacian_u(g, n) / (2 * n)) for n in (8, 40) for g in cli._grid(0.5, 1.5, 4)]
+    assert [(int(r[0]), float(r[1]), float(r[3])) for r in rows] == expected
+
+
 def test_second_variation_xi_flag_misuse(tmp_path):
     out = tmp_path / "x.csv"
     assert cli.main([
@@ -185,6 +198,42 @@ def test_montecarlo_reruns_identical_modulo_timestamp(tmp_path):
     assert strip(tmp_path / "a.hist.csv") == strip(tmp_path / "b.hist.csv")
 
 
+def test_montecarlo_correlated_records_xi_and_distance(tmp_path):
+    out = tmp_path / "mc_corr.json"
+    assert cli.main([
+        "montecarlo", "--kind", "gaussian_correlated", "--n", "8", "--g", "1.2",
+        "--sigma", "0.05", "--xi", "3.0", "--distance", "ring",
+        "--samples", "20", "--seed", "5", "--out", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["xi"] == 3.0
+    assert payload["config"]["distance"] == "ring"
+    ensemble = dis.gaussian_correlated(1.2, 0.05, 3.0, 8, distance_mode="ring")
+    assert payload["result"]["mean_utility"] == dis.expected_utility(ensemble, 20, 5).mean_utility
+
+
+def test_montecarlo_uniform_sigma_is_converted_to_width(tmp_path):
+    out = tmp_path / "mc_uniform.json"
+    sigma = 0.1
+    assert cli.main([
+        "montecarlo", "--kind", "uniform_iid", "--n", "8", "--g", "1.3",
+        "--sigma", str(sigma), "--samples", "20", "--seed", "9", "--out", str(out),
+    ]) == 0
+    result = json.loads(out.read_text())["result"]
+    library = dis.expected_utility(dis.uniform_iid(1.3, sigma * 2.0 * math.sqrt(3.0), 8), 20, 9)
+    assert result["mean_utility"] == library.mean_utility
+    assert result["stderr"] == library.stderr
+
+
+def test_montecarlo_redraw_exhaustion_exits_3(tmp_path):
+    out = tmp_path / "mc_redraw.json"
+    assert cli.main([
+        "montecarlo", "--kind", "gaussian_iid", "--n", "40", "--g", "0.001",
+        "--sigma", "10", "--samples", "1", "--out", str(out),
+    ]) == 3
+    assert not out.exists()
+
+
 def test_montecarlo_flag_validation(tmp_path):
     out = str(tmp_path / "x.json")
     base = ["montecarlo", "--n", "8", "--g", "1.0", "--samples", "2", "--out", out]
@@ -193,6 +242,8 @@ def test_montecarlo_flag_validation(tmp_path):
     assert cli.main(base + ["--kind", "gaussian_iid", "--width", "0.3"]) == 2
     assert cli.main(base + ["--kind", "gaussian_iid"]) == 2
     assert cli.main(base + ["--kind", "gaussian_correlated", "--sigma", "0.1"]) == 2
+    for kind in ("gaussian_iid", "gaussian_perfect", "uniform_iid"):
+        assert cli.main(base + ["--kind", kind, "--sigma", "0.1", "--xi", "5"]) == 2
 
 
 def test_grid_validation(tmp_path):
@@ -212,6 +263,12 @@ def test_critical_scaling_table(tmp_path):
         rescaled = float(row[7])
         assert chi2 < 0.0
         assert rescaled == pytest.approx(chi2 / (2 * n), rel=1e-14)
+
+
+def test_critical_scaling_rejects_chains_shorter_than_four(tmp_path):
+    out = tmp_path / "crit2.csv"
+    assert cli.main(["critical-scaling", "--n", "2", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_verify_fast_exit_and_report(tmp_path, capsys):

@@ -159,6 +159,24 @@ def test_positivity_redraws_counted_and_respected():
     assert total_redraws > 0
 
 
+def test_redraw_cap_exhaustion_raises():
+    # mean 1e-4 standard deviations above zero: a positive 40-site draw has
+    # probability ~2^-40, so every one of the MAX_REDRAWS attempts fails
+    ens = dis.gaussian_iid(0.001, 10.0, 40)
+    with pytest.raises(NumericsError, match="positivity redraws"):
+        dis.expected_utility(ens, 1, 0)
+
+
+@pytest.mark.parametrize("mode, xi", [("ring", 1e12), ("linear", 1e16)])
+def test_correlated_factor_falls_back_to_eigh_near_rank_one(mode, xi):
+    # xi >> N makes the covariance numerically rank one, where Cholesky fails
+    cov = pt.exponential_covariance(0.1, xi, 8, distance_mode=mode).entries
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)
+    factor = dis._correlated_factor(0.1, xi, 8, mode)
+    np.testing.assert_allclose(factor @ factor.T, cov, rtol=1e-13, atol=0.0)
+
+
 def _stream_draw(ensemble, seed, index):
     """Sample `index` drawn from a fresh sample_stream, redraws included."""
     rng = dis.sample_stream(seed, index)

@@ -101,7 +101,7 @@ def test_broken_kernel_attribution_is_caught(monkeypatch):
         kernel = real(g_bar, n_sites)
         values = kernel.values.copy()
         values[1:] = -values[1:]
-        return pt.HessianKernel(kernel.base_coupling, kernel.n_sites, values)
+        return pt.HessianKernel(kernel.n_sites, values)
 
     monkeypatch.setattr(pt, "hessian_kernel", broken)
     failed = {r.name for r in verify.failures(verify.check_contractions())}
