@@ -35,6 +35,10 @@ from .errors import NumericsError
 
 SCHEMA_VERSION = 2
 THREAD_ENV_VAR = "PARITY_ISING_THREADS"
+# Site distances of the exponential covariance; the default is what a config
+# records when --distance is not given.
+DISTANCES = ("linear", "ring")
+DEFAULT_DISTANCE = "linear"
 _BLAS_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -145,6 +149,9 @@ def cmd_second_variation(args) -> int:
         raise ValueError(f"--xi is only meaningful for the exponential kind, not {args.kind}")
     else:
         xi_list = [None]
+    if args.distance is not None and args.kind != "exponential":
+        raise ValueError(f"--distance is only meaningful for the exponential kind, not {args.kind}")
+    distance = args.distance or DEFAULT_DISTANCE
 
     grid = _grid(args.g_min, args.g_max, args.steps)
     rows = []
@@ -160,7 +167,7 @@ def cmd_second_variation(args) -> int:
             kernels = [perturbation.hessian_kernel(g, n) for g in grid]
             columns = []
             for xi in xi_list:
-                covariance = perturbation.exponential_covariance(1.0, xi, n, distance_mode=args.distance)
+                covariance = perturbation.exponential_covariance(1.0, xi, n, distance_mode=distance)
                 columns.append([kernel.contract(covariance).rescaled for kernel in kernels])
             rows.extend(
                 (n, g, xi, column[i])
@@ -175,7 +182,7 @@ def cmd_second_variation(args) -> int:
         "g_max": args.g_max,
         "steps": args.steps,
         "xi": None if xi_list == [None] else xi_list,
-        "distance": args.distance,
+        "distance": distance,
     }
     _write_table(
         args.out,
@@ -194,6 +201,8 @@ def _build_ensemble(args):
     kind = args.kind
     if args.xi is not None and kind != "gaussian_correlated":
         raise ValueError("--xi applies only to gaussian_correlated")
+    if args.distance is not None and kind != "gaussian_correlated":
+        raise ValueError("--distance applies only to gaussian_correlated")
     if kind == "uniform_iid":
         if args.sigma is not None and args.width is not None:
             raise ValueError("give either --sigma or --width, not both")
@@ -215,7 +224,7 @@ def _build_ensemble(args):
     if args.xi is None:
         raise ValueError("gaussian_correlated needs --xi")
     return disorder.gaussian_correlated(
-        args.g, args.sigma, args.xi, args.n, distance_mode=args.distance
+        args.g, args.sigma, args.xi, args.n, distance_mode=args.distance or DEFAULT_DISTANCE
     )
 
 
@@ -249,6 +258,7 @@ def cmd_montecarlo(args) -> int:
             "n_degenerate": result.n_degenerate,
             "max_orthogonality_defect": result.max_orthogonality_defect,
             "min_singular_ratio": result.min_singular_ratio,
+            "svd_fallbacks": result.svd_fallbacks,
             "seed": result.seed,
             "mean_utility": result.mean_utility,
             "stderr": result.stderr,
@@ -352,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-max", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=31)
     p.add_argument("--xi", type=float, nargs="*", default=None)
-    p.add_argument("--distance", choices=("linear", "ring"), default="linear")
+    p.add_argument("--distance", choices=DISTANCES, default=None, help="exponential kind only; default linear")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_second_variation)
@@ -368,7 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--width", type=float, default=None, help="uniform support width W; sigma = W/(2 sqrt 3)")
     p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--distance", choices=("linear", "ring"), default="linear")
+    p.add_argument(
+        "--distance", choices=DISTANCES, default=None, help="gaussian_correlated only; default linear"
+    )
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="JSON result path; histogram lands beside it")

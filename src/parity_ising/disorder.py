@@ -15,7 +15,8 @@ run with seed `seed` is drawn from its own counter-based stream keyed by
 A run re-keys one Philox generator per sample instead of building a new one,
 and scores every sample with one ``free_fermion.ChainOverlap``; both give
 exactly what the one-shot ``sample_couplings`` and
-``ghz_log_overlap_squared`` give, at a cost close to the SVD alone.  Where
+``ghz_log_overlap_squared`` give, at a cost close to the kernel's LAPACK
+calls alone.  Where
 every draw is a uniform chain (the shared shift, or sigma = 0) the run
 scores all its samples with one vectorized ``utility_clean`` call instead.
 
@@ -25,8 +26,8 @@ other policy.  In the parameter regimes of interest a violation is many
 standard deviations out, so the truncation bias is far below statistical
 resolution.
 A run reports its positivity redraws, its zero-overlap (-inf) samples, and
-the worst orthogonality defect and smallest singular-value ratio its overlap
-kernel saw.
+the worst orthogonality defect, smallest singular-value ratio and number of
+dense-SVD fallbacks of its overlap kernel.
 """
 
 import logging
@@ -227,8 +228,9 @@ class MonteCarloResult:
     bins the per-site shift (u(g) - u(g_bar)) / N over `n_samples` values,
     with outliers clipped into the edge bins.  `max_orthogonality_defect`
     (worst max|W^T W - I|) and `min_singular_ratio` (smallest s_min / s_max
-    of the chain matrix) report the numerics of the overlap kernel; both are
-    None when no sample needed it.
+    of the chain matrix) report the numerics of the overlap kernel, and
+    `svd_fallbacks` counts the samples it scored by the dense SVD instead of
+    its band route; all three are None when no sample needed the kernel.
     """
 
     n_samples: int
@@ -243,6 +245,7 @@ class MonteCarloResult:
     seed: int
     max_orthogonality_defect: float | None
     min_singular_ratio: float | None
+    svd_fallbacks: int | None
 
 
 def density_stderr(result: MonteCarloResult, n_sites: int) -> float:
@@ -277,8 +280,8 @@ def expected_utility(
     scores them all, each value equal to the per-sample call bit for bit.
     The clean value u(g_bar) is reported alongside for shift and histogram
     construction.  One DEBUG record on the ``parity_ising.disorder`` logger
-    gives the run's sample, redraw and degenerate counts, its seconds and
-    its evaluations per second.
+    gives the run's sample, redraw and degenerate counts, its seconds, its
+    evaluations per second and its overlap kernel's SVD fallbacks.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -311,9 +314,10 @@ def expected_utility(
     measured = overlap.evaluations > 0
     seconds = time.perf_counter() - started
     _log.debug(
-        "expected_utility %s N=%d: %d samples, %d redraws, %d degenerate, %.3f s, %.0f evaluations/s",
+        "expected_utility %s N=%d: %d samples, %d redraws, %d degenerate, %.3f s, "
+        "%.0f evaluations/s, %d SVD fallbacks",
         ensemble.kind, ensemble.n_sites, kept.size, n_redraws, n_samples - kept.size,
-        seconds, n_samples / seconds,
+        seconds, n_samples / seconds, overlap.svd_fallbacks,
     )
     return MonteCarloResult(
         n_samples=int(kept.size),
@@ -328,6 +332,7 @@ def expected_utility(
         seed=seed,
         max_orthogonality_defect=overlap.max_defect if measured else None,
         min_singular_ratio=overlap.min_singular_ratio if measured else None,
+        svd_fallbacks=overlap.svd_fallbacks if measured else None,
     )
 
 

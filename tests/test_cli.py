@@ -212,6 +212,32 @@ def test_montecarlo_correlated_records_xi_and_distance(tmp_path):
     assert payload["result"]["mean_utility"] == dis.expected_utility(ensemble, 20, 5).mean_utility
 
 
+def test_distance_is_rejected_where_no_covariance_has_one(tmp_path, capsys):
+    """--distance exits 2 outside the correlated kinds; left out, configs record linear as before."""
+    mc = ["montecarlo", "--n", "8", "--g", "1.2", "--sigma", "0.05", "--samples", "5"]
+    sv = ["second-variation", "--n", "8", "--steps", "3"]
+    for argv in (
+        mc + ["--kind", "gaussian_iid", "--distance", "ring"],
+        mc + ["--kind", "uniform_iid", "--distance", "linear"],
+        sv + ["--kind", "iid", "--distance", "ring"],
+        sv + ["--kind", "perfect", "--distance", "linear"],
+    ):
+        assert cli.main(argv + ["--out", str(tmp_path / "x.json")]) == 2
+        assert "--distance" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    for argv, out in (
+        (mc + ["--kind", "gaussian_iid"], "mc_iid.json"),
+        (mc + ["--kind", "gaussian_correlated", "--xi", "2.0"], "mc_corr.json"),
+    ):
+        assert cli.main(argv + ["--out", str(tmp_path / out)]) == 0
+        assert json.loads((tmp_path / out).read_text())["config"]["distance"] == "linear"
+    for kind, extra in (("iid", []), ("exponential", ["--xi", "2.0"])):
+        out = tmp_path / f"sv_{kind}.csv"
+        assert cli.main(sv + ["--kind", kind, *extra, "--out", str(out)]) == 0
+        comments, _, _ = _read_csv(out)
+        assert json.loads(comments[3].removeprefix("# config="))["distance"] == "linear"
+
+
 def test_montecarlo_uniform_sigma_is_converted_to_width(tmp_path):
     out = tmp_path / "mc_uniform.json"
     sigma = 0.1
@@ -301,7 +327,7 @@ def test_debug_logging_leaves_cli_output_unchanged(tmp_path, capsys, caplog):
     # the artifact stays timing-free, so reruns stay byte-identical
     assert set(json.loads((tmp_path / "mc.json").read_text())["result"]) == {
         "n_samples", "n_redraws", "n_degenerate", "max_orthogonality_defect",
-        "min_singular_ratio", "seed", "mean_utility", "stderr", "mean_density",
+        "min_singular_ratio", "svd_fallbacks", "seed", "mean_utility", "stderr", "mean_density",
         "density_stderr", "clean_utility", "clean_density", "shift", "predicted_shift",
         "histogram",
     }

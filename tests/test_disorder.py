@@ -273,6 +273,20 @@ def test_run_telemetry_is_one_debug_record(caplog):
     assert "evaluations/s" in message
 
 
+def test_run_counts_svd_fallbacks(monkeypatch, caplog):
+    """The band route scores a weak-disorder run; a gate no chain passes sends every sample to the SVD."""
+    ens = dis.uniform_iid(1.6, 2.0, 12)
+    with caplog.at_level("DEBUG", logger="parity_ising"):
+        banded = dis.expected_utility(ens, 40, seed=8)
+    assert banded.svd_fallbacks == 0
+    assert caplog.records[-1].getMessage().endswith(", 0 SVD fallbacks")
+    monkeypatch.setattr(ff, "BAND_GATE", -1.0)
+    dense = dis.expected_utility(ens, 40, seed=8)
+    assert dense.svd_fallbacks == 40
+    assert dense.mean_utility == pytest.approx(banded.mean_utility, rel=1e-12, abs=0.0)
+    assert dense.min_singular_ratio == pytest.approx(banded.min_singular_ratio, rel=1e-10)
+
+
 def test_redraws_and_degenerate_samples_are_counted_apart():
     ens = dis.gaussian_iid(0.05, 0.5, 4)
     result = dis.expected_utility(ens, 30, seed=3)
@@ -312,6 +326,7 @@ def test_sigma_zero_collapses_to_clean_value(ens):
     # a uniform chain is scored by the mode product, so no SVD ran
     assert result.max_orthogonality_defect is None
     assert result.min_singular_ratio is None
+    assert result.svd_fallbacks is None
     assert result.histogram_counts.sum() == 5
     assert result.histogram_counts[dis.HISTOGRAM_BINS // 2] == 5
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -217,10 +218,23 @@ def test_nonfinite_couplings_rejected_by_pipeline():
         ff.ghz_log_overlap_squared([1.0, 1.0, np.inf, 1.0])
 
 
+# Resolved on the band route, and a domain wall that only the SVD fallback resolves.
+WELL_CONDITIONED = np.array([0.5, 1.5, 1.0, 2.0, 0.8, 1.2])
+SVD_ONLY = np.array([1.0 / 3000.0] * 5 + [3000.0] * 7)
+
+
 def test_unitarity_guard_catches_corruption(monkeypatch):
-    """A LAPACK SVD with a non-orthogonal factor, two zero singular values or a failure code raises."""
-    g = np.array([0.5, 1.5, 1.0, 2.0, 0.8, 1.2])
+    """A non-orthogonal factor, two zero singular values or a LAPACK failure code raises, on either branch."""
+    sbevd = ff.lapack.dsbevd
     gesdd = ff.lapack.dgesdd
+
+    def scaled_v(ab, **kwargs):
+        w, v, info = sbevd(ab, **kwargs)
+        return w, 2.0 * v, info
+
+    def failed_band(ab, **kwargs):
+        w, v, _ = sbevd(ab, **kwargs)
+        return w, v, 1
 
     def scaled_u(a, **kwargs):
         u, s, vt, info = gesdd(a, **kwargs)
@@ -235,18 +249,27 @@ def test_unitarity_guard_catches_corruption(monkeypatch):
         u, s, vt, _ = gesdd(a, **kwargs)
         return u, s, vt, 1
 
-    for corrupt in (scaled_u, two_zero_singular_values, failed):
-        monkeypatch.setattr(ff.lapack, "dgesdd", corrupt)
+    for driver, corrupt, g in (
+        ("dsbevd", scaled_v, WELL_CONDITIONED),
+        ("dsbevd", failed_band, WELL_CONDITIONED),
+        ("dgesdd", scaled_u, SVD_ONLY),
+        ("dgesdd", two_zero_singular_values, SVD_ONLY),
+        ("dgesdd", failed, SVD_ONLY),
+    ):
+        monkeypatch.setattr(ff.lapack, driver, corrupt)
         for route in (ff.ChainOverlap(g.size).polar, ff.ghz_log_overlap_squared):
             with pytest.raises(NumericsError):
                 route(g)
-    monkeypatch.undo()
-    assert ff.ghz_log_overlap_squared(g) < 0.0
+        monkeypatch.undo()
+    kernel = ff.ChainOverlap(WELL_CONDITIONED.size)
+    assert kernel(WELL_CONDITIONED) < 0.0 and kernel.svd_fallbacks == 0
+    kernel = ff.ChainOverlap(SVD_ONLY.size)
+    assert kernel(SVD_ONLY) < 0.0 and kernel.svd_fallbacks == 1
 
 
 def test_unresolved_singular_pair_is_oriented_by_det_z(monkeypatch):
     """One zero singular value with its pair flipped in sign: det Z > 0 restores W."""
-    g = np.array([0.5, 1.5, 1.0, 2.0, 0.8, 1.2])
+    g = SVD_ONLY
     expected = ff.ghz_log_overlap_squared(g)
     gesdd = ff.lapack.dgesdd
 
@@ -323,6 +346,97 @@ def test_two_domain_chain_still_raises():
     g = np.array(([1e-4] * 3 + [1e4] * 3) * 2)
     with pytest.raises(NumericsError, match="two or more"):
         ff.ghz_log_overlap_squared(g)
+
+
+def _svd_log_overlap(g):
+    """log o+ by numpy's SVD and slogdet, the dense route written out once more."""
+    u, _, vt = np.linalg.svd(ff.chain_matrix(g))
+    w = u @ vt
+    shifted = np.vstack((-w[1:], w[:1]))  # W0^T W
+    return np.linalg.slogdet((np.eye(g.size) + shifted) / 2.0)[1]
+
+
+def _route_sweep():
+    """Chains from uniform through near-critical to domain walls beyond the resolvable floor."""
+    rng = np.random.default_rng(13)
+    chains = [np.full(n, g) for n in (12, 40) for g in (0.3, 1.0, 1.7)]
+    chains += [rng.uniform(0.0, 2.0, 80) for _ in range(4)]  # near-critical uniform_iid(1, W = 2)
+    chains += [np.exp(1.5 * rng.standard_normal(12)) for _ in range(4)]
+    # one weak domain of contrast c: kappa from ~30 past the gate (~1e8) to ~1e14
+    chains += [
+        np.array([1.0 / c] * weak + [c] * (n - weak))
+        for c in np.logspace(0.25, 2.0, 22)
+        for n, weak in ((12, 5), (14, 6))
+    ]
+    return chains
+
+
+def test_band_route_matches_dense_routes_across_conditioning(monkeypatch):
+    """log o+ agrees with the dense SVD, or the oracle up to N = 14, wherever the gate sends it.
+
+    The test records the eigenvectors the kernel gets from dsbevd and
+    measures max|Q^T Q - I| of Q = Z V / d itself, so it also holds the SVD
+    fallback to firing exactly when that spread exceeds BAND_GATE or d_min
+    falls to the floor N eps d_max.
+    """
+    sbevd = ff.lapack.dsbevd
+    seen = []
+
+    def recorded(ab, **kwargs):
+        band = ab.copy()
+        w, v, info = sbevd(ab, **kwargs)
+        seen.append((band, v.copy()))
+        return w, v, info
+
+    monkeypatch.setattr(ff.lapack, "dsbevd", recorded)
+    spreads, fallbacks = [], []
+    for g in _route_sweep():
+        n = g.size
+        seen.clear()
+        kernel = ff.ChainOverlap(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log_o = kernel(g)
+        # zigzag order 0, 1, N-1, 2, N-2, ...: the band is Z^T Z reordered, half-width 2
+        order = np.empty(n, dtype=int)
+        order[0], order[1::2], order[2::2] = 0, np.arange(1, n // 2 + 1), np.arange(n - 1, n // 2, -1)
+        z = ff.chain_matrix(g)
+        gram = (z.T @ z)[np.ix_(order, order)]
+        (band, v_band), = seen
+        for k in range(3):
+            np.testing.assert_allclose(band[k, : n - k], np.diag(gram, -k), rtol=1e-15, atol=0.0)
+        assert not np.any(np.tril(gram, -3))
+        v = np.empty_like(v_band)
+        v[order] = v_band
+        y = z @ v
+        d = np.linalg.norm(y, axis=0)
+        spread = np.abs((y / d).T @ (y / d) - np.eye(n)).max()
+        resolved = d.min() > n * np.finfo(float).eps * d.max()
+        assert kernel.svd_fallbacks == int(not resolved or spread > ff.BAND_GATE)
+        if n <= 14:
+            dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
+            assert log_o == pytest.approx(math.log(dense_plus), rel=1e-12)
+        if resolved:
+            assert log_o == pytest.approx(_svd_log_overlap(g), rel=1e-12)
+        spreads.append(spread)
+        fallbacks.append(kernel.svd_fallbacks)
+    # both branches ran, and some chains fell back from just over the gate
+    assert 0 < sum(fallbacks) < len(fallbacks)
+    assert any(ff.BAND_GATE < s <= 1e3 * ff.BAND_GATE for s in spreads)
+
+
+def test_fields_too_large_to_square_take_the_svd():
+    """Above BAND_FIELD_MAX the band route would overflow; the call goes to the SVD without a warning."""
+    uniform, one_site = np.full(6, 1e151), np.array([1e151, 1.0, 2.0, 0.5, 1.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kernel = ff.ChainOverlap(6)
+        assert kernel(uniform) == pytest.approx(_svd_log_overlap(uniform), rel=1e-12)
+        assert kernel.svd_fallbacks == 1
+        # one huge field leaves two singular values far below it, as on the SVD route before
+        with pytest.raises(NumericsError, match="two or more"):
+            kernel(one_site)
+        assert kernel.svd_fallbacks == 2
 
 
 # Property tests over random positive fields on even chains.  Derandomized and
