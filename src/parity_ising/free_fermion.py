@@ -31,9 +31,12 @@ is a signed cyclic shift, so W0^T W is a row roll of W with one sign flip.
 
 Z is never singular: its only permutation terms are the diagonal and the
 N-cycle, so det Z = prod_j g_j + 1 > 0 and W is unique.  ``ChainOverlap``
-is the one overlap route: a caller with many fields of one length keeps one
-object, and ``ghz_log_overlap_squared`` is a single call of a fresh one.  It
-does not take the SVD of Z.  Z^T Z is cyclic tridiagonal, a symmetric band
+is the one overlap route.  It scores stacks of chains of one length, at
+most STACK_ENTRIES / N^2 chains (at least one) per pass through its
+scratch, with every check applied to each chain; a single chain is a stack
+of one.  A caller with many fields of one length keeps one object, and
+``ghz_log_overlap_squared`` is a single call of a fresh one.  It does not
+take the SVD of Z.  Z^T Z is cyclic tridiagonal, a symmetric band
 of half-width 2 once the sites are ordered 0, 1, N-1, 2, N-2, ..., and any
 orthogonal V that diagonalizes it gives W = polar(Z V) V^T, with Z V read
 off Z itself and its polar factor taken to first order in the departure of
@@ -56,7 +59,6 @@ graded Gauss-Legendre rule for every thermodynamic quantity.
 
 import functools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,20 +77,26 @@ BAND_GATE = 1e-8
 # Largest field the band route squares; Z^T Z and the column norms of Z V
 # then stay far from overflow.
 BAND_FIELD_MAX = 1e150
+# Matrix entries (chains x N x N) in each stack-sized scratch array of
+# ChainOverlap, 256 KiB apiece: a stack holds max(1, STACK_ENTRIES // N^2) chains.
+STACK_ENTRIES = 1 << 15
 # Gauss-Legendre orders of wavenumber_integral: the value, then its error gauge.
 LEGENDRE_ORDERS = (24, 12)
 
 _log = logging.getLogger(__name__)
 
 
-def as_couplings(values) -> np.ndarray:
-    """Validate a transverse-field configuration.
+def as_couplings(values, stacked: bool = False) -> np.ndarray:
+    """Validate a transverse-field configuration, or a stack of them.
 
     Parameters
     ----------
     values : array_like
         Fields g_j, one per site.  Length must be even and >= 4, every
         entry finite and strictly positive.
+    stacked : bool
+        Whether ``values`` is an (M, N) stack of configurations, one per
+        row, each held to the same rules.
 
     Returns
     -------
@@ -96,9 +104,13 @@ def as_couplings(values) -> np.ndarray:
         The fields as a float64 array.
     """
     g = np.asarray(values, dtype=float)
-    if g.ndim != 1:
-        raise ValueError("couplings must be a one-dimensional sequence")
-    n = g.size
+    if g.ndim != 1 + stacked:
+        raise ValueError(
+            "a stack of couplings must be two-dimensional, one chain per row"
+            if stacked
+            else "couplings must be a one-dimensional sequence"
+        )
+    n = g.shape[-1]
     if n < 4 or n % 2:
         raise ValueError(f"chain length must be even and >= 4, got {n}")
     if not np.isfinite(g).all():
@@ -216,11 +228,6 @@ def _bonds(n_sites: int) -> np.ndarray:
     return z
 
 
-def _diagonal(a: np.ndarray) -> np.ndarray:
-    """A writable view of the diagonal of a square column-major array."""
-    return a.ravel(order="F")[:: a.shape[0] + 1]
-
-
 @functools.lru_cache(maxsize=8)
 def _band_layout(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where Z^T Z sits in the zigzag order 0, 1, N-1, 2, N-2, ..., N/2.
@@ -258,19 +265,27 @@ def chain_matrix(couplings) -> np.ndarray:
     """
     g = as_couplings(couplings)
     z = _bonds(g.size)
-    _diagonal(z)[:] = g
+    np.fill_diagonal(z, g)
     return z
 
 
 class ChainOverlap:
-    """The GHZ-overlap kernel for chains of one length, reusable across calls.
+    """The GHZ-overlap kernel for chains of one length, scoring stacks of chains.
 
     A caller that evaluates many field configurations of one length (a
-    Monte Carlo run) makes one object and calls it per configuration; the
-    constructor only looks up the band layout, queries the SVD work size and
-    allocates scratch, so a fresh object per call is cheap too.  ``polar`` returns W; calling the object
-    returns log o+.  Every call validates the fields, turns a LAPACK failure
-    into a NumericsError and holds W to UNITARITY_TOL.
+    Monte Carlo run) makes one object and hands it (M, N) arrays of fields,
+    one chain per row; calling the object returns the M values of log o+,
+    and a one-dimensional field vector is the stack of one, returning a
+    float.  The object works through a call ``stack`` chains at a time,
+    stack = max(1, STACK_ENTRIES // N^2), on (stack, N, N) scratch that it
+    keeps between calls, so its memory is bounded at any N and any call
+    size.  Only the band eigensolver and the dense SVD fallback run once
+    per chain; every other step is one numpy operation over the stack.
+    Each chain is computed as it would be alone, so a value does not
+    depend on the stack it was scored in.  The constructor only looks up
+    the band layout and queries the SVD work size, and the scratch grows to
+    the largest stack a call has scored, so a fresh object for one chain
+    is cheap too.  ``polar`` returns W of one chain.
 
     W comes from the symmetric eigenproblem of Z^T Z, which is cyclic
     tridiagonal: g_j^2 + 1 on the diagonal, -g_{j+1} between sites j and
@@ -288,7 +303,7 @@ class ChainOverlap:
     directions of nearly degenerate small singular values, which makes Q^T Q
     less diagonal, and that is what the gate measures: where max|E| exceeds
     BAND_GATE, d_min falls to the floor below, or a field is too large to
-    square, the call takes the dense SVD of Z instead and counts it in
+    square, the chain takes the dense SVD of Z instead and counts in
     ``svd_fallbacks``.
 
     On the SVD branch, fields of strong contrast can push one domain wall's
@@ -299,9 +314,13 @@ class ChainOverlap:
     for the two determinants.  A second unresolved singular value (two or
     more near-zero modes, as from separate ferromagnetic domains) raises.
 
-    Over its calls the object records ``evaluations``, the SVD fallbacks
-    among them (``svd_fallbacks``), the worst orthogonality defect
-    max|W^T W - I| (``max_defect``) and the smallest s_min / s_max
+    Every check applies to every chain of a stack: field validation, a
+    LAPACK failure code (NumericsError), the gate and floor, UNITARITY_TOL
+    on W, and the overlap's bound log o+ <= OVERLAP_SLACK.  A chain that
+    fails one raises for its whole call.  Over its calls the object records
+    per chain ``evaluations``, the SVD fallbacks among them
+    (``svd_fallbacks``), the worst orthogonality defect max|W^T W - I|
+    (``max_defect``) and the smallest s_min / s_max
     (``min_singular_ratio``).  The scratch is reused, so one object must
     not be shared between threads.
     """
@@ -310,85 +329,113 @@ class ChainOverlap:
         if n_sites < 4 or n_sites % 2:
             raise ValueError(f"chain length must be even and >= 4, got {n_sites}")
         self.n_sites = n_sites
+        self.stack = max(1, STACK_ENTRIES // n_sites**2)
         self._floor = n_sites * np.finfo(float).eps  # s_min <= _floor * s_max is unresolved
         self._position, self._band_sites, self._band_signs = _band_layout(n_sites)
         work, info = lapack.dgesdd_lwork(n_sites, n_sites)
         if info:
             raise NumericsError(f"dgesdd work-size query failed (info {info})")
         self._lwork = int(work)
-        self._band = np.empty((3, n_sites), order="F")
-        self._v, self._y, self._gram, self._r, self._w, self._m = (
-            np.empty((n_sites, n_sites), order="F") for _ in range(6)
-        )
-        self._gram_diagonal, self._r_diagonal, self._m_diagonal = (
-            _diagonal(a) for a in (self._gram, self._r, self._m)
-        )
+        self._allocate(1)
         self.evaluations = 0
         self.svd_fallbacks = 0
         self.max_defect = 0.0
         self.min_singular_ratio = 1.0
 
+    def _allocate(self, rows: int) -> None:
+        """Scratch for stacks of up to ``rows`` chains."""
+        n = self.n_sites
+        self._bands = np.empty((rows, 3, n))
+        self._v, self._y, self._gram, self._r, self._w, self._m = (
+            np.empty((rows, n, n)) for _ in range(6)
+        )
+        self._gram_diagonal, self._r_diagonal, self._m_diagonal = (
+            a.reshape(rows, -1)[:, :: n + 1] for a in (self._gram, self._r, self._m)
+        )
+
+    def _fields(self, couplings) -> np.ndarray:
+        """Validated fields as an (M, N) stack."""
+        g = as_couplings(couplings, stacked=True)
+        if g.shape[1] != self.n_sites:
+            raise ValueError(f"expected {self.n_sites} couplings, got {g.shape[1]}")
+        return g
+
     def polar(self, couplings) -> np.ndarray:
-        """The orthogonal polar factor W of Z at fields g.
+        """The orthogonal polar factor W of Z at fields g, one chain.
 
         The result is scratch that the object's next call overwrites.
         """
-        g = as_couplings(couplings)
-        n = self.n_sites
-        if g.size != n:
-            raise ValueError(f"expected {n} couplings, got {g.size}")
-        w = self._band_polar(g)
-        if w is None:
-            self.svd_fallbacks += 1
-            w = self._svd_polar(g)
-        self.evaluations += 1
-        gram = np.matmul(w.T, w, out=self._gram)
-        self._gram_diagonal -= 1.0
+        return self._polar(self._fields(np.asarray(couplings, dtype=float)[None]))[0]
+
+    def _polar(self, g: np.ndarray) -> np.ndarray:
+        """The (k, N, N) polar factors of k <= stack chains, each held to UNITARITY_TOL."""
+        k = len(g)
+        if k > len(self._w):
+            self._allocate(k)
+        w = self._w[:k]
+        fallback = self._band_polar(g, w)
+        self.svd_fallbacks += int(np.count_nonzero(fallback))
+        for row in np.flatnonzero(fallback):
+            self._svd_polar(g[row], w[row])
+        self.evaluations += k
+        gram = np.matmul(w.transpose(0, 2, 1), w, out=self._gram[:k])
+        self._gram_diagonal[:k] -= 1.0
         defect = float(np.abs(gram, out=gram).max())
         self.max_defect = max(self.max_defect, defect)
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:
             raise NumericsError(
                 f"polar factor is not orthogonal (defect {defect:.3e} > {UNITARITY_TOL:.1e})"
             )
         return w
 
-    def _band_polar(self, g: np.ndarray) -> np.ndarray | None:
-        """W from the band eigenproblem of Z^T Z, or None where the gate sends the call to the SVD."""
-        if g.max() > BAND_FIELD_MAX:
-            return None
-        band = np.take(g, self._band_sites, out=self._band, mode="wrap")
-        band[0] *= band[0]
-        band[0] += 1.0
-        band[1:] *= self._band_signs
-        _, v_band, info = lapack.dsbevd(band, lower=1, overwrite_ab=1)
-        if info:
-            raise NumericsError(
-                f"band eigensolver failed on a {self.n_sites}-site chain (dsbevd info {info})"
-            )
-        v = np.take(v_band, self._position, axis=0, out=self._v, mode="wrap")
+    def _band_polar(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """W into w from the band eigenproblem of Z^T Z; returns the chains the gate sends to the SVD."""
+        k, n = g.shape
+        too_large = g.max(axis=1) > BAND_FIELD_MAX
+        if too_large.any():
+            # stand-in fields keep the stack finite; those chains go to the SVD
+            g = np.where(too_large[:, None], 1.0, g)
+        bands = np.take(g, self._band_sites, axis=1, out=self._bands[:k], mode="wrap")
+        np.square(bands[:, 0], out=bands[:, 0])
+        bands[:, 0] += 1.0
+        bands[:, 1:] *= self._band_signs
+        # dsbevd's eigenvectors (zigzag rows, column-major) wait in Y's scratch until V is gathered
+        zigzag = self._y[:k].transpose(0, 2, 1)
+        for row in range(k):
+            _, zigzag[row], info = lapack.dsbevd(bands[row], lower=1)
+            if info:
+                raise NumericsError(
+                    f"band eigensolver failed on a {n}-site chain (dsbevd info {info})"
+                )
+        v = np.take(zigzag, self._position, axis=1, out=self._v[:k], mode="wrap")
         # Y = Z V row by row: y_j = g_j v_j - v_{j-1}, and y_0 = g_0 v_0 + v_{N-1}.
-        y = np.multiply(g[:, None], v, out=self._y)
-        y[1:] -= v[:-1]
-        y[0] += v[-1]
-        d = np.sqrt(np.einsum("ij,ij->j", y, y))
-        d_min, d_max = d.min(), d.max()
-        if not d_min > self._floor * d_max:
-            return None
-        q = np.divide(y, d, out=y)
-        e = np.matmul(q.T, q, out=self._gram)
-        self._gram_diagonal -= 1.0
-        if not max(e.max(), -e.min()) <= BAND_GATE:
-            return None
-        self.min_singular_ratio = min(self.min_singular_ratio, float(d_min / d_max))
+        y = np.multiply(g[:, :, None], v, out=self._y[:k])
+        y[:, 1:] -= v[:, :-1]
+        y[:, 0] += v[:, -1]
+        d = np.sqrt(np.einsum("kij,kij->kj", y, y))
+        d_min, d_max = d.min(axis=1), d.max(axis=1)
+        fallback = too_large | ~(d_min > self._floor * d_max)
+        if fallback.any():
+            # chains that will not use Y: Q = 0 keeps every step below finite
+            d[fallback] = 1.0
+            y[fallback] = 0.0
+        q = np.divide(y, d[:, None, :], out=y)
+        e = np.matmul(q.transpose(0, 2, 1), q, out=self._gram[:k])
+        self._gram_diagonal[:k] -= 1.0
+        fallback |= ~(np.abs(e, out=self._r[:k]).max(axis=(1, 2)) <= BAND_GATE)
+        if not fallback.all():
+            ratio = float((d_min / d_max)[~fallback].min())
+            self.min_singular_ratio = min(self.min_singular_ratio, ratio)
         # I - T with T_ij = d_i E_ij / (d_i + d_j), then W = Q (I - T) V^T.
-        weight = np.add.outer(d, d)
-        np.divide(-d[:, None], weight, out=weight)
-        correction = np.multiply(e, weight, out=self._r)
-        self._r_diagonal += 1.0
-        return np.matmul(np.matmul(q, correction, out=self._gram), v.T, out=self._w)
+        weight = np.add(d[:, :, None], d[:, None, :], out=self._r[:k])
+        np.divide(-d[:, :, None], weight, out=weight)
+        correction = np.multiply(e, weight, out=weight)
+        self._r_diagonal[:k] += 1.0
+        np.matmul(np.matmul(q, correction, out=self._gram[:k]), v.transpose(0, 2, 1), out=w)
+        return fallback
 
-    def _svd_polar(self, g: np.ndarray) -> np.ndarray:
-        """W = U V^T from the dense SVD of Z, with the s_min floor and the det Z orientation."""
+    def _svd_polar(self, g: np.ndarray, w: np.ndarray) -> None:
+        """W = U V^T into w from the dense SVD of Z, with the s_min floor and the det Z orientation."""
         n = self.n_sites
         u, s, vt, info = lapack.dgesdd(chain_matrix(g), lwork=self._lwork, overwrite_a=1)
         if info:
@@ -403,45 +450,57 @@ class ChainOverlap:
                 )
             if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
                 u[:, -1] *= -1.0
-        return np.matmul(u, vt, out=self._w)
+        np.matmul(u, vt, out=w)
 
-    def __call__(self, couplings) -> float:
-        """log |<GHZ+|psi(g)>|^2 = log|det((I + W0^T W)/2)|; -inf at an exactly zero pivot."""
-        w = self.polar(couplings)
-        m = self._m
+    def __call__(self, couplings):
+        """log |<GHZ+|psi(g)>|^2 = log|det((I + W0^T W)/2)| of each chain.
+
+        One chain (a field vector) gives a float, an (M, N) stack M values;
+        a value is -inf at an exactly zero pivot.
+        """
+        g = np.asarray(couplings, dtype=float)
+        if g.ndim == 1:
+            return float(self(g[None])[0])
+        g = self._fields(g)
+        out = np.empty(len(g))
+        for start in range(0, len(g), self.stack):
+            out[start : start + self.stack] = self._log_overlaps(g[start : start + self.stack])
+        return out
+
+    def _log_overlaps(self, g: np.ndarray) -> np.ndarray:
+        """log o+ of k <= stack chains."""
+        k = len(g)
+        w = self._polar(g)
+        m = self._m[:k]
         # W0^T W moves row j+1 of W to row j with a minus sign and row 0 to row N-1.
-        np.negative(w[1:], out=m[:-1])
-        m[-1] = w[0]
-        self._m_diagonal += 1.0
+        np.negative(w[:, 1:], out=m[:, :-1])
+        m[:, -1] = w[:, 0]
+        self._m_diagonal[:k] += 1.0
         m *= 0.5
-        lu, _, info = lapack.dgetrf(m, overwrite_a=1)
-        if info < 0:
-            raise NumericsError(f"dgetrf rejected argument {-info}")
-        if info > 0:
-            return -math.inf
-        logabs = float(np.sum(np.log(np.abs(lu.diagonal()))))
-        if logabs > OVERLAP_SLACK:
+        _, logabs = np.linalg.slogdet(m)
+        worst = float(logabs.max())
+        if worst > OVERLAP_SLACK:
             raise NumericsError(
-                f"overlap determinant exceeds 1 beyond roundoff (log value {logabs:.3e})"
+                f"overlap determinant exceeds 1 beyond roundoff (log value {worst:.3e})"
             )
-        return min(logabs, 0.0)
+        return np.minimum(logabs, 0.0)
 
 
-def ghz_log_overlap_squared(couplings) -> float:
-    """log |<GHZ+|psi(g)>|^2 for the chain at fields g_j.
+def ghz_log_overlap_squared(couplings):
+    """log |<GHZ+|psi(g)>|^2 for the chain at fields g_j, or for each chain of a stack.
 
     Computed as log|det((I + W0^T W)/2)| from the polar factor W of the
-    chain matrix, as the sum of log|u_ii| over an LU factorization, so
-    overlaps far below the smallest positive float are still meaningful.
-    Returns -inf for a state orthogonal to the GHZ state.  One call of a
-    fresh ``ChainOverlap``; loops over many fields of one length should keep
-    one object instead.
+    chain matrix, through an LU factorization, so overlaps far below the
+    smallest positive float are still meaningful.  Returns -inf for a state
+    orthogonal to the GHZ state.  A field vector gives a float and an
+    (M, N) stack of fields M values, from one fresh ``ChainOverlap``; loops
+    over many fields of one length should keep one object instead.
 
     Raises
     ------
     NumericsError
-        If the polar factor fails the checks of ``ChainOverlap.polar``, or the
+        If a polar factor fails the checks of ``ChainOverlap``, or a
         determinant exceeds 1 beyond roundoff.
     """
-    g = as_couplings(couplings)
-    return ChainOverlap(g.size)(g)
+    g = np.asarray(couplings, dtype=float)
+    return ChainOverlap(g.shape[-1] if g.ndim else 0)(g)

@@ -229,40 +229,52 @@ def simulate_bbt(state: DenseState) -> float:
     return total / inputs.size
 
 
+def _stencil_values(fn, points: np.ndarray, what: str) -> np.ndarray:
+    """fn at every stencil point, one call on the (P, N) stack of points."""
+    values = np.asarray(fn(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(f"fn must return one value per stencil point, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise NumericsError(f"non-finite value in finite-difference {what}")
+    return values
+
+
 def numerical_gradient(fn, g0, step: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of the couplings."""
+    """Central-difference gradient of a scalar function of the couplings.
+
+    fn scores a (P, N) stack of couplings, one point per row, and returns
+    its P values; the 2N stencil points go to it in one call.
+    """
     g0 = np.asarray(g0, dtype=float)
-    grad = np.empty(g0.size)
-    for i in range(g0.size):
-        e = np.zeros(g0.size)
-        e[i] = step
-        grad[i] = (fn(g0 + e) - fn(g0 - e)) / (2.0 * step)
-    if not np.all(np.isfinite(grad)):
-        raise NumericsError("non-finite value in finite-difference gradient")
-    return grad
+    n = g0.size
+    shifts = step * np.eye(n)
+    values = _stencil_values(fn, np.concatenate((g0 + shifts, g0 - shifts)), "gradient")
+    return (values[:n] - values[n:]) / (2.0 * step)
 
 
 def numerical_hessian(fn, g0, step: float) -> np.ndarray:
     """Central-difference Hessian of a scalar function of the couplings.
 
     Standard four-point stencil on the off-diagonal, three-point on the
-    diagonal; the result is exactly symmetric by construction.
+    diagonal; the result is exactly symmetric by construction.  fn scores a
+    (P, N) stack of couplings as in ``numerical_gradient``, and all
+    1 + 2 N^2 stencil points go to it in one call.
     """
     g0 = np.asarray(g0, dtype=float)
     n = g0.size
+    shifts = step * np.eye(n)
+    plus, minus = g0 + shifts, g0 - shifts
+    i, j = np.triu_indices(n, 1)
+    points = np.concatenate(
+        (
+            g0[None], plus, minus,
+            plus[i] + shifts[j], plus[i] - shifts[j], minus[i] + shifts[j], minus[i] - shifts[j],
+        )
+    )
+    values = _stencil_values(fn, points, "Hessian")
+    f0, f_plus, f_minus = values[0], values[1 : n + 1], values[n + 1 : 2 * n + 1]
+    pp, pm, mp, mm = values[2 * n + 1 :].reshape(4, -1)
     hess = np.empty((n, n))
-    f0 = fn(g0)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        hess[i, i] = (fn(g0 + ei) - 2.0 * f0 + fn(g0 - ei)) / step**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            val = (
-                fn(g0 + ei + ej) - fn(g0 + ei - ej) - fn(g0 - ei + ej) + fn(g0 - ei - ej)
-            ) / (4.0 * step**2)
-            hess[i, j] = hess[j, i] = val
-    if not np.all(np.isfinite(hess)):
-        raise NumericsError("non-finite value in finite-difference Hessian")
+    hess[np.diag_indices(n)] = (f_plus - 2.0 * f0 + f_minus) / step**2
+    hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * step**2)
     return hess

@@ -62,14 +62,15 @@ def quantum_win_probability(overlap_plus_sq: float, overlap_minus_sq: float) -> 
     return 0.5 * (1.0 + overlap_plus_sq - overlap_minus_sq)
 
 
-def utility_from_log_overlap(log_overlap_plus_sq: float, n_players: int) -> float:
+def utility_from_log_overlap(log_overlap_plus_sq, n_players: int):
     """Utility of an even-parity state from the log of its GHZ+ weight.
 
     Returns -inf at zero overlap (log o+ = -inf); the upper bound
-    (ceil(N/2) - 1) log 2 is reached only by the GHZ state itself.
+    (ceil(N/2) - 1) log 2 is reached only by the GHZ state itself.  An
+    array of log weights gives the array of utilities.
     """
     _check_players(n_players)
-    if log_overlap_plus_sq > 1e-9:
+    if np.any(np.greater(log_overlap_plus_sq, 1e-9)):
         raise ValueError("log squared overlap must be <= 0")
     return (math.ceil(n_players / 2) - 1) * LOG2 + log_overlap_plus_sq
 

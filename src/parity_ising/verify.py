@@ -81,9 +81,10 @@ class _Recorder:
         self._last = now
 
 
-def _utility_free_fermion(g: np.ndarray) -> float:
+def _utility_free_fermion(g: np.ndarray):
+    """Utility of one chain, or of each chain of an (M, N) stack."""
     return parity_game.utility_from_log_overlap(
-        free_fermion.ghz_log_overlap_squared(g), g.size
+        free_fermion.ghz_log_overlap_squared(g), g.shape[-1]
     )
 
 
@@ -171,7 +172,7 @@ def check_contractions(n_sites=24, couplings=(0.7, 1.4)):
             relative=True,
         )
         h, e0 = 1e-3, np.eye(n_sites)[0]
-        u = [_utility_free_fermion(g + side * h * e0) for side in (1.0, 0.0, -1.0)]
+        u = _utility_free_fermion(g + np.outer((1.0, 0.0, -1.0), h * e0))
         rec.add(
             f"laplacian_u vs one-site finite difference at g={g}",
             perturbation.laplacian_u(g, n_sites),

@@ -220,7 +220,10 @@ def test_rekeyed_generator_draws_what_sample_stream_draws(ens):
 )
 def test_run_matches_per_sample_route(ens):
     """One kernel and one re-keyed generator per run give the one-shot route's numbers."""
-    n_samples = 20 if ens.n_sites == 200 else 150
+    _assert_run_matches_per_sample_route(ens, 20 if ens.n_sites == 200 else 150)
+
+
+def _assert_run_matches_per_sample_route(ens, n_samples):
     result = dis.expected_utility(ens, n_samples, seed=41)
     utilities, redraws, ratios = [], 0, []
     for index in range(n_samples):
@@ -234,6 +237,15 @@ def test_run_matches_per_sample_route(ens):
     assert result.mean_utility == pytest.approx(np.mean(utilities), rel=1e-12, abs=0.0)
     assert result.min_singular_ratio == pytest.approx(min(ratios), rel=1e-10)
     assert 0.0 < result.max_orthogonality_defect <= ff.UNITARITY_TOL
+
+
+_STACK_40 = ff.ChainOverlap(40).stack
+
+
+@pytest.mark.parametrize("n_samples", [1, _STACK_40 - 1, _STACK_40 + 1], ids=("one", "stack-1", "stack+1"))
+def test_run_matches_per_sample_route_at_stack_edges(n_samples):
+    """A run shorter than one kernel stack, or one sample into a second, still scores each sample as alone."""
+    _assert_run_matches_per_sample_route(dis.uniform_iid(1.6, 2.0, 40), n_samples)
 
 
 @pytest.mark.parametrize(
@@ -271,6 +283,8 @@ def test_run_telemetry_is_one_debug_record(caplog):
     message = records[0].getMessage()
     assert f"30 samples, {result.n_redraws} redraws, 0 degenerate" in message
     assert "evaluations/s" in message
+    assert " s drawing, " in message and " s scoring), " in message
+    assert f", stack {ff.ChainOverlap(4).stack}, " in message
 
 
 def test_run_counts_svd_fallbacks(monkeypatch, caplog):
@@ -356,16 +370,17 @@ def test_monte_carlo_is_reproducible():
 
 
 def test_degenerate_utilities_excluded_from_moments(monkeypatch):
-    real = dis._sample_utility
+    real = dis._stack_utilities
     calls = {"n": 0}
 
-    def flaky(ensemble, g, overlap):
-        calls["n"] += 1
-        if calls["n"] % 3 == 0:
-            return -math.inf
-        return real(ensemble, g, overlap)
+    def flaky(ensemble, fields, overlap):
+        utilities = real(ensemble, fields, overlap)
+        index = calls["n"] + np.arange(1, len(fields) + 1)
+        calls["n"] += len(fields)
+        utilities[index % 3 == 0] = -math.inf
+        return utilities
 
-    monkeypatch.setattr(dis, "_sample_utility", flaky)
+    monkeypatch.setattr(dis, "_stack_utilities", flaky)
     ens = dis.gaussian_iid(1.1, 0.02, 8)
     result = dis.expected_utility(ens, 30, seed=14)
     assert result.n_samples == 20
@@ -376,7 +391,9 @@ def test_degenerate_utilities_excluded_from_moments(monkeypatch):
 
 
 def test_all_degenerate_raises(monkeypatch):
-    monkeypatch.setattr(dis, "_sample_utility", lambda ensemble, g, overlap: -math.inf)
+    monkeypatch.setattr(
+        dis, "_stack_utilities", lambda ensemble, fields, overlap: np.full(len(fields), -math.inf)
+    )
     with pytest.raises(NumericsError):
         dis.expected_utility(dis.gaussian_iid(1.1, 0.02, 8), 10, seed=15)
 

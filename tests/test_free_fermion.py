@@ -287,14 +287,91 @@ def test_unresolved_singular_pair_is_oriented_by_det_z(monkeypatch):
 
 def test_zero_pivot_gives_minus_inf(monkeypatch):
     """An exactly singular (I + W0^T W)/2 is a zero overlap, as slogdet reports it."""
-    getrf = ff.lapack.dgetrf
+    slogdet = np.linalg.slogdet
 
-    def zeroed(a, **kwargs):
+    def zeroed(a):
         a[...] = 0.0
-        return getrf(a, **kwargs)
+        return slogdet(a)
 
-    monkeypatch.setattr(ff.lapack, "dgetrf", zeroed)
+    monkeypatch.setattr(np.linalg, "slogdet", zeroed)
     assert ff.ghz_log_overlap_squared(np.full(8, 1.3)) == -np.inf
+    np.testing.assert_array_equal(ff.ChainOverlap(8)(np.full((3, 8), 1.3)), -np.inf)
+
+
+def _stack_chains(n):
+    """37 chains of length n: random fields, one SVD fallback, and the uniform chain 1.3 last."""
+    rng = np.random.default_rng((37, n))
+    chains = [rng.uniform(0.2, 3.0, n) for _ in range(33)]
+    chains += [np.exp(1.5 * rng.standard_normal(n)) for _ in range(2)]
+    weak = 5 * n // 12
+    chains += [np.array([1.0 / 3000.0] * weak + [3000.0] * (n - weak)), np.full(n, 1.3)]
+    return np.array(chains)
+
+
+@pytest.mark.parametrize("n", [12, 40], ids=("one-stack", "two-stacks"))
+def test_stack_scores_each_chain_as_it_scores_alone(monkeypatch, n):
+    """A stack gives bit for bit the values and counters of its chains scored one at a time.
+
+    The fallback chain is SVD_ONLY at N = 12, and the last chain's
+    (I + W0^T W)/2 is zeroed, as in the zero-pivot test, wherever it sits.
+    """
+    chains = _stack_chains(n)
+    assert (n == 12) == np.array_equal(chains[-2], SVD_ONLY)
+    slogdet = np.linalg.slogdet
+    pivots = []
+
+    def recorded(a):
+        pivots.append(a[..., 0, 0].copy())
+        return slogdet(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", recorded)
+    ff.ChainOverlap(n)(chains[-1])
+    (marked,) = pivots[0]
+
+    def zeroed(a):
+        a[a[:, 0, 0] == marked] = 0.0
+        return slogdet(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", zeroed)
+    stacked, alone = ff.ChainOverlap(n), ff.ChainOverlap(n)
+    assert stacked.stack == max(1, ff.STACK_ENTRIES // n**2)
+    values = stacked(chains)
+    np.testing.assert_array_equal(values, [alone(g) for g in chains])
+    np.testing.assert_array_equal(values, [ff.ghz_log_overlap_squared(g) for g in chains])
+    assert values[-1] == -np.inf and np.isfinite(values[:-1]).all()
+    for counter in ("evaluations", "svd_fallbacks", "max_defect", "min_singular_ratio"):
+        assert getattr(stacked, counter) == getattr(alone, counter)
+    assert stacked.evaluations == 37 and stacked.svd_fallbacks >= 1
+
+
+def test_one_failing_chain_raises_for_its_whole_stack(monkeypatch):
+    """Two unresolved singular values, a non-orthogonal factor or an overlap above 1 in mid-stack raise for it."""
+    chains = np.array([np.full(12, 0.9), np.array(([1e-4] * 3 + [1e4] * 3) * 2), np.full(12, 1.7)])
+    with pytest.raises(NumericsError, match="two or more"):
+        ff.ChainOverlap(12)(chains)
+    sbevd = ff.lapack.dsbevd
+    calls = []
+
+    def second_scaled(ab, **kwargs):
+        w, v, info = sbevd(ab, **kwargs)
+        calls.append(None)
+        return w, (2.0 if len(calls) == 2 else 1.0) * v, info
+
+    uniform = np.array([np.full(12, 0.9), np.full(12, 1.3), np.full(12, 1.7)])
+    monkeypatch.setattr(ff.lapack, "dsbevd", second_scaled)
+    with pytest.raises(NumericsError, match="not orthogonal"):
+        ff.ChainOverlap(12)(uniform)
+    monkeypatch.undo()
+    slogdet = np.linalg.slogdet
+
+    def second_above_one(a):
+        sign, logabs = slogdet(a)
+        logabs[1] = 2.0 * ff.OVERLAP_SLACK
+        return sign, logabs
+
+    monkeypatch.setattr(np.linalg, "slogdet", second_above_one)
+    with pytest.raises(NumericsError, match="exceeds 1"):
+        ff.ChainOverlap(12)(uniform)
 
 
 def test_kernel_reuse_matches_one_shot_calls():
@@ -309,8 +386,11 @@ def test_kernel_reuse_matches_one_shot_calls():
     assert 0.0 < kernel.max_defect <= ff.UNITARITY_TOL
     ratios = [np.linalg.svd(ff.chain_matrix(g), compute_uv=False) for g in draws]
     assert kernel.min_singular_ratio == pytest.approx(min(s[-1] / s[0] for s in ratios), rel=1e-10)
+    for wrong_shape in (np.ones(10), np.ones((2, 10)), np.ones((2, 2, 12))):
+        with pytest.raises(ValueError):
+            kernel(wrong_shape)
     with pytest.raises(ValueError):
-        kernel(np.ones(10))
+        kernel.polar(np.ones((2, 12)))
     with pytest.raises(ValueError):
         ff.ChainOverlap(7)
 
@@ -437,6 +517,25 @@ def test_fields_too_large_to_square_take_the_svd():
         with pytest.raises(NumericsError, match="two or more"):
             kernel(one_site)
         assert kernel.svd_fallbacks == 2
+
+
+def test_large_fields_below_the_square_bound_fall_back_without_overflow():
+    """A chain under BAND_FIELD_MAX whose d_min hits the floor takes the SVD without a warning, alone or in a stack.
+
+    Three sites held along x and a fourth left free by its field but fixed
+    by the even sector make |++++>, whose GHZ overlap is 1/8; its one
+    unresolved singular value is oriented by det Z.
+    """
+    chain = np.array([1e120] * 3 + [1e-120])
+    stack = np.array([chain, np.full(4, 1.3), chain])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kernel = ff.ChainOverlap(4)
+        assert kernel(chain) == pytest.approx(np.log(1.0 / 8.0), rel=1e-12)
+        assert kernel.svd_fallbacks == 1
+        values = kernel(stack)
+    np.testing.assert_array_equal(values, [ff.ghz_log_overlap_squared(g) for g in stack])
+    assert kernel.svd_fallbacks == 3
 
 
 # Property tests over random positive fields on even chains.  Derandomized and

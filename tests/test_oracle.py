@@ -247,8 +247,8 @@ def test_stencils_exact_on_quadratic():
     m = rng.standard_normal((5, 5))
     m = m + m.T
 
-    def fn(g):
-        return float(lin @ g + 0.5 * g @ m @ g)
+    def fn(points):
+        return points @ lin + 0.5 * np.einsum("pi,ij,pj->p", points, m, points)
 
     g0 = rng.standard_normal(5)
     grad = oracle.numerical_gradient(fn, g0, 1e-4)
@@ -260,9 +260,11 @@ def test_stencils_exact_on_quadratic():
 
 def test_stencils_reject_non_finite():
     with pytest.raises(NumericsError):
-        oracle.numerical_gradient(lambda g: math.nan, np.ones(3), 1e-4)
+        oracle.numerical_gradient(lambda points: np.full(len(points), math.nan), np.ones(3), 1e-4)
     with pytest.raises(NumericsError):
-        oracle.numerical_hessian(lambda g: math.inf, np.ones(3), 1e-3)
+        oracle.numerical_hessian(lambda points: np.full(len(points), math.inf), np.ones(3), 1e-3)
+    with pytest.raises(ValueError, match="one value per stencil point"):
+        oracle.numerical_hessian(lambda points: 0.0, np.ones(3), 1e-3)
 
 
 def test_gradient_of_overlap_matches_mode_sum():
