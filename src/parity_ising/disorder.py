@@ -17,10 +17,11 @@ and scores its samples in stacks with one ``free_fermion.ChainOverlap``;
 both give exactly what the one-shot ``sample_couplings`` and
 ``ghz_log_overlap_squared`` give.  With one BLAS thread on a 2-core x86
 host, a ``uniform_iid`` sample at N = 40 takes ~12 us to draw and
-~230-280 us to score, about half of it in LAPACK ``dsbevd``; at N = 12 the
-split is ~12 and ~33 us.  Where every draw is a uniform chain (the shared
-shift, or sigma = 0) the run scores all its samples with one vectorized
-``utility_clean`` call instead.
+~130 us to score, most of it in the kernel's 8-12 Newton-Schulz steps of
+two stacked 40 x 40 matrix products each; at N = 12, on the band route,
+the split is ~12 and ~35 us, and at N = 200 ~50 us and ~6-7 ms.  Where
+every draw is a uniform chain (the shared shift, or sigma = 0) the run
+scores all its samples with one vectorized ``utility_clean`` call instead.
 
 Couplings must stay positive.  A draw with a nonpositive field is redrawn
 from the same per-sample stream, and every redraw is counted; there is no
@@ -290,7 +291,8 @@ def expected_utility(
     One DEBUG record on the ``parity_ising.disorder`` logger gives the
     run's sample, redraw and degenerate counts, its seconds split into
     drawing and scoring, its evaluations per second, the kernel's stack
-    size and its SVD fallbacks.
+    size, and the chains it scored by Newton-Schulz (with the most steps one
+    took), by the band route and by the SVD fallback.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -337,9 +339,12 @@ def expected_utility(
     seconds = time.perf_counter() - started
     _log.debug(
         "expected_utility %s N=%d: %d samples, %d redraws, %d degenerate, %.3f s "
-        "(%.4f s drawing, %.4f s scoring), %.0f evaluations/s, stack %d, %d SVD fallbacks",
+        "(%.4f s drawing, %.4f s scoring), %.0f evaluations/s, stack %d, "
+        "%d by Newton-Schulz (at most %d steps), %d by the band route, %d SVD fallbacks",
         ensemble.kind, ensemble.n_sites, kept.size, n_redraws, n_samples - kept.size,
-        seconds, draw_s, score_s, n_samples / seconds, overlap.stack, overlap.svd_fallbacks,
+        seconds, draw_s, score_s, n_samples / seconds, overlap.stack,
+        overlap.newton_schulz_chains, overlap.max_newton_schulz_steps, overlap.band_chains,
+        overlap.svd_fallbacks,
     )
     return MonteCarloResult(
         n_samples=int(kept.size),

@@ -36,15 +36,26 @@ most STACK_ENTRIES / N^2 chains (at least one) per pass through its
 scratch, with every check applied to each chain; a single chain is a stack
 of one.  A caller with many fields of one length keeps one object, and
 ``ghz_log_overlap_squared`` is a single call of a fresh one.  It does not
-take the SVD of Z.  Z^T Z is cyclic tridiagonal, a symmetric band
-of half-width 2 once the sites are ordered 0, 1, N-1, 2, N-2, ..., and any
-orthogonal V that diagonalizes it gives W = polar(Z V) V^T, with Z V read
-off Z itself and its polar factor taken to first order in the departure of
-its normalized columns from orthogonality.  Where that departure exceeds a
-fixed gate, or a singular value falls below the resolvable floor, the call
-takes the dense SVD instead, where the sign of det Z orients a singular pair
-too small to resolve.  Either way the factor is checked for orthogonality
-before it is used.
+take the SVD of Z where it can avoid it, and has three routes to W:
+
+- Newton-Schulz, for lengths in NEWTON_SCHULZ_SITES: the scaled iteration
+  X <- alpha X (3I - alpha^2 X^T X) / 2 from X = Z / (max g + 1), two
+  matrix products per step over the stack, until max|X^T X - I| is within
+  a few N eps.  A chain leaves the iteration once it converges, so its W
+  does not depend on its stack.  Chains still iterating after
+  NEWTON_SCHULZ_STEPS steps, or with a field too large to square, go on to
+  the band route.
+- The band route, for every other length and for the chains handed on:
+  Z^T Z is cyclic tridiagonal, a symmetric band of half-width 2 once the
+  sites are ordered 0, 1, N-1, 2, N-2, ..., and any orthogonal V that
+  diagonalizes it gives W = polar(Z V) V^T, with Z V read off Z itself and
+  its polar factor taken to first order in the departure of its normalized
+  columns from orthogonality.
+- The dense SVD, where that departure exceeds a fixed gate, or a singular
+  value falls below the resolvable floor; the sign of det Z orients a
+  singular pair too small to resolve.
+
+Every factor is checked for orthogonality before it is used.
 
 Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
@@ -59,6 +70,7 @@ graded Gauss-Legendre rule for every thermodynamic quantity.
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +89,16 @@ BAND_GATE = 1e-8
 # Largest field the band route squares; Z^T Z and the column norms of Z V
 # then stay far from overflow.
 BAND_FIELD_MAX = 1e150
+# Chain lengths, inclusive, whose polar factor ChainOverlap takes by the scaled
+# Newton-Schulz iteration before the band route; other lengths start on the band route.
+NEWTON_SCHULZ_SITES = (24, 80)
+# Newton-Schulz steps a chain may take; one that has not converged by then takes the band route.
+NEWTON_SCHULZ_STEPS = 20
+# Lower end of the singular-value interval (l0, 1] of Z / (max g + 1) that the
+# fixed Chen-Chow scaling schedule is built for.
+NEWTON_SCHULZ_FLOOR = 3e-2
+# A Newton-Schulz iterate X has converged once max|X^T X - I| <= this times N eps.
+NEWTON_SCHULZ_TOL = 4.0
 # Matrix entries (chains x N x N) in each stack-sized scratch array of
 # ChainOverlap, 256 KiB apiece: a stack holds max(1, STACK_ENTRIES // N^2) chains.
 STACK_ENTRIES = 1 << 15
@@ -257,6 +279,24 @@ def _band_layout(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return position, sites, signs
 
 
+@functools.lru_cache(maxsize=1)
+def _chen_chow_schedule(floor: float) -> tuple[float, ...]:
+    """The scalings alpha_k of the Newton-Schulz steps for singular values in (floor, 1].
+
+    A step X <- alpha X (3I - alpha^2 X^T X) / 2 maps a singular value s to
+    p(alpha s) with p(x) = x (3 - x^2) / 2.  alpha_k = sqrt(3 / (1 + l + l^2))
+    makes p(alpha l) = p(alpha), so (l, 1] maps into (l', 1] with
+    l' = p(alpha l) (Chen & Chow, SIAM J. Sci. Comput. 36, A2680 (2014)).
+    The schedule ends once alpha is within 1e-3 of 1, where the plain step
+    takes over.
+    """
+    alphas, low = [], floor
+    while (alpha := math.sqrt(3.0 / (1.0 + low + low * low))) > 1.0 + 1e-3:
+        alphas.append(alpha)
+        low = 0.5 * alpha * low * (3.0 - (alpha * low) ** 2)
+    return tuple(alphas)
+
+
 def chain_matrix(couplings) -> np.ndarray:
     """The even-sector chain matrix Z = A - B at fields g_j.
 
@@ -269,6 +309,25 @@ def chain_matrix(couplings) -> np.ndarray:
     return z
 
 
+def _gram_top_bound(g: np.ndarray) -> np.ndarray:
+    """An upper bound on s_max^2, the largest eigenvalue of Z^T Z, for each chain of a stack.
+
+    |Z^T Z| is nonnegative, with g_j^2 + 1 on the diagonal and g_{j+1}
+    between sites j and j + 1 (mod N), so s_max^2 <= rho(|Z^T Z|) <=
+    max_j (|Z^T Z| v)_j / v_j for every positive v (Collatz-Wielandt).
+    v = |Z^T Z|^2 1 puts the bound within ~2% of s_max^2 on the Monte Carlo
+    ensembles, against up to ~25% for (max g + 1)^2.
+    """
+    diagonal, right = g * g + 1.0, np.concatenate((g[:, 1:], g[:, :1]), axis=1)
+    v = np.ones_like(g)
+    for _ in range(3):
+        ring = np.concatenate((v[:, -1:], v, v[:, :1]), axis=1)  # v_{j-1} at j, v_{j+1} at j + 2
+        u = diagonal * v + right * ring[:, 2:] + g * ring[:, :-2]
+        bound = (u / v).max(axis=1)
+        v = u / u.max(axis=1, keepdims=True)
+    return bound
+
+
 class ChainOverlap:
     """The GHZ-overlap kernel for chains of one length, scoring stacks of chains.
 
@@ -279,32 +338,48 @@ class ChainOverlap:
     float.  The object works through a call ``stack`` chains at a time,
     stack = max(1, STACK_ENTRIES // N^2), on (stack, N, N) scratch that it
     keeps between calls, so its memory is bounded at any N and any call
-    size.  Only the band eigensolver and the dense SVD fallback run once
-    per chain; every other step is one numpy operation over the stack.
+    size.  Only the LAPACK calls on one chain (band eigensolver, band
+    Cholesky, the eigenvalues of H below, dense SVD) run once per chain;
+    every other step is one numpy operation over the stack.
     Each chain is computed as it would be alone, so a value does not
     depend on the stack it was scored in.  The constructor only looks up
     the band layout and queries the SVD work size, and the scratch grows to
     the largest stack a call has scored, so a fresh object for one chain
     is cheap too.  ``polar`` returns W of one chain.
 
-    W comes from the symmetric eigenproblem of Z^T Z, which is cyclic
-    tridiagonal: g_j^2 + 1 on the diagonal, -g_{j+1} between sites j and
-    j + 1, and +g_0 across the wrap.  In the zigzag order 0, 1, N-1, 2,
-    N-2, ... ring neighbours sit at most two apart, so it is a band of
-    half-width 2, which ``dsbevd`` diagonalizes in a fraction of the time
-    ``dgesdd`` takes on Z.  Its eigenvectors V serve only as an orthogonal
-    basis: polar(Z) = polar(Z V) V^T holds for any orthogonal V, and the
-    columns of Y = Z V, formed from Z itself by row operations, carry the
-    singular values d (their norms) and directions Q = Y / d.  The small
-    singular directions are therefore read from Z, never from Z^T Z.  With
-    E = Q^T Q - I, the polar factor of Y is Q (I - T) to first order, with
-    T_ij = d_i E_ij / (d_i + d_j) (Higham, SIAM J. Sci. Stat. Comput. 7,
-    1160 (1986)), leaving an error of order |E|^2.  Squaring Z blurs the
-    directions of nearly degenerate small singular values, which makes Q^T Q
-    less diagonal, and that is what the gate measures: where max|E| exceeds
-    BAND_GATE, d_min falls to the floor below, or a field is too large to
-    square, the chain takes the dense SVD of Z instead and counts in
-    ``svd_fallbacks``.
+    Newton-Schulz.  For N in NEWTON_SCHULZ_SITES, where it measured faster
+    than the band route on the Monte Carlo ensembles, W is the limit of
+    X <- alpha X (3I - alpha^2 X^T X) / 2 (Higham, *Functions of Matrices*,
+    SIAM 2008, ch. 8).  X_0 = Z / (max g + 1) has singular values in (0, 1],
+    since |Z|_2 <= max g + 1, without squaring a field.  The scalings alpha
+    follow a fixed Chen-Chow schedule for singular values down to
+    NEWTON_SCHULZ_FLOOR, then alpha = 1, and each step is two matrix
+    products over the stack: E = X^T X - I, then X ((3 - alpha^2) I -
+    alpha^2 E) alpha / 2.  From the end of the schedule on, a chain whose
+    max|E| is at most NEWTON_SCHULZ_TOL N eps is frozen: X is its W, and
+    that last max|E|, far inside UNITARITY_TOL, is its orthogonality check.
+    The chains still iterating are compacted in the scratch, so each chain
+    takes the same steps, and gets the same W, wherever it is scored.  After
+    NEWTON_SCHULZ_STEPS steps the rest, and chains with a field above
+    BAND_FIELD_MAX, go on to the band route.
+
+    Band route.  Z^T Z is cyclic tridiagonal: g_j^2 + 1 on the diagonal,
+    -g_{j+1} between sites j and j + 1, and +g_0 across the wrap.  In the
+    zigzag order 0, 1, N-1, 2, N-2, ... ring neighbours sit at most two
+    apart, so it is a band of half-width 2, which ``dsbevd`` diagonalizes
+    in a fraction of the time ``dgesdd`` takes on Z.  Its eigenvectors V
+    serve only as an orthogonal basis: polar(Z) = polar(Z V) V^T holds for
+    any orthogonal V, and the columns of Y = Z V, formed from Z itself by
+    row operations, carry the singular values d (their norms) and
+    directions Q = Y / d.  The small singular directions are therefore read
+    from Z, never from Z^T Z.  With E = Q^T Q - I, the polar factor of Y is
+    Q (I - T) to first order, with T_ij = d_i E_ij / (d_i + d_j) (Higham,
+    SIAM J. Sci. Stat. Comput. 7, 1160 (1986)), leaving an error of order
+    |E|^2.  Squaring Z blurs the directions of nearly degenerate small
+    singular values, which makes Q^T Q less diagonal, and that is what the
+    gate measures: where max|E| exceeds BAND_GATE, d_min falls to the floor
+    below, or a field is too large to square, the chain takes the dense SVD
+    of Z instead and counts in ``svd_fallbacks``.
 
     On the SVD branch, fields of strong contrast can push one domain wall's
     singular value below the resolvable floor s_min <= N eps s_max.  Its
@@ -318,11 +393,18 @@ class ChainOverlap:
     LAPACK failure code (NumericsError), the gate and floor, UNITARITY_TOL
     on W, and the overlap's bound log o+ <= OVERLAP_SLACK.  A chain that
     fails one raises for its whole call.  Over its calls the object records
-    per chain ``evaluations``, the SVD fallbacks among them
-    (``svd_fallbacks``), the worst orthogonality defect max|W^T W - I|
-    (``max_defect``) and the smallest s_min / s_max
-    (``min_singular_ratio``).  The scratch is reused, so one object must
-    not be shared between threads.
+    per chain ``evaluations``, split into ``newton_schulz_chains`` and
+    ``band_chains``, with the SVD fallbacks among the latter
+    (``svd_fallbacks``); the most steps a converged Newton-Schulz chain took
+    (``max_newton_schulz_steps``); the worst orthogonality defect
+    max|W^T W - I| (``max_defect``); and the smallest s_min / s_max
+    (``min_singular_ratio``).  The band route reads the ratio off d.  A
+    Newton-Schulz chain has no singular values to hand, so a band Cholesky
+    factorization first tries to prove that it cannot lower the minimum,
+    and only the chains it cannot clear pay for the eigenvalues of
+    H = Z^T W; the ratio is exact either way (``_record_newton_schulz``).
+    The scratch is reused, so one object must not be shared between
+    threads.
     """
 
     def __init__(self, n_sites: int):
@@ -336,8 +418,13 @@ class ChainOverlap:
         if info:
             raise NumericsError(f"dgesdd work-size query failed (info {info})")
         self._lwork = int(work)
+        self._newton_schulz = NEWTON_SCHULZ_SITES[0] <= n_sites <= NEWTON_SCHULZ_SITES[1]
+        self._bonds = _bonds(n_sites) if self._newton_schulz else None
         self._allocate(1)
         self.evaluations = 0
+        self.newton_schulz_chains = 0
+        self.max_newton_schulz_steps = 0
+        self.band_chains = 0
         self.svd_fallbacks = 0
         self.max_defect = 0.0
         self.min_singular_ratio = 1.0
@@ -373,11 +460,100 @@ class ChainOverlap:
         if k > len(self._w):
             self._allocate(k)
         w = self._w[:k]
+        self.evaluations += k
+        if not self._newton_schulz:
+            self._band_route(g, w)
+            return w
+        rows = self._newton_schulz_polar(g, w)
+        if rows.size:
+            band = self._m[: rows.size]
+            self._band_route(g[rows], band)
+            w[rows] = band
+        return w
+
+    def _newton_schulz_polar(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """W into w by the scaled Newton-Schulz iteration; returns the rows it leaves to the band route.
+
+        X_0 = Z / (max g + 1) has singular values in (0, 1].  Each step
+        computes E = X^T X - I and X <- alpha X ((3 - alpha^2) I - alpha^2 E) / 2,
+        alpha from the fixed Chen-Chow schedule and 1 after it.  From the
+        end of the schedule on, a chain whose max|E| is within
+        NEWTON_SCHULZ_TOL N eps leaves the iteration with X as its W and
+        that max|E| as its defect, and the rest go on compacted in the
+        scratch, so every chain takes the same steps wherever it is scored.
+        Chains with a field above BAND_FIELD_MAX, or still iterating after
+        NEWTON_SCHULZ_STEPS steps, are left to the band route.
+        """
+        k, n = g.shape
+        peak = g.max(axis=1)
+        rows, left = np.flatnonzero(peak <= BAND_FIELD_MAX), np.flatnonzero(peak > BAND_FIELD_MAX)
+        top = peak + 1.0
+        a = rows.size
+        x, spare = self._v[:a], self._y[:a]
+        np.divide(self._bonds, top[rows, None, None], out=x)
+        x.reshape(a, n * n)[:, :: n + 1] = g[rows] / top[rows, None]
+        alphas = _chen_chow_schedule(NEWTON_SCHULZ_FLOOR)
+        tol = NEWTON_SCHULZ_TOL * n * np.finfo(float).eps
+        for step in range(NEWTON_SCHULZ_STEPS + 1):
+            if a == 0:
+                break
+            # matmul takes X^T X by syrk when both operands share a buffer, which is slower here
+            np.copyto(spare[:a], x[:a])
+            e = np.matmul(spare[:a].transpose(0, 2, 1), x[:a], out=self._gram[:a])
+            self._gram_diagonal[:a] -= 1.0
+            if step >= len(alphas):
+                defect = np.abs(e, out=self._r[:a]).max(axis=(1, 2))
+                done = defect <= tol
+                if done.any():
+                    frozen = x[:a][done]
+                    w[rows[done]] = frozen
+                    self._record_newton_schulz(g[rows[done]], frozen, defect[done], step)
+                    keep = ~done
+                    rows, a = rows[keep], int(np.count_nonzero(keep))
+                    x[:a], e[:a] = x[: keep.size][keep], e[: keep.size][keep]
+                    e = e[:a]
+                if step == NEWTON_SCHULZ_STEPS or a == 0:
+                    break
+            alpha = alphas[step] if step < len(alphas) else 1.0
+            e *= -0.5 * alpha**3
+            self._gram_diagonal[:a] += 1.5 * alpha - 0.5 * alpha**3
+            np.matmul(x[:a], e, out=spare[:a])
+            x, spare = spare, x
+        return np.sort(np.concatenate((left, rows)))
+
+    def _record_newton_schulz(self, g, w, defect, steps) -> None:
+        """Count chains that converged after ``steps`` steps, and their defects and singular-value ratios.
+
+        A chain can lower min_singular_ratio r only if s_min < r s_max.  With
+        c >= s_max^2 from ``_gram_top_bound``, a band Cholesky factorization
+        of Z^T Z - r^2 c I, shifted further by a bound on its rounding error,
+        proves the contrary, so only chains where it fails pay for the extreme
+        eigenvalues of the symmetric polar factor H = Z^T W, which are the
+        singular values of Z to ~eps s_max each.
+        """
+        self.newton_schulz_chains += len(g)
+        self.max_newton_schulz_steps = max(self.max_newton_schulz_steps, steps)
+        self.max_defect = max(self.max_defect, float(defect.max()))
+        eps = np.finfo(float).eps
+        bands = self._gram_bands(g, self._bands[: len(g)])
+        caps = (1.0 + 32.0 * eps) * _gram_top_bound(g)
+        margins = 32.0 * eps * (g.max(axis=1) + 1.0) ** 2
+        for fields, band, factor, cap, margin in zip(g, bands, w, caps, margins):
+            band[0] -= self.min_singular_ratio**2 * cap + margin
+            if lapack.dpbtrf(band, lower=1)[1] == 0:
+                continue
+            h = fields[:, None] * factor + self._bonds.T @ factor
+            s = np.linalg.eigvalsh(0.5 * (h + h.T))
+            self.min_singular_ratio = min(self.min_singular_ratio, float(s[0] / s[-1]))
+
+    def _band_route(self, g: np.ndarray, w: np.ndarray) -> None:
+        """W into w by the band route, or the dense SVD where its gate says so, each held to UNITARITY_TOL."""
+        k = len(g)
+        self.band_chains += k
         fallback = self._band_polar(g, w)
         self.svd_fallbacks += int(np.count_nonzero(fallback))
         for row in np.flatnonzero(fallback):
             self._svd_polar(g[row], w[row])
-        self.evaluations += k
         gram = np.matmul(w.transpose(0, 2, 1), w, out=self._gram[:k])
         self._gram_diagonal[:k] -= 1.0
         defect = float(np.abs(gram, out=gram).max())
@@ -386,7 +562,14 @@ class ChainOverlap:
             raise NumericsError(
                 f"polar factor is not orthogonal (defect {defect:.3e} > {UNITARITY_TOL:.1e})"
             )
-        return w
+
+    def _gram_bands(self, g: np.ndarray, bands: np.ndarray) -> np.ndarray:
+        """The band of Z^T Z in zigzag order for each chain of g, in dsbevd's lower storage."""
+        np.take(g, self._band_sites, axis=1, out=bands, mode="wrap")
+        np.square(bands[:, 0], out=bands[:, 0])
+        bands[:, 0] += 1.0
+        bands[:, 1:] *= self._band_signs
+        return bands
 
     def _band_polar(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
         """W into w from the band eigenproblem of Z^T Z; returns the chains the gate sends to the SVD."""
@@ -395,10 +578,7 @@ class ChainOverlap:
         if too_large.any():
             # stand-in fields keep the stack finite; those chains go to the SVD
             g = np.where(too_large[:, None], 1.0, g)
-        bands = np.take(g, self._band_sites, axis=1, out=self._bands[:k], mode="wrap")
-        np.square(bands[:, 0], out=bands[:, 0])
-        bands[:, 0] += 1.0
-        bands[:, 1:] *= self._band_signs
+        bands = self._gram_bands(g, self._bands[:k])
         # dsbevd's eigenvectors (zigzag rows, column-major) wait in Y's scratch until V is gathered
         zigzag = self._y[:k].transpose(0, 2, 1)
         for row in range(k):

@@ -285,10 +285,30 @@ def test_run_telemetry_is_one_debug_record(caplog):
     assert "evaluations/s" in message
     assert " s drawing, " in message and " s scoring), " in message
     assert f", stack {ff.ChainOverlap(4).stack}, " in message
+    assert ", 0 by Newton-Schulz (at most 0 steps), 30 by the band route, 0 SVD fallbacks" in message
+
+
+def test_run_reports_its_overlap_routes(monkeypatch, caplog):
+    """Newton-Schulz scores an N = 40 run; with an empty window the band route gives the same moments."""
+    ens = dis.uniform_iid(1.6, 2.0, 40)
+    with caplog.at_level("DEBUG", logger="parity_ising"):
+        newton = dis.expected_utility(ens, 45, seed=8)
+        monkeypatch.setattr(ff, "NEWTON_SCHULZ_SITES", (0, 0))
+        band = dis.expected_utility(ens, 45, seed=8)
+    first, second = (r.getMessage() for r in caplog.records if r.name == "parity_ising.disorder")
+    steps = int(first.split("(at most ")[1].split(" ")[0])
+    assert 0 < steps <= ff.NEWTON_SCHULZ_STEPS
+    assert first.endswith(", 45 by Newton-Schulz (at most %d steps), 0 by the band route, 0 SVD fallbacks" % steps)
+    assert second.endswith(", 0 by Newton-Schulz (at most 0 steps), 45 by the band route, 0 SVD fallbacks")
+    assert newton.mean_utility == pytest.approx(band.mean_utility, rel=0.0, abs=1e-12)
+    assert newton.min_singular_ratio == pytest.approx(band.min_singular_ratio, rel=1e-10)
+    assert 0.0 < newton.max_orthogonality_defect <= ff.NEWTON_SCHULZ_TOL * 40 * np.finfo(float).eps
+    assert (newton.svd_fallbacks, newton.n_redraws) == (band.svd_fallbacks, band.n_redraws)
 
 
 def test_run_counts_svd_fallbacks(monkeypatch, caplog):
     """The band route scores a weak-disorder run; a gate no chain passes sends every sample to the SVD."""
+    monkeypatch.setattr(ff, "NEWTON_SCHULZ_SITES", (0, 0))
     ens = dis.uniform_iid(1.6, 2.0, 12)
     with caplog.at_level("DEBUG", logger="parity_ising"):
         banded = dis.expected_utility(ens, 40, seed=8)

@@ -223,7 +223,18 @@ WELL_CONDITIONED = np.array([0.5, 1.5, 1.0, 2.0, 0.8, 1.2])
 SVD_ONLY = np.array([1.0 / 3000.0] * 5 + [3000.0] * 7)
 
 
-def test_unitarity_guard_catches_corruption(monkeypatch):
+@pytest.fixture
+def band_only():
+    """An empty Newton-Schulz window, so that every chain length starts on the band route.
+
+    Its own patcher, so that a test's ``monkeypatch.undo()`` keeps it.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ff, "NEWTON_SCHULZ_SITES", (0, 0))
+        yield
+
+
+def test_unitarity_guard_catches_corruption(monkeypatch, band_only):
     """A non-orthogonal factor, two zero singular values or a LAPACK failure code raises, on either branch."""
     sbevd = ff.lapack.dsbevd
     gesdd = ff.lapack.dgesdd
@@ -309,7 +320,7 @@ def _stack_chains(n):
 
 
 @pytest.mark.parametrize("n", [12, 40], ids=("one-stack", "two-stacks"))
-def test_stack_scores_each_chain_as_it_scores_alone(monkeypatch, n):
+def test_stack_scores_each_chain_as_it_scores_alone(monkeypatch, band_only, n):
     """A stack gives bit for bit the values and counters of its chains scored one at a time.
 
     The fallback chain is SVD_ONLY at N = 12, and the last chain's
@@ -344,7 +355,7 @@ def test_stack_scores_each_chain_as_it_scores_alone(monkeypatch, n):
     assert stacked.evaluations == 37 and stacked.svd_fallbacks >= 1
 
 
-def test_one_failing_chain_raises_for_its_whole_stack(monkeypatch):
+def test_one_failing_chain_raises_for_its_whole_stack(monkeypatch, band_only):
     """Two unresolved singular values, a non-orthogonal factor or an overlap above 1 in mid-stack raise for it."""
     chains = np.array([np.full(12, 0.9), np.array(([1e-4] * 3 + [1e4] * 3) * 2), np.full(12, 1.7)])
     with pytest.raises(NumericsError, match="two or more"):
@@ -451,7 +462,7 @@ def _route_sweep():
     return chains
 
 
-def test_band_route_matches_dense_routes_across_conditioning(monkeypatch):
+def test_band_route_matches_dense_routes_across_conditioning(monkeypatch, band_only):
     """log o+ agrees with the dense SVD, or the oracle up to N = 14, wherever the gate sends it.
 
     The test records the eigenvectors the kernel gets from dsbevd and
@@ -505,7 +516,7 @@ def test_band_route_matches_dense_routes_across_conditioning(monkeypatch):
     assert any(ff.BAND_GATE < s <= 1e3 * ff.BAND_GATE for s in spreads)
 
 
-def test_fields_too_large_to_square_take_the_svd():
+def test_fields_too_large_to_square_take_the_svd(band_only):
     """Above BAND_FIELD_MAX the band route would overflow; the call goes to the SVD without a warning."""
     uniform, one_site = np.full(6, 1e151), np.array([1e151, 1.0, 2.0, 0.5, 1.0, 3.0])
     with warnings.catch_warnings():
@@ -536,6 +547,129 @@ def test_large_fields_below_the_square_bound_fall_back_without_overflow():
         values = kernel(stack)
     np.testing.assert_array_equal(values, [ff.ghz_log_overlap_squared(g) for g in stack])
     assert kernel.svd_fallbacks == 3
+
+
+# The Newton-Schulz window's two edges and the Monte Carlo length inside it.
+WINDOW_LENGTHS = (ff.NEWTON_SCHULZ_SITES[0], 40, ff.NEWTON_SCHULZ_SITES[1])
+
+
+def _conditioning_sweep(n):
+    """16 chains of length n, from a few Newton-Schulz steps to none that converge.
+
+    Gaussian fields about 1.6 converge in the fewest steps and uniform fields
+    about the critical point in more.  One weak domain of contrast c sends
+    s_min / (max g + 1) from ~1e-2 to ~1e-17 as c grows: past the step
+    budget to the band route, and at the largest contrasts past the
+    resolvable floor on to the SVD.  The order is shuffled, so chains leave
+    a stack from its middle.
+    """
+    rng = np.random.default_rng((15, n))
+    chains = [1.6 + 0.04 * rng.standard_normal(n) for _ in range(4)]
+    chains += [rng.uniform(0.0, 2.0, n) for _ in range(4)]
+    weak = 5 * n // 12
+    chains += [np.array([1.0 / c] * weak + [c] * (n - weak)) for c in np.logspace(0.05, 1.0, 8)]
+    return np.array(chains)[rng.permutation(len(chains))]
+
+
+@pytest.mark.parametrize("n", WINDOW_LENGTHS)
+def test_newton_schulz_matches_band_and_svd_across_conditioning(n):
+    """Chain by chain, log o+ and s_min / s_max by Newton-Schulz, the band route and numpy's SVD agree.
+
+    A chain that Newton-Schulz hands on takes the band route, and gives
+    exactly what the band route gives alone.
+    """
+    handed_on = 0
+    for g in _conditioning_sweep(n):
+        newton = ff.ChainOverlap(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log_o = newton(g)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ff, "NEWTON_SCHULZ_SITES", (0, 0))
+            band = ff.ChainOverlap(n)
+        assert band(g) == pytest.approx(log_o, rel=0.0, abs=1e-12)
+        assert (band.newton_schulz_chains, band.band_chains) == (0, 1)
+        assert newton.newton_schulz_chains + newton.band_chains == newton.evaluations == 1
+        if newton.band_chains:
+            handed_on += 1
+            assert log_o == band(g)
+            assert newton.min_singular_ratio == band.min_singular_ratio
+            continue
+        assert 0 < newton.max_newton_schulz_steps <= ff.NEWTON_SCHULZ_STEPS
+        assert 0.0 < newton.max_defect <= ff.NEWTON_SCHULZ_TOL * n * np.finfo(float).eps
+        assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
+        s = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
+        assert newton.min_singular_ratio == pytest.approx(s[-1] / s[0], rel=1e-10)
+        assert newton.min_singular_ratio == pytest.approx(band.min_singular_ratio, rel=1e-10)
+    assert 3 <= handed_on <= 10
+
+
+@pytest.mark.parametrize("n", WINDOW_LENGTHS)
+def test_newton_schulz_stack_scores_each_chain_as_it_scores_alone(n):
+    """Chains that converge early, late or never give in one stack bit for bit what they give alone.
+
+    Never-converging chains go on to the band route, and one of them on to the SVD.
+    """
+    chains = _conditioning_sweep(n)
+    alone, steps = ff.ChainOverlap(n), []
+    values = []
+    for g in chains:
+        values.append(alone(g))
+        single = ff.ChainOverlap(n)
+        single(g)
+        steps.append(single.max_newton_schulz_steps if single.newton_schulz_chains else None)
+    stacked = ff.ChainOverlap(n)
+    np.testing.assert_array_equal(stacked(chains), values)
+    counters = (
+        "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "band_chains",
+        "svd_fallbacks", "max_defect", "min_singular_ratio",
+    )
+    for counter in counters:
+        assert getattr(stacked, counter) == getattr(alone, counter)
+    converged = [s for s in steps if s is not None]
+    assert min(converged) < max(converged) and stacked.newton_schulz_chains == len(converged)
+    assert stacked.band_chains == steps.count(None) >= 3 and stacked.svd_fallbacks >= 1
+
+
+def test_newton_schulz_ratio_screen_is_exact_and_skips_chains_above_the_minimum(monkeypatch):
+    """Each uniform chain of a falling sequence lowers s_min / s_max by ~10% and pays for it; none above it pays again."""
+    n = 40
+    falling = np.array([np.full(n, g) for g in np.linspace(1.6, 1.3, 7)])
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(a):
+        calls.append(None)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    kernel = ff.ChainOverlap(n)
+    kernel(falling)
+    s = np.linalg.svd(ff.chain_matrix(falling[-1]), compute_uv=False)
+    assert kernel.min_singular_ratio == pytest.approx(s[-1] / s[0], rel=1e-10)
+    assert kernel.newton_schulz_chains == len(calls) == 7
+    kernel(falling[:-1])
+    assert kernel.newton_schulz_chains == 13 and len(calls) == 7
+
+
+@pytest.mark.parametrize("n", WINDOW_LENGTHS)
+def test_newton_schulz_window_hands_extreme_fields_on_without_overflow(n):
+    """Fields of 1e120 beside 1e-120, and fields above BAND_FIELD_MAX, reach the SVD without a warning.
+
+    N - 1 sites held along x make |+...+>, whose GHZ overlap is 2^(1 - N).
+    """
+    held = np.array([1e120] * (n - 1) + [1e-120])
+    too_large = np.full(n, 1e151)
+    stack = np.array([held, np.full(n, 1.3), too_large, held])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kernel = ff.ChainOverlap(n)
+        assert kernel(held) == pytest.approx((1 - n) * math.log(2.0), rel=1e-12)
+        assert kernel(too_large) == pytest.approx(_svd_log_overlap(too_large), rel=1e-12)
+        assert (kernel.newton_schulz_chains, kernel.band_chains, kernel.svd_fallbacks) == (0, 2, 2)
+        values = kernel(stack)
+        expected = [ff.ghz_log_overlap_squared(g) for g in stack]
+    np.testing.assert_array_equal(values, expected)
+    assert (kernel.newton_schulz_chains, kernel.band_chains, kernel.svd_fallbacks) == (1, 5, 5)
 
 
 # Property tests over random positive fields on even chains.  Derandomized and
