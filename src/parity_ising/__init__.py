@@ -20,7 +20,12 @@ Submodules (also re-exported lazily at package level, see below):
 
 Importing the package does not import numpy/scipy; submodules load on first
 attribute access.  The CLI relies on this to apply its thread-count setting
-before the numeric stack initializes.
+before the numeric stack initializes.  Importing a submodule loads numpy
+and no part of scipy: each scipy subpackage loads in the functions that call
+it.  So ``scipy.linalg`` loads only where a chain needs LAPACK (the overlap
+kernel's band route and SVD fallback, reached by ``verify`` and by Monte
+Carlo outside 24 <= N <= 80), or through ``scipy.optimize`` and
+``scipy.sparse.linalg``, which import it.
 
 Run telemetry (Monte Carlo counts and rates, per-check verify times, the
 error estimate of each thermodynamic integral) goes to

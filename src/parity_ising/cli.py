@@ -145,7 +145,7 @@ def cmd_second_variation(args) -> int:
         if not args.xi:
             raise ValueError("exponential kind needs at least one --xi")
         xi_list = list(args.xi)
-    elif args.xi:
+    elif args.xi is not None:
         raise ValueError(f"--xi is only meaningful for the exponential kind, not {args.kind}")
     else:
         xi_list = [None]

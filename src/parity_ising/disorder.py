@@ -159,9 +159,12 @@ def _correlated_factor(sigma: float, xi: float, n_sites: int, distance_mode: str
 
 
 def sample_stream(seed: int, index: int) -> np.random.Generator:
-    """The dedicated generator for sample `index` of a run seeded with `seed`."""
-    if seed < 0 or index < 0:
-        raise ValueError("seed and sample index must be nonnegative")
+    """The dedicated generator for sample `index` of a run seeded with `seed`.
+
+    Both are 64-bit halves of the Philox key, so each must lie in [0, 2**64).
+    """
+    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+        raise ValueError("seed and sample index must be nonnegative and below 2**64")
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(index)))
 
 
@@ -404,10 +407,14 @@ def histogram_experiment(
     """The utility-shift distribution at several chain lengths, same ensemble.
 
     Returns one MonteCarloResult per requested N, keyed by N; each run uses
-    seed + its position in the list.
+    seed + its position in the list.  A length may appear only once, since
+    its key would hold only the last of its runs.
     """
+    lengths = [int(n) for n in n_list]
+    if len(set(lengths)) != len(lengths):
+        raise ValueError(f"chain lengths must not repeat, got {lengths}")
     results: dict[int, MonteCarloResult] = {}
-    for offset, n in enumerate(n_list):
-        sized = replace(ensemble, n_sites=int(n))
-        results[int(n)] = expected_utility(sized, n_samples, seed + offset)
+    for offset, n in enumerate(lengths):
+        sized = replace(ensemble, n_sites=n)
+        results[n] = expected_utility(sized, n_samples, seed + offset)
     return results

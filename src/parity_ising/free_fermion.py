@@ -55,7 +55,11 @@ take the SVD of Z where it can avoid it, and has three routes to W:
   value falls below the resolvable floor; the sign of det Z orients a
   singular pair too small to resolve.
 
-Every factor is checked for orthogonality before it is used.
+Every factor is checked for orthogonality before it is used.  Only the band
+route (``dsbevd``) and the SVD (``dgesdd`` and its work-size query) call
+LAPACK through scipy, and they import ``scipy.linalg`` on first use: a
+process that only sums modes, or whose chains all converge by
+Newton-Schulz, never loads it.
 
 Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
@@ -74,7 +78,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NumericsError
 
@@ -279,6 +282,30 @@ def _band_layout(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return position, sites, signs
 
 
+@functools.lru_cache(maxsize=8)
+def _dense_band_layout(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the (3, N) band storage of ``_band_layout`` sits in a dense N x N matrix.
+
+    Returns the flat indices, into the band storage, of its entries
+    (i + r, i) with i + r < N, then their flat positions in the matrix below
+    and above the diagonal (the diagonal, r = 0, is in both).
+    """
+    source = np.flatnonzero(np.arange(n_sites) < n_sites - np.arange(3)[:, None])
+    r, i = np.divmod(source, n_sites)
+    return source, (i + r) * n_sites + i, i * n_sites + i + r
+
+
+@functools.lru_cache(maxsize=8)
+def _svd_work_size(n_sites: int) -> int:
+    """dgesdd's optimal work size for an N x N chain matrix."""
+    from scipy.linalg import lapack
+
+    work, info = lapack.dgesdd_lwork(n_sites, n_sites)
+    if info:
+        raise NumericsError(f"dgesdd work-size query failed (info {info})")
+    return int(work)
+
+
 @functools.lru_cache(maxsize=1)
 def _chen_chow_schedule(floor: float) -> tuple[float, ...]:
     """The scalings alpha_k of the Newton-Schulz steps for singular values in (floor, 1].
@@ -338,14 +365,16 @@ class ChainOverlap:
     float.  The object works through a call ``stack`` chains at a time,
     stack = max(1, STACK_ENTRIES // N^2), on (stack, N, N) scratch that it
     keeps between calls, so its memory is bounded at any N and any call
-    size.  Only the LAPACK calls on one chain (band eigensolver, band
-    Cholesky, the eigenvalues of H below, dense SVD) run once per chain;
-    every other step is one numpy operation over the stack.
-    Each chain is computed as it would be alone, so a value does not
-    depend on the stack it was scored in.  The constructor only looks up
-    the band layout and queries the SVD work size, and the scratch grows to
-    the largest stack a call has scored, so a fresh object for one chain
-    is cheap too.  ``polar`` returns W of one chain.
+    size.  Only the band eigensolver, the eigenvalues of H below and the
+    dense SVD run once per chain; every other step is one numpy operation
+    over the stack.  Each chain is computed as it would be alone, so a
+    value does not depend on the stack it was scored in.  The constructor
+    only checks the length, looks up the band layout and allocates scratch
+    for one chain, which grows to the largest stack a call has scored, so a
+    fresh object for one chain is cheap too.  It calls no LAPACK:
+    scipy.linalg loads when a chain first takes the band route, and the SVD
+    work size is queried, once per length, when a chain first needs it.
+    ``polar`` returns W of one chain.
 
     Newton-Schulz.  For N in NEWTON_SCHULZ_SITES, where it measured faster
     than the band route on the Monte Carlo ensembles, W is the limit of
@@ -399,10 +428,11 @@ class ChainOverlap:
     (``max_newton_schulz_steps``); the worst orthogonality defect
     max|W^T W - I| (``max_defect``); and the smallest s_min / s_max
     (``min_singular_ratio``).  The band route reads the ratio off d.  A
-    Newton-Schulz chain has no singular values to hand, so a band Cholesky
-    factorization first tries to prove that it cannot lower the minimum,
-    and only the chains it cannot clear pay for the eigenvalues of
-    H = Z^T W; the ratio is exact either way (``_record_newton_schulz``).
+    Newton-Schulz chain has no singular values to hand, so one stacked
+    Cholesky factorization of the band of Z^T Z first tries to prove that
+    no chain of the stack can lower the minimum, and only the chains it
+    cannot clear pay for the eigenvalues of H = Z^T W; the ratio is exact
+    either way (``_record_singular_ratios``).
     The scratch is reused, so one object must not be shared between
     threads.
     """
@@ -414,10 +444,6 @@ class ChainOverlap:
         self.stack = max(1, STACK_ENTRIES // n_sites**2)
         self._floor = n_sites * np.finfo(float).eps  # s_min <= _floor * s_max is unresolved
         self._position, self._band_sites, self._band_signs = _band_layout(n_sites)
-        work, info = lapack.dgesdd_lwork(n_sites, n_sites)
-        if info:
-            raise NumericsError(f"dgesdd work-size query failed (info {info})")
-        self._lwork = int(work)
         self._newton_schulz = NEWTON_SCHULZ_SITES[0] <= n_sites <= NEWTON_SCHULZ_SITES[1]
         self._bonds = _bonds(n_sites) if self._newton_schulz else None
         self._allocate(1)
@@ -439,6 +465,9 @@ class ChainOverlap:
         self._gram_diagonal, self._r_diagonal, self._m_diagonal = (
             a.reshape(rows, -1)[:, :: n + 1] for a in (self._gram, self._r, self._m)
         )
+        if self._newton_schulz:
+            # the ratio proof's Z^T Z in zigzag order: only the band is ever written
+            self._proof = np.zeros((rows, n, n))
 
     def _fields(self, couplings) -> np.ndarray:
         """Validated fields as an (M, N) stack."""
@@ -494,6 +523,7 @@ class ChainOverlap:
         x.reshape(a, n * n)[:, :: n + 1] = g[rows] / top[rows, None]
         alphas = _chen_chow_schedule(NEWTON_SCHULZ_FLOOR)
         tol = NEWTON_SCHULZ_TOL * n * np.finfo(float).eps
+        frozen = []  # the converged rows, in the order they froze
         for step in range(NEWTON_SCHULZ_STEPS + 1):
             if a == 0:
                 break
@@ -505,9 +535,10 @@ class ChainOverlap:
                 defect = np.abs(e, out=self._r[:a]).max(axis=(1, 2))
                 done = defect <= tol
                 if done.any():
-                    frozen = x[:a][done]
-                    w[rows[done]] = frozen
-                    self._record_newton_schulz(g[rows[done]], frozen, defect[done], step)
+                    w[rows[done]] = x[:a][done]
+                    frozen.append(rows[done])
+                    self.max_newton_schulz_steps = max(self.max_newton_schulz_steps, step)
+                    self.max_defect = max(self.max_defect, float(defect[done].max()))
                     keep = ~done
                     rows, a = rows[keep], int(np.count_nonzero(keep))
                     x[:a], e[:a] = x[: keep.size][keep], e[: keep.size][keep]
@@ -519,32 +550,65 @@ class ChainOverlap:
             self._gram_diagonal[:a] += 1.5 * alpha - 0.5 * alpha**3
             np.matmul(x[:a], e, out=spare[:a])
             x, spare = spare, x
+        if frozen:
+            self._record_singular_ratios(g, w, np.concatenate(frozen))
         return np.sort(np.concatenate((left, rows)))
 
-    def _record_newton_schulz(self, g, w, defect, steps) -> None:
-        """Count chains that converged after ``steps`` steps, and their defects and singular-value ratios.
+    def _record_singular_ratios(self, g, w, rows) -> None:
+        """Count the Newton-Schulz chains ``rows`` of g and lower min_singular_ratio by them, in that order.
 
         A chain can lower min_singular_ratio r only if s_min < r s_max.  With
-        c >= s_max^2 from ``_gram_top_bound``, a band Cholesky factorization
-        of Z^T Z - r^2 c I, shifted further by a bound on its rounding error,
+        c >= s_max^2 from ``_gram_top_bound``, a Cholesky factorization of
+        Z^T Z - r^2 c I, shifted further by a bound on its rounding error,
         proves the contrary, so only chains where it fails pay for the extreme
         eigenvalues of the symmetric polar factor H = Z^T W, which are the
         singular values of Z to ~eps s_max each.
+
+        The factorization is one stacked ``numpy.linalg.cholesky`` of the
+        dense zigzag-ordered matrices, all shifted by the r the stack starts
+        from.  In that order Z^T Z is a band of half-width 2, and its
+        Cholesky factor has no fill-in: for i - j > 2 every product l_ik l_jk
+        with k <= j has l_ik = 0.  So the dense routine computes every entry
+        off the band as an exact zero, and every entry on it from the same at
+        most three nonzero terms as a band routine, whatever its order or
+        blocking.  The backward error of a factorization that completes,
+        |dA| <= gamma_3 |L| |L^T| (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, SIAM 2002, thm. 10.3), counts only those
+        terms.  Row i of L has norm sqrt(a_ii) <= max g + 1 to first order,
+        and dA has five entries a row, so |dA|_2 stays below ~15 eps
+        (max g + 1)^2: with the rounding of the shifted diagonal it is inside
+        the margin 32 eps (max g + 1)^2.  If any chain of the stack fails,
+        the stack is proved again chain by chain, each shifted by the running
+        minimum the chains before it left, so exactly the chains that would
+        pay alone pay.
         """
-        self.newton_schulz_chains += len(g)
-        self.max_newton_schulz_steps = max(self.max_newton_schulz_steps, steps)
-        self.max_defect = max(self.max_defect, float(defect.max()))
+        g = g[rows]
+        k, n = g.shape
+        self.newton_schulz_chains += k
         eps = np.finfo(float).eps
-        bands = self._gram_bands(g, self._bands[: len(g)])
+        bands = self._gram_bands(g, self._bands[:k])
         caps = (1.0 + 32.0 * eps) * _gram_top_bound(g)
         margins = 32.0 * eps * (g.max(axis=1) + 1.0) ** 2
-        for fields, band, factor, cap, margin in zip(g, bands, w, caps, margins):
-            band[0] -= self.min_singular_ratio**2 * cap + margin
-            if lapack.dpbtrf(band, lower=1)[1] == 0:
-                continue
-            h = fields[:, None] * factor + self._bonds.T @ factor
-            s = np.linalg.eigvalsh(0.5 * (h + h.T))
-            self.min_singular_ratio = min(self.min_singular_ratio, float(s[0] / s[-1]))
+        source, below, above = _dense_band_layout(n)
+        dense = self._proof[:k]
+        flat = dense.reshape(k, n * n)
+        flat[:, below] = flat[:, above] = bands.reshape(k, 3 * n)[:, source]
+        diagonal = flat[:, :: n + 1]
+        np.subtract(bands[:, 0], (self.min_singular_ratio**2 * caps + margins)[:, None], out=diagonal)
+        if k > 1:  # a stack of one is the first factorization of the loop below
+            try:
+                np.linalg.cholesky(dense)
+                return
+            except np.linalg.LinAlgError:
+                pass
+        for i, row in enumerate(rows):
+            np.subtract(bands[i, 0], self.min_singular_ratio**2 * caps[i] + margins[i], out=diagonal[i])
+            try:
+                np.linalg.cholesky(dense[i])
+            except np.linalg.LinAlgError:
+                h = g[i, :, None] * w[row] + self._bonds.T @ w[row]
+                s = np.linalg.eigvalsh(0.5 * (h + h.T))
+                self.min_singular_ratio = min(self.min_singular_ratio, float(s[0] / s[-1]))
 
     def _band_route(self, g: np.ndarray, w: np.ndarray) -> None:
         """W into w by the band route, or the dense SVD where its gate says so, each held to UNITARITY_TOL."""
@@ -578,6 +642,8 @@ class ChainOverlap:
         if too_large.any():
             # stand-in fields keep the stack finite; those chains go to the SVD
             g = np.where(too_large[:, None], 1.0, g)
+        from scipy.linalg import lapack
+
         bands = self._gram_bands(g, self._bands[:k])
         # dsbevd's eigenvectors (zigzag rows, column-major) wait in Y's scratch until V is gathered
         zigzag = self._y[:k].transpose(0, 2, 1)
@@ -616,8 +682,10 @@ class ChainOverlap:
 
     def _svd_polar(self, g: np.ndarray, w: np.ndarray) -> None:
         """W = U V^T into w from the dense SVD of Z, with the s_min floor and the det Z orientation."""
+        from scipy.linalg import lapack
+
         n = self.n_sites
-        u, s, vt, info = lapack.dgesdd(chain_matrix(g), lwork=self._lwork, overwrite_a=1)
+        u, s, vt, info = lapack.dgesdd(chain_matrix(g), lwork=_svd_work_size(n), overwrite_a=1)
         if info:
             raise NumericsError(f"SVD failed on a {n} x {n} chain matrix (dgesdd info {info})")
         self.min_singular_ratio = min(self.min_singular_ratio, float(s[-1] / s[0]))

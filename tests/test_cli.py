@@ -8,6 +8,9 @@ timestamp is stripped.
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -138,6 +141,10 @@ def test_second_variation_xi_flag_misuse(tmp_path):
     assert cli.main([
         "second-variation", "--kind", "exponential", "--n", "8", "--out", str(out),
     ]) == 2
+    # --xi with no values is still --xi given to a kind without a correlation length
+    assert cli.main([
+        "second-variation", "--kind", "iid", "--n", "8", "--xi", "--out", str(out),
+    ]) == 2
     assert not out.exists()
 
 
@@ -260,9 +267,11 @@ def test_montecarlo_redraw_exhaustion_exits_3(tmp_path):
     assert not out.exists()
 
 
-def test_montecarlo_flag_validation(tmp_path):
+def test_montecarlo_flag_validation(tmp_path, capsys):
     out = str(tmp_path / "x.json")
     base = ["montecarlo", "--n", "8", "--g", "1.0", "--samples", "2", "--out", out]
+    assert cli.main(base + ["--kind", "uniform_iid", "--width", "0.3", "--seed", str(2**64)]) == 2
+    assert "seed and sample index must be nonnegative and below 2**64" in capsys.readouterr().err
     assert cli.main(base + ["--kind", "uniform_iid", "--sigma", "0.1", "--width", "0.3"]) == 2
     assert cli.main(base + ["--kind", "uniform_iid"]) == 2
     assert cli.main(base + ["--kind", "gaussian_iid", "--width", "0.3"]) == 2
@@ -270,6 +279,34 @@ def test_montecarlo_flag_validation(tmp_path):
     assert cli.main(base + ["--kind", "gaussian_correlated", "--sigma", "0.1"]) == 2
     for kind in ("gaussian_iid", "gaussian_perfect", "uniform_iid"):
         assert cli.main(base + ["--kind", kind, "--sigma", "0.1", "--xi", "5"]) == 2
+
+
+def test_curve_commands_and_newton_schulz_montecarlo_leave_scipy_linalg_unloaded(tmp_path):
+    """Every submodule and four commands load no scipy.linalg; a band-route run (N = 130) loads it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = textwrap.dedent(
+        """
+        import importlib, pkgutil, sys
+        import parity_ising
+        from parity_ising import cli
+        for module in pkgutil.iter_modules(parity_ising.__path__):
+            importlib.import_module("parity_ising." + module.name)
+        montecarlo = ["montecarlo", "--kind", "uniform_iid", "--g", "1.6", "--width", "2", "--out", "mc.json"]
+        runs = [
+            ["b-curve", "--steps", "20", "--out", "b.csv"],
+            ["second-variation", "--kind", "exponential", "--n", "8", "40", "--xi", "2", "--out", "sv.csv"],
+            ["critical-scaling", "--out", "crit.csv"],
+            montecarlo + ["--n", "40", "--samples", "50"],
+        ]
+        print([cli.main(run) for run in runs], "scipy.linalg" in sys.modules)
+        print(cli.main(montecarlo + ["--n", "130", "--samples", "2"]), "scipy.linalg" in sys.modules)
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == ["[0, 0, 0, 0] False", "0 True"]
 
 
 def test_grid_validation(tmp_path):

@@ -62,6 +62,10 @@ def test_sample_streams_reproducible_and_disjoint():
         dis.sample_stream(-1, 0)
     with pytest.raises(ValueError):
         dis.sample_stream(0, -1)
+    # each is one 64-bit half of the Philox key
+    dis.sample_stream(2**64 - 1, 2**64 - 1)
+    with pytest.raises(ValueError, match="below 2"):
+        dis.sample_stream(2**64, 0)
 
 
 def test_sample_couplings_pure_in_seed_and_index():
@@ -453,6 +457,9 @@ def test_histogram_experiment_keys_and_sizing():
         assert result.histogram_counts.sum() == result.n_samples == 100
     # Different sizes must not share streams
     assert results[8].mean_utility != results[12].mean_utility
+    # a repeated N would keep only its last run under its key
+    with pytest.raises(ValueError, match="must not repeat"):
+        dis.histogram_experiment(ens, (8, 8), 10, seed=5)
 
 
 def test_correlated_factor_reproduces_after_replace():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from parity_ising import free_fermion as ff
 from parity_ising import oracle
@@ -236,8 +237,8 @@ def band_only():
 
 def test_unitarity_guard_catches_corruption(monkeypatch, band_only):
     """A non-orthogonal factor, two zero singular values or a LAPACK failure code raises, on either branch."""
-    sbevd = ff.lapack.dsbevd
-    gesdd = ff.lapack.dgesdd
+    sbevd = lapack.dsbevd
+    gesdd = lapack.dgesdd
 
     def scaled_v(ab, **kwargs):
         w, v, info = sbevd(ab, **kwargs)
@@ -267,7 +268,7 @@ def test_unitarity_guard_catches_corruption(monkeypatch, band_only):
         ("dgesdd", two_zero_singular_values, SVD_ONLY),
         ("dgesdd", failed, SVD_ONLY),
     ):
-        monkeypatch.setattr(ff.lapack, driver, corrupt)
+        monkeypatch.setattr(lapack, driver, corrupt)
         for route in (ff.ChainOverlap(g.size).polar, ff.ghz_log_overlap_squared):
             with pytest.raises(NumericsError):
                 route(g)
@@ -282,7 +283,7 @@ def test_unresolved_singular_pair_is_oriented_by_det_z(monkeypatch):
     """One zero singular value with its pair flipped in sign: det Z > 0 restores W."""
     g = SVD_ONLY
     expected = ff.ghz_log_overlap_squared(g)
-    gesdd = ff.lapack.dgesdd
+    gesdd = lapack.dgesdd
 
     def flipped_zero_mode(a, **kwargs):
         u, s, vt, info = gesdd(a, **kwargs)
@@ -290,7 +291,7 @@ def test_unresolved_singular_pair_is_oriented_by_det_z(monkeypatch):
         u[:, -1] *= -1.0
         return u, s, vt, info
 
-    monkeypatch.setattr(ff.lapack, "dgesdd", flipped_zero_mode)
+    monkeypatch.setattr(lapack, "dgesdd", flipped_zero_mode)
     kernel = ff.ChainOverlap(g.size)
     assert kernel(g) == pytest.approx(expected, rel=1e-12)
     assert kernel.min_singular_ratio == 0.0
@@ -360,7 +361,7 @@ def test_one_failing_chain_raises_for_its_whole_stack(monkeypatch, band_only):
     chains = np.array([np.full(12, 0.9), np.array(([1e-4] * 3 + [1e4] * 3) * 2), np.full(12, 1.7)])
     with pytest.raises(NumericsError, match="two or more"):
         ff.ChainOverlap(12)(chains)
-    sbevd = ff.lapack.dsbevd
+    sbevd = lapack.dsbevd
     calls = []
 
     def second_scaled(ab, **kwargs):
@@ -369,7 +370,7 @@ def test_one_failing_chain_raises_for_its_whole_stack(monkeypatch, band_only):
         return w, (2.0 if len(calls) == 2 else 1.0) * v, info
 
     uniform = np.array([np.full(12, 0.9), np.full(12, 1.3), np.full(12, 1.7)])
-    monkeypatch.setattr(ff.lapack, "dsbevd", second_scaled)
+    monkeypatch.setattr(lapack, "dsbevd", second_scaled)
     with pytest.raises(NumericsError, match="not orthogonal"):
         ff.ChainOverlap(12)(uniform)
     monkeypatch.undo()
@@ -470,7 +471,7 @@ def test_band_route_matches_dense_routes_across_conditioning(monkeypatch, band_o
     fallback to firing exactly when that spread exceeds BAND_GATE or d_min
     falls to the floor N eps d_max.
     """
-    sbevd = ff.lapack.dsbevd
+    sbevd = lapack.dsbevd
     seen = []
 
     def recorded(ab, **kwargs):
@@ -479,7 +480,7 @@ def test_band_route_matches_dense_routes_across_conditioning(monkeypatch, band_o
         seen.append((band, v.copy()))
         return w, v, info
 
-    monkeypatch.setattr(ff.lapack, "dsbevd", recorded)
+    monkeypatch.setattr(lapack, "dsbevd", recorded)
     spreads, fallbacks = [], []
     for g in _route_sweep():
         n = g.size
