@@ -22,10 +22,10 @@ Importing the package does not import numpy/scipy; submodules load on first
 attribute access.  The CLI relies on this to apply its thread-count setting
 before the numeric stack initializes.  Importing a submodule loads numpy
 and no part of scipy: each scipy subpackage loads in the functions that call
-it.  So ``scipy.linalg`` loads only where a chain needs LAPACK (the overlap
-kernel's band route and SVD fallback, reached by ``verify`` and by Monte
-Carlo outside 24 <= N <= 80), or through ``scipy.optimize`` and
-``scipy.sparse.linalg``, which import it.
+it.  So ``scipy.linalg`` loads only for the overlap kernel's band route
+(``dsbevd``, reached by ``verify`` and by Monte Carlo outside
+24 <= N <= 80), or through ``scipy.optimize`` and ``scipy.sparse.linalg``,
+which import it; the kernel's SVD fallback is numpy's.
 
 Run telemetry (Monte Carlo counts and rates, per-check verify times, the
 error estimate of each thermodynamic integral) goes to

@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericsError
-from .free_fermion import ChainOverlap
+from .free_fermion import ChainOverlap, _check_length
 from .parity_game import utility_clean, utility_from_log_overlap
 from .perturbation import (
     CovarianceMatrix,
@@ -82,13 +82,14 @@ class DisorderEnsemble:
             raise ValueError("mean coupling must be positive and finite")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be nonnegative and finite")
-        if self.n_sites < 4 or self.n_sites % 2:
-            raise ValueError("n_sites must be an even integer >= 4")
+        _check_length(self.n_sites)
         if self.kind == "gaussian_correlated":
             if self.xi is None or not (math.isfinite(self.xi) and self.xi > 0.0):
                 raise ValueError("gaussian_correlated needs a positive correlation length")
             if self.distance_mode not in ("linear", "ring"):
                 raise ValueError(f"unknown distance mode {self.distance_mode!r}")
+        elif self.xi is not None or self.distance_mode != "linear":
+            raise ValueError("xi and distance_mode are only meaningful for gaussian_correlated")
         if self.kind == "uniform_iid":
             if self.width is None or not (math.isfinite(self.width) and self.width >= 0.0):
                 raise ValueError("uniform_iid needs a nonnegative width")

@@ -31,35 +31,40 @@ is a signed cyclic shift, so W0^T W is a row roll of W with one sign flip.
 
 Z is never singular: its only permutation terms are the diagonal and the
 N-cycle, so det Z = prod_j g_j + 1 > 0 and W is unique.  ``ChainOverlap``
-is the one overlap route.  It scores stacks of chains of one length, at
-most STACK_ENTRIES / N^2 chains (at least one) per pass through its
-scratch, with every check applied to each chain; a single chain is a stack
-of one.  A caller with many fields of one length keeps one object, and
-``ghz_log_overlap_squared`` is a single call of a fresh one.  It does not
-take the SVD of Z where it can avoid it, and has three routes to W:
+is the one overlap route, and ``ghz_log_overlap_squared`` is a single call
+of a fresh one.  It avoids the SVD of Z where it can, and takes each
+chain's W by one of three routes:
 
-- Newton-Schulz, for lengths in NEWTON_SCHULZ_SITES: the scaled iteration
-  X <- alpha X (3I - alpha^2 X^T X) / 2 from X = Z / (max g + 1), two
-  matrix products per step over the stack, until max|X^T X - I| is within
-  a few N eps.  A chain leaves the iteration once it converges, so its W
-  does not depend on its stack.  Chains still iterating after
-  NEWTON_SCHULZ_STEPS steps, or with a field too large to square, go on to
-  the band route.
-- The band route, for every other length and for the chains handed on:
-  Z^T Z is cyclic tridiagonal, a symmetric band of half-width 2 once the
-  sites are ordered 0, 1, N-1, 2, N-2, ..., and any orthogonal V that
-  diagonalizes it gives W = polar(Z V) V^T, with Z V read off Z itself and
-  its polar factor taken to first order in the departure of its normalized
-  columns from orthogonality.
-- The dense SVD, where that departure exceeds a fixed gate, or a singular
-  value falls below the resolvable floor; the sign of det Z orients a
-  singular pair too small to resolve.
+- Newton-Schulz, for lengths in NEWTON_SCHULZ_SITES, where it measured
+  faster than the band route on the Monte Carlo ensembles: W is the limit
+  of X <- alpha X (3I - alpha^2 X^T X) / 2 (Higham, *Functions of
+  Matrices*, SIAM 2008, ch. 8) from X_0 = Z / (max g + 1), whose singular
+  values lie in (0, 1] since |Z|_2 <= max g + 1.  The scalings alpha follow
+  a fixed Chen-Chow schedule, and each step is two matrix products.  A
+  chain not converged after NEWTON_SCHULZ_STEPS steps takes the band route.
+- The band route, for every other length: Z^T Z is cyclic tridiagonal, a
+  band of half-width 2 once the sites are ordered 0, 1, N-1, 2, N-2, ...,
+  which ``dsbevd`` diagonalizes in a fraction of the time an SVD of Z
+  takes.  Its eigenvectors V serve only as an orthogonal basis:
+  polar(Z) = polar(Z V) V^T for any orthogonal V, and the columns of
+  Y = Z V, formed from Z itself, carry the singular values d (their norms)
+  and directions Q = Y / d, so small singular directions are read from Z,
+  never from Z^T Z.  The polar factor of Y is Q (I - T) to first order in
+  E = Q^T Q - I (Higham, SIAM J. Sci. Stat. Comput. 7, 1160 (1986)).
+  Squaring Z blurs the directions of nearly degenerate small singular
+  values, which is what max|E| measures: above BAND_GATE, or where d_min
+  falls to the resolvable floor N eps d_max, the chain takes the SVD.
+- The dense SVD Z = U diag(s) V^T, for those chains and for every chain
+  with a field above BAND_FIELD_MAX, too large to square.  Fields of strong
+  contrast can push one domain wall's singular value below the floor; its
+  singular pair then fixes W only up to the relative sign of u_N and v_N,
+  and since det W = sign(det Z) = +1, the last column of U is flipped when
+  det U det V^T < 0.  Two unresolved singular values (separate
+  ferromagnetic domains) raise.
 
-Every factor is checked for orthogonality before it is used.  Only the band
-route (``dsbevd``) and the SVD (``dgesdd`` and its work-size query) call
-LAPACK through scipy, and they import ``scipy.linalg`` on first use: a
-process that only sums modes, or whose chains all converge by
-Newton-Schulz, never loads it.
+Only the band route calls LAPACK through scipy (``dsbevd``), and it imports
+``scipy.linalg`` on its first call: a process that only sums modes, or
+whose chains all converge by Newton-Schulz, never loads it.
 
 Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
@@ -75,6 +80,7 @@ graded Gauss-Legendre rule for every thermodynamic quantity.
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +95,8 @@ OVERLAP_SLACK = 1e-8
 # first-order correction, which leaves an error of order its square; above
 # it the call takes the dense SVD.
 BAND_GATE = 1e-8
-# Largest field the band route squares; Z^T Z and the column norms of Z V
-# then stay far from overflow.
+# Largest field ChainOverlap squares or scales, so that Z^T Z and the column
+# norms of Z V stay far from overflow; a chain with a larger one takes the SVD.
 BAND_FIELD_MAX = 1e150
 # Chain lengths, inclusive, whose polar factor ChainOverlap takes by the scaled
 # Newton-Schulz iteration before the band route; other lengths start on the band route.
@@ -109,6 +115,12 @@ STACK_ENTRIES = 1 << 15
 LEGENDRE_ORDERS = (24, 12)
 
 _log = logging.getLogger(__name__)
+
+
+def _check_length(n_sites: int) -> None:
+    """Raise ValueError unless ``n_sites`` is an even integer chain length of at least 4."""
+    if not isinstance(n_sites, numbers.Integral) or n_sites < 4 or n_sites % 2:
+        raise ValueError(f"chain length must be even and >= 4, got {n_sites!r}")
 
 
 def as_couplings(values, stacked: bool = False) -> np.ndarray:
@@ -135,9 +147,7 @@ def as_couplings(values, stacked: bool = False) -> np.ndarray:
             if stacked
             else "couplings must be a one-dimensional sequence"
         )
-    n = g.shape[-1]
-    if n < 4 or n % 2:
-        raise ValueError(f"chain length must be even and >= 4, got {n}")
+    _check_length(g.shape[-1])
     if not np.isfinite(g).all():
         raise ValueError("couplings must be finite")
     if (g <= 0.0).any():
@@ -158,8 +168,7 @@ class BogoliubovSpectrum:
 
 def allowed_wavenumbers(n_sites: int) -> np.ndarray:
     """Positive antiperiodic wavenumbers (2m+1) pi/N, m = 0..N/2-1."""
-    if n_sites < 4 or n_sites % 2:
-        raise ValueError(f"chain length must be even and >= 4, got {n_sites}")
+    _check_length(n_sites)
     return np.pi * (2.0 * np.arange(n_sites // 2) + 1.0) / n_sites
 
 
@@ -282,30 +291,6 @@ def _band_layout(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return position, sites, signs
 
 
-@functools.lru_cache(maxsize=8)
-def _dense_band_layout(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the (3, N) band storage of ``_band_layout`` sits in a dense N x N matrix.
-
-    Returns the flat indices, into the band storage, of its entries
-    (i + r, i) with i + r < N, then their flat positions in the matrix below
-    and above the diagonal (the diagonal, r = 0, is in both).
-    """
-    source = np.flatnonzero(np.arange(n_sites) < n_sites - np.arange(3)[:, None])
-    r, i = np.divmod(source, n_sites)
-    return source, (i + r) * n_sites + i, i * n_sites + i + r
-
-
-@functools.lru_cache(maxsize=8)
-def _svd_work_size(n_sites: int) -> int:
-    """dgesdd's optimal work size for an N x N chain matrix."""
-    from scipy.linalg import lapack
-
-    work, info = lapack.dgesdd_lwork(n_sites, n_sites)
-    if info:
-        raise NumericsError(f"dgesdd work-size query failed (info {info})")
-    return int(work)
-
-
 @functools.lru_cache(maxsize=1)
 def _chen_chow_schedule(floor: float) -> tuple[float, ...]:
     """The scalings alpha_k of the Newton-Schulz steps for singular values in (floor, 1].
@@ -358,88 +343,34 @@ def _gram_top_bound(g: np.ndarray) -> np.ndarray:
 class ChainOverlap:
     """The GHZ-overlap kernel for chains of one length, scoring stacks of chains.
 
-    A caller that evaluates many field configurations of one length (a
-    Monte Carlo run) makes one object and hands it (M, N) arrays of fields,
-    one chain per row; calling the object returns the M values of log o+,
-    and a one-dimensional field vector is the stack of one, returning a
-    float.  The object works through a call ``stack`` chains at a time,
-    stack = max(1, STACK_ENTRIES // N^2), on (stack, N, N) scratch that it
-    keeps between calls, so its memory is bounded at any N and any call
-    size.  Only the band eigensolver, the eigenvalues of H below and the
-    dense SVD run once per chain; every other step is one numpy operation
-    over the stack.  Each chain is computed as it would be alone, so a
-    value does not depend on the stack it was scored in.  The constructor
-    only checks the length, looks up the band layout and allocates scratch
-    for one chain, which grows to the largest stack a call has scored, so a
-    fresh object for one chain is cheap too.  It calls no LAPACK:
-    scipy.linalg loads when a chain first takes the band route, and the SVD
-    work size is queried, once per length, when a chain first needs it.
-    ``polar`` returns W of one chain.
-
-    Newton-Schulz.  For N in NEWTON_SCHULZ_SITES, where it measured faster
-    than the band route on the Monte Carlo ensembles, W is the limit of
-    X <- alpha X (3I - alpha^2 X^T X) / 2 (Higham, *Functions of Matrices*,
-    SIAM 2008, ch. 8).  X_0 = Z / (max g + 1) has singular values in (0, 1],
-    since |Z|_2 <= max g + 1, without squaring a field.  The scalings alpha
-    follow a fixed Chen-Chow schedule for singular values down to
-    NEWTON_SCHULZ_FLOOR, then alpha = 1, and each step is two matrix
-    products over the stack: E = X^T X - I, then X ((3 - alpha^2) I -
-    alpha^2 E) alpha / 2.  From the end of the schedule on, a chain whose
-    max|E| is at most NEWTON_SCHULZ_TOL N eps is frozen: X is its W, and
-    that last max|E|, far inside UNITARITY_TOL, is its orthogonality check.
-    The chains still iterating are compacted in the scratch, so each chain
-    takes the same steps, and gets the same W, wherever it is scored.  After
-    NEWTON_SCHULZ_STEPS steps the rest, and chains with a field above
-    BAND_FIELD_MAX, go on to the band route.
-
-    Band route.  Z^T Z is cyclic tridiagonal: g_j^2 + 1 on the diagonal,
-    -g_{j+1} between sites j and j + 1, and +g_0 across the wrap.  In the
-    zigzag order 0, 1, N-1, 2, N-2, ... ring neighbours sit at most two
-    apart, so it is a band of half-width 2, which ``dsbevd`` diagonalizes
-    in a fraction of the time ``dgesdd`` takes on Z.  Its eigenvectors V
-    serve only as an orthogonal basis: polar(Z) = polar(Z V) V^T holds for
-    any orthogonal V, and the columns of Y = Z V, formed from Z itself by
-    row operations, carry the singular values d (their norms) and
-    directions Q = Y / d.  The small singular directions are therefore read
-    from Z, never from Z^T Z.  With E = Q^T Q - I, the polar factor of Y is
-    Q (I - T) to first order, with T_ij = d_i E_ij / (d_i + d_j) (Higham,
-    SIAM J. Sci. Stat. Comput. 7, 1160 (1986)), leaving an error of order
-    |E|^2.  Squaring Z blurs the directions of nearly degenerate small
-    singular values, which makes Q^T Q less diagonal, and that is what the
-    gate measures: where max|E| exceeds BAND_GATE, d_min falls to the floor
-    below, or a field is too large to square, the chain takes the dense SVD
-    of Z instead and counts in ``svd_fallbacks``.
-
-    On the SVD branch, fields of strong contrast can push one domain wall's
-    singular value below the resolvable floor s_min <= N eps s_max.  Its
-    singular pair then fixes W only up to the relative sign of u_N and v_N.
-    Since det Z = prod_j g_j + 1 > 0, det W = det U det V^T must be +1, and
-    the last column of U is flipped when it is not.  Only this case pays
-    for the two determinants.  A second unresolved singular value (two or
-    more near-zero modes, as from separate ferromagnetic domains) raises.
+    Calling the object with an (M, N) array of fields, one chain per row,
+    returns the M values of log o+; a field vector is the stack of one and
+    returns a float.  ``polar`` returns W of one chain.  A call works
+    through its chains ``stack`` = max(1, STACK_ENTRIES // N^2) at a time,
+    on (stack, N, N) scratch that the object keeps between calls, so its
+    memory is bounded at any N and any call size.  Only the band
+    eigensolver, the SVD and the eigenvalues of the ratio proof run once per
+    chain; every other step is one numpy operation over the stack.  Each
+    chain takes the route, and gets the value, that it would alone, whatever
+    stack it is scored in.  The constructor checks the length and allocates
+    scratch for one chain, which grows to the largest stack a call has
+    scored, so a fresh object for one chain is cheap too; it calls no LAPACK.
 
     Every check applies to every chain of a stack: field validation, a
-    LAPACK failure code (NumericsError), the gate and floor, UNITARITY_TOL
-    on W, and the overlap's bound log o+ <= OVERLAP_SLACK.  A chain that
-    fails one raises for its whole call.  Over its calls the object records
-    per chain ``evaluations``, split into ``newton_schulz_chains`` and
-    ``band_chains``, with the SVD fallbacks among the latter
-    (``svd_fallbacks``); the most steps a converged Newton-Schulz chain took
-    (``max_newton_schulz_steps``); the worst orthogonality defect
-    max|W^T W - I| (``max_defect``); and the smallest s_min / s_max
-    (``min_singular_ratio``).  The band route reads the ratio off d.  A
-    Newton-Schulz chain has no singular values to hand, so one stacked
-    Cholesky factorization of the band of Z^T Z first tries to prove that
-    no chain of the stack can lower the minimum, and only the chains it
-    cannot clear pay for the eigenvalues of H = Z^T W; the ratio is exact
-    either way (``_record_singular_ratios``).
-    The scratch is reused, so one object must not be shared between
-    threads.
+    solver failure (NumericsError), the band route's gate and floor,
+    UNITARITY_TOL on W, and the overlap's bound log o+ <= OVERLAP_SLACK.  A
+    chain that fails one raises for its whole call.  Over its calls the
+    object counts its chains by route, ``newton_schulz_chains`` and
+    ``band_chains`` (which include the SVD's, ``svd_fallbacks``), whose sum
+    is ``evaluations``.  It records the most steps a converged Newton-Schulz
+    chain took (``max_newton_schulz_steps``), the worst orthogonality defect
+    max|W^T W - I| (``max_defect``), and the smallest s_min / s_max
+    (``min_singular_ratio``), exact on every route.  The scratch is reused,
+    so one object must not be shared between threads.
     """
 
     def __init__(self, n_sites: int):
-        if n_sites < 4 or n_sites % 2:
-            raise ValueError(f"chain length must be even and >= 4, got {n_sites}")
+        _check_length(n_sites)
         self.n_sites = n_sites
         self.stack = max(1, STACK_ENTRIES // n_sites**2)
         self._floor = n_sites * np.finfo(float).eps  # s_min <= _floor * s_max is unresolved
@@ -447,13 +378,17 @@ class ChainOverlap:
         self._newton_schulz = NEWTON_SCHULZ_SITES[0] <= n_sites <= NEWTON_SCHULZ_SITES[1]
         self._bonds = _bonds(n_sites) if self._newton_schulz else None
         self._allocate(1)
-        self.evaluations = 0
         self.newton_schulz_chains = 0
         self.max_newton_schulz_steps = 0
         self.band_chains = 0
         self.svd_fallbacks = 0
         self.max_defect = 0.0
         self.min_singular_ratio = 1.0
+
+    @property
+    def evaluations(self) -> int:
+        """Chains scored over the object's calls, on every route."""
+        return self.newton_schulz_chains + self.band_chains
 
     def _allocate(self, rows: int) -> None:
         """Scratch for stacks of up to ``rows`` chains."""
@@ -466,8 +401,7 @@ class ChainOverlap:
             a.reshape(rows, -1)[:, :: n + 1] for a in (self._gram, self._r, self._m)
         )
         if self._newton_schulz:
-            # the ratio proof's Z^T Z in zigzag order: only the band is ever written
-            self._proof = np.zeros((rows, n, n))
+            self._proof = np.empty((rows, n, n))  # X_0^T X_0 of each chain, for the ratio proof
 
     def _fields(self, couplings) -> np.ndarray:
         """Validated fields as an (M, N) stack."""
@@ -484,43 +418,67 @@ class ChainOverlap:
         return self._polar(self._fields(np.asarray(couplings, dtype=float)[None]))[0]
 
     def _polar(self, g: np.ndarray) -> np.ndarray:
-        """The (k, N, N) polar factors of k <= stack chains, each held to UNITARITY_TOL."""
+        """The (k, N, N) polar factors of k <= stack chains, each by its route.
+
+        A chain with a field above BAND_FIELD_MAX goes to the SVD.  At lengths
+        in NEWTON_SCHULZ_SITES the others start on Newton-Schulz, which checks
+        the chains it converges; the band route takes the rest, and its gate
+        sends some on to the SVD.  Every W of the band route or the SVD is
+        then held to UNITARITY_TOL, and its chain counts in ``band_chains``.
+        """
         k = len(g)
         if k > len(self._w):
             self._allocate(k)
         w = self._w[:k]
-        self.evaluations += k
-        if not self._newton_schulz:
-            self._band_route(g, w)
-            return w
-        rows = self._newton_schulz_polar(g, w)
+        svd = g.max(axis=1) > BAND_FIELD_MAX
+        rows = np.flatnonzero(~svd)
+        if self._newton_schulz:
+            rows = self._newton_schulz_polar(g, rows, w)
+        routed = svd.copy()
+        routed[rows] = True
         if rows.size:
-            band = self._m[: rows.size]
-            self._band_route(g[rows], band)
-            w[rows] = band
+            # a whole stack is solved, and checked below, in place: at large N each copy costs ~1%
+            band = w if rows.size == k else self._m[: rows.size]
+            svd[rows] = self._band_polar(g[rows], band)
+            if band is not w:
+                w[rows] = band
+        held, fallbacks = np.flatnonzero(routed), np.flatnonzero(svd)
+        self.band_chains += held.size
+        self.svd_fallbacks += fallbacks.size
+        for row in fallbacks:
+            self._svd_polar(g[row], w[row])
+        if not held.size:
+            return w
+        # gathered into warm scratch: a fresh array pays its page faults
+        checked = w if held.size == k else np.take(w, held, axis=0, out=self._m[: held.size], mode="wrap")
+        gram = np.matmul(checked.transpose(0, 2, 1), checked, out=self._gram[: held.size])
+        self._gram_diagonal[: held.size] -= 1.0
+        defect = float(np.abs(gram, out=gram).max())
+        self.max_defect = max(self.max_defect, defect)
+        if not defect <= UNITARITY_TOL:
+            raise NumericsError(
+                f"polar factor is not orthogonal (defect {defect:.3e} > {UNITARITY_TOL:.1e})"
+            )
         return w
 
-    def _newton_schulz_polar(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """W into w by the scaled Newton-Schulz iteration; returns the rows it leaves to the band route.
+    def _newton_schulz_polar(self, g: np.ndarray, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """W into w for the chains ``rows`` of g by Newton-Schulz; returns those left to the band route.
 
-        X_0 = Z / (max g + 1) has singular values in (0, 1].  Each step
-        computes E = X^T X - I and X <- alpha X ((3 - alpha^2) I - alpha^2 E) / 2,
-        alpha from the fixed Chen-Chow schedule and 1 after it.  From the
-        end of the schedule on, a chain whose max|E| is within
-        NEWTON_SCHULZ_TOL N eps leaves the iteration with X as its W and
-        that max|E| as its defect, and the rest go on compacted in the
-        scratch, so every chain takes the same steps wherever it is scored.
-        Chains with a field above BAND_FIELD_MAX, or still iterating after
-        NEWTON_SCHULZ_STEPS steps, are left to the band route.
+        X_0 = Z / (max g + 1), and the Gram X_0^T X_0 of the first step is
+        kept for the ratio proof.  Each step computes E = X^T X - I and
+        X <- alpha X ((3 - alpha^2) I - alpha^2 E) / 2, alpha from the fixed
+        Chen-Chow schedule and 1 after it.  From the end of the schedule on,
+        a chain whose max|E| is within NEWTON_SCHULZ_TOL N eps, far inside
+        UNITARITY_TOL, leaves the iteration with X as its W and that max|E|
+        as its defect; the rest go on compacted in the scratch, so every
+        chain takes the same steps wherever it is scored.  Chains still
+        iterating after NEWTON_SCHULZ_STEPS steps are returned, in order.
         """
-        k, n = g.shape
-        peak = g.max(axis=1)
-        rows, left = np.flatnonzero(peak <= BAND_FIELD_MAX), np.flatnonzero(peak > BAND_FIELD_MAX)
-        top = peak + 1.0
-        a = rows.size
+        a, n = rows.size, self.n_sites
+        top = g[rows].max(axis=1) + 1.0
         x, spare = self._v[:a], self._y[:a]
-        np.divide(self._bonds, top[rows, None, None], out=x)
-        x.reshape(a, n * n)[:, :: n + 1] = g[rows] / top[rows, None]
+        np.divide(self._bonds, top[:, None, None], out=x)
+        x.reshape(a, n * n)[:, :: n + 1] = g[rows] / top[:, None]
         alphas = _chen_chow_schedule(NEWTON_SCHULZ_FLOOR)
         tol = NEWTON_SCHULZ_TOL * n * np.finfo(float).eps
         frozen = []  # the converged rows, in the order they froze
@@ -530,6 +488,8 @@ class ChainOverlap:
             # matmul takes X^T X by syrk when both operands share a buffer, which is slower here
             np.copyto(spare[:a], x[:a])
             e = np.matmul(spare[:a].transpose(0, 2, 1), x[:a], out=self._gram[:a])
+            if step == 0:
+                self._proof[rows] = e
             self._gram_diagonal[:a] -= 1.0
             if step >= len(alphas):
                 defect = np.abs(e, out=self._r[:a]).max(axis=(1, 2))
@@ -552,99 +512,75 @@ class ChainOverlap:
             x, spare = spare, x
         if frozen:
             self._record_singular_ratios(g, w, np.concatenate(frozen))
-        return np.sort(np.concatenate((left, rows)))
+        return rows
 
     def _record_singular_ratios(self, g, w, rows) -> None:
         """Count the Newton-Schulz chains ``rows`` of g and lower min_singular_ratio by them, in that order.
 
         A chain can lower min_singular_ratio r only if s_min < r s_max.  With
         c >= s_max^2 from ``_gram_top_bound``, a Cholesky factorization of
-        Z^T Z - r^2 c I, shifted further by a bound on its rounding error,
-        proves the contrary, so only chains where it fails pay for the extreme
-        eigenvalues of the symmetric polar factor H = Z^T W, which are the
-        singular values of Z to ~eps s_max each.
+        A = X_0^T X_0 - (r^2 c / (max g + 1)^2 + mu) I, the Gram kept from the
+        first Newton-Schulz step, proves the contrary.  Only the chains where
+        it fails pay for the extreme eigenvalues of the symmetric polar factor
+        H = Z^T W, which are the singular values of Z to ~eps s_max each.
 
-        The factorization is one stacked ``numpy.linalg.cholesky`` of the
-        dense zigzag-ordered matrices, all shifted by the r the stack starts
-        from.  In that order Z^T Z is a band of half-width 2, and its
-        Cholesky factor has no fill-in: for i - j > 2 every product l_ik l_jk
-        with k <= j has l_ik = 0.  So the dense routine computes every entry
-        off the band as an exact zero, and every entry on it from the same at
-        most three nonzero terms as a band routine, whatever its order or
-        blocking.  The backward error of a factorization that completes,
-        |dA| <= gamma_3 |L| |L^T| (Higham, *Accuracy and Stability of
-        Numerical Algorithms*, SIAM 2002, thm. 10.3), counts only those
-        terms.  Row i of L has norm sqrt(a_ii) <= max g + 1 to first order,
-        and dA has five entries a row, so |dA|_2 stays below ~15 eps
-        (max g + 1)^2: with the rounding of the shifted diagonal it is inside
-        the margin 32 eps (max g + 1)^2.  If any chain of the stack fails,
-        the stack is proved again chain by chain, each shifted by the running
-        minimum the chains before it left, so exactly the chains that would
-        pay alone pay.
+        The margin mu = (N + 1)^2 eps covers every rounding error.  A
+        factorization that completes, in any order of its inner products,
+        gives L L^T = A + dA with |dA| <= gamma_{N+1} |L| |L^T| (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, SIAM 2002,
+        thm. 10.3), so |dA|_2 <= gamma_{N+1} |L|_F^2, and |L|_F^2 = tr(L L^T)
+        <= N (1 + O(eps)), since every column of X_0 has norm at most 1:
+        about N (N + 1) eps / 2, half the margin.  The rest covers the Gram,
+        which sums two products an entry, and X_0, the shift and its
+        subtraction, each rounded once: a few eps on the smallest eigenvalue.
+
+        One stacked ``numpy.linalg.cholesky`` first tries every chain at the r
+        the stack starts from.  If any chain fails, the stack is proved again
+        chain by chain, each shifted by the running minimum the chains before
+        it left, so exactly the chains that would pay alone pay.
         """
         g = g[rows]
         k, n = g.shape
         self.newton_schulz_chains += k
         eps = np.finfo(float).eps
-        bands = self._gram_bands(g, self._bands[:k])
-        caps = (1.0 + 32.0 * eps) * _gram_top_bound(g)
-        margins = 32.0 * eps * (g.max(axis=1) + 1.0) ** 2
-        source, below, above = _dense_band_layout(n)
-        dense = self._proof[:k]
-        flat = dense.reshape(k, n * n)
-        flat[:, below] = flat[:, above] = bands.reshape(k, 3 * n)[:, source]
-        diagonal = flat[:, :: n + 1]
-        np.subtract(bands[:, 0], (self.min_singular_ratio**2 * caps + margins)[:, None], out=diagonal)
+        caps = (1.0 + 32.0 * eps) * _gram_top_bound(g) / (g.max(axis=1) + 1.0) ** 2
+        margin = (n + 1) ** 2 * eps
+        # gathered into warm scratch, as in _polar
+        proof = np.take(self._proof, rows, axis=0, out=self._r[:k], mode="wrap")
+        diagonal = proof.reshape(k, n * n)[:, :: n + 1]
+        gram_diagonal = diagonal.copy()
         if k > 1:  # a stack of one is the first factorization of the loop below
+            np.subtract(gram_diagonal, (self.min_singular_ratio**2 * caps + margin)[:, None], out=diagonal)
             try:
-                np.linalg.cholesky(dense)
+                np.linalg.cholesky(proof)
                 return
             except np.linalg.LinAlgError:
                 pass
         for i, row in enumerate(rows):
-            np.subtract(bands[i, 0], self.min_singular_ratio**2 * caps[i] + margins[i], out=diagonal[i])
+            np.subtract(gram_diagonal[i], self.min_singular_ratio**2 * caps[i] + margin, out=diagonal[i])
             try:
-                np.linalg.cholesky(dense[i])
+                np.linalg.cholesky(proof[i])
             except np.linalg.LinAlgError:
                 h = g[i, :, None] * w[row] + self._bonds.T @ w[row]
                 s = np.linalg.eigvalsh(0.5 * (h + h.T))
                 self.min_singular_ratio = min(self.min_singular_ratio, float(s[0] / s[-1]))
 
-    def _band_route(self, g: np.ndarray, w: np.ndarray) -> None:
-        """W into w by the band route, or the dense SVD where its gate says so, each held to UNITARITY_TOL."""
-        k = len(g)
-        self.band_chains += k
-        fallback = self._band_polar(g, w)
-        self.svd_fallbacks += int(np.count_nonzero(fallback))
-        for row in np.flatnonzero(fallback):
-            self._svd_polar(g[row], w[row])
-        gram = np.matmul(w.transpose(0, 2, 1), w, out=self._gram[:k])
-        self._gram_diagonal[:k] -= 1.0
-        defect = float(np.abs(gram, out=gram).max())
-        self.max_defect = max(self.max_defect, defect)
-        if not defect <= UNITARITY_TOL:
-            raise NumericsError(
-                f"polar factor is not orthogonal (defect {defect:.3e} > {UNITARITY_TOL:.1e})"
-            )
+    def _band_polar(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """W into w by the band route; returns the chains its gate sends to the SVD.
 
-    def _gram_bands(self, g: np.ndarray, bands: np.ndarray) -> np.ndarray:
-        """The band of Z^T Z in zigzag order for each chain of g, in dsbevd's lower storage."""
-        np.take(g, self._band_sites, axis=1, out=bands, mode="wrap")
+        Steps: the band of Z^T Z in zigzag order, in ``dsbevd``'s lower
+        storage; its eigenvectors V; Y = Z V and its column norms d; Q = Y / d
+        and E = Q^T Q - I; the gate (max|E| <= BAND_GATE and d_min above the
+        floor); and W = Q (I - T) V^T with T_ij = d_i E_ij / (d_i + d_j).
+        The chains the gate passes lower min_singular_ratio by d_min / d_max.
+        """
+        from scipy.linalg import lapack
+
+        k, n = g.shape
+        bands = np.take(g, self._band_sites, axis=1, out=self._bands[:k], mode="wrap")
         np.square(bands[:, 0], out=bands[:, 0])
         bands[:, 0] += 1.0
         bands[:, 1:] *= self._band_signs
-        return bands
-
-    def _band_polar(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """W into w from the band eigenproblem of Z^T Z; returns the chains the gate sends to the SVD."""
-        k, n = g.shape
-        too_large = g.max(axis=1) > BAND_FIELD_MAX
-        if too_large.any():
-            # stand-in fields keep the stack finite; those chains go to the SVD
-            g = np.where(too_large[:, None], 1.0, g)
-        from scipy.linalg import lapack
-
-        bands = self._gram_bands(g, self._bands[:k])
         # dsbevd's eigenvectors (zigzag rows, column-major) wait in Y's scratch until V is gathered
         zigzag = self._y[:k].transpose(0, 2, 1)
         for row in range(k):
@@ -660,7 +596,7 @@ class ChainOverlap:
         y[:, 0] += v[:, -1]
         d = np.sqrt(np.einsum("kij,kij->kj", y, y))
         d_min, d_max = d.min(axis=1), d.max(axis=1)
-        fallback = too_large | ~(d_min > self._floor * d_max)
+        fallback = ~(d_min > self._floor * d_max)
         if fallback.any():
             # chains that will not use Y: Q = 0 keeps every step below finite
             d[fallback] = 1.0
@@ -672,7 +608,6 @@ class ChainOverlap:
         if not fallback.all():
             ratio = float((d_min / d_max)[~fallback].min())
             self.min_singular_ratio = min(self.min_singular_ratio, ratio)
-        # I - T with T_ij = d_i E_ij / (d_i + d_j), then W = Q (I - T) V^T.
         weight = np.add(d[:, :, None], d[:, None, :], out=self._r[:k])
         np.divide(-d[:, :, None], weight, out=weight)
         correction = np.multiply(e, weight, out=weight)
@@ -681,13 +616,18 @@ class ChainOverlap:
         return fallback
 
     def _svd_polar(self, g: np.ndarray, w: np.ndarray) -> None:
-        """W = U V^T into w from the dense SVD of Z, with the s_min floor and the det Z orientation."""
-        from scipy.linalg import lapack
+        """W = U V^T into w from numpy's SVD of Z, with the s_min floor and the det Z orientation.
 
-        n = self.n_sites
-        u, s, vt, info = lapack.dgesdd(chain_matrix(g), lwork=_svd_work_size(n), overwrite_a=1)
-        if info:
-            raise NumericsError(f"SVD failed on a {n} x {n} chain matrix (dgesdd info {info})")
+        A solver failure is a NumericsError.  The chain lowers
+        min_singular_ratio by s_min / s_max.  Where s_min is below the floor,
+        a second such singular value raises, and otherwise the last column of
+        U is flipped if det U det V^T < 0.
+        """
+        try:
+            u, s, vt = np.linalg.svd(chain_matrix(g))
+        except np.linalg.LinAlgError as error:
+            n = self.n_sites
+            raise NumericsError(f"SVD failed on a {n} x {n} chain matrix ({error})") from error
         self.min_singular_ratio = min(self.min_singular_ratio, float(s[-1] / s[0]))
         floor = self._floor * s[0]
         if s[-1] <= floor:

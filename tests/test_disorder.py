@@ -34,6 +34,8 @@ def test_ensemble_validation():
     with pytest.raises(ValueError):
         dis.gaussian_iid(1.0, 0.1, 2)
     with pytest.raises(ValueError):
+        dis.gaussian_iid(1.0, 0.1, 8.0)  # a float length fails later, deep in numpy
+    with pytest.raises(ValueError):
         dis.DisorderEnsemble(1.0, 8, "gaussian_correlated", 0.1)  # no xi
     with pytest.raises(ValueError):
         dis.gaussian_correlated(1.0, 0.1, 2.0, 8, distance_mode="taxicab")
@@ -43,6 +45,13 @@ def test_ensemble_validation():
     with pytest.raises(ValueError):
         # width is a uniform-only field
         dis.DisorderEnsemble(1.0, 8, "gaussian_iid", 0.1, width=0.4)
+    with pytest.raises(ValueError):
+        # xi and the distance mode belong to the correlated kind
+        dis.DisorderEnsemble(1.6, 40, "gaussian_iid", 0.1, xi=5.0, distance_mode="ring")
+    with pytest.raises(ValueError):
+        replace(dis.gaussian_iid(1.6, 0.1, 40), xi=3.0)
+    with pytest.raises(ValueError):
+        replace(dis.uniform_iid(1.6, 2.0, 40), distance_mode="ring")
 
 
 def test_uniform_factory_sets_matching_sigma():

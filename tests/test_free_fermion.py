@@ -236,9 +236,9 @@ def band_only():
 
 
 def test_unitarity_guard_catches_corruption(monkeypatch, band_only):
-    """A non-orthogonal factor, two zero singular values or a LAPACK failure code raises, on either branch."""
+    """A non-orthogonal factor, two zero singular values or a solver failure raises, on either branch."""
     sbevd = lapack.dsbevd
-    gesdd = lapack.dgesdd
+    svd = np.linalg.svd
 
     def scaled_v(ab, **kwargs):
         w, v, info = sbevd(ab, **kwargs)
@@ -248,27 +248,26 @@ def test_unitarity_guard_catches_corruption(monkeypatch, band_only):
         w, v, _ = sbevd(ab, **kwargs)
         return w, v, 1
 
-    def scaled_u(a, **kwargs):
-        u, s, vt, info = gesdd(a, **kwargs)
-        return 2.0 * u, s, vt, info
+    def scaled_u(a, *args, **kwargs):
+        u, s, vt = svd(a, *args, **kwargs)
+        return 2.0 * u, s, vt
 
-    def two_zero_singular_values(a, **kwargs):
-        u, s, vt, info = gesdd(a, **kwargs)
+    def two_zero_singular_values(a, *args, **kwargs):
+        u, s, vt = svd(a, *args, **kwargs)
         s[-2:] = 0.0
-        return u, s, vt, info
+        return u, s, vt
 
-    def failed(a, **kwargs):
-        u, s, vt, _ = gesdd(a, **kwargs)
-        return u, s, vt, 1
+    def failed(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    for driver, corrupt, g in (
-        ("dsbevd", scaled_v, WELL_CONDITIONED),
-        ("dsbevd", failed_band, WELL_CONDITIONED),
-        ("dgesdd", scaled_u, SVD_ONLY),
-        ("dgesdd", two_zero_singular_values, SVD_ONLY),
-        ("dgesdd", failed, SVD_ONLY),
+    for solver, name, corrupt, g in (
+        (lapack, "dsbevd", scaled_v, WELL_CONDITIONED),
+        (lapack, "dsbevd", failed_band, WELL_CONDITIONED),
+        (np.linalg, "svd", scaled_u, SVD_ONLY),
+        (np.linalg, "svd", two_zero_singular_values, SVD_ONLY),
+        (np.linalg, "svd", failed, SVD_ONLY),
     ):
-        monkeypatch.setattr(lapack, driver, corrupt)
+        monkeypatch.setattr(solver, name, corrupt)
         for route in (ff.ChainOverlap(g.size).polar, ff.ghz_log_overlap_squared):
             with pytest.raises(NumericsError):
                 route(g)
@@ -283,15 +282,15 @@ def test_unresolved_singular_pair_is_oriented_by_det_z(monkeypatch):
     """One zero singular value with its pair flipped in sign: det Z > 0 restores W."""
     g = SVD_ONLY
     expected = ff.ghz_log_overlap_squared(g)
-    gesdd = lapack.dgesdd
+    svd = np.linalg.svd
 
-    def flipped_zero_mode(a, **kwargs):
-        u, s, vt, info = gesdd(a, **kwargs)
+    def flipped_zero_mode(a, *args, **kwargs):
+        u, s, vt = svd(a, *args, **kwargs)
         s[-1] = 0.0
         u[:, -1] *= -1.0
-        return u, s, vt, info
+        return u, s, vt
 
-    monkeypatch.setattr(lapack, "dgesdd", flipped_zero_mode)
+    monkeypatch.setattr(np.linalg, "svd", flipped_zero_mode)
     kernel = ff.ChainOverlap(g.size)
     assert kernel(g) == pytest.approx(expected, rel=1e-12)
     assert kernel.min_singular_ratio == 0.0
@@ -529,6 +528,37 @@ def test_fields_too_large_to_square_take_the_svd(band_only):
         with pytest.raises(NumericsError, match="two or more"):
             kernel(one_site)
         assert kernel.svd_fallbacks == 2
+
+
+def test_svd_dispatch_keeps_stack_order_on_the_band_route():
+    """Chains above BAND_FIELD_MAX among band-route and SVD_ONLY chains score in a stack as alone.
+
+    The large-field chains skip the band route, whose chains are scattered
+    back between them, and go to the SVD with SVD_ONLY.
+    """
+    n = SVD_ONLY.size
+    rng = np.random.default_rng(17)
+    chains = np.array([
+        rng.uniform(0.2, 3.0, n), np.full(n, 1e151), rng.uniform(0.2, 3.0, n), SVD_ONLY,
+        1e151 * rng.uniform(1.0, 2.0, n), np.full(n, 1.3), np.full(n, 2e151), rng.uniform(0.2, 3.0, n),
+    ])
+    stacked, alone = ff.ChainOverlap(n), ff.ChainOverlap(n)
+    assert stacked.stack >= len(chains)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = stacked(chains)
+        np.testing.assert_array_equal(values, [alone(g) for g in chains])
+    assert np.isfinite(values).all()
+    counters = (
+        "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "band_chains",
+        "svd_fallbacks", "max_defect", "min_singular_ratio",
+    )
+    for counter in counters:
+        assert getattr(stacked, counter) == getattr(alone, counter)
+    assert (stacked.evaluations, stacked.band_chains, stacked.svd_fallbacks) == (8, 8, 4)
+    for g, log_o in zip(chains, values):
+        if g.max() > ff.BAND_FIELD_MAX:
+            assert log_o == pytest.approx(_svd_log_overlap(g), rel=1e-12)
 
 
 def test_large_fields_below_the_square_bound_fall_back_without_overflow():
