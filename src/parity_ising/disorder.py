@@ -17,9 +17,11 @@ and scores its samples in stacks with one ``free_fermion.ChainOverlap``;
 both give exactly what the one-shot ``sample_couplings`` and
 ``ghz_log_overlap_squared`` give.  With one BLAS thread on a 2-core x86
 host, a ``uniform_iid`` sample at N = 40 takes ~12 us to draw and
-~130 us to score, most of it in the kernel's 8-12 Newton-Schulz steps of
+~90-130 us to score, most of it in the kernel's 8-12 Newton-Schulz steps of
 two stacked 40 x 40 matrix products each; at N = 12, on the band route,
-the split is ~12 and ~35 us, and at N = 200 ~50 us and ~6-7 ms.  Where
+the split is ~12 and ~35 us, and at N = 200 ~50 us and ~5 ms, whether a
+chain straddles 1 and takes the band route or is gapped (weak disorder
+about 1.6) and takes 7 Newton-Schulz steps.  Where
 every draw is a uniform chain (the shared shift, or sigma = 0) the run
 scores all its samples with one vectorized ``utility_clean`` call instead.
 

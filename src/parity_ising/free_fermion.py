@@ -35,14 +35,22 @@ is the one overlap route, and ``ghz_log_overlap_squared`` is a single call
 of a fresh one.  It avoids the SVD of Z where it can, and takes each
 chain's W by one of three routes:
 
-- Newton-Schulz, for lengths in NEWTON_SCHULZ_SITES, where it measured
-  faster than the band route on the Monte Carlo ensembles: W is the limit
-  of X <- alpha X (3I - alpha^2 X^T X) / 2 (Higham, *Functions of
-  Matrices*, SIAM 2008, ch. 8) from X_0 = Z / (max g + 1), whose singular
-  values lie in (0, 1] since |Z|_2 <= max g + 1.  The scalings alpha follow
-  a fixed Chen-Chow schedule, and each step is two matrix products.  A
-  chain not converged after NEWTON_SCHULZ_STEPS steps takes the band route.
-- The band route, for every other length: Z^T Z is cyclic tridiagonal, a
+- Newton-Schulz, for every chain of a length in NEWTON_SCHULZ_SITES, where
+  it measured faster than the band route on the Monte Carlo ensembles, and
+  for every gapped chain (all fields on one side of 1) from the window's
+  lower end on: W is the limit of X <- alpha X (3I - alpha^2 X^T X) / 2
+  (Higham, *Functions of Matrices*, SIAM 2008, ch. 8) from
+  X_0 = Z / (max g + 1), whose singular values lie in (0, 1] since
+  |Z|_2 <= max g + 1.  Z is diag(g) plus an orthogonal signed shift, so by
+  Weyl's inequality s_min(Z) >= max(g_min - 1, 1 - g_max), which is
+  positive on a gapped chain.  The scalings alpha follow a Chen-Chow
+  schedule for the highest of a few fixed lower ends at or below the
+  chain's bound, or for NEWTON_SCHULZ_FLOOR if the bound is lower, and
+  each step is two matrix products.  A chain whose bound reaches the floor
+  is checked once the bound, carried through the steps, is within eps of
+  1, where it has converged.  A chain not converged after
+  NEWTON_SCHULZ_STEPS steps takes the band route.
+- The band route, for every other chain: Z^T Z is cyclic tridiagonal, a
   band of half-width 2 once the sites are ordered 0, 1, N-1, 2, N-2, ...,
   which ``dsbevd`` diagonalizes in a fraction of the time an SVD of Z
   takes.  Its eigenvectors V serve only as an orthogonal basis:
@@ -64,7 +72,8 @@ chain's W by one of three routes:
 
 Only the band route calls LAPACK through scipy (``dsbevd``), and it imports
 ``scipy.linalg`` on its first call: a process that only sums modes, or
-whose chains all converge by Newton-Schulz, never loads it.
+whose chains all converge by Newton-Schulz (weak disorder about a field
+away from 1, at any length from 24 sites), never loads it.
 
 Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
@@ -98,14 +107,22 @@ BAND_GATE = 1e-8
 # Largest field ChainOverlap squares or scales, so that Z^T Z and the column
 # norms of Z V stay far from overflow; a chain with a larger one takes the SVD.
 BAND_FIELD_MAX = 1e150
-# Chain lengths, inclusive, whose polar factor ChainOverlap takes by the scaled
-# Newton-Schulz iteration before the band route; other lengths start on the band route.
+# Chain lengths, inclusive, at which ChainOverlap takes the polar factor of every
+# chain by the scaled Newton-Schulz iteration before the band route; a gapped
+# chain (all fields on one side of 1) takes it at every length from the first on.
+# Other chains start on the band route, and a lower end of 0 sends every chain there.
 NEWTON_SCHULZ_SITES = (24, 80)
 # Newton-Schulz steps a chain may take; one that has not converged by then takes the band route.
 NEWTON_SCHULZ_STEPS = 20
-# Lower end of the singular-value interval (l0, 1] of Z / (max g + 1) that the
-# fixed Chen-Chow scaling schedule is built for.
+# Lowest l of the singular-value interval (l, 1] of Z / (max g + 1) that a
+# Chen-Chow scaling schedule is built for: the whole schedule of every chain
+# that straddles 1, and of every gapped chain whose own bound is lower.
 NEWTON_SCHULZ_FLOOR = 3e-2
+# Shortest chain on which a Newton-Schulz step forms X^T X by matmul's
+# shared-operand product (syrk) rather than a copy and gemm.  Per chain, one
+# BLAS thread, copy + gemm against shared: N = 40 3.0 / 5.9 us, 80 21.5 / 24.1,
+# 96 37 / 37, 120 96 / 63, 200 395 / 224.
+SHARED_GRAM_SITES = 96
 # A Newton-Schulz iterate X has converged once max|X^T X - I| <= this times N eps.
 NEWTON_SCHULZ_TOL = 4.0
 # Matrix entries (chains x N x N) in each stack-sized scratch array of
@@ -291,22 +308,57 @@ def _band_layout(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return position, sites, signs
 
 
-@functools.lru_cache(maxsize=1)
-def _chen_chow_schedule(floor: float) -> tuple[float, ...]:
-    """The scalings alpha_k of the Newton-Schulz steps for singular values in (floor, 1].
+def _chen_chow_schedule(low: float) -> tuple[tuple, int]:
+    """Newton-Schulz coefficients (c_I, c_E) for singular values in (low, 1], and the steps that close it.
 
     A step X <- alpha X (3I - alpha^2 X^T X) / 2 maps a singular value s to
     p(alpha s) with p(x) = x (3 - x^2) / 2.  alpha_k = sqrt(3 / (1 + l + l^2))
     makes p(alpha l) = p(alpha), so (l, 1] maps into (l', 1] with
     l' = p(alpha l) (Chen & Chow, SIAM J. Sci. Comput. 36, A2680 (2014)).
     The schedule ends once alpha is within 1e-3 of 1, where the plain step
-    takes over.
+    takes over.  In terms of E = X^T X - I a step is X (c_I I + c_E E) with
+    c_I = (3 alpha - alpha^3) / 2 and c_E = -alpha^3 / 2.  The interval
+    closes at the step after which its lower end is within eps of 1.
     """
-    alphas, low = [], floor
+    steps = []
     while (alpha := math.sqrt(3.0 / (1.0 + low + low * low))) > 1.0 + 1e-3:
-        alphas.append(alpha)
+        steps.append((1.5 * alpha - 0.5 * alpha**3, -0.5 * alpha**3))
         low = 0.5 * alpha * low * (3.0 - (alpha * low) ** 2)
-    return tuple(alphas)
+    closing = len(steps)
+    while low < 1.0 - np.finfo(float).eps and closing < NEWTON_SCHULZ_STEPS:
+        low, closing = 0.5 * low * (3.0 - low**2), closing + 1
+    return tuple(steps), closing
+
+
+@functools.lru_cache(maxsize=1)
+def _schedule_grid(floor: float) -> tuple[np.ndarray, tuple]:
+    """The Newton-Schulz schedules: ascending interval ends, and (coefficients, first check) of each.
+
+    A chain with lower end l takes schedule ``searchsorted(ends, l, "right")``.
+    Schedule 0 is the one for ``floor``, checked from its end on, for the
+    chains whose interval is not proved to reach above the floor.  A chain
+    with l >= ``floor`` takes schedule j >= 1, built for ends[j - 1]:
+    ``floor`` itself, then for each step count s below the floor's the
+    lowest end (to ~1e-12) whose interval closes within s steps.  The
+    interval (l, 1] lies inside that end's, so its schedule serves l and
+    closes it as fast as l's own would, and the chain is checked from the
+    step at which it closes, where its iterate is orthogonal to rounding.
+    (The closing test meets the last ulp below 1, so some ends up to ~2%
+    below a grid end close a step sooner on their own: 0.4% of them.)
+    """
+    steps, closing = _chen_chow_schedule(floor)
+    ends = [floor]
+    for bound in range(closing - 1, -1, -1):  # the lowest end that closes within bound steps, by bisection
+        lo, hi = ends[-1], 1.0
+        for _ in range(40):
+            lo, hi = (lo, mid) if _chen_chow_schedule(mid := 0.5 * (lo + hi))[1] <= bound else (mid, hi)
+        ends.append(hi)
+    return np.array(ends), ((steps, len(steps)), *map(_chen_chow_schedule, ends))
+
+
+def _groups(entry: np.ndarray, grid: tuple) -> list:
+    """(slice, coefficients, first check) of each run of one schedule of ``grid`` in a sorted ``entry``."""
+    return [(slice(*np.searchsorted(entry, (j, j + 1))), *grid[j]) for j in sorted(set(entry.tolist()))]
 
 
 def chain_matrix(couplings) -> np.ndarray:
@@ -330,14 +382,24 @@ def _gram_top_bound(g: np.ndarray) -> np.ndarray:
     v = |Z^T Z|^2 1 puts the bound within ~2% of s_max^2 on the Monte Carlo
     ensembles, against up to ~25% for (max g + 1)^2.
     """
-    diagonal, right = g * g + 1.0, np.concatenate((g[:, 1:], g[:, :1]), axis=1)
-    v = np.ones_like(g)
-    for _ in range(3):
-        ring = np.concatenate((v[:, -1:], v, v[:, :1]), axis=1)  # v_{j-1} at j, v_{j+1} at j + 2
-        u = diagonal * v + right * ring[:, 2:] + g * ring[:, :-2]
-        bound = (u / v).max(axis=1)
-        v = u / u.max(axis=1, keepdims=True)
-    return bound
+    sites = np.ascontiguousarray(g.T)  # one chain per column: a step along the ring is a row offset
+    diagonal, right = sites * sites + 1.0, np.concatenate((sites[1:], sites[:1]))
+    ring = np.empty((len(sites) + 2, len(g)))  # v_{j-1} at row j, v_j at j + 1, v_{j+1} at j + 2
+    v = ring[1:-1]
+    u = diagonal + right + sites  # the first pass, from v = 1
+    for _ in range(2):
+        np.divide(u, u.max(axis=0), out=v)
+        ring[0], ring[-1] = v[-1], v[0]
+        u = diagonal * v + right * ring[2:] + sites * ring[:-2]
+    return (u / v).max(axis=0)
+
+
+def _factors(a: np.ndarray) -> bool:
+    """Whether ``numpy.linalg.cholesky`` factors a, or every matrix of a stack."""
+    try:
+        return np.linalg.cholesky(a) is not None
+    except np.linalg.LinAlgError:
+        return False
 
 
 class ChainOverlap:
@@ -348,7 +410,11 @@ class ChainOverlap:
     returns a float.  ``polar`` returns W of one chain.  A call works
     through its chains ``stack`` = max(1, STACK_ENTRIES // N^2) at a time,
     on (stack, N, N) scratch that the object keeps between calls, so its
-    memory is bounded at any N and any call size.  Only the band
+    memory is bounded at any N and any call size.  A chain starts on
+    Newton-Schulz when its length lies in NEWTON_SCHULZ_SITES, or when it is
+    gapped (all fields on one side of 1) and at least the window's lower end
+    long; every other chain starts on the band route, and a chain with a
+    field above BAND_FIELD_MAX goes to the SVD.  Only the band
     eigensolver, the SVD and the eigenvalues of the ratio proof run once per
     chain; every other step is one numpy operation over the stack.  Each
     chain takes the route, and gets the value, that it would alone, whatever
@@ -375,8 +441,15 @@ class ChainOverlap:
         self.stack = max(1, STACK_ENTRIES // n_sites**2)
         self._floor = n_sites * np.finfo(float).eps  # s_min <= _floor * s_max is unresolved
         self._position, self._band_sites, self._band_signs = _band_layout(n_sites)
-        self._newton_schulz = NEWTON_SCHULZ_SITES[0] <= n_sites <= NEWTON_SCHULZ_SITES[1]
+        self._newton_schulz = 0 < NEWTON_SCHULZ_SITES[0] <= n_sites  # for gapped chains
+        self._straddling_newton_schulz = self._newton_schulz and n_sites <= NEWTON_SCHULZ_SITES[1]
         self._bonds = _bonds(n_sites) if self._newton_schulz else None
+        if self._newton_schulz:  # where the ratio proof reads fields and writes complements
+            m, ring = n_sites // 2, np.arange(n_sites // 2)
+            self._even_after, self._odd_after = (2 * ring + 2) % n_sites, (2 * ring + 3) % n_sites
+            # the diagonal, entries (i + 1, i), the corner (m - 1, 0): the lower triangle
+            self._lower_sites = np.concatenate((ring * (m + 1), ring[1:] * m + ring[:-1], [(m - 1) * m]))
+            self._wrap_signs = np.where(ring < m - 1, -1.0, 1.0)
         self._allocate(1)
         self.newton_schulz_chains = 0
         self.max_newton_schulz_steps = 0
@@ -401,7 +474,8 @@ class ChainOverlap:
             a.reshape(rows, -1)[:, :: n + 1] for a in (self._gram, self._r, self._m)
         )
         if self._newton_schulz:
-            self._proof = np.empty((rows, n, n))  # X_0^T X_0 of each chain, for the ratio proof
+            # the ratio proof's odd-site complements: it writes the same entries each call
+            self._complement = np.zeros((rows, n // 2, n // 2))
 
     def _fields(self, couplings) -> np.ndarray:
         """Validated fields as an (M, N) stack."""
@@ -420,29 +494,33 @@ class ChainOverlap:
     def _polar(self, g: np.ndarray) -> np.ndarray:
         """The (k, N, N) polar factors of k <= stack chains, each by its route.
 
-        A chain with a field above BAND_FIELD_MAX goes to the SVD.  At lengths
-        in NEWTON_SCHULZ_SITES the others start on Newton-Schulz, which checks
-        the chains it converges; the band route takes the rest, and its gate
-        sends some on to the SVD.  Every W of the band route or the SVD is
-        then held to UNITARITY_TOL, and its chain counts in ``band_chains``.
+        A chain with a field above BAND_FIELD_MAX goes to the SVD.  Of the
+        others, those the class docstring names start on Newton-Schulz, which
+        checks the chains it converges; the band route takes the rest, and its
+        gate sends some on to the SVD.  Every W of the band route or the SVD
+        is then held to UNITARITY_TOL, and its chain counts in ``band_chains``.
         """
         k = len(g)
         if k > len(self._w):
             self._allocate(k)
         w = self._w[:k]
-        svd = g.max(axis=1) > BAND_FIELD_MAX
-        rows = np.flatnonzero(~svd)
+        top = g.max(axis=1)
+        svd = top > BAND_FIELD_MAX
+        band = ~svd
         if self._newton_schulz:
-            rows = self._newton_schulz_polar(g, rows, w)
-        routed = svd.copy()
-        routed[rows] = True
+            # s_min(Z) >= low (max g + 1) by Weyl, and |Z|_2 <= max g + 1
+            low = np.maximum(g.min(axis=1) - 1.0, 1.0 - top) / (top + 1.0)
+            newton = band & (self._straddling_newton_schulz | (low > 0.0))
+            band &= ~newton
+            band[self._newton_schulz_polar(g, np.flatnonzero(newton), top, low, w)] = True
+        rows = np.flatnonzero(band)
         if rows.size:
             # a whole stack is solved, and checked below, in place: at large N each copy costs ~1%
-            band = w if rows.size == k else self._m[: rows.size]
-            svd[rows] = self._band_polar(g[rows], band)
-            if band is not w:
-                w[rows] = band
-        held, fallbacks = np.flatnonzero(routed), np.flatnonzero(svd)
+            solved = w if rows.size == k else self._m[: rows.size]
+            svd[rows] = self._band_polar(g[rows], solved)
+            if solved is not w:
+                w[rows] = solved
+        held, fallbacks = np.flatnonzero(svd | band), np.flatnonzero(svd)
         self.band_chains += held.size
         self.svd_fallbacks += fallbacks.size
         for row in fallbacks:
@@ -461,53 +539,59 @@ class ChainOverlap:
             )
         return w
 
-    def _newton_schulz_polar(self, g: np.ndarray, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _newton_schulz_polar(self, g, rows, top, low, w) -> np.ndarray:
         """W into w for the chains ``rows`` of g by Newton-Schulz; returns those left to the band route.
 
-        X_0 = Z / (max g + 1), and the Gram X_0^T X_0 of the first step is
-        kept for the ratio proof.  Each step computes E = X^T X - I and
-        X <- alpha X ((3 - alpha^2) I - alpha^2 E) / 2, alpha from the fixed
-        Chen-Chow schedule and 1 after it.  From the end of the schedule on,
-        a chain whose max|E| is within NEWTON_SCHULZ_TOL N eps, far inside
-        UNITARITY_TOL, leaves the iteration with X as its W and that max|E|
-        as its defect; the rest go on compacted in the scratch, so every
-        chain takes the same steps wherever it is scored.  Chains still
-        iterating after NEWTON_SCHULZ_STEPS steps are returned, in order.
+        X_0 = Z / (max g + 1), with max g in ``top``, has its singular values
+        in (``low``, 1] on a gapped chain.  Each step computes E = X^T X - I and
+        X <- X (c_I I + c_E E), by the schedule ``_schedule_grid`` gives the
+        chain and by the plain step after it.  From the schedule's first
+        check on, a chain whose max|E| is within NEWTON_SCHULZ_TOL N eps, far
+        inside UNITARITY_TOL, leaves the iteration with X as its W and that
+        max|E| as its defect; the rest go on compacted in the scratch, so
+        every chain takes the same steps wherever it is scored.  Chains still
+        iterating after NEWTON_SCHULZ_STEPS steps are returned.
         """
+        ends, schedules = _schedule_grid(NEWTON_SCHULZ_FLOOR)
+        entry = np.searchsorted(ends, low[rows], side="right")
+        # the chains of one schedule side by side, so that each step scales them by scalars
+        rows, entry = rows[np.argsort(entry, kind="stable")], np.sort(entry)
+        groups = _groups(entry, schedules)
         a, n = rows.size, self.n_sites
-        top = g[rows].max(axis=1) + 1.0
         x, spare = self._v[:a], self._y[:a]
-        np.divide(self._bonds, top[:, None, None], out=x)
-        x.reshape(a, n * n)[:, :: n + 1] = g[rows] / top[:, None]
-        alphas = _chen_chow_schedule(NEWTON_SCHULZ_FLOOR)
+        np.divide(self._bonds, top[rows, None, None] + 1.0, out=x)
+        x.reshape(a, n * n)[:, :: n + 1] = g[rows] / (top[rows, None] + 1.0)
         tol = NEWTON_SCHULZ_TOL * n * np.finfo(float).eps
         frozen = []  # the converged rows, in the order they froze
         for step in range(NEWTON_SCHULZ_STEPS + 1):
             if a == 0:
                 break
-            # matmul takes X^T X by syrk when both operands share a buffer, which is slower here
-            np.copyto(spare[:a], x[:a])
-            e = np.matmul(spare[:a].transpose(0, 2, 1), x[:a], out=self._gram[:a])
-            if step == 0:
-                self._proof[rows] = e
+            if n < SHARED_GRAM_SITES:  # a copy keeps matmul off its shared-operand product
+                np.copyto(spare[:a], x[:a])
+            left = (spare if n < SHARED_GRAM_SITES else x)[:a]
+            e = np.matmul(left.transpose(0, 2, 1), x[:a], out=self._gram[:a])
             self._gram_diagonal[:a] -= 1.0
-            if step >= len(alphas):
+            if step >= min(check for *_, check in groups):
                 defect = np.abs(e, out=self._r[:a]).max(axis=(1, 2))
                 done = defect <= tol
+                for chains, _, check in groups:
+                    done[chains] &= step >= check
                 if done.any():
                     w[rows[done]] = x[:a][done]
                     frozen.append(rows[done])
                     self.max_newton_schulz_steps = max(self.max_newton_schulz_steps, step)
                     self.max_defect = max(self.max_defect, float(defect[done].max()))
                     keep = ~done
-                    rows, a = rows[keep], int(np.count_nonzero(keep))
+                    rows, entry = rows[keep], entry[keep]
+                    groups, a = _groups(entry, schedules), rows.size
                     x[:a], e[:a] = x[: keep.size][keep], e[: keep.size][keep]
                     e = e[:a]
                 if step == NEWTON_SCHULZ_STEPS or a == 0:
                     break
-            alpha = alphas[step] if step < len(alphas) else 1.0
-            e *= -0.5 * alpha**3
-            self._gram_diagonal[:a] += 1.5 * alpha - 0.5 * alpha**3
+            for chains, steps, _ in groups:
+                c_i, c_e = steps[step] if step < len(steps) else (1.0, -0.5)
+                e[chains] *= c_e
+                self._gram_diagonal[chains] += c_i
             np.matmul(x[:a], e, out=spare[:a])
             x, spare = spare, x
         if frozen:
@@ -518,21 +602,28 @@ class ChainOverlap:
         """Count the Newton-Schulz chains ``rows`` of g and lower min_singular_ratio by them, in that order.
 
         A chain can lower min_singular_ratio r only if s_min < r s_max.  With
-        c >= s_max^2 from ``_gram_top_bound``, a Cholesky factorization of
-        A = X_0^T X_0 - (r^2 c / (max g + 1)^2 + mu) I, the Gram kept from the
-        first Newton-Schulz step, proves the contrary.  Only the chains where
-        it fails pay for the extreme eigenvalues of the symmetric polar factor
+        c >= s_max^2 from ``_gram_top_bound``, A = Z^T Z - (r^2 c + mu) I
+        positive definite proves the contrary.  On the even ring the even
+        sites of Z^T Z couple only to odd ones, so A is positive definite
+        exactly when its even diagonal is positive and the Schur complement
+        on the N/2 odd sites, which ``_odd_complements`` builds from the
+        fields, has a Cholesky factor.  Only the chains where the proof fails
+        pay for the extreme eigenvalues of the symmetric polar factor
         H = Z^T W, which are the singular values of Z to ~eps s_max each.
 
-        The margin mu = (N + 1)^2 eps covers every rounding error.  A
-        factorization that completes, in any order of its inner products,
-        gives L L^T = A + dA with |dA| <= gamma_{N+1} |L| |L^T| (Higham,
-        *Accuracy and Stability of Numerical Algorithms*, SIAM 2002,
-        thm. 10.3), so |dA|_2 <= gamma_{N+1} |L|_F^2, and |L|_F^2 = tr(L L^T)
-        <= N (1 + O(eps)), since every column of X_0 has norm at most 1:
-        about N (N + 1) eps / 2, half the margin.  The rest covers the Gram,
-        which sums two products an entry, and X_0, the shift and its
-        subtraction, each rounded once: a few eps on the smallest eigenvalue.
+        The margin mu = (N/2 + 2)^2 eps t^2, t = max g + 1, covers every
+        rounding error; no diagonal entry of Z^T Z exceeds t^2.  The computed
+        even pivots u_e bound those of Z^T Z - r^2 c I from below, since the
+        margin exceeds their few roundings, and smaller pivots only lower the
+        complement, so the complement C built from them suffices.  A
+        factorization of C that completes, in any order of its inner
+        products, gives L L^T = C + dC with |dC| <= gamma_{N/2+1} |L| |L^T|
+        (Higham, *Accuracy and Stability of Numerical Algorithms*, SIAM 2002,
+        thm. 10.3), so |dC|_2 <= gamma_{N/2+1} tr(L L^T), about
+        (N/2 + 1) N/2 eps t^2.  Where the diagonal of C is positive, each
+        term it subtracts is below t^2, and so is each off-diagonal entry;
+        rounding them, the shift and the fields' squares leaves under
+        (3 N/2 + 4) eps t^2 a row, the rest of the margin.
 
         One stacked ``numpy.linalg.cholesky`` first tries every chain at the r
         the stack starts from.  If any chain fails, the stack is proved again
@@ -543,27 +634,41 @@ class ChainOverlap:
         k, n = g.shape
         self.newton_schulz_chains += k
         eps = np.finfo(float).eps
-        caps = (1.0 + 32.0 * eps) * _gram_top_bound(g) / (g.max(axis=1) + 1.0) ** 2
-        margin = (n + 1) ** 2 * eps
-        # gathered into warm scratch, as in _polar
-        proof = np.take(self._proof, rows, axis=0, out=self._r[:k], mode="wrap")
-        diagonal = proof.reshape(k, n * n)[:, :: n + 1]
-        gram_diagonal = diagonal.copy()
-        if k > 1:  # a stack of one is the first factorization of the loop below
-            np.subtract(gram_diagonal, (self.min_singular_ratio**2 * caps + margin)[:, None], out=diagonal)
-            try:
-                np.linalg.cholesky(proof)
-                return
-            except np.linalg.LinAlgError:
-                pass
+        caps = (1.0 + 32.0 * eps) * _gram_top_bound(g)
+        margin = (n // 2 + 2) ** 2 * eps * (g.max(axis=1) + 1.0) ** 2
+        r, complements = self.min_singular_ratio, self._complement[:k]
+        proved = self._odd_complements(g, r**2 * caps + margin, complements)
+        if k > 1 and proved.all() and _factors(complements):
+            return  # a stack of one is the first proof of the loop below
         for i, row in enumerate(rows):
-            np.subtract(gram_diagonal[i], self.min_singular_ratio**2 * caps[i] + margin, out=diagonal[i])
-            try:
-                np.linalg.cholesky(proof[i])
-            except np.linalg.LinAlgError:
+            if self.min_singular_ratio != r:  # the rest of the stack, shifted anew
+                r = self.min_singular_ratio
+                proved[i:] = self._odd_complements(g[i:], r**2 * caps[i:] + margin[i:], complements[i:])
+            if not (proved[i] and _factors(complements[i])):
                 h = g[i, :, None] * w[row] + self._bonds.T @ w[row]
                 s = np.linalg.eigvalsh(0.5 * (h + h.T))
                 self.min_singular_ratio = min(self.min_singular_ratio, float(s[0] / s[-1]))
+
+    def _odd_complements(self, g: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Odd-site Schur complements of Z^T Z - shift I into out, and which chains have positive pivots.
+
+        Even site e = 2i + 2 (mod N) couples to the odd sites 2i + 1, by -g_e
+        (+g_0 across the wrap), and 2i + 3, by -g_{e+1}.  Eliminating it on
+        its pivot u = g_e^2 + 1 - shift leaves a cyclic tridiagonal matrix on
+        the N/2 odd sites, site 2i + 1 at position i; only its lower triangle
+        is written, which is all ``numpy.linalg.cholesky`` reads, and its
+        ring needs N >= 6 for distinct neighbours.  The complement of a chain
+        with a pivot that is not positive is left meaningless.
+        """
+        diagonal = g * g + (1.0 - shift[:, None])  # of Z^T Z - shift I
+        left, right, u = g[:, self._even_after], g[:, self._odd_after], diagonal[:, self._even_after]
+        positive = (u > 0.0).all(axis=1)
+        u[~positive] = 1.0
+        # odd site 2i + 1 gives up left_i^2 / u_i to its right and right_{i-1}^2 / u_{i-1} to its left
+        odd_diagonal = diagonal[:, 1::2] - (left * left / u + np.roll(right * right / u, 1, axis=1))
+        off = left * right / u * self._wrap_signs
+        out.reshape(len(g), -1)[:, self._lower_sites] = np.concatenate((odd_diagonal, off), axis=1)
+        return positive
 
     def _band_polar(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
         """W into w by the band route; returns the chains its gate sends to the SVD.

@@ -282,7 +282,11 @@ def test_montecarlo_flag_validation(tmp_path, capsys):
 
 
 def test_curve_commands_and_newton_schulz_montecarlo_leave_scipy_linalg_unloaded(tmp_path):
-    """Every submodule and four commands load no scipy.linalg; a band-route run (N = 130) loads it."""
+    """Every submodule and five commands load no scipy.linalg; a band-route run (N = 130) loads it.
+
+    The fifth, weak correlated disorder at N = 200, is gapped: its chains
+    take Newton-Schulz outside the window too.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     script = textwrap.dedent(
@@ -298,6 +302,8 @@ def test_curve_commands_and_newton_schulz_montecarlo_leave_scipy_linalg_unloaded
             ["second-variation", "--kind", "exponential", "--n", "8", "40", "--xi", "2", "--out", "sv.csv"],
             ["critical-scaling", "--out", "crit.csv"],
             montecarlo + ["--n", "40", "--samples", "50"],
+            ["montecarlo", "--kind", "gaussian_correlated", "--n", "200", "--g", "1.6", "--sigma", "0.04",
+             "--xi", "5", "--samples", "3", "--out", "gapped.json"],
         ]
         print([cli.main(run) for run in runs], "scipy.linalg" in sys.modules)
         print(cli.main(montecarlo + ["--n", "130", "--samples", "2"]), "scipy.linalg" in sys.modules)
@@ -306,7 +312,7 @@ def test_curve_commands_and_newton_schulz_montecarlo_leave_scipy_linalg_unloaded
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines() == ["[0, 0, 0, 0] False", "0 True"]
+    assert out.stdout.splitlines() == ["[0, 0, 0, 0, 0] False", "0 True"]
 
 
 def test_grid_validation(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
+from parity_ising import disorder
 from parity_ising import free_fermion as ff
 from parity_ising import oracle
 from parity_ising import parity_game as pg
@@ -701,6 +702,160 @@ def test_newton_schulz_window_hands_extreme_fields_on_without_overflow(n):
         expected = [ff.ghz_log_overlap_squared(g) for g in stack]
     np.testing.assert_array_equal(values, expected)
     assert (kernel.newton_schulz_chains, kernel.band_chains, kernel.svd_fallbacks) == (1, 5, 5)
+
+
+def test_schedule_grid_closes_each_interval_as_fast_as_its_own_schedule():
+    """A proved lower end l takes the schedule of a grid end at or below it that closes within l's own steps.
+
+    Below the floor a chain takes the floor's schedule, checked from its end
+    on; at the floor the same coefficients are checked from where they close.
+    Up to ~2% below a grid end the closing test, at the last ulp below 1,
+    lets a few ends close a step sooner on their own.
+    """
+    ends, schedules = ff._schedule_grid(ff.NEWTON_SCHULZ_FLOOR)
+    floor_steps, floor_closing = ff._chen_chow_schedule(ff.NEWTON_SCHULZ_FLOOR)
+    assert schedules[:2] == ((floor_steps, len(floor_steps)), (floor_steps, floor_closing))
+    assert np.searchsorted(ends, [0.0, 0.9 * ff.NEWTON_SCHULZ_FLOOR], side="right").tolist() == [0, 0]
+    lows = np.concatenate((np.geomspace(ff.NEWTON_SCHULZ_FLOOR, 1.0, 500), ends))
+    extra = []
+    for low in lows:
+        entry = np.searchsorted(ends, low, side="right")
+        assert entry >= 1 and ends[entry - 1] <= low
+        extra.append(schedules[entry][1] - ff._chen_chow_schedule(low)[1])
+        assert extra[-1] <= 0 or min(abs(low / ends - 1.0)) < 2e-2
+    assert max(extra) <= 1 and extra.count(1) <= len(lows) // 100
+
+
+# Lengths beyond the window, where only gapped chains take Newton-Schulz.
+GAPPED_LENGTHS = (120, 200)
+COUNTERS = (
+    "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "band_chains",
+    "svd_fallbacks", "max_defect", "min_singular_ratio",
+)
+
+
+def _gapped_sweep(n):
+    """Nine gapped chains of length n, shuffled: every field on one side of 1.
+
+    Weak disorder about 1.6 (the Monte Carlo ensembles), wide spreads above
+    and below 1, a uniform chain, thin gaps whose Weyl bound lies below
+    NEWTON_SCHULZ_FLOOR (so they take the floor's schedule), and log-normal
+    excursions above 1.
+    """
+    rng = np.random.default_rng((19, n))
+    chains = [1.6 + 0.04 * rng.standard_normal(n) for _ in range(2)]
+    chains += [rng.uniform(1.05, 4.0, n), rng.uniform(0.05, 0.9, n), np.full(n, 0.5)]
+    chains += [1.0 + rng.uniform(1e-4, 2e-2, n), rng.uniform(0.98, 0.999, n)]
+    chains += [1.0 + np.exp(rng.normal(0.0, 2.0, n)) for _ in range(2)]
+    return np.array(chains)[rng.permutation(len(chains))]
+
+
+@pytest.mark.parametrize("n", GAPPED_LENGTHS)
+def test_gapped_chains_take_newton_schulz_and_match_band_and_svd(n):
+    """Outside the window a gapped chain converges by Newton-Schulz and agrees with the band route and the SVD.
+
+    log o+ to 1e-12 and s_min / s_max to 1e-10 relative, chain by chain,
+    with a defect within the convergence tolerance.
+    """
+    for g in _gapped_sweep(n):
+        newton = ff.ChainOverlap(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log_o = newton(g)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ff, "NEWTON_SCHULZ_SITES", (0, 0))
+            band = ff.ChainOverlap(n)
+        assert (newton.newton_schulz_chains, newton.band_chains) == (1, 0)
+        assert (band(g), band.newton_schulz_chains, band.band_chains) == (pytest.approx(log_o, abs=1e-12), 0, 1)
+        assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
+        assert 0 < newton.max_newton_schulz_steps <= ff.NEWTON_SCHULZ_STEPS
+        assert 0.0 < newton.max_defect <= ff.NEWTON_SCHULZ_TOL * n * np.finfo(float).eps
+        s = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
+        assert newton.min_singular_ratio == pytest.approx(s[-1] / s[0], rel=1e-10)
+        assert newton.min_singular_ratio == pytest.approx(band.min_singular_ratio, rel=1e-10)
+
+
+def _extreme_gapped_chains(n):
+    """All fields 1e-100 (o+ -> 1), all 1e100 (|+...+>, o+ = 2^(1 - N)), and a chain above BAND_FIELD_MAX."""
+    return np.array([np.full(n, 1e-100), np.full(n, 1e100), np.full(n, 1e151)])
+
+
+@pytest.mark.parametrize("n", GAPPED_LENGTHS)
+def test_gapped_stack_scores_each_chain_as_it_scores_alone(n):
+    """The gapped sweep and the extreme fields give in one call bit for bit what they give alone, with every counter."""
+    chains = np.vstack((_gapped_sweep(n), _extreme_gapped_chains(n)))
+    stacked, alone = ff.ChainOverlap(n), ff.ChainOverlap(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = stacked(chains)
+        np.testing.assert_array_equal(values, [alone(g) for g in chains])
+    for counter in COUNTERS:
+        assert getattr(stacked, counter) == getattr(alone, counter)
+    assert (stacked.newton_schulz_chains, stacked.band_chains, stacked.svd_fallbacks) == (len(chains) - 1, 1, 1)
+
+
+@pytest.mark.parametrize("n", GAPPED_LENGTHS)
+def test_gapped_extreme_fields_converge_without_overflow(n):
+    """Fields of 1e-100 and 1e100 are gapped: Newton-Schulz takes them at step 0, with the limits of o+."""
+    tiny, huge, too_large = _extreme_gapped_chains(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kernel = ff.ChainOverlap(n)
+        assert kernel(tiny) == pytest.approx(0.0, abs=1e-12)
+        assert kernel(huge) == pytest.approx((1 - n) * math.log(2.0), rel=1e-12)
+        assert kernel(too_large) == pytest.approx(_svd_log_overlap(too_large), rel=1e-12)
+    assert (kernel.newton_schulz_chains, kernel.max_newton_schulz_steps) == (2, 0)
+    assert (kernel.band_chains, kernel.svd_fallbacks) == (1, 1)
+    assert kernel.min_singular_ratio == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", (40, 130))
+def test_mixed_gapped_and_straddling_stack_scores_each_chain_as_it_scores_alone(n):
+    """Gapped chains of several schedules among chains that straddle 1 score in one call as alone.
+
+    At N = 40 the straddling chains take Newton-Schulz on the floor's
+    schedule beside the gapped ones; at N = 130 they take the band route.
+    """
+    rng = np.random.default_rng((23, n))
+    weak = 5 * n // 12  # a domain wall that only the SVD resolves
+    wall = np.array([1.0 / 3000.0] * weak + [3000.0] * (n - weak))
+    chains = np.vstack((_gapped_sweep(n)[:6], rng.uniform(0.6, 2.6, (6, n)), [wall]))
+    chains = chains[rng.permutation(len(chains))]
+    stacked, alone = ff.ChainOverlap(n), ff.ChainOverlap(n)
+    values = stacked(chains)
+    np.testing.assert_array_equal(values, [alone(g) for g in chains])
+    for counter in COUNTERS:
+        assert getattr(stacked, counter) == getattr(alone, counter)
+    # every chain but the wall converges by Newton-Schulz at N = 40, the six gapped ones at N = 130
+    newton = len(chains) - 1 if n <= ff.NEWTON_SCHULZ_SITES[1] else 6
+    assert (stacked.newton_schulz_chains, stacked.band_chains, stacked.svd_fallbacks) == (newton, len(chains) - newton, 1)
+
+
+def _route_counts(ensemble, samples):
+    """(Newton-Schulz, band-route) chain counts of one kernel call on ``samples`` draws of the ensemble."""
+    kernel = ff.ChainOverlap(ensemble.n_sites)
+    kernel(np.array([disorder.sample_couplings(ensemble, 7, i)[0] for i in range(samples)]))
+    return kernel.newton_schulz_chains, kernel.band_chains
+
+
+def test_routes_by_length_and_gap():
+    """Straddling chains beyond the window and every chain below it start on the band route; gapped ones do not.
+
+    ``uniform_iid(1.6, 2)`` draws at N = 130 and 200 straddle 1, gapped
+    chains at N = 12 and 22 lie below the window's lower end, and weak
+    correlated disorder about 1.6 at N = 200 is gapped.
+    """
+    assert _route_counts(disorder.uniform_iid(1.6, 2.0, 130), 3) == (0, 3)
+    assert _route_counts(disorder.uniform_iid(1.6, 2.0, 200), 2) == (0, 2)
+    assert _route_counts(disorder.gaussian_iid(1.6, 0.04, 12), 20) == (0, 20)
+    assert _route_counts(disorder.gaussian_iid(0.5, 0.04, 22), 20) == (0, 20)
+    assert _route_counts(disorder.gaussian_correlated(1.6, 0.04, 5.0, 200), 2) == (2, 0)
+
+
+def test_band_only_sends_gapped_chains_to_the_band_route(band_only):
+    """An empty window keeps every chain, gapped or not, at every length, off Newton-Schulz."""
+    assert _route_counts(disorder.gaussian_iid(1.6, 0.04, 40), 25) == (0, 25)
+    assert _route_counts(disorder.gaussian_correlated(1.6, 0.04, 5.0, 200), 2) == (0, 2)
 
 
 # Property tests over random positive fields on even chains.  Derandomized and
