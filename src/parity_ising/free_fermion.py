@@ -48,7 +48,8 @@ chain's W by one of three routes:
   chain's bound, or for NEWTON_SCHULZ_FLOOR if the bound is lower, and
   each step is two matrix products.  A chain whose bound reaches the floor
   is checked once the bound, carried through the steps, is within eps of
-  1, where it has converged.  A chain not converged after
+  1, where it has converged, and a gapped chain stops only once its Gram is
+  orthogonal to within its rounding.  A chain not converged after
   NEWTON_SCHULZ_STEPS steps takes the band route.
 - The band route, for every other chain: Z^T Z is cyclic tridiagonal, a
   band of half-width 2 once the sites are ordered 0, 1, N-1, 2, N-2, ...,
@@ -123,7 +124,9 @@ NEWTON_SCHULZ_FLOOR = 3e-2
 # BLAS thread, copy + gemm against shared: N = 40 3.0 / 5.9 us, 80 21.5 / 24.1,
 # 96 37 / 37, 120 96 / 63, 200 395 / 224.
 SHARED_GRAM_SITES = 96
-# A Newton-Schulz iterate X has converged once max|X^T X - I| <= this times N eps.
+# A Newton-Schulz iterate X has converged once max|X^T X - I| <= this times N eps,
+# or for a gapped chain this times sqrt(N) eps, about where the rounding of a converged
+# Gram lies: log o+ moves by up to ~N times the defect, 6e-12 at 4 N eps and N = 200.
 NEWTON_SCHULZ_TOL = 4.0
 # Matrix entries (chains x N x N) in each stack-sized scratch array of
 # ChainOverlap, 256 KiB apiece: a stack holds max(1, STACK_ENTRIES // N^2) chains.
@@ -336,8 +339,9 @@ def _schedule_grid(floor: float) -> tuple[np.ndarray, tuple]:
 
     A chain with lower end l takes schedule ``searchsorted(ends, l, "right")``.
     Schedule 0 is the one for ``floor``, checked from its end on, for the
-    chains whose interval is not proved to reach above the floor.  A chain
-    with l >= ``floor`` takes schedule j >= 1, built for ends[j - 1]:
+    chains that straddle 1 (l <= 0), and schedule 1 the same for gapped
+    chains whose l lies below the floor.  A chain with l >= ``floor`` takes
+    schedule j >= 2, built for ends[j - 1]:
     ``floor`` itself, then for each step count s below the floor's the
     lowest end (to ~1e-12) whose interval closes within s steps.  The
     interval (l, 1] lies inside that end's, so its schedule serves l and
@@ -347,18 +351,18 @@ def _schedule_grid(floor: float) -> tuple[np.ndarray, tuple]:
     below a grid end close a step sooner on their own: 0.4% of them.)
     """
     steps, closing = _chen_chow_schedule(floor)
-    ends = [floor]
+    ends = [np.nextafter(0.0, 1.0), floor]  # below the first end a chain straddles 1
     for bound in range(closing - 1, -1, -1):  # the lowest end that closes within bound steps, by bisection
         lo, hi = ends[-1], 1.0
         for _ in range(40):
             lo, hi = (lo, mid) if _chen_chow_schedule(mid := 0.5 * (lo + hi))[1] <= bound else (mid, hi)
         ends.append(hi)
-    return np.array(ends), ((steps, len(steps)), *map(_chen_chow_schedule, ends))
+    return np.array(ends), ((steps, len(steps)),) * 2 + tuple(map(_chen_chow_schedule, ends[1:]))
 
 
 def _groups(entry: np.ndarray, grid: tuple) -> list:
-    """(slice, coefficients, first check) of each run of one schedule of ``grid`` in a sorted ``entry``."""
-    return [(slice(*np.searchsorted(entry, (j, j + 1))), *grid[j]) for j in sorted(set(entry.tolist()))]
+    """(slice, coefficients, first check, gapped) of each run of one schedule in a sorted ``entry``."""
+    return [(slice(*entry.searchsorted((j, j + 1))), *grid[j], j > 0) for j in dict.fromkeys(entry.tolist())]
 
 
 def chain_matrix(couplings) -> np.ndarray:
@@ -546,11 +550,12 @@ class ChainOverlap:
         in (``low``, 1] on a gapped chain.  Each step computes E = X^T X - I and
         X <- X (c_I I + c_E E), by the schedule ``_schedule_grid`` gives the
         chain and by the plain step after it.  From the schedule's first
-        check on, a chain whose max|E| is within NEWTON_SCHULZ_TOL N eps, far
-        inside UNITARITY_TOL, leaves the iteration with X as its W and that
-        max|E| as its defect; the rest go on compacted in the scratch, so
-        every chain takes the same steps wherever it is scored.  Chains still
-        iterating after NEWTON_SCHULZ_STEPS steps are returned.
+        check on, a chain whose max|E| is within NEWTON_SCHULZ_TOL N eps
+        (sqrt(N) eps if it is gapped), far inside UNITARITY_TOL, leaves the
+        iteration with X as its W and that max|E| as its defect; the rest go
+        on compacted in the scratch, so every chain takes the same steps
+        wherever it is scored.  Chains still iterating after
+        NEWTON_SCHULZ_STEPS steps are returned.
         """
         ends, schedules = _schedule_grid(NEWTON_SCHULZ_FLOOR)
         entry = np.searchsorted(ends, low[rows], side="right")
@@ -561,7 +566,7 @@ class ChainOverlap:
         x, spare = self._v[:a], self._y[:a]
         np.divide(self._bonds, top[rows, None, None] + 1.0, out=x)
         x.reshape(a, n * n)[:, :: n + 1] = g[rows] / (top[rows, None] + 1.0)
-        tol = NEWTON_SCHULZ_TOL * n * np.finfo(float).eps
+        tol, gapped_tol = (NEWTON_SCHULZ_TOL * size * np.finfo(float).eps for size in (n, math.sqrt(n)))
         frozen = []  # the converged rows, in the order they froze
         for step in range(NEWTON_SCHULZ_STEPS + 1):
             if a == 0:
@@ -571,11 +576,11 @@ class ChainOverlap:
             left = (spare if n < SHARED_GRAM_SITES else x)[:a]
             e = np.matmul(left.transpose(0, 2, 1), x[:a], out=self._gram[:a])
             self._gram_diagonal[:a] -= 1.0
-            if step >= min(check for *_, check in groups):
+            if step >= min(check for _, _, check, _ in groups):
                 defect = np.abs(e, out=self._r[:a]).max(axis=(1, 2))
                 done = defect <= tol
-                for chains, _, check in groups:
-                    done[chains] &= step >= check
+                for chains, _, check, gapped in groups:
+                    done[chains] &= (step >= check) & (not gapped or defect[chains] <= gapped_tol)
                 if done.any():
                     w[rows[done]] = x[:a][done]
                     frozen.append(rows[done])
@@ -588,7 +593,7 @@ class ChainOverlap:
                     e = e[:a]
                 if step == NEWTON_SCHULZ_STEPS or a == 0:
                     break
-            for chains, steps, _ in groups:
+            for chains, steps, *_ in groups:
                 c_i, c_e = steps[step] if step < len(steps) else (1.0, -0.5)
                 e[chains] *= c_e
                 self._gram_diagonal[chains] += c_i
