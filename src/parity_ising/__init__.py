@@ -23,9 +23,10 @@ attribute access.  The CLI relies on this to apply its thread-count setting
 before the numeric stack initializes.  Importing a submodule loads numpy
 and no part of scipy: each scipy subpackage loads in the functions that call
 it.  So ``scipy.linalg`` loads only for the overlap kernel's band route
-(``dsbevd``, reached by ``verify`` and by Monte Carlo outside
-24 <= N <= 80), or through ``scipy.optimize`` and ``scipy.sparse.linalg``,
-which import it; the kernel's SVD fallback is numpy's.
+(``dsbevd``: ``verify``, and Monte Carlo chains below 24 sites, above 80
+with fields on both sides of 1, or left unconverged by Newton-Schulz), or
+through ``scipy.optimize`` and ``scipy.sparse.linalg``, which import it;
+the kernel's SVD fallback is numpy's.
 
 Run telemetry (Monte Carlo counts and rates, per-check verify times, the
 error estimate of each thermodynamic integral) goes to

@@ -129,8 +129,9 @@ def d2chi_dg2_thermodynamic(g: float) -> float:
 
 
 def _elliptic_parameter(g: float) -> float:
-    if g <= 0.0 or not math.isfinite(g):
-        raise ValueError("coupling must be positive and finite")
+    from .free_fermion import _check_couplings  # numpy, which scipy.special loads next anyway
+
+    _check_couplings(g)
     if g == 1.0:
         raise ValueError("elliptic closed forms diverge at the critical coupling")
     return 4.0 * g / (1.0 + g) ** 2

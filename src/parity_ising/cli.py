@@ -12,7 +12,8 @@ a timestamp, and the full run configuration as one JSON object, followed by
 the column header and rows with full (17 significant digit) precision.
 Rewriting a file is atomic (temp file in the target directory + rename).
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
+Exit codes: 0 success, 2 invalid configuration (an --out that cannot be
+written among them, caught before the command runs), 3 numerical failure,
 4 verification failure.
 
 The only environment variable read is PARITY_ISING_THREADS, which sizes the
@@ -23,7 +24,6 @@ stack is loaded, which is why the science modules are imported inside the handle
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -35,10 +35,19 @@ from .errors import NumericsError
 
 SCHEMA_VERSION = 2
 THREAD_ENV_VAR = "PARITY_ISING_THREADS"
-# Site distances of the exponential covariance; the default is what a config
-# records when --distance is not given.
+# Literal choices keep parsing free of numpy; a test holds them to the library's.
+KINDS = ("gaussian_iid", "gaussian_perfect", "gaussian_correlated", "uniform_iid")
 DISTANCES = ("linear", "ring")
-DEFAULT_DISTANCE = "linear"
+DEFAULT_DISTANCE = "linear"  # what a config records when --distance is not given
+# Each second-variation kind, and the ensemble kind whose covariance it contracts.
+SV_KINDS = {"perfect": "gaussian_perfect", "iid": "gaussian_iid", "exponential": "gaussian_correlated"}
+# The flag of each ensemble parameter that only some kinds take.
+PARAMETER_FLAGS = {"xi": "--xi", "distance_mode": "--distance", "width": "--width"}
+# The montecarlo result entries that MonteCarloResult holds as they are, in artifact order.
+RESULT_FIELDS = (
+    "n_samples", "n_redraws", "n_degenerate", "max_orthogonality_defect", "min_singular_ratio",
+    "svd_fallbacks", "seed", "mean_utility", "stderr", "mean_density",
+)
 _BLAS_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -67,6 +76,13 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.16e}"
     return str(value)
+
+
+def _check_out(path: str):
+    """Raise ValueError unless ``_atomic_write`` can write ``path``: not a directory, in a writable one."""
+    target = os.path.abspath(path)
+    if os.path.isdir(target) or not os.access(os.path.dirname(target), os.W_OK | os.X_OK):
+        raise ValueError(f"cannot write --out {path}: a directory, or not in a writable one")
 
 
 def _atomic_write(path: str, text: str):
@@ -135,31 +151,30 @@ def cmd_b_curve(args) -> int:
     return 0
 
 
-_SV_KINDS = ("perfect", "iid", "exponential")
+def _check_parameter_flags(args, takes):
+    """Raise ValueError for a parameter flag given to a --kind that takes no such parameter."""
+    for name, flag in PARAMETER_FLAGS.items():
+        if name not in takes and getattr(args, flag[2:], None) is not None:
+            raise ValueError(f"{flag} does not apply to --kind {args.kind}")
 
 
 def cmd_second_variation(args) -> int:
-    from . import perturbation
+    from . import disorder, perturbation
 
-    if args.kind == "exponential":
-        if not args.xi:
-            raise ValueError("exponential kind needs at least one --xi")
-        xi_list = list(args.xi)
-    elif args.xi is not None:
-        raise ValueError(f"--xi is only meaningful for the exponential kind, not {args.kind}")
-    else:
-        xi_list = [None]
-    if args.distance is not None and args.kind != "exponential":
-        raise ValueError(f"--distance is only meaningful for the exponential kind, not {args.kind}")
+    _check_parameter_flags(args, disorder.KIND_PARAMETERS[SV_KINDS[args.kind]])
+    xi_list = list(args.xi or [None])  # only the exponential kind may have --xi
+    if args.kind == "exponential" and xi_list == [None]:
+        raise ValueError("exponential kind needs at least one --xi")
     distance = args.distance or DEFAULT_DISTANCE
+    for xi in xi_list:  # before any kernel is built
+        perturbation._check_disorder(1.0, xi, distance)
 
     grid = _grid(args.g_min, args.g_max, args.steps)
     rows = []
     for n in args.n:
-        if args.kind == "perfect":
-            rows.extend((n, g, None, perturbation.chi_double_prime(g, n) / (2.0 * n)) for g in grid)
-        elif args.kind == "iid":
-            rows.extend((n, g, None, perturbation.laplacian_u(g, n) / (2.0 * n)) for g in grid)
+        if args.kind != "exponential":  # the closed-form contractions: chi''/(2N) and the Laplacian/(2N)
+            response = perturbation.chi_double_prime if args.kind == "perfect" else perturbation.laplacian_u
+            rows.extend((n, g, None, response(g, n) / (2.0 * n)) for g in grid)
         else:
             # The kernel depends on (N, g) only and the covariance on (N, xi)
             # only: build each once, one N x N covariance at a time, and
@@ -196,44 +211,32 @@ def cmd_second_variation(args) -> int:
 
 
 def _build_ensemble(args):
+    """The ensemble the montecarlo flags give; the ensemble checks their values."""
     from . import disorder
 
-    kind = args.kind
-    if args.xi is not None and kind != "gaussian_correlated":
-        raise ValueError("--xi applies only to gaussian_correlated")
-    if args.distance is not None and kind != "gaussian_correlated":
-        raise ValueError("--distance applies only to gaussian_correlated")
-    if kind == "uniform_iid":
-        if args.sigma is not None and args.width is not None:
-            raise ValueError("give either --sigma or --width, not both")
-        if args.width is not None:
-            width = args.width
-        elif args.sigma is not None:
-            width = args.sigma * 2.0 * math.sqrt(3.0)
-        else:
-            raise ValueError("uniform_iid needs --sigma or --width")
+    kind, takes = args.kind, disorder.KIND_PARAMETERS[args.kind]
+    _check_parameter_flags(args, takes)
+    if "width" in takes:
+        if (args.sigma is None) == (args.width is None):
+            raise ValueError(f"{kind} needs either --sigma or --width, not both")
+        width = args.width if args.sigma is None else args.sigma * disorder.UNIFORM_WIDTH_PER_SIGMA
         return disorder.uniform_iid(args.g, width, args.n)
-    if args.width is not None:
-        raise ValueError("--width applies only to uniform_iid")
     if args.sigma is None:
         raise ValueError(f"{kind} needs --sigma")
-    if kind == "gaussian_iid":
-        return disorder.gaussian_iid(args.g, args.sigma, args.n)
-    if kind == "gaussian_perfect":
-        return disorder.gaussian_perfect(args.g, args.sigma, args.n)
-    if args.xi is None:
-        raise ValueError("gaussian_correlated needs --xi")
-    return disorder.gaussian_correlated(
-        args.g, args.sigma, args.xi, args.n, distance_mode=args.distance or DEFAULT_DISTANCE
+    if "xi" in takes and args.xi is None:
+        raise ValueError(f"{kind} needs --xi")
+    return disorder.DisorderEnsemble(
+        args.g, args.n, kind, args.sigma, xi=args.xi, distance_mode=args.distance or DEFAULT_DISTANCE
     )
 
 
 def cmd_montecarlo(args) -> int:
     from . import disorder
 
+    histogram_path = os.path.splitext(args.out)[0] + ".hist.csv"
+    _check_out(histogram_path)
     ensemble = _build_ensemble(args)
     result = disorder.expected_utility(ensemble, args.samples, args.seed)
-    histogram_path = os.path.splitext(args.out)[0] + ".hist.csv"
 
     config = {
         "command": "montecarlo",
@@ -253,16 +256,7 @@ def cmd_montecarlo(args) -> int:
         "montecarlo",
         config,
         result={
-            "n_samples": result.n_samples,
-            "n_redraws": result.n_redraws,
-            "n_degenerate": result.n_degenerate,
-            "max_orthogonality_defect": result.max_orthogonality_defect,
-            "min_singular_ratio": result.min_singular_ratio,
-            "svd_fallbacks": result.svd_fallbacks,
-            "seed": result.seed,
-            "mean_utility": result.mean_utility,
-            "stderr": result.stderr,
-            "mean_density": result.mean_density,
+            **{name: getattr(result, name) for name in RESULT_FIELDS},
             "density_stderr": disorder.density_stderr(result, ensemble.n_sites),
             "clean_utility": result.clean_utility,
             "clean_density": result.clean_utility / ensemble.n_sites,
@@ -356,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_b_curve)
 
     p = sub.add_parser("second-variation", help="rescaled quadratic disorder response")
-    p.add_argument("--kind", choices=_SV_KINDS, required=True)
+    p.add_argument("--kind", choices=SV_KINDS, required=True)
     p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--g-min", type=float, default=0.5)
     p.add_argument("--g-max", type=float, default=2.0)
@@ -368,11 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_second_variation)
 
     p = sub.add_parser("montecarlo", help="disorder-averaged utility, one ensemble")
-    p.add_argument(
-        "--kind",
-        choices=("gaussian_iid", "gaussian_perfect", "gaussian_correlated", "uniform_iid"),
-        required=True,
-    )
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", type=float, required=True, help="mean coupling")
     p.add_argument("--sigma", type=float, default=None)
@@ -404,6 +394,8 @@ def main(argv=None) -> int:
     try:
         _apply_thread_env()
         args = _build_parser().parse_args(argv)
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,13 +15,7 @@ run with seed `seed` is drawn from its own counter-based stream keyed by
 A run re-keys one Philox generator per sample instead of building a new one,
 and scores its samples in stacks with one ``free_fermion.ChainOverlap``;
 both give exactly what the one-shot ``sample_couplings`` and
-``ghz_log_overlap_squared`` give.  With one BLAS thread on a 2-core x86
-host, a ``uniform_iid`` sample at N = 40 takes ~12 us to draw and
-~90-130 us to score, most of it in the kernel's 8-12 Newton-Schulz steps of
-two stacked 40 x 40 matrix products each; at N = 12, on the band route,
-the split is ~12 and ~35 us, and at N = 200 ~50 us and ~5 ms, whether a
-chain straddles 1 and takes the band route or is gapped (weak disorder
-about 1.6) and takes 7 Newton-Schulz steps.  Where
+``ghz_log_overlap_squared`` give (the README gives what a sample costs).  Where
 every draw is a uniform chain (the shared shift, or sigma = 0) the run
 scores all its samples with one vectorized ``utility_clean`` call instead.
 
@@ -44,18 +38,28 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericsError
-from .free_fermion import ChainOverlap, _check_length
+from .free_fermion import ChainOverlap, _check_couplings, _check_length
 from .parity_game import utility_clean, utility_from_log_overlap
 from .perturbation import (
     CovarianceMatrix,
+    _check_disorder,
     exponential_covariance,
     iid_covariance,
     perfect_covariance,
     second_variation,
 )
 
-GAUSSIAN_KINDS = ("gaussian_iid", "gaussian_perfect", "gaussian_correlated")
-KINDS = GAUSSIAN_KINDS + ("uniform_iid",)
+# The parameters each kind takes besides mean, n_sites and sigma; a kind leaves
+# every other one at its default.
+KIND_PARAMETERS = {
+    "gaussian_iid": (),
+    "gaussian_perfect": (),
+    "gaussian_correlated": ("xi", "distance_mode"),
+    "uniform_iid": ("width",),
+}
+KINDS = tuple(KIND_PARAMETERS)
+# Uniform noise of width W has standard deviation W / UNIFORM_WIDTH_PER_SIGMA.
+UNIFORM_WIDTH_PER_SIGMA = 2.0 * math.sqrt(3.0)
 
 HISTOGRAM_BINS = 101
 HISTOGRAM_SPAN_STDS = 5.0
@@ -78,27 +82,24 @@ class DisorderEnsemble:
     width: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_PARAMETERS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if not (math.isfinite(self.mean) and self.mean > 0.0):
-            raise ValueError("mean coupling must be positive and finite")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError("sigma must be nonnegative and finite")
+        _check_couplings(self.mean)
         _check_length(self.n_sites)
-        if self.kind == "gaussian_correlated":
-            if self.xi is None or not (math.isfinite(self.xi) and self.xi > 0.0):
-                raise ValueError("gaussian_correlated needs a positive correlation length")
-            if self.distance_mode not in ("linear", "ring"):
-                raise ValueError(f"unknown distance mode {self.distance_mode!r}")
-        elif self.xi is not None or self.distance_mode != "linear":
-            raise ValueError("xi and distance_mode are only meaningful for gaussian_correlated")
-        if self.kind == "uniform_iid":
-            if self.width is None or not (math.isfinite(self.width) and self.width >= 0.0):
-                raise ValueError("uniform_iid needs a nonnegative width")
-            if abs(self.sigma - self.width / (2.0 * math.sqrt(3.0))) > 1e-12 * (1.0 + self.width):
-                raise ValueError("sigma must equal width / (2 sqrt 3) for uniform_iid")
-        elif self.width is not None:
-            raise ValueError("width is only meaningful for uniform_iid")
+        takes = KIND_PARAMETERS[self.kind]
+        for name in ("xi", "distance_mode", "width"):
+            value = getattr(self, name)
+            if name not in takes and value != getattr(DisorderEnsemble, name):
+                raise ValueError(f"{name} does not apply to kind {self.kind}")
+            if name in takes and value is None:
+                raise ValueError(f"kind {self.kind} needs {name}")
+        _check_disorder(self.sigma, self.xi, self.distance_mode)
+        if "width" in takes and not (
+            math.isfinite(self.width)
+            and self.width >= 0.0
+            and abs(self.sigma - self.width / UNIFORM_WIDTH_PER_SIGMA) <= 1e-12 * (1.0 + self.width)
+        ):
+            raise ValueError("width must be finite, nonnegative and equal to 2 sqrt(3) sigma")
 
 
 def gaussian_iid(mean: float, sigma: float, n_sites: int) -> DisorderEnsemble:
@@ -118,8 +119,7 @@ def gaussian_correlated(
 
 
 def uniform_iid(mean: float, width: float, n_sites: int) -> DisorderEnsemble:
-    sigma = width / (2.0 * math.sqrt(3.0))
-    return DisorderEnsemble(mean, n_sites, "uniform_iid", sigma, width=width)
+    return DisorderEnsemble(mean, n_sites, "uniform_iid", width / UNIFORM_WIDTH_PER_SIGMA, width=width)
 
 
 def covariance_matrix(ensemble: DisorderEnsemble) -> CovarianceMatrix:
@@ -161,13 +161,18 @@ def _correlated_factor(sigma: float, xi: float, n_sites: int, distance_mode: str
     return factor
 
 
+def _check_key(seed: int, index: int) -> None:
+    """Raise ValueError unless seed and index each fit their 64-bit half of a Philox key."""
+    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+        raise ValueError("seed and sample index must be nonnegative and below 2**64")
+
+
 def sample_stream(seed: int, index: int) -> np.random.Generator:
     """The dedicated generator for sample `index` of a run seeded with `seed`.
 
     Both are 64-bit halves of the Philox key, so each must lie in [0, 2**64).
     """
-    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
-        raise ValueError("seed and sample index must be nonnegative and below 2**64")
+    _check_key(seed, index)
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(index)))
 
 
@@ -196,13 +201,13 @@ class _RunDraws:
 
     def __init__(self, ensemble: DisorderEnsemble, seed: int):
         self.ensemble = ensemble
+        self._seed = seed
         self._rng = sample_stream(seed, 0)
         self._start = self._rng.bit_generator.state
 
     def draw(self, index: int) -> tuple[np.ndarray, int]:
         """Fields of sample `index` and the number of positivity redraws they took."""
-        if not 0 <= index < 2**64:
-            raise ValueError("sample index must be nonnegative and below 2**64")
+        _check_key(self._seed, index)
         self._start["state"]["key"][0] = index
         self._rng.bit_generator.state = self._start
         for attempt in range(MAX_REDRAWS):
@@ -241,8 +246,8 @@ class MonteCarloResult:
     with outliers clipped into the edge bins.  `max_orthogonality_defect`
     (worst max|W^T W - I|) and `min_singular_ratio` (smallest s_min / s_max
     of the chain matrix) report the numerics of the overlap kernel, and
-    `svd_fallbacks` counts the samples it scored by the dense SVD instead of
-    its band route; all three are None when no sample needed the kernel.
+    `svd_fallbacks` counts the samples it scored by the dense SVD, past Newton-Schulz
+    and the band route; all three are None when no sample needed the kernel.
     """
 
     n_samples: int
@@ -382,17 +387,16 @@ def second_variation_scan(
 ) -> tuple[ScanRow, ...]:
     """Sampled E[u] - u(g_bar) against the quadratic prediction on a sigma grid.
 
-    Each sigma runs under seed + its grid position, keeping all streams
-    disjoint.  For the uniform kind the grid values are interpreted as the
-    standard deviation and converted back to a width.
+    Each sigma runs under seed + its grid position (``_run_seeds``): its
+    streams are disjoint from the other sigmas', not from those of a call
+    with a nearby seed.  For the uniform kind the grid values are
+    interpreted as the standard deviation and converted back to a width.
     """
     rows = []
-    for offset, sigma in enumerate(sigmas):
-        if ensemble.kind == "uniform_iid":
-            scaled = replace(ensemble, sigma=float(sigma), width=float(sigma) * 2.0 * math.sqrt(3.0))
-        else:
-            scaled = replace(ensemble, sigma=float(sigma))
-        result = expected_utility(scaled, n_samples, seed + offset)
+    for run_seed, sigma in _run_seeds(seed, sigmas):
+        width = None if ensemble.width is None else float(sigma) * UNIFORM_WIDTH_PER_SIGMA
+        scaled = replace(ensemble, sigma=float(sigma), width=width)
+        result = expected_utility(scaled, n_samples, run_seed)
         rows.append(
             ScanRow(
                 sigma=float(sigma),
@@ -410,14 +414,18 @@ def histogram_experiment(
     """The utility-shift distribution at several chain lengths, same ensemble.
 
     Returns one MonteCarloResult per requested N, keyed by N; each run uses
-    seed + its position in the list.  A length may appear only once, since
-    its key would hold only the last of its runs.
+    seed + its position in the list (``_run_seeds``).  A length may appear
+    only once, since its key would hold only the last of its runs.
     """
     lengths = [int(n) for n in n_list]
     if len(set(lengths)) != len(lengths):
         raise ValueError(f"chain lengths must not repeat, got {lengths}")
     results: dict[int, MonteCarloResult] = {}
-    for offset, n in enumerate(lengths):
-        sized = replace(ensemble, n_sites=n)
-        results[n] = expected_utility(sized, n_samples, seed + offset)
+    for run_seed, n in _run_seeds(seed, lengths):
+        results[n] = expected_utility(replace(ensemble, n_sites=n), n_samples, run_seed)
     return results
+
+
+def _run_seeds(seed: int, runs):
+    """(seed + position, run) of each run; run j of seed s shares its streams with run j - 1 of seed s + 1."""
+    return ((seed + position, run) for position, run in enumerate(runs))

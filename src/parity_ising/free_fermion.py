@@ -143,22 +143,16 @@ def _check_length(n_sites: int) -> None:
         raise ValueError(f"chain length must be even and >= 4, got {n_sites!r}")
 
 
+def _check_couplings(g) -> None:
+    """Raise ValueError unless every coupling in g, a float or an array, is positive and finite."""
+    if not np.all((np.asarray(g) > 0.0) & np.isfinite(g)):
+        raise ValueError("coupling must be positive and finite")
+
+
 def as_couplings(values, stacked: bool = False) -> np.ndarray:
-    """Validate a transverse-field configuration, or a stack of them.
+    """The fields g_j of one chain, or of an (M, N) stack of chains if ``stacked``, as float64.
 
-    Parameters
-    ----------
-    values : array_like
-        Fields g_j, one per site.  Length must be even and >= 4, every
-        entry finite and strictly positive.
-    stacked : bool
-        Whether ``values`` is an (M, N) stack of configurations, one per
-        row, each held to the same rules.
-
-    Returns
-    -------
-    numpy.ndarray
-        The fields as a float64 array.
+    Each chain is held to ``_check_length`` and every field to ``_check_couplings``.
     """
     g = np.asarray(values, dtype=float)
     if g.ndim != 1 + stacked:
@@ -168,10 +162,7 @@ def as_couplings(values, stacked: bool = False) -> np.ndarray:
             else "couplings must be a one-dimensional sequence"
         )
     _check_length(g.shape[-1])
-    if not np.isfinite(g).all():
-        raise ValueError("couplings must be finite")
-    if (g <= 0.0).any():
-        raise ValueError("couplings must be strictly positive")
+    _check_couplings(g)
     return g
 
 
@@ -251,8 +242,7 @@ def _modes(g, k):
     any shape.  q = eps + 1 - g cos k, or g^2 sin^2 k / (eps - 1 + g cos k)
     where g cos k > 1.
     """
-    if not np.all((np.asarray(g) > 0.0) & np.isfinite(g)):
-        raise ValueError("coupling must be positive and finite")
+    _check_couplings(g)
     k = np.asarray(k, dtype=float)
     versine = 2.0 * np.sin(0.5 * k) ** 2  # 1 - cos k
     sk = np.sin(k)
@@ -275,8 +265,8 @@ def bogoliubov_spectrum(g: float, n_sites: int) -> BogoliubovSpectrum:
 
 
 def _bonds(n_sites: int) -> np.ndarray:
-    """Z without its diagonal, in the column-major layout LAPACK works on."""
-    z = np.zeros((n_sites, n_sites), order="F")
+    """Z without its diagonal: -1 below it and +1 in the corner (0, N-1)."""
+    z = np.zeros((n_sites, n_sites))
     z[np.arange(1, n_sites), np.arange(n_sites - 1)] = -1.0
     z[0, n_sites - 1] = 1.0
     return z

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .free_fermion import as_couplings
+from .parity_game import _check_players
 
 MAX_DENSE_SITES = 12
 MAX_SECTOR_SITES = 16
@@ -202,8 +203,7 @@ def simulate_bbt(state: DenseState) -> float:
     PROTOCOL_BLOCK_BYTES.
     """
     n = state.n_qubits
-    if n < 3:
-        raise ValueError("the parity game needs at least 3 players")
+    _check_players(n)
     dim = 1 << n
     psi = np.asarray(state.amplitudes, dtype=complex)
     if psi.shape != (dim,):

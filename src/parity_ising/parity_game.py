@@ -46,6 +46,11 @@ def _check_players(n_players: int):
         raise ValueError(f"the parity game needs at least 3 players, got {n_players}")
 
 
+def _utility_offset(n_players: int) -> float:
+    """(ceil(N/2) - 1) log 2: the utility of an even-parity state is this plus log(o+ - o-)."""
+    return (math.ceil(n_players / 2) - 1) * LOG2
+
+
 def classical_bound(n_players: int) -> float:
     """Optimal classical winning probability 1/2 + 2^{-ceil(N/2)}."""
     _check_players(n_players)
@@ -72,7 +77,7 @@ def utility_from_log_overlap(log_overlap_plus_sq, n_players: int):
     _check_players(n_players)
     if np.any(np.greater(log_overlap_plus_sq, 1e-9)):
         raise ValueError("log squared overlap must be <= 0")
-    return (math.ceil(n_players / 2) - 1) * LOG2 + log_overlap_plus_sq
+    return _utility_offset(n_players) + log_overlap_plus_sq
 
 
 def utility_clean(g, n_sites: int):
@@ -104,7 +109,7 @@ def utility_clean(g, n_sites: int):
     for start in range(0, g.size, rows):
         eps, q, _, _ = _modes(g[start : start + rows, None], k)
         out[start : start + rows] = np.sum(np.log(q / eps), axis=1) - k.size * LOG2
-    return (math.ceil(n_sites / 2) - 1) * LOG2 + out
+    return _utility_offset(n_sites) + out
 
 
 def advantage_density(g: float) -> float:
@@ -117,8 +122,6 @@ def advantage_density(g: float) -> float:
     coupling, so its panels are graded down to the fixed DENSITY_FLOOR.
     Absolute accuracy QUAD_TOL on b or a NumericsError.
     """
-    if g <= 0.0 or not math.isfinite(g):
-        raise ValueError("coupling must be positive and finite")
     if g == 1.0:
         warnings.warn(
             "advantage density is continuous but not smooth at g = 1",
@@ -187,7 +190,7 @@ def utility_report(
         log_bias = log_overlap_plus_sq + math.log1p(
             -math.exp(log_overlap_minus_sq - log_overlap_plus_sq)
         )
-        u = log_bias + (math.ceil(n_players / 2) - 1) * LOG2
+        u = log_bias + _utility_offset(n_players)
     density = u / n_players
     return UtilityReport(
         n_players=n_players,

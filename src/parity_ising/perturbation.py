@@ -40,6 +40,9 @@ import numpy as np
 
 from .free_fermion import _modes, allowed_wavenumbers, bracketed_root, wavenumber_integral
 
+# Site distances of the exponential covariance: the index separation, or the ring's.
+DISTANCE_MODES = ("linear", "ring")
+
 
 def f_k(g: float, k) -> np.ndarray:
     """Per-mode response coefficient of the clean utility at coupling g.
@@ -193,13 +196,13 @@ class CovarianceMatrix:
 
 def perfect_covariance(sigma: float, n_sites: int) -> CovarianceMatrix:
     """All-ones covariance sigma^2: one shared Gaussian shift on every site."""
-    _check_sigma(sigma)
+    _check_disorder(sigma)
     return CovarianceMatrix(entries=sigma * sigma * np.ones((n_sites, n_sites)), sigma=sigma)
 
 
 def iid_covariance(sigma: float, n_sites: int) -> CovarianceMatrix:
     """Diagonal covariance sigma^2 I: independent noise per site."""
-    _check_sigma(sigma)
+    _check_disorder(sigma)
     return CovarianceMatrix(entries=sigma * sigma * np.eye(n_sites), sigma=sigma)
 
 
@@ -212,11 +215,7 @@ def exponential_covariance(
     "ring" uses min(|j - l|, N - |j - l|), which respects the periodic
     geometry of the chain.
     """
-    _check_sigma(sigma)
-    if xi <= 0.0 or not math.isfinite(xi):
-        raise ValueError("correlation length must be positive and finite")
-    if distance_mode not in ("linear", "ring"):
-        raise ValueError(f"unknown distance_mode {distance_mode!r}")
+    _check_disorder(sigma, xi, distance_mode)
     idx = np.arange(n_sites)
     dist = np.abs(idx[:, None] - idx[None, :]).astype(float)
     if distance_mode == "ring":
@@ -224,9 +223,14 @@ def exponential_covariance(
     return CovarianceMatrix(entries=sigma * sigma * np.exp(-dist / xi), sigma=sigma)
 
 
-def _check_sigma(sigma: float):
+def _check_disorder(sigma: float, xi: float | None = None, distance_mode: str = "linear"):
+    """Raise ValueError unless sigma >= 0, and xi > 0 if given, are finite and distance_mode is known."""
     if sigma < 0.0 or not math.isfinite(sigma):
         raise ValueError("sigma must be non-negative and finite")
+    if xi is not None and (xi <= 0.0 or not math.isfinite(xi)):
+        raise ValueError("correlation length must be positive and finite")
+    if distance_mode not in DISTANCE_MODES:
+        raise ValueError(f"unknown distance_mode {distance_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -261,8 +265,8 @@ def laplacian_density_limit(g: float) -> float:
     ``laplacian_u``.  Tested against a finer rule for |1 - g| down to 1e-6
     on either side of 1.
     """
-    if g <= 0.0 or g == 1.0 or not math.isfinite(g):
-        raise ValueError("coupling must be positive, finite and away from 1")
+    if g == 1.0:
+        raise ValueError("the Laplacian density limit needs a coupling away from 1")
 
     def rule(k, w):
         total = 0.0

@@ -5,6 +5,7 @@ tmp_path.  Reruns with the same seed must be byte-identical once the
 timestamp is stripped.
 """
 
+import argparse
 import json
 import math
 import os
@@ -433,3 +434,83 @@ def test_artifacts_honour_the_umask(tmp_path):
     finally:
         os.umask(previous)
     assert os.stat(out).st_mode & 0o777 == 0o644
+
+
+def _choices(command, flag):
+    """The argparse choices of one subcommand's flag."""
+    subcommands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in subcommands.choices[command]._actions if flag in a.option_strings).choices
+
+
+def test_literal_choices_match_the_library():
+    """The parser spells its choices out so that parsing loads no numpy; they must name what the library takes."""
+    assert tuple(_choices("montecarlo", "--kind")) == dis.KINDS
+    assert set(cli.SV_KINDS.values()) <= set(dis.KINDS)
+    for command in ("montecarlo", "second-variation"):
+        assert tuple(_choices(command, "--distance")) == pt.DISTANCE_MODES
+    assert cli.DEFAULT_DISTANCE == dis.DisorderEnsemble.distance_mode
+    assert set(cli.PARAMETER_FLAGS) == {name for names in dis.KIND_PARAMETERS.values() for name in names}
+
+
+_MC = ["montecarlo", "--n", "8", "--g", "1.2", "--samples", "2"]
+_SV = ["second-variation", "--n", "8", "--steps", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (_MC + ["--kind", "uniform_iid", "--sigma", "0.1", "--width", "0.3"], ["--sigma", "--width"]),
+        (_MC + ["--kind", "uniform_iid"], ["--sigma", "--width"]),
+        (_MC + ["--kind", "gaussian_iid"], ["--sigma"]),
+        (_MC + ["--kind", "gaussian_correlated", "--sigma", "0.1"], ["--xi"]),
+        (_MC + ["--kind", "gaussian_iid", "--width", "0.3"], ["--width"]),
+        (_MC + ["--kind", "gaussian_perfect", "--sigma", "0.1", "--xi", "5"], ["--xi"]),
+        (_MC + ["--kind", "uniform_iid", "--width", "0.3", "--xi", "5"], ["--xi"]),
+        (_MC + ["--kind", "gaussian_iid", "--sigma", "0.1", "--distance", "linear"], ["--distance"]),
+        (_SV + ["--kind", "exponential"], ["--xi"]),
+        (_SV + ["--kind", "iid", "--xi", "1.0"], ["--xi"]),
+        (_SV + ["--kind", "perfect", "--xi"], ["--xi"]),
+        (_SV + ["--kind", "iid", "--distance", "ring"], ["--distance"]),
+    ],
+)
+def test_flag_usage_errors_exit_2_and_name_the_flag(tmp_path, capsys, argv, flags):
+    assert cli.main(argv + ["--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert all(flag in err for flag in flags)
+    assert not list(tmp_path.iterdir())
+
+
+_OUT_COMMANDS = [
+    ["b-curve", "--steps", "3"],
+    ["second-variation", "--kind", "iid", "--n", "8", "--steps", "3"],
+    ["montecarlo", "--kind", "uniform_iid", "--n", "8", "--g", "1.6", "--width", "2", "--samples", "3"],
+    ["critical-scaling", "--n", "8"],
+    ["verify", "--level", "fast"],
+]
+
+
+@pytest.mark.parametrize("argv", _OUT_COMMANDS, ids=[argv[0] for argv in _OUT_COMMANDS])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_out_exits_2_before_running(tmp_path, capsys, monkeypatch, argv, target):
+    """--out in a missing directory, or naming a directory, is a usage error that runs and writes nothing."""
+    monkeypatch.setattr(cli, "_timestamp", lambda: pytest.fail("the command ran"))
+    out = tmp_path / "missing" / "a.json" if target == "missing" else tmp_path / "taken"
+    if target == "directory":
+        out.mkdir()
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and str(out) in captured.err
+    leftovers = [p for p in tmp_path.rglob("*") if p.name.startswith(".partial-")]
+    assert leftovers == [] and sorted(p.name for p in tmp_path.iterdir()) == ([] if target == "missing" else ["taken"])
+
+
+def test_montecarlo_histogram_path_is_checked_before_running(tmp_path, capsys, monkeypatch):
+    """The histogram lands beside --out, so a directory in its place is a usage error too."""
+    monkeypatch.setattr(cli, "_timestamp", lambda: pytest.fail("the command ran"))
+    (tmp_path / "mc.hist.csv").mkdir()
+    argv = _OUT_COMMANDS[2] + ["--out", str(tmp_path / "mc.json")]
+    assert cli.main(argv) == 2
+    assert "mc.hist.csv" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mc.hist.csv"]

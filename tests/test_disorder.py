@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from parity_ising import asymptotics as asy
 from parity_ising import disorder as dis
 from parity_ising import free_fermion as ff
 from parity_ising import parity_game as pg
@@ -480,3 +481,90 @@ def test_correlated_factor_reproduces_after_replace():
     np.testing.assert_array_equal(
         dis.sample_couplings(again, 17, 0)[0], dis.sample_couplings(fresh, 17, 0)[0]
     )
+
+
+def _messages(*calls):
+    """The distinct ValueError messages of the calls, each of which must raise one."""
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as error:
+            call()
+        messages.add(str(error.value))
+    return messages
+
+
+@pytest.mark.parametrize("sigma", [-0.1, -math.inf, math.inf, math.nan])
+def test_sigma_rule_has_one_message(sigma):
+    assert len(_messages(
+        lambda: dis.gaussian_iid(1.2, sigma, 8),
+        lambda: dis.gaussian_correlated(1.2, sigma, 2.0, 8),
+        lambda: dis.DisorderEnsemble(1.2, 8, "uniform_iid", sigma, width=0.2),
+        lambda: pt.iid_covariance(sigma, 8),
+        lambda: pt.perfect_covariance(sigma, 8),
+        lambda: pt.exponential_covariance(sigma, 2.0, 8),
+    )) == 1
+
+
+@pytest.mark.parametrize("xi", [0.0, -1.0, math.inf, math.nan])
+def test_correlation_length_rule_has_one_message(xi):
+    assert len(_messages(
+        lambda: dis.gaussian_correlated(1.2, 0.1, xi, 8),
+        lambda: dis.gaussian_correlated(1.2, 0.1, xi, 8, distance_mode="ring"),
+        lambda: pt.exponential_covariance(0.1, xi, 8),
+    )) == 1
+
+
+@pytest.mark.parametrize("mode", ["taxicab", "Ring", ""])
+def test_distance_mode_rule_has_one_message(mode):
+    assert len(_messages(
+        lambda: dis.gaussian_correlated(1.2, 0.1, 2.0, 8, distance_mode=mode),
+        lambda: pt.exponential_covariance(0.1, 2.0, 8, distance_mode=mode),
+    )) == 1
+
+
+@pytest.mark.parametrize("n", [7, 5, 2, 0])
+def test_chain_length_rule_has_one_message(n):
+    assert len(_messages(
+        lambda: dis.gaussian_iid(1.2, 0.1, n),
+        lambda: dis.uniform_iid(1.2, 0.3, n),
+        lambda: ff.ChainOverlap(n),
+        lambda: ff.as_couplings(np.ones(n)),
+        lambda: ff.allowed_wavenumbers(n),
+    )) == 1
+
+
+@pytest.mark.parametrize("g", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_coupling_rule_has_one_message(g):
+    kernel = ff.ChainOverlap(8)
+    one_bad_site = np.full((2, 8), 1.2)
+    one_bad_site[1, 3] = g
+    assert len(_messages(
+        lambda: dis.gaussian_iid(g, 0.1, 8),
+        lambda: pg.advantage_density(g),
+        lambda: pt.laplacian_density_limit(g),
+        lambda: kernel(np.full(8, g)),
+        lambda: kernel(one_bad_site),
+        lambda: pg.utility_clean(g, 8),
+        lambda: pt.chi_prime(g, 8),
+        lambda: asy.dchi_dg_thermodynamic(g),
+    )) == 1
+    assert kernel.evaluations == 0
+
+
+def test_kind_parameters_are_required_and_exclusive():
+    """Each kind needs the parameters the table gives it and keeps the rest at their defaults."""
+    sigma = 0.4 / dis.UNIFORM_WIDTH_PER_SIGMA
+    required = {"gaussian_correlated": {"xi": 2.0}, "uniform_iid": {"width": 0.4}}
+    for kind, takes in dis.KIND_PARAMETERS.items():
+        given = required.get(kind, {})
+        assert dis.DisorderEnsemble(1.2, 8, kind, sigma, **given).kind == kind
+        for name, value in (("xi", 2.0), ("distance_mode", "ring"), ("width", 0.4)):
+            if name not in takes:
+                with pytest.raises(ValueError, match=f"{name} does not apply"):
+                    dis.DisorderEnsemble(1.2, 8, kind, sigma, **given, **{name: value})
+    for kind, name in (("gaussian_correlated", "xi"), ("uniform_iid", "width")):
+        with pytest.raises(ValueError, match=f"needs {name}"):
+            dis.DisorderEnsemble(1.2, 8, kind, 0.1)
+    for width in (-0.4, math.inf, math.nan, 0.5):
+        with pytest.raises(ValueError, match="width"):
+            dis.DisorderEnsemble(1.2, 8, "uniform_iid", 0.4 / dis.UNIFORM_WIDTH_PER_SIGMA, width=width)
