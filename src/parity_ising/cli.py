@@ -176,19 +176,12 @@ def cmd_second_variation(args) -> int:
             response = perturbation.chi_double_prime if args.kind == "perfect" else perturbation.laplacian_u
             rows.extend((n, g, None, response(g, n) / (2.0 * n)) for g in grid)
         else:
-            # The kernel depends on (N, g) only and the covariance on (N, xi)
-            # only: build each once, one N x N covariance at a time, and
-            # contract every pair.
-            kernels = [perturbation.hessian_kernel(g, n) for g in grid]
-            columns = []
-            for xi in xi_list:
-                covariance = perturbation.exponential_covariance(1.0, xi, n, distance_mode=distance)
-                columns.append([kernel.contract(covariance).rescaled for kernel in kernels])
-            rows.extend(
-                (n, g, xi, column[i])
-                for i, g in enumerate(grid)
-                for xi, column in zip(xi_list, columns)
-            )
+            # The kernel depends on (N, g) only and the covariance, an N-entry profile, on
+            # (N, xi) only: all of this N's covariances, then one kernel per g contracts each.
+            covariances = [perturbation.exponential_covariance(1.0, xi, n, distance) for xi in xi_list]
+            for g in grid:
+                kernel = perturbation.hessian_kernel(g, n)
+                rows.extend((n, g, xi, kernel.contract(c).rescaled) for xi, c in zip(xi_list, covariances))
     config = {
         "command": "second-variation",
         "kind": args.kind,

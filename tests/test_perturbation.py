@@ -14,6 +14,7 @@ judged here (`check_contractions`) and in release criterion 07
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ def test_kernel_contraction_identities(g):
     )
 
 
+def test_blocked_pair_sums_match_one_block(monkeypatch):
+    # Blocks of three rows, the last one short, against each sum in one block.
+    n, g = 22, 1.3
+    kernel = pt.hessian_kernel(g, n).values
+    laplacian, limit = pt.laplacian_u(g, n), pt.laplacian_density_limit(g)
+    monkeypatch.setattr(pt, "PAIR_BLOCK_ENTRIES", 3 * (n // 2))
+    atol = 1e-14 * np.abs(kernel).max()
+    np.testing.assert_allclose(pt.hessian_kernel(g, n).values, kernel, rtol=0, atol=atol)
+    assert pt.laplacian_u(g, n) == pytest.approx(laplacian, rel=1e-14)
+    assert pt.laplacian_density_limit(g) == pytest.approx(limit, rel=1e-13)
+
+
 def test_kernel_matrix_is_symmetric_circulant():
     kernel = pt.hessian_kernel(0.9, 10)
     m = kernel.matrix()
@@ -70,6 +83,48 @@ def test_covariance_constructors():
         pt.exponential_covariance(0.1, -1.0, 6)
     with pytest.raises(ValueError):
         pt.iid_covariance(-0.1, 6)
+    for build in (
+        lambda: pt.exponential_covariance(0.1, 2.0, 7),
+        lambda: pt.iid_covariance(0.1, 3),
+        lambda: pt.perfect_covariance(0.1, 0),
+    ):
+        with pytest.raises(ValueError, match="chain length must be even and >= 4"):
+            build()
+
+
+def test_profiles_give_the_dense_matrices_bit_for_bit():
+    # Reference: the dense formulas over every site pair.  The correlated draws
+    # factor these entries, so a bit that moved here would move every draw.
+    for n in (4, 10, 40):
+        idx = np.arange(n)
+        linear = np.abs(idx[:, None] - idx[None, :]).astype(float)
+        ring = np.minimum(linear, n - linear)
+        for sigma in (0.04, 0.1, 0.3, 1.0):
+            var = sigma * sigma
+            np.testing.assert_array_equal(pt.perfect_covariance(sigma, n).entries, var * np.ones((n, n)))
+            np.testing.assert_array_equal(pt.iid_covariance(sigma, n).entries, var * np.eye(n))
+            for xi in (1e-8, 0.3, 5.0, 1e12):
+                for mode, dist in (("linear", linear), ("ring", ring)):
+                    np.testing.assert_array_equal(
+                        pt.exponential_covariance(sigma, xi, n, mode).entries, var * np.exp(-dist / xi)
+                    )
+
+
+def test_no_response_path_holds_an_n_by_n_array():
+    # One 1600 x 1600 float array is 19.5 MiB; the kernel sums bounded blocks
+    # of mode pairs and a covariance is its 1600-entry profile.
+    n, limit = 1600, 8 * 2**20
+    tracemalloc.start()
+    try:
+        kernel = pt.hessian_kernel(1.3, n)
+        _, kernel_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        kernel.contract(pt.exponential_covariance(1.0, 5.0, n, "ring"))
+        _, contract_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel_peak < limit, kernel_peak
+    assert contract_peak < limit, contract_peak
 
 
 def test_exponential_covariance_limits_recover_iid_and_perfect():
@@ -113,6 +168,7 @@ def test_one_kernel_contracts_every_covariance():
         pt.perfect_covariance(0.1, n),
         pt.iid_covariance(0.1, n),
         pt.exponential_covariance(0.1, 3.0, n, distance_mode="ring"),
+        pt.exponential_covariance(0.1, 3.0, n),  # linear distance: not circulant
     ):
         assert kernel.contract(cov) == pt.second_variation(1.3, n, cov)
         assert cov.wrapped is cov.wrapped  # formed once per covariance
