@@ -10,6 +10,8 @@ Subcommands
 Every output file is self-describing: a schema line, the artifact version,
 a timestamp, and the full run configuration as one JSON object, followed by
 the column header and rows with full (17 significant digit) precision.
+b-curve adds max_quadrature_error, the largest 24-vs-12-node error of its
+grid: a head line of its own in CSV, a top-level field in JSON.
 Rewriting a file is atomic (temp file in the target directory + rename).
 
 Exit codes: 0 success, 2 invalid configuration (an --out that cannot be
@@ -115,15 +117,17 @@ def _write_json(path, schema, config, **body):
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _write_table(path, schema, config, columns, rows, fmt="csv"):
+def _write_table(path, schema, config, columns, rows, fmt="csv", **summary):
+    """A table artifact; each ``summary`` entry is a head line of CSV or a top-level JSON field."""
     if fmt == "json":
-        _write_json(path, schema, config, columns=list(columns), rows=[list(row) for row in rows])
+        _write_json(path, schema, config, **summary, columns=list(columns), rows=[list(row) for row in rows])
         return
     lines = [
         f"# schema={schema} version={SCHEMA_VERSION}",
         f"# artifact=parity-ising {__version__}",
         f"# generated={_timestamp()}",
         f"# config={json.dumps(config, sort_keys=True)}",
+        *(f"# {key}={_fmt(value)}" for key, value in summary.items()),
         ",".join(columns),
     ]
     lines.extend(",".join(_fmt(value) for value in row) for row in rows)
@@ -140,14 +144,15 @@ def cmd_b_curve(args) -> int:
     from . import parity_game
 
     grid = _grid(args.g_min, args.g_max, args.steps)
-    rows = [(g, parity_game.advantage_density(g)) for g in grid]
+    b, error = parity_game.advantage_density(grid)
     config = {
         "command": "b-curve",
         "g_min": args.g_min,
         "g_max": args.g_max,
         "steps": args.steps,
     }
-    _write_table(args.out, "b_curve", config, ("g", "b"), rows, args.format)
+    rows = zip(grid, b.tolist())
+    _write_table(args.out, "b_curve", config, ("g", "b"), rows, args.format, max_quadrature_error=float(error.max()))
     return 0
 
 

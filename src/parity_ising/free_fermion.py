@@ -188,18 +188,20 @@ def _legendre(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def wavenumber_integral(rule, floor: float, tol: float, label: str) -> tuple[float, float]:
+def wavenumber_integral(rule, floor: float, tol: float, label: str) -> tuple:
     """The N -> oo counterpart of ``allowed_wavenumbers``: an integral over k in (0, pi).
 
     ``rule(k, w)`` applies one quadrature rule, nodes k and weights w, to the
     integrand: ``w @ f(k)`` in one dimension, ``w @ F(k, k) @ w`` for a
-    tensor rule in two.  The rule is Gauss-Legendre on panels graded toward
-    k = 0, where the modes vary on the scale |1 - g|: the breakpoints are
-    pi 4^-j for j = 0, 1, ... down to the first at or below ``floor``, then 0.
-    Returns the value of the 24-node rule and, as its error, the distance
-    from the 12-node rule on the same panels.  An error above ``tol`` is a
-    NumericsError.  Each call logs one DEBUG record with the label, the
-    error and the node count per axis.
+    tensor rule in two.  It may also return one value per coupling of a
+    grid, an array, evaluated on the same nodes.  The rule is Gauss-Legendre
+    on panels graded toward k = 0, where the modes vary on the scale |1 - g|:
+    the breakpoints are pi 4^-j for j = 0, 1, ... down to the first at or
+    below ``floor``, then 0.  Returns the value of the 24-node rule and, as
+    its error, the distance from the 12-node rule on the same panels: floats
+    for a scalar rule, arrays for an array rule.  An error above ``tol``,
+    anywhere on a grid, is a NumericsError.  Each call logs one DEBUG record
+    with the label, the largest error and the node count per axis.
     """
     edges = [np.pi]
     while edges[-1] > floor:
@@ -207,15 +209,16 @@ def wavenumber_integral(rule, floor: float, tol: float, label: str) -> tuple[flo
     edges = np.array([0.0, *reversed(edges)])
     lo = edges[:-1, None]
     half = 0.5 * np.diff(edges)[:, None]
-    values = []
-    for order in LEGENDRE_ORDERS:
-        x, w = _legendre(order)
-        values.append(float(rule((lo + half * (x + 1.0)).ravel(), (half * w).ravel())))
-    value, error = values[0], abs(values[0] - values[1])
-    _log.debug("%s: error %.3e over %d nodes", label, error, half.size * LEGENDRE_ORDERS[0])
-    if not error <= tol:
-        raise NumericsError(f"{label} quadrature did not converge (error {error:.3e} > {tol:.1e})")
-    return value, error
+    value, coarse = (
+        np.asarray(rule((lo + half * (x + 1.0)).ravel(), (half * w).ravel()), dtype=float)
+        for x, w in map(_legendre, LEGENDRE_ORDERS)
+    )
+    error = np.abs(value - coarse)
+    worst = float(np.max(error, initial=0.0))
+    _log.debug("%s: error %.3e over %d nodes", label, worst, half.size * LEGENDRE_ORDERS[0])
+    if not worst <= tol:
+        raise NumericsError(f"{label} quadrature did not converge (error {worst:.3e} > {tol:.1e})")
+    return (float(value), float(error)) if value.ndim == 0 else (value, error)
 
 
 def bracketed_root(f, bracket, label: str) -> float:

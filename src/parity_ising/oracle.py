@@ -21,10 +21,16 @@ makes reruns bit-identical.  The returned eigenpairs are checked a
 posteriori against their residual.  The full 2^N matrix is built only by
 dense_hamiltonian (N <= 12), for commutator and spectrum checks.
 
-The parity game is simulated gate by gate: every promise input (even total),
-a diag(1, i^{a_j}) phase on each qubit, a Hadamard on each qubit, then the
-win condition sum_j b_j = (sum_j a_j)/2 mod 2 on the measured bits.  A
-block of inputs goes through the gates at once, one input per row.
+The parity game is evaluated through its parity observable.  On promise
+input a (even total) each qubit gets the phase diag(1, i^{a_j}) and a
+Hadamard; the parity of the measured bits is the X^{(x)N} eigenvalue before
+the Hadamards, and the phase layer turns X^{(x)N} into i^{|a|} (-1)^{a.x}.
+That i^{|a|} cancels the (-1)^{|a|/2} of the win rule
+sum_j b_j = (sum_j a_j)/2 mod 2, so input a wins with probability
+(1 + F(a))/2, F(a) = sum_x conj(psi_x) psi_{x xor 1...1} (-1)^{a.x}: one
+Walsh-Hadamard transform gives every input at once.  The literal
+gate-by-gate simulation, one input at a time, is kept as the reference in
+tests/test_oracle.py.
 """
 
 import math
@@ -46,8 +52,6 @@ RESIDUAL_TOL = 1e-12
 # eigenpair of chains with strong field contrast (10^-4 x 6 + 10^4 x 6 did
 # not converge in 20481 iterations); 40 resolves it in a few restarts.
 LANCZOS_BASIS = 40
-# Largest (inputs, 2^N) complex block the protocol simulation holds at once.
-PROTOCOL_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -172,35 +176,29 @@ def ghz_overlaps(state: DenseState) -> tuple[float, float]:
     return float(o_plus), float(o_minus)
 
 
-def _fwht_rows(block: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform (Hadamard on every qubit) of each row.
+def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform sum_x v_x (-1)^{a.x} of a 2^N vector, at every a.
 
-    Constant-geometry butterflies: each pass applies H to the lowest qubit
-    and rotates it to the top, writing contiguous halves, so after one pass
-    per qubit every qubit has had its Hadamard and is back in place.  The
-    passes alternate between the block and one scratch array of its size.
+    Constant-geometry butterflies: each pass applies the butterfly to the
+    lowest bit and rotates it to the top, writing contiguous halves, so after
+    one pass per bit every bit is back in place.  The passes alternate
+    between the input, which they overwrite, and one scratch array of its size.
     """
-    rows, dim = block.shape
-    half = dim // 2
-    src, dst = block, np.empty_like(block)
-    for _ in range(dim.bit_length() - 1):
-        pairs = src.reshape(rows, half, 2)
-        np.add(pairs[:, :, 0], pairs[:, :, 1], out=dst[:, :half])
-        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=dst[:, half:])
+    half = values.size // 2
+    src, dst = values, np.empty_like(values)
+    for _ in range(values.size.bit_length() - 1):
+        pairs = src.reshape(half, 2)
+        np.add(pairs[:, 0], pairs[:, 1], out=dst[:half])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=dst[half:])
         src, dst = dst, src
-    src *= 1.0 / math.sqrt(dim)
     return src
 
 
-def simulate_bbt(state: DenseState) -> float:
-    """Average winning probability of the measurement protocol on a state.
+def _input_win_probabilities(state: DenseState) -> np.ndarray:
+    """Win probability of the protocol on each even-weight input a, in increasing order of a.
 
-    Enumerates all even-weight inputs a.  For each, applies the per-qubit
-    phase diag(1, i^{a_j}) and Hadamard, then sums the probability of output
-    strings whose parity equals (sum_j a_j)/2 mod 2.  Exact up to roundoff;
-    cost O(4^N) overall.  Inputs are simulated in blocks, each one row of a
-    (block, 2^N) complex array, with blocks sized so that no array exceeds
-    PROTOCOL_BLOCK_BYTES.
+    (1 + F(a))/2, where F is real and so the transform of the real part of
+    conj(psi_x) psi_{x xor 1...1} (see the module docstring).
     """
     n = state.n_qubits
     _check_players(n)
@@ -208,25 +206,20 @@ def simulate_bbt(state: DenseState) -> float:
     psi = np.asarray(state.amplitudes, dtype=complex)
     if psi.shape != (dim,):
         raise ValueError("amplitude vector does not match the qubit count")
-    pc = _popcounts(dim)
-    odd_out = (pc & 1).astype(float)
-    i_pow = 1j ** np.arange(4)
-    idx = np.arange(dim)
+    transform = _walsh_hadamard((psi.conj() * psi[::-1]).real)
+    return 0.5 * (1.0 + transform[_popcounts(dim) % 2 == 0])
 
-    inputs = idx[pc % 2 == 0]
-    block_rows = max(1, PROTOCOL_BLOCK_BYTES // (psi.itemsize * dim))
-    total = 0.0
-    for start in range(0, inputs.size, block_rows):
-        a = inputs[start : start + block_rows]
-        block = i_pow[pc[np.bitwise_and(a[:, None], idx)] & 3]
-        block *= psi
-        after = _fwht_rows(block)
-        weights = after.real**2 + after.imag**2
-        # win when the output parity equals (sum_j a_j)/2 mod 2
-        p_odd = weights @ odd_out
-        p_even = weights @ (1.0 - odd_out)
-        total += float(np.sum(np.where((pc[a] >> 1) & 1, p_odd, p_even)))
-    return total / inputs.size
+
+def simulate_bbt(state: DenseState) -> float:
+    """Average winning probability of the measurement protocol on a state.
+
+    The mean over all even-weight inputs a of the probability that the
+    per-qubit phase diag(1, i^{a_j}) and Hadamard, then measurement, give
+    output parity (sum_j a_j)/2 mod 2.  Exact up to roundoff; one
+    Walsh-Hadamard transform of the state's flip overlaps gives every input,
+    so the cost is O(N 2^N).
+    """
+    return float(np.mean(_input_win_probabilities(state)))
 
 
 def _stencil_values(fn, points: np.ndarray, what: str) -> np.ndarray:

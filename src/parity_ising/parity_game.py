@@ -80,6 +80,25 @@ def utility_from_log_overlap(log_overlap_plus_sq, n_players: int):
     return _utility_offset(n_players) + log_overlap_plus_sq
 
 
+def _coupling_array(g):
+    """g as a one-dimensional float array, and whether it was a float."""
+    scalar = np.ndim(g) == 0
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    if g.ndim != 1:
+        raise ValueError("couplings must be a float or a one-dimensional array")
+    return g, scalar
+
+
+def _mode_sums(g, k, weights):
+    """sum_k weights_k log(q_k/eps_k) for each coupling in g, in row blocks of at most CLEAN_BLOCK_MODES modes."""
+    out = np.empty(g.size)
+    rows = max(1, CLEAN_BLOCK_MODES // k.size)
+    for start in range(0, g.size, rows):
+        eps, q, _, _ = _modes(g[start : start + rows, None], k)
+        out[start : start + rows] = np.sum(np.log(q / eps) * weights, axis=1)
+    return out
+
+
 def utility_clean(g, n_sites: int):
     """Utility chi(g) of the clean chain at uniform coupling g.
 
@@ -98,21 +117,13 @@ def utility_clean(g, n_sites: int):
     row blocks of at most CLEAN_BLOCK_MODES modes, which bounds the memory
     at any N and array length.
     """
-    if np.ndim(g) == 0:
-        return float(utility_clean(np.array([g], dtype=float), n_sites)[0])
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 1:
-        raise ValueError("couplings must be a float or a one-dimensional array")
+    g, scalar = _coupling_array(g)
     k = allowed_wavenumbers(n_sites)
-    out = np.empty(g.size)
-    rows = max(1, CLEAN_BLOCK_MODES // k.size)
-    for start in range(0, g.size, rows):
-        eps, q, _, _ = _modes(g[start : start + rows, None], k)
-        out[start : start + rows] = np.sum(np.log(q / eps), axis=1) - k.size * LOG2
-    return _utility_offset(n_sites) + out
+    chi = _utility_offset(n_sites) + (_mode_sums(g, k, 1.0) - k.size * LOG2)
+    return float(chi[0]) if scalar else chi
 
 
-def advantage_density(g: float) -> float:
+def advantage_density(g):
     """Thermodynamic utility density b(g) = lim_N chi(g)/N.
 
     The (N/2 - 1) log 2 prefactor of chi cancels the -log 2 per mode, so
@@ -121,18 +132,20 @@ def advantage_density(g: float) -> float:
     For g > 1 the integrand goes as 2 log k at k -> 0 whatever the
     coupling, so its panels are graded down to the fixed DENSITY_FLOOR.
     Absolute accuracy QUAD_TOL on b or a NumericsError.
+
+    g may be a float, which returns b(g), or a one-dimensional array of
+    couplings, which returns the pair (b, error) of arrays: the densities
+    and their 24-vs-12-node quadrature errors.  The couplings share one
+    pass over the panels, in row blocks as in ``utility_clean``, and an
+    array entry equals the float call bit for bit.
     """
-    if g == 1.0:
-        warnings.warn(
-            "advantage density is continuous but not smooth at g = 1",
-            stacklevel=2,
-        )
-
-    def rule(k, w):
-        eps, q, _, _ = _modes(g, k)
-        return w @ np.log(q / eps) / (2.0 * np.pi)
-
-    return wavenumber_integral(rule, DENSITY_FLOOR, QUAD_TOL, "advantage density")[0]
+    g, scalar = _coupling_array(g)
+    if np.any(g == 1.0):
+        warnings.warn("advantage density is continuous but not smooth at g = 1", stacklevel=2)
+    b, error = wavenumber_integral(
+        lambda k, w: _mode_sums(g, k, w) / (2.0 * np.pi), DENSITY_FLOOR, QUAD_TOL, "advantage density"
+    )
+    return float(b[0]) if scalar else (b, error)
 
 
 def find_advantage_boundary(bracket=(1.4, 1.6)) -> float:

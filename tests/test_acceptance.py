@@ -24,10 +24,10 @@ from parity_ising import verify
 
 
 def test_criterion_01_protocol_equals_overlap_formula():
-    # >= 50 states at N in {4,6,8,10}, ground and random in turn,
+    # >= 50 states at N in {4,6,8,10,12}, ground and random in turn,
     # |simulated p - (1 + o+ - o-)/2| <= 1e-10
     started = time.perf_counter()
-    results = [r for n in (4, 6, 8, 10) for r in verify.check_game_theorem(n, draws=13)]
+    results = [r for n in (4, 6, 8, 10, 12) for r in verify.check_game_theorem(n, draws=13)]
     worst = max(abs(r.observed - r.expected) for r in results)
     elapsed = time.perf_counter() - started
     print(f"criterion 01: {len(results)} states, worst gap {worst:.2e} ({elapsed:.1f}s)")

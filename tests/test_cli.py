@@ -51,6 +51,9 @@ def test_b_curve_csv_contract(tmp_path):
     assert comments[2].startswith("# generated=")
     config = json.loads(comments[3].removeprefix("# config="))
     assert config == {"command": "b-curve", "g_min": 0.2, "g_max": 2.0, "steps": 40}
+    assert comments[4].startswith("# max_quadrature_error=")
+    assert 0.0 <= float(comments[4].removeprefix("# max_quadrature_error=")) <= pg.QUAD_TOL
+    assert len(comments) == 5
     assert columns == ["g", "b"]
     assert len(rows) == 40
 
@@ -76,7 +79,8 @@ def test_b_curve_json_payload(tmp_path):
     assert payload["version"] == cli.SCHEMA_VERSION
     assert payload["columns"] == ["g", "b"]
     assert len(payload["rows"]) == 5
-    assert payload["config"]["steps"] == 5
+    assert payload["config"] == {"command": "b-curve", "g_min": 0.5, "g_max": 1.6, "steps": 5}
+    assert 0.0 <= payload["max_quadrature_error"] <= pg.QUAD_TOL
 
 
 def test_second_variation_row_layout(tmp_path):

@@ -181,8 +181,8 @@ def test_protocol_equals_overlap_formula_on_random_states(n):
         )
 
 
-def _per_input_protocol(state: oracle.DenseState) -> float:
-    """The protocol one input at a time, with an in-place butterfly transform."""
+def _per_input_protocol(state: oracle.DenseState) -> np.ndarray:
+    """The protocol gate by gate, one input at a time: each even input's win probability, in input order."""
     n = state.n_qubits
     dim = 1 << n
     psi = np.asarray(state.amplitudes, dtype=complex)
@@ -190,9 +190,8 @@ def _per_input_protocol(state: oracle.DenseState) -> float:
     even_out = pc % 2 == 0
     i_pow = 1j ** np.arange(4)
     idx = np.arange(dim)
-    inputs = idx[pc % 2 == 0]
-    total = 0.0
-    for a in inputs:
+    wins = []
+    for a in idx[pc % 2 == 0]:
         out = psi * i_pow[pc[np.bitwise_and(idx, a)] % 4]
         h = 1
         while h < dim:
@@ -204,15 +203,13 @@ def _per_input_protocol(state: oracle.DenseState) -> float:
             h *= 2
         weights = np.abs(out / math.sqrt(dim)) ** 2
         mask = even_out if (pc[a] // 2) % 2 == 0 else ~even_out
-        total += float(np.sum(weights[mask]))
-    return total / inputs.size
+        wins.append(float(np.sum(weights[mask])))
+    return np.array(wins)
 
 
-@pytest.mark.parametrize("block_bytes", [oracle.PROTOCOL_BLOCK_BYTES, 3 * 16 * 2**6])
-def test_blocked_protocol_matches_per_input_reference(monkeypatch, block_bytes):
-    # The small size gives blocks of three inputs at N = 6 (a short last
-    # block) and of one input from N = 7 on.
-    monkeypatch.setattr(oracle, "PROTOCOL_BLOCK_BYTES", block_bytes)
+def test_transform_protocol_matches_gate_by_gate_reference_per_input():
+    # Input by input, so that an error a mean over inputs hides (a reversed
+    # input bit order, say) fails here.
     rng = np.random.default_rng(4711)
     for n in range(3, 11):
         states = []
@@ -222,7 +219,11 @@ def test_blocked_protocol_matches_per_input_reference(monkeypatch, block_bytes):
             amp = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
             states.append(oracle.DenseState(amp / np.linalg.norm(amp), n))
         for state in states:
-            assert oracle.simulate_bbt(state) == pytest.approx(_per_input_protocol(state), abs=1e-13)
+            wins = oracle._input_win_probabilities(state)
+            reference = _per_input_protocol(state)
+            assert wins.shape == reference.shape == (1 << (n - 1),)
+            np.testing.assert_allclose(wins, reference, rtol=0.0, atol=1e-13)
+            assert oracle.simulate_bbt(state) == np.mean(wins)
 
 
 def test_extreme_contrast_chain_converges():

@@ -103,6 +103,26 @@ def test_advantage_density_frozen_values(g, expected):
         assert pg.advantage_density(g) == pytest.approx(expected, abs=1e-13)
 
 
+@pytest.mark.parametrize("block_modes", [pg.CLEAN_BLOCK_MODES, 1000])
+def test_density_grid_equals_scalar_calls(monkeypatch, block_modes):
+    # 1000 modes hold one coupling per block of the 24-node rule's 528 nodes
+    # (three of the 12-node rule's 264), so 40 couplings span 40 blocks; the
+    # default holds 15 per block.
+    monkeypatch.setattr(pg, "CLEAN_BLOCK_MODES", block_modes)
+    g = np.concatenate([np.linspace(0.01, 3.0, 37), [1.0 - 1e-7, 1.0 + 1e-7, 200.0]])
+    b, error = pg.advantage_density(g)
+    assert b.shape == error.shape == g.shape
+    np.testing.assert_array_equal(b, [pg.advantage_density(float(x)) for x in g])
+    assert np.all((error >= 0.0) & (error <= pg.QUAD_TOL))
+    assert isinstance(pg.advantage_density(1.3), float)
+    with pytest.warns(UserWarning):
+        pg.advantage_density(np.array([0.5, 1.0]))
+    with pytest.raises(ValueError):
+        pg.advantage_density(np.array([1.3, 0.0]))
+    with pytest.raises(ValueError):
+        pg.advantage_density(np.ones((2, 2)))
+
+
 def test_density_quadrature_gate_catches_unresolved_jump(monkeypatch):
     # A q that doubles at k = 1 puts a jump inside a Gauss-Legendre panel:
     # the two orders disagree and the gate fires.
