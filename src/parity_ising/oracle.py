@@ -29,8 +29,8 @@ That i^{|a|} cancels the (-1)^{|a|/2} of the win rule
 sum_j b_j = (sum_j a_j)/2 mod 2, so input a wins with probability
 (1 + F(a))/2, F(a) = sum_x conj(psi_x) psi_{x xor 1...1} (-1)^{a.x}: one
 Walsh-Hadamard transform gives every input at once.  The literal
-gate-by-gate simulation, one input at a time, is kept as the reference in
-tests/test_oracle.py.
+gate-by-gate simulation, one input per row of a block, is kept as the
+reference in tests/test_oracle.py.
 """
 
 import math

@@ -181,35 +181,51 @@ def test_protocol_equals_overlap_formula_on_random_states(n):
         )
 
 
-def _per_input_protocol(state: oracle.DenseState) -> np.ndarray:
-    """The protocol gate by gate, one input at a time: each even input's win probability, in input order."""
+# Row budget of the gate-by-gate reference: 16 inputs per block at N = 10.
+REFERENCE_BLOCK_BYTES = 256 * 1024
+
+
+def _per_input_protocol(state: oracle.DenseState, block_bytes: int = REFERENCE_BLOCK_BYTES) -> np.ndarray:
+    """The protocol gate by gate: each even input's win probability, in input order.
+
+    Inputs go one per row of a (block, 2^N) complex array of at most
+    block_bytes (at least one row); every row gets its phase layer, then an
+    in-place butterfly Hadamard on each qubit.
+    """
     n = state.n_qubits
     dim = 1 << n
     psi = np.asarray(state.amplitudes, dtype=complex)
     pc = oracle._popcounts(dim)
-    even_out = pc % 2 == 0
+    odd_out = pc % 2 == 1
     i_pow = 1j ** np.arange(4)
     idx = np.arange(dim)
+    inputs = idx[pc % 2 == 0]
+    rows = max(1, block_bytes // (psi.itemsize * dim))
     wins = []
-    for a in idx[pc % 2 == 0]:
-        out = psi * i_pow[pc[np.bitwise_and(idx, a)] % 4]
+    for start in range(0, inputs.size, rows):
+        a = inputs[start : start + rows]
+        out = psi * i_pow[pc[np.bitwise_and(a[:, None], idx)] % 4]
         h = 1
         while h < dim:
-            out = out.reshape(-1, 2 * h)
-            top = out[:, :h].copy()
-            out[:, :h] = top + out[:, h:]
-            out[:, h:] = top - out[:, h:]
-            out = out.reshape(-1)
+            out = out.reshape(a.size, -1, 2 * h)
+            top = out[:, :, :h].copy()
+            out[:, :, :h] = top + out[:, :, h:]
+            out[:, :, h:] = top - out[:, :, h:]
+            out = out.reshape(a.size, dim)
             h *= 2
         weights = np.abs(out / math.sqrt(dim)) ** 2
-        mask = even_out if (pc[a] // 2) % 2 == 0 else ~even_out
-        wins.append(float(np.sum(weights[mask])))
+        # win when the output parity equals (sum_j a_j)/2 mod 2
+        win_odd = (pc[a] // 2) % 2 == 1
+        wins.extend(np.where(win_odd, weights[:, odd_out].sum(axis=1), weights[:, ~odd_out].sum(axis=1)))
     return np.array(wins)
 
 
-def test_transform_protocol_matches_gate_by_gate_reference_per_input():
+@pytest.mark.parametrize("block_bytes", [REFERENCE_BLOCK_BYTES, 3 * 16 * 2**6])
+def test_blocked_protocol_matches_per_input_reference(block_bytes):
     # Input by input, so that an error a mean over inputs hides (a reversed
-    # input bit order, say) fails here.
+    # input bit order, say) fails here.  The small reference budget gives
+    # blocks of three inputs at N = 6 (a short last block) and of one input
+    # from N = 7 on.
     rng = np.random.default_rng(4711)
     for n in range(3, 11):
         states = []
@@ -220,7 +236,7 @@ def test_transform_protocol_matches_gate_by_gate_reference_per_input():
             states.append(oracle.DenseState(amp / np.linalg.norm(amp), n))
         for state in states:
             wins = oracle._input_win_probabilities(state)
-            reference = _per_input_protocol(state)
+            reference = _per_input_protocol(state, block_bytes)
             assert wins.shape == reference.shape == (1 << (n - 1),)
             np.testing.assert_allclose(wins, reference, rtol=0.0, atol=1e-13)
             assert oracle.simulate_bbt(state) == np.mean(wins)
