@@ -25,8 +25,9 @@ and no part of scipy: each scipy subpackage loads in the functions that call
 it.  So ``scipy.linalg`` loads only for the overlap kernel's band route
 (``dsbevd``: ``verify``, and Monte Carlo chains below 24 sites, above 80
 with fields on both sides of 1, or left unconverged by Newton-Schulz), or
-through ``scipy.optimize`` and ``scipy.sparse.linalg``, which import it;
-the kernel's SVD fallback is numpy's.
+through ``scipy.sparse.linalg`` (the oracle's Lanczos), which imports it;
+the kernel's SVD fallback is numpy's, and the advantage boundary and the
+crossover are found without scipy.
 
 Run telemetry (Monte Carlo counts and rates, per-check verify times, the
 error estimate of each thermodynamic integral) goes to

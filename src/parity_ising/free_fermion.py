@@ -133,6 +133,9 @@ NEWTON_SCHULZ_TOL = 4.0
 STACK_ENTRIES = 1 << 15
 # Gauss-Legendre orders of wavenumber_integral: the value, then its error gauge.
 LEGENDRE_ORDERS = (24, 12)
+# Bracket width at which bracketed_root stops, and the steps it may take to get there.
+ROOT_TOL = 1e-12
+ROOT_STEPS = 100
 
 _log = logging.getLogger(__name__)
 
@@ -222,19 +225,53 @@ def wavenumber_integral(rule, floor: float, tol: float, label: str) -> tuple:
 
 
 def bracketed_root(f, bracket, label: str) -> float:
-    """Root of f between the ends of ``bracket`` by Brent's method to 1e-12.
+    """Root of f between the ends of ``bracket`` to ROOT_TOL, by the Illinois method.
 
-    f must take strictly opposite signs at the two ends, in either order;
-    otherwise NumericsError.  scipy.optimize loads on the first call, so
-    importing this module does not pull it in.
+    Regula falsi that halves the value held at an end each further time the
+    same end is kept (Dowell & Jarratt, BIT 11, 168 (1971)), so both ends
+    close in on the root.  Each new point lies at least ROOT_TOL / 2 inside
+    the ends, so once one end has converged the next step lands across it
+    and the bracket closes.  Returns the point of least |f| evaluated.  f
+    must take strictly opposite signs at the two ends, in either order, and
+    a finite value at every point; otherwise, or if the bracket is still
+    wider than ROOT_TOL after ROOT_STEPS steps, NumericsError.  Logs one
+    DEBUG record with the label, the root, the evaluation count and the
+    final bracket width.
     """
-    from scipy import optimize
+
+    def value(x):
+        y = float(f(x))
+        if not math.isfinite(y):
+            raise NumericsError(f"{label} is {y} at {x!r}")
+        return y
 
     lo, hi = bracket
-    f_lo, f_hi = f(lo), f(hi)
-    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
-        raise NumericsError(f"{label} not bracketed by ({lo}, {hi}): ({f_lo:.3e}, {f_hi:.3e})")
-    return optimize.brentq(f, lo, hi, xtol=1e-12)
+    a, b = sorted((float(lo), float(hi)))
+    fa, fb = value(a), value(b)
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise NumericsError(f"{label} not bracketed by ({lo}, {hi}): ({fa:.3e}, {fb:.3e})")
+    root, f_root = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+    kept, steps = 0, 0  # kept: +1 after a step that kept b, -1 after one that kept a
+    while b - a > ROOT_TOL and f_root != 0.0:
+        if steps == ROOT_STEPS:
+            raise NumericsError(f"{label} bracket still {b - a:.1e} wide after {steps} steps")
+        steps += 1
+        x = min(max(a - fa * (b - a) / (fb - fa), a + 0.5 * ROOT_TOL), b - 0.5 * ROOT_TOL)
+        fx = value(x)
+        if abs(fx) <= abs(f_root):
+            root, f_root = x, fx
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
+            if kept > 0:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, fb = x, fx
+            if kept < 0:
+                fa *= 0.5
+            kept = -1
+    _log.debug("%s: root %.17g after %d evaluations, bracket %.1e", label, root, steps + 2, b - a)
+    return root
 
 
 def _modes(g, k):

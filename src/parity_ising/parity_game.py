@@ -149,7 +149,7 @@ def advantage_density(g):
 
 
 def find_advantage_boundary(bracket=(1.4, 1.6)) -> float:
-    """Coupling g* where b(g) changes sign, by Brent's method to 1e-12 in g.
+    """Coupling g* where b(g) changes sign, to 1e-12 in g by ``bracketed_root``.
 
     The advantage density is positive below g* and negative above; g* is
     where the chain stops beating the best classical strategy in the

@@ -29,8 +29,9 @@ come from the subtraction-free eps_k, q_k, cos(theta_k) and sin(theta_k) of
 
 and chi'(g) = -sum_k f_k.  The kernel's weights over mode pairs are written
 once, in ``_pair_weights``; the kernel, the Laplacian and its N -> oo limit
-sum them in bounded ``_pair_blocks``.  A covariance is held as its Toeplitz
-profile t_d = C_{j,j+d}, so no N x N array enters a response.
+sum them in bounded ``_pair_blocks``, which form the per-mode arrays once
+per sum.  A covariance is held as its Toeplitz profile t_d = C_{j,j+d}, so
+no N x N array enters a response.
 """
 
 import math
@@ -97,28 +98,37 @@ def laplacian_u(g_bar: float, n_sites: int) -> float:
 
 
 def _pair_blocks(k, g: float):
-    """Yield (rows, a_plus, a_minus) over k x k, PAIR_BLOCK_ENTRIES pairs (or one row) at a time."""
+    """Yield (rows, a_plus, a_minus) over k x k, PAIR_BLOCK_ENTRIES pairs (or one row) at a time.
+
+    The per-mode arrays of k are formed once, and each block takes its rows from them.
+    """
+    modes = _pair_modes(g, k)
     step = max(1, PAIR_BLOCK_ENTRIES // k.size)
     for start in range(0, k.size, step):
         rows = slice(start, start + step)
-        yield (rows, *_pair_weights(k[rows, None], k, g))
+        yield (rows, *_pair_weights([m[rows, None] for m in modes], modes))
 
 
-def _pair_weights(p1, p2, g: float):
+def _pair_modes(g: float, k):
+    """(eps, t, t / eps, cos(theta/2), sin(theta/2)) at wavenumbers k, for ``_pair_weights``.
+
+    Of the two half angles, the larger comes from |cos theta| and the other
+    as sin(theta)/2 over it, so no angle is subtracted.
+    """
+    eps, t, ct, st = _mode_arrays(g, k)
+    big = np.sqrt(0.5 * (1.0 + np.abs(ct)))
+    small, up = st / (2.0 * big), ct >= 0.0
+    return eps, t, t / eps, np.where(up, big, small), np.where(up, small, big)
+
+
+def _pair_weights(modes1, modes2):
     """Weights (a_plus, a_minus) of cos((p1 + p2) d) and cos((p1 - p2) d) in h(d).
 
-    Broadcast over wavenumber arrays p1 and p2.  The angles enter through
-    the half angles of each mode, the larger of cos(theta/2) and sin(theta/2)
-    from |cos theta| and the other as sin(theta)/2 over it, so no angle is
-    subtracted.  The first-variation cross term is excluded (module docstring).
+    ``modes1`` and ``modes2`` are ``_pair_modes`` at wavenumbers p1 and p2,
+    broadcast against each other.  The first-variation cross term is
+    excluded (module docstring).
     """
-    modes = []
-    for p in (p1, p2):
-        eps, t, ct, st = _mode_arrays(g, p)
-        big = np.sqrt(0.5 * (1.0 + np.abs(ct)))
-        small, up = st / (2.0 * big), ct >= 0.0
-        modes.append((eps, t, t / eps, np.where(up, big, small), np.where(up, small, big)))
-    (e1, t1, r1, c1, s1), (e2, t2, r2, c2, s2) = modes
+    (e1, t1, r1, c1, s1), (e2, t2, r2, c2, s2) = modes1, modes2
     tt = t1 * t2
     s = e1 + e2
     sc, cs = s2 * c1, c2 * s1  # sin(theta2/2) cos(theta1/2), cos(theta2/2) sin(theta1/2)
@@ -288,7 +298,8 @@ def laplacian_crossover_thermodynamic(bracket=(0.95, 0.998)) -> float:
     """Coupling where the thermodynamic Laplacian density changes sign.
 
     Below the crossover independent site noise lowers the expected utility,
-    above it raises it.  Brent's method to 1e-12 in g; the default bracket
-    straddles the known sign change just below the critical point.
+    above it raises it.  Found to 1e-12 in g by ``bracketed_root``; the
+    default bracket straddles the known sign change just below the critical
+    point.
     """
     return bracketed_root(laplacian_density_limit, bracket, "Laplacian crossover")

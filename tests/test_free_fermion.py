@@ -78,7 +78,7 @@ def test_quadrature_error_is_logged_not_printed(capsys, caplog):
 
 
 def test_thermodynamic_integrals_leave_scipy_quadrature_unloaded():
-    """Every submodule, both integrals and both roots, and no scipy.integrate."""
+    """Every submodule, both integrals and both roots, and no scipy.integrate or scipy.optimize."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ff.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = (
@@ -86,10 +86,98 @@ def test_thermodynamic_integrals_leave_scipy_quadrature_unloaded():
         "[importlib.import_module('parity_ising.' + m.name) for m in pkgutil.iter_modules(parity_ising.__path__)]; "
         "parity_ising.parity_game.find_advantage_boundary(); "
         "parity_ising.perturbation.laplacian_crossover_thermodynamic(); "
-        "print('scipy.integrate' in sys.modules)"
+        "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft', 'scipy.spatial') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["as is", "negated"])
+@pytest.mark.parametrize(
+    "density, bracket",
+    [(pg.advantage_density, (1.4, 1.6)), (pt.laplacian_density_limit, (0.95, 0.998))],
+    ids=["advantage density", "Laplacian density"],
+)
+def test_bracketed_root_matches_brentq(density, bracket, sign):
+    # b(g) falls through zero and the Laplacian density rises, so the sign
+    # flip covers both orientations of each; the ends may come in either order
+    from scipy.optimize import brentq
+
+    def f(g):
+        return sign * density(g)
+
+    reference = brentq(f, *bracket, xtol=1e-12)
+    for ends in (bracket, bracket[::-1]):
+        root = ff.bracketed_root(f, ends, "test")
+        assert type(root) is float
+        assert abs(root - reference) <= 1e-12
+
+
+@pytest.mark.parametrize("x0", [0.3, 0.7123456789])
+def test_bracketed_root_on_steep_and_flat_functions(x0):
+    from scipy.optimize import brentq
+
+    def steep(x):
+        return math.tanh(1e3 * (x - x0))
+
+    root = ff.bracketed_root(steep, (0.0, 1.0), "steep")
+    assert abs(root - x0) <= 1e-12
+    assert abs(root - brentq(steep, 0.0, 1.0, xtol=1e-12)) <= 1e-12
+    # a triple root: f ~ 1e-36 within 1e-12 of it, where Illinois still closes
+    # the bracket (brentq exhausts its 100 iterations here at xtol = 1e-12)
+    assert abs(ff.bracketed_root(lambda x: (x - x0) ** 3, (0.0, 1.0), "flat") - x0) <= 1e-12
+    assert abs(ff.bracketed_root(lambda x: (x0 - x) ** 3, (1.0, 0.0), "flat") - x0) <= 1e-12
+
+
+def test_bracketed_root_failures_raise_without_looping():
+    calls = []
+
+    def counted(f):
+        def wrapped(x):
+            calls.append(x)
+            return f(x)
+
+        return wrapped
+
+    # the same sign at both ends, or a zero at one
+    for ends in ((0.5, 0.9), (0.0, 0.3)):
+        with pytest.raises(NumericsError, match="not bracketed"):
+            ff.bracketed_root(lambda x: x - 0.3, ends, "unbracketed")
+    # a NaN at an end, or inside the bracket
+    with pytest.raises(NumericsError, match="nan"):
+        ff.bracketed_root(lambda x: math.nan if x > 0.5 else x - 0.3, (0.0, 1.0), "nan at an end")
+    calls.clear()
+    with pytest.raises(NumericsError, match="nan"):
+        ff.bracketed_root(counted(lambda x: x - 0.3 if x in (0.0, 1.0) else math.nan), (0.0, 1.0), "nan inside")
+    assert len(calls) == 3
+    # a sign change between two neighbouring doubles near 1e5, which lie 1.5e-11
+    # apart: no bracket there closes to 1e-12
+    calls.clear()
+    with pytest.raises(NumericsError, match="after 100 steps"):
+        ff.bracketed_root(counted(lambda x: -1.0 if x <= 100000.3 else 1.0), (1e5, 1e5 + 1.0), "unresolvable")
+    assert len(calls) == ff.ROOT_STEPS + 2
+
+
+def test_bracketed_root_logs_one_record(caplog):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.tanh(x - 0.3)
+
+    with caplog.at_level("DEBUG", logger="parity_ising"):
+        root = ff.bracketed_root(f, (0.0, 1.0), "test root")
+    records = [r for r in caplog.records if r.name == "parity_ising.free_fermion"]
+    assert [r.levelname for r in records] == ["DEBUG"]
+    label, rest = records[0].getMessage().split(": root ")
+    value, rest = rest.split(" after ")
+    count, width = rest.split(" evaluations, bracket ")
+    assert label == "test root"
+    assert float(value) == root
+    assert int(count) == len(calls)
+    assert 0.0 < float(width) <= ff.ROOT_TOL
+    # the root returned is the evaluated point of least |f|
+    assert abs(math.tanh(root - 0.3)) == min(abs(math.tanh(x - 0.3)) for x in calls)
 
 
 def test_coupling_validation():

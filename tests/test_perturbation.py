@@ -242,7 +242,8 @@ def _finer_laplacian_limit(g, order=48, ratio=2.0):
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (edges[:-1, None] + half * (x + 1.0)).ravel()
     weights = (half * w).ravel()
-    a_plus, a_minus = pt._pair_weights(nodes[:, None], nodes[None, :], g)
+    modes = pt._pair_modes(g, nodes)
+    a_plus, a_minus = pt._pair_weights([m[:, None] for m in modes], modes)
     return float(weights @ (a_plus + a_minus) @ weights) / (2.0 * np.pi**2)
 
 
@@ -254,10 +255,10 @@ def test_laplacian_limit_converges_next_to_criticality(g):
 
 
 def test_laplacian_quadrature_gate_catches_unresolved_bracket(monkeypatch):
-    # Pair weights with a jump across the diagonal p1 + p2 = 1 defeat the
-    # Gauss-Legendre panels: the two orders disagree and the gate fires.
-    def discontinuous(p1, p2, g):
-        step = np.where(p1 + p2 < 1.0, 1.0, 0.0)
+    # Pair weights with a jump across the curve eps(p1) + eps(p2) = 1 defeat
+    # the Gauss-Legendre panels: the two orders disagree and the gate fires.
+    def discontinuous(modes1, modes2):
+        step = np.where(modes1[0] + modes2[0] < 1.0, 1.0, 0.0)
         return step, np.zeros_like(step)
 
     monkeypatch.setattr(pt, "_pair_weights", discontinuous)

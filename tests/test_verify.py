@@ -116,8 +116,8 @@ def test_scaled_pair_weight_is_caught_by_the_laplacian_stencil(monkeypatch):
     # the determinant route does not move.
     real = pt._pair_weights
 
-    def scaled(p1, p2, g):
-        a_plus, a_minus = real(p1, p2, g)
+    def scaled(modes1, modes2):
+        a_plus, a_minus = real(modes1, modes2)
         return 1.01 * a_plus, a_minus
 
     monkeypatch.setattr(pt, "_pair_weights", scaled)
