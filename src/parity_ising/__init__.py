@@ -21,13 +21,13 @@ Submodules (also re-exported lazily at package level, see below):
 Importing the package does not import numpy/scipy; submodules load on first
 attribute access.  The CLI relies on this to apply its thread-count setting
 before the numeric stack initializes.  Importing a submodule loads numpy
-and no part of scipy: each scipy subpackage loads in the functions that call
-it.  So ``scipy.linalg`` loads only for the overlap kernel's band route
-(``dsbevd``: ``verify``, and Monte Carlo chains below 24 sites, above 80
-with fields on both sides of 1, or left unconverged by Newton-Schulz), or
-through ``scipy.sparse.linalg`` (the oracle's Lanczos), which imports it;
-the kernel's SVD fallback is numpy's, and the advantage boundary and the
-crossover are found without scipy.
+and no part of scipy, and the only scipy call left is the overlap kernel's
+band route (``dsbevd``), which imports ``scipy.linalg`` on first use: chains
+below 8 sites, longer than 80 with fields on both sides of 1, or left
+unconverged by Newton-Schulz.  The oracle's Lanczos, the elliptic
+integrals and the roots are plain numpy or Python, and the kernel's SVD
+fallback is numpy's, so ``verify`` and the curve commands import no scipy
+module at all.
 
 Run telemetry (Monte Carlo counts and rates, per-check verify times, the
 error estimate of each thermodynamic integral) goes to

@@ -12,8 +12,8 @@ over the positive antiperiodic wavenumbers, with
 so the rescaled perfectly-correlated second variation chi''/(2N) grows like
 -N/16: weak uniform disorder at criticality is catastrophically risk
 averse.  Away from criticality the N -> infinity derivatives have closed
-forms in complete elliptic integrals of parameter m = 4g/(1+g)^2, taken
-from scipy.special.
+forms in complete elliptic integrals of parameter m = 4g/(1+g)^2, computed
+by the arithmetic-geometric mean.
 """
 
 import math
@@ -87,14 +87,29 @@ def critical_scaling(n_sites: int) -> CriticalScalingReport:
 def elliptic_km_em(m: float) -> tuple[float, float]:
     """Complete elliptic integrals K(m) and E(m), parameter convention.
 
-    scipy.special.ellipk and ellipe, for m in [0, 1) only: K diverges at
-    m = 1, the critical coupling.
+    By the arithmetic-geometric mean (DLMF 19.8.1-19.8.2): from a_0 = 1,
+    b_0 = sqrt(1 - m), c_0 = sqrt(m), K = pi / (2 M) with M the common
+    limit of a_n and b_n, and E / K = 1 - sum_n 2^(n-1) c_n^2.  That sum
+    nears 1 as m -> 1, so E / K is carried instead as a_n^2 plus an excess,
+    which is 0 after the first step (c_0^2 / 2 + c_1^2 = 1 - a_1^2) and
+    gains c_n (2 a_n - (2^(n-1) - 1) c_n) at each later one; K and E are
+    then within 2 and 3 ulp of their values up to m = 1 - 1e-12.  c_n falls
+    quadratically, so the loop stops at c <= 1e-15 a, the next term being
+    below rounding; a much tighter rule would never stop, as c stalls at
+    rounding level.  For m in [0, 1) only: K diverges at m = 1, the
+    critical coupling.
     """
-    from scipy import special
-
     if not 0.0 <= m < 1.0:
         raise ValueError(f"parameter m must lie in [0, 1), got {m}")
-    return float(special.ellipk(m)), float(special.ellipe(m))
+    b = math.sqrt(1.0 - m)
+    a, b, c = 0.5 * (1.0 + b), math.sqrt(b), 0.5 * (1.0 - b)
+    weight, excess = 1.0, 0.0
+    while c > 1e-15 * a:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        excess += c * (2.0 * a - weight * c)
+        weight = 2.0 * weight + 1.0
+    big_k = math.pi / (2.0 * a)
+    return big_k, big_k * (a * a + excess)
 
 
 def dchi_dg_thermodynamic(g: float) -> float:
@@ -129,7 +144,7 @@ def d2chi_dg2_thermodynamic(g: float) -> float:
 
 
 def _elliptic_parameter(g: float) -> float:
-    from .free_fermion import _check_couplings  # numpy, which scipy.special loads next anyway
+    from .free_fermion import _check_couplings
 
     _check_couplings(g)
     if g == 1.0:

@@ -73,8 +73,9 @@ chain's W by one of three routes:
 
 Only the band route calls LAPACK through scipy (``dsbevd``), and it imports
 ``scipy.linalg`` on its first call: a process that only sums modes, or
-whose chains all converge by Newton-Schulz (weak disorder about a field
-away from 1, at any length from 24 sites), never loads it.
+whose chains all converge by Newton-Schulz (every chain ``verify`` scores,
+and weak disorder about a field away from 1 at any length from 8 sites),
+never loads it.
 
 Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
@@ -112,7 +113,12 @@ BAND_FIELD_MAX = 1e150
 # chain by the scaled Newton-Schulz iteration before the band route; a gapped
 # chain (all fields on one side of 1) takes it at every length from the first on.
 # Other chains start on the band route, and a lower end of 0 sends every chain there.
-NEWTON_SCHULZ_SITES = (24, 80)
+# Per chain in stacks of 2000 U[0.2, 3] chains, one BLAS thread, band route against
+# Newton-Schulz: N = 4 8.5 / 12.7 us, 6 7.4 / 9.9, 8 10.8 / 9.8, 12 19.9 / 16.2,
+# 16 34.5 / 18.9, 20 66.5 / 40.9.  Newton-Schulz loses on one-chain calls (N = 8
+# 166 / 486 us) and on stacks of near-identical chains, whose ratio proof falls
+# back to eigvalsh (the 289 chains of a 12-site Hessian stencil: 9.1 / 17.0 ms).
+NEWTON_SCHULZ_SITES = (8, 80)
 # Newton-Schulz steps a chain may take; one that has not converged by then takes the band route.
 NEWTON_SCHULZ_STEPS = 20
 # Lowest l of the singular-value interval (l, 1] of Z / (max g + 1) that a

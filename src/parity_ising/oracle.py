@@ -9,16 +9,19 @@ is written in the computational basis with site j stored in bit j of the
 basis index (little endian).  H commutes with the global spin flip
 P = prod_j X_j, and for positive fields the ground state lies in the P = +1
 sector.  The ground state is therefore computed in the symmetrized basis
-(|b> + |flip b>)/sqrt(2) of dimension 2^(N-1), N <= 16, where H is a sparse
-matrix with N + 1 entries per column, by Lanczos (ARPACK) for the lowest two
-eigenpairs, and lifted back to the full register.  Working in the sector
-keeps the result deterministic even deep in the ferromagnet, where the two
-GHZ-like states are degenerate to far beyond machine precision.  Lanczos
-starts from the all-ones vector: for g_j > 0, -H is non-negative and
-irreducible in the sector, so its ground state is unique with one-signed
-amplitudes (Perron-Frobenius) and overlaps that start, and a fixed start
-makes reruns bit-identical.  The returned eigenpairs are checked a
-posteriori against their residual.  The full 2^N matrix is built only by
+(|b> + |flip b>)/sqrt(2) of dimension 2^(N-1), N <= 16, where H has N + 1
+entries per column and is applied matrix free: the ZZ diagonal, and one
+gather per field for its spin flip.  A numpy Lanczos with full
+reorthogonalization gives the lowest two eigenpairs, and the lowest is
+lifted back to the full register.  Working in the sector keeps the result
+deterministic even deep in the ferromagnet, where the two GHZ-like states
+are degenerate to far beyond machine precision.  Lanczos starts from the
+all-ones vector: for g_j > 0, -H is non-negative and irreducible in the
+sector, so its ground state is unique with one-signed amplitudes
+(Perron-Frobenius) and overlaps that start, and a fixed start (with a
+fixed-seed restart) makes reruns bit-identical.  The returned eigenpairs
+are checked a posteriori against their residual.  No part of scipy is
+used.  The full 2^N matrix is built only by
 dense_hamiltonian (N <= 12), for commutator and spectrum checks.
 
 The parity game is evaluated through its parity observable.  On promise
@@ -46,12 +49,23 @@ MAX_DENSE_SITES = 12
 MAX_SECTOR_SITES = 16
 DEGENERACY_GAP = 1e-10
 # Bound on max|H v - E v| of a returned eigenpair, relative to the norm bound
-# ||H|| <= N (1 + max g); Lanczos reaches about 20 ulp of it up to N = 16.
+# ||H|| <= N (1 + max g); Lanczos reaches a few ulp of it up to N = 16.
 RESIDUAL_TOL = 1e-12
-# Lanczos basis size.  ARPACK's default of 20 vectors stalls on the second
-# eigenpair of chains with strong field contrast (10^-4 x 6 + 10^4 x 6 did
-# not converge in 20481 iterations); 40 resolves it in a few restarts.
-LANCZOS_BASIS = 40
+# Most vectors the Lanczos basis may hold before dense_ground_state raises, 100 MiB
+# at N = 16.  Measured at N = 16: 110-130 vectors for fields U[0.2, 3], and up to
+# 240 for two domains of 8 sites with fields 1/c and c, c = 10..1000.
+LANCZOS_BASIS = 400
+# Lanczos stops once the residual estimates of its lowest two Ritz pairs are below
+# these times the norm bound N (1 + max g): a few ulp for the ground state, and
+# 1e-13 for the excited pair, which only gives the gap.  The gap then errs by at
+# most that (by its square over the next level spacing if that is not small), and
+# the pair stays 10x inside RESIDUAL_TOL; it ends the run ~10% sooner at N = 12.
+LANCZOS_TOL = (1e-15, 1e-13)
+# Lanczos steps between two convergence tests.  Each test is an eigendecomposition of
+# T, which costs more than a step up to N = 12 (0.65 ms against 0.09 at 88 steps there).
+LANCZOS_CHECK = 16
+# Seed of the vectors Lanczos restarts from after it finds an invariant subspace.
+LANCZOS_SEED = 2654
 
 
 @dataclass(frozen=True)
@@ -102,20 +116,18 @@ def _zz_diagonal(n: int, idx: np.ndarray) -> np.ndarray:
 
 
 def dense_ground_state(couplings) -> DenseState:
-    """Even-sector ground state of the ring at fields g_j, by sparse Lanczos.
+    """Even-sector ground state of the ring at fields g_j, by Lanczos.
 
-    Builds H in the spin-flip-symmetric basis of dimension 2^(N-1) as a
-    sparse matrix, takes its lowest two eigenpairs from ARPACK started at
-    the all-ones vector with a basis of LANCZOS_BASIS vectors, lifts the lowest eigenvector to the full register,
+    Applies H in the spin-flip-symmetric basis of dimension 2^(N-1) matrix
+    free, takes its lowest two eigenpairs from ``_lowest_pairs`` started at
+    the all-ones vector, lifts the lowest eigenvector to the full register,
     and fixes the global phase by making the largest-magnitude amplitude
-    real positive.  Raises NumericsError when ARPACK fails or an eigenpair
-    misses the residual bound RESIDUAL_TOL * N (1 + max g).  The reported
-    gap is the even-sector excitation gap; if it falls below the degeneracy
-    threshold the state is flagged via DenseState.degenerate.
+    real positive.  Raises NumericsError when Lanczos needs more than
+    LANCZOS_BASIS vectors or an eigenpair misses the residual bound
+    RESIDUAL_TOL * N (1 + max g).  The reported gap is the even-sector
+    excitation gap; if it falls below the degeneracy threshold the state is
+    flagged via DenseState.degenerate.
     """
-    from scipy import sparse
-    from scipy.sparse.linalg import ArpackError, eigsh
-
     g = as_couplings(couplings)
     n = g.size
     if n > MAX_SECTOR_SITES:
@@ -127,27 +139,16 @@ def dense_ground_state(couplings) -> DenseState:
     pos = np.empty(dim, dtype=np.int64)
     pos[reps] = np.arange(reps.size)
     pos[reps ^ full] = np.arange(reps.size)
+    diagonal = _zz_diagonal(n, reps)
+    flips = np.stack([pos[reps ^ (1 << j)] for j in range(n)])
 
-    # The COO triplets are temporaries, so only the CSR matrix stays alive
-    # next to the Lanczos basis.
-    cols = np.arange(reps.size)
-    h = sparse.csr_array(
-        (
-            np.concatenate([_zz_diagonal(n, reps), np.repeat(-g, reps.size)]),
-            (np.concatenate([cols, *(pos[reps ^ (1 << j)] for j in range(n))]), np.tile(cols, n + 1)),
-        ),
-        shape=(reps.size, reps.size),
-    )
+    def h(v):  # the ZZ diagonal, then -g_j times the flip of spin j
+        return diagonal * v - g @ v[flips]
 
-    try:
-        evals, evecs = eigsh(
-            h, k=2, which="SA", tol=0, v0=np.ones(reps.size),
-            ncv=min(LANCZOS_BASIS, reps.size),
-        )
-    except ArpackError as exc:
-        raise NumericsError("sector eigensolver failed") from exc
-    residual = float(np.max(np.abs(h @ evecs - evecs * evals)))
-    bound = RESIDUAL_TOL * n * (1.0 + float(np.max(g)))
+    norm = n * (1.0 + float(np.max(g)))
+    evals, evecs = _lowest_pairs(h, reps.size, np.multiply(LANCZOS_TOL, norm))
+    residual = max(float(np.max(np.abs(h(x) - e * x))) for e, x in zip(evals, evecs.T))
+    bound = RESIDUAL_TOL * norm
     if not residual <= bound:
         raise NumericsError(
             f"sector eigenpair residual {residual:.3e} exceeds {bound:.3e}"
@@ -165,6 +166,64 @@ def dense_ground_state(couplings) -> DenseState:
         energy=float(evals[0]),
         gap=float(evals[1] - evals[0]),
     )
+
+
+def _lowest_pairs(h, dim: int, tol: np.ndarray):
+    """The lowest two eigenpairs (values, vectors as columns) of a symmetric operator on R^dim.
+
+    Lanczos from the normalized all-ones vector with full
+    reorthogonalization (Paige 1972; Parlett, *The Symmetric Eigenvalue
+    Problem*, ch. 13), so the tridiagonal matrix T of the basis stays exact
+    to rounding: after the three-term step, each new vector takes one
+    classical Gram-Schmidt pass against the whole basis, and a second one
+    when the first removes more than 1 - 1/sqrt(2) of its norm (Daniel,
+    Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)).
+    Every LANCZOS_CHECK steps, and when the basis spans R^dim, the
+    eigenpairs (theta, s) of T give Ritz pairs with residual beta |s_last|;
+    the run stops once the lowest two are within their tol, a pair of
+    bounds.  A new vector of norm beta <= tol[0] marks an invariant subspace
+    (on a uniform chain, that of the start's symmetry sector): the run goes
+    on from a vector of a fixed-seed stream orthogonalized against the
+    basis, with that beta dropped from T, and from then on the lowest Ritz
+    pair of the current Krylov block must be within tol[0] as well, so that
+    no sector a block has reached is left unresolved.  A run not done in
+    LANCZOS_BASIS vectors raises.
+    """
+    basis = np.empty((min(dim, LANCZOS_BASIS), dim))
+    t = np.zeros((len(basis) + 1, len(basis) + 1))  # T, and room for the last beta
+    rng = np.random.default_rng(LANCZOS_SEED)
+    v = np.full(dim, 1.0 / math.sqrt(dim))
+    block = 0  # the first vector of the current Krylov block
+    for j in range(len(basis)):
+        basis[j] = v
+        w = h(v)
+        t[j, j] = v @ w
+        w -= t[j, j] * v
+        if j:
+            w -= t[j - 1, j] * basis[j - 1]
+        local = np.linalg.norm(w)
+        w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+        if np.linalg.norm(w) < local / math.sqrt(2.0):  # the pass cancelled: run it again
+            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+        beta = float(np.linalg.norm(w))
+        spans = j + 1 == dim
+        if beta <= tol[0] and not spans:
+            w, block = rng.standard_normal(dim), j + 1
+            for _ in range(2):
+                w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+            v = w / np.linalg.norm(w)
+            continue
+        if spans or (j + 1) % LANCZOS_CHECK == 0:
+            theta, s = np.linalg.eigh(t[: j + 1, : j + 1])
+            done = np.all(beta * np.abs(s[-1, :2]) <= tol)
+            if done and block:
+                lowest = np.linalg.eigh(t[block : j + 1, block : j + 1])[1][-1, 0]
+                done = beta * abs(lowest) <= tol[0]
+            if spans or done:
+                return theta[:2], basis[: j + 1].T @ s[:, :2]
+        t[j, j + 1] = t[j + 1, j] = beta
+        v = w / beta
+    raise NumericsError(f"Lanczos did not converge in {len(basis)} vectors")
 
 
 def ghz_overlaps(state: DenseState) -> tuple[float, float]:

@@ -1,13 +1,16 @@
 """Critical-point sums, elliptic closed forms, and their consistency.
 
 The trig sums and elliptic integrals each have an independent reference:
-exact small-N values by hand, Legendre's relation for K and E, and the
-finite-N mode sums of the perturbation module for the thermodynamic limits.
+exact small-N values by hand, Legendre's relation and scipy.special for K
+and E, and the finite-N mode sums of the perturbation module for the
+thermodynamic limits.
 """
 
 import math
 
+import numpy as np
 import pytest
+from scipy import special
 
 from parity_ising import asymptotics as asy
 from parity_ising import perturbation as pt
@@ -83,6 +86,25 @@ def test_elliptic_legendre_relation(m):
     k_comp, e_comp = asy.elliptic_km_em(1.0 - m)
     relation = big_e * k_comp + e_comp * big_k - big_k * k_comp
     assert relation == pytest.approx(math.pi / 2.0, rel=1e-12)
+
+
+# m from 0 to 1 - 1e-12, denser toward 1, where K diverges and E / K nears 0.
+ELLIPTIC_GRID = np.concatenate((np.linspace(0.0, 0.99, 100), 1.0 - np.logspace(-2.0, -12.0, 41)))
+
+
+def test_elliptic_integrals_match_scipy_on_a_grid():
+    for m in ELLIPTIC_GRID:
+        big_k, big_e = asy.elliptic_km_em(float(m))
+        assert big_k == pytest.approx(special.ellipk(m), rel=1e-15, abs=0.0)
+        assert big_e == pytest.approx(special.ellipe(m), rel=1e-15, abs=0.0)
+
+
+def test_elliptic_legendre_relation_on_a_grid():
+    for m in ELLIPTIC_GRID[1:]:
+        big_k, big_e = asy.elliptic_km_em(float(m))
+        k_comp, e_comp = asy.elliptic_km_em(1.0 - float(m))
+        relation = big_e * k_comp + e_comp * big_k - big_k * k_comp
+        assert relation == pytest.approx(math.pi / 2.0, rel=1e-14, abs=0.0)
 
 
 def test_elliptic_domain():

@@ -320,6 +320,36 @@ def test_curve_commands_and_newton_schulz_montecarlo_leave_scipy_linalg_unloaded
     assert out.stdout.splitlines() == ["[0, 0, 0, 0, 0] False", "0 True"]
 
 
+def test_verify_and_curve_commands_import_no_scipy(tmp_path):
+    """verify at both levels and the curve commands run without importing any scipy module.
+
+    The oracle's Lanczos, the elliptic integrals and the short chains that
+    verify scores all avoid scipy, so not even its top-level package loads.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = textwrap.dedent(
+        """
+        import sys
+        from parity_ising import cli
+        runs = [
+            ["b-curve", "--steps", "20", "--out", "b.csv"],
+            *(["second-variation", "--kind", kind, "--n", "8", "40", "--out", f"sv_{kind}.csv"]
+              for kind in ("perfect", "iid")),
+            ["second-variation", "--kind", "exponential", "--n", "8", "40", "--xi", "2", "--out", "sv.csv"],
+            ["critical-scaling", "--n", "8", "40", "--out", "crit.csv"],
+            ["verify", "--level", "fast", "--out", "fast.json"],
+            ["verify", "--level", "full", "--out", "full.json"],
+        ]
+        print([cli.main(run) for run in runs], [m for m in sys.modules if m.startswith("scipy")])
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"
+
+
 def test_grid_validation(tmp_path):
     out = str(tmp_path / "bad.csv")
     assert cli.main(["b-curve", "--steps", "1", "--out", out]) == 2

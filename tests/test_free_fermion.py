@@ -619,10 +619,11 @@ def test_fields_too_large_to_square_take_the_svd(band_only):
         assert kernel.svd_fallbacks == 2
 
 
-def test_svd_dispatch_keeps_stack_order_on_the_band_route():
+def test_svd_dispatch_keeps_stack_order_on_the_band_route(band_only):
     """Chains above BAND_FIELD_MAX among band-route and SVD_ONLY chains score in a stack as alone.
 
-    The large-field chains skip the band route, whose chains are scattered
+    With the Newton-Schulz window empty, every chain starts on the band
+    route.  The large-field chains skip it, and its chains are scattered
     back between them, and go to the SVD with SVD_ONLY.
     """
     n = SVD_ONLY.size
@@ -669,8 +670,8 @@ def test_large_fields_below_the_square_bound_fall_back_without_overflow():
     assert kernel.svd_fallbacks == 3
 
 
-# The Newton-Schulz window's two edges and the Monte Carlo length inside it.
-WINDOW_LENGTHS = (ff.NEWTON_SCHULZ_SITES[0], 40, ff.NEWTON_SCHULZ_SITES[1])
+# The Newton-Schulz window's two edges and two lengths inside it, 40 that of the Monte Carlo runs.
+WINDOW_LENGTHS = (ff.NEWTON_SCHULZ_SITES[0], 24, 40, ff.NEWTON_SCHULZ_SITES[1])
 
 
 def _conditioning_sweep(n):
@@ -680,14 +681,16 @@ def _conditioning_sweep(n):
     about the critical point in more.  One weak domain of contrast c sends
     s_min / (max g + 1) from ~1e-2 to ~1e-17 as c grows: past the step
     budget to the band route, and at the largest contrasts past the
-    resolvable floor on to the SVD.  The order is shuffled, so chains leave
-    a stack from its middle.
+    resolvable floor on to the SVD.  s_min falls about as c^-weak, so on a
+    domain of fewer than 16 sites c reaches 10^(16 / weak) instead of 10.
+    The order is shuffled, so chains leave a stack from its middle.
     """
     rng = np.random.default_rng((15, n))
     chains = [1.6 + 0.04 * rng.standard_normal(n) for _ in range(4)]
     chains += [rng.uniform(0.0, 2.0, n) for _ in range(4)]
     weak = 5 * n // 12
-    chains += [np.array([1.0 / c] * weak + [c] * (n - weak)) for c in np.logspace(0.05, 1.0, 8)]
+    contrasts = np.logspace(0.05, max(1.0, 16.0 / weak), 8)
+    chains += [np.array([1.0 / c] * weak + [c] * (n - weak)) for c in contrasts]
     return np.array(chains)[rng.permutation(len(chains))]
 
 
@@ -935,13 +938,13 @@ def test_routes_by_length_and_gap():
     """Straddling chains beyond the window and every chain below it start on the band route; gapped ones do not.
 
     ``uniform_iid(1.6, 2)`` draws at N = 130 and 200 straddle 1, gapped
-    chains at N = 12 and 22 lie below the window's lower end, and weak
+    chains at N = 4 and 6 lie below the window's lower end, and weak
     correlated disorder about 1.6 at N = 200 is gapped.
     """
     assert _route_counts(disorder.uniform_iid(1.6, 2.0, 130), 3) == (0, 3)
     assert _route_counts(disorder.uniform_iid(1.6, 2.0, 200), 2) == (0, 2)
-    assert _route_counts(disorder.gaussian_iid(1.6, 0.04, 12), 20) == (0, 20)
-    assert _route_counts(disorder.gaussian_iid(0.5, 0.04, 22), 20) == (0, 20)
+    assert _route_counts(disorder.gaussian_iid(1.6, 0.04, 4), 20) == (0, 20)
+    assert _route_counts(disorder.gaussian_iid(0.5, 0.04, 6), 20) == (0, 20)
     assert _route_counts(disorder.gaussian_correlated(1.6, 0.04, 5.0, 200), 2) == (2, 0)
 
 

@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from parity_ising import free_fermion as ff
 from parity_ising import oracle
@@ -83,11 +81,19 @@ def test_size_cap():
 
 
 @pytest.mark.parametrize("n", [14, 16])
-def test_sector_oracle_matches_polar_route_beyond_dense_cap(n):
+def test_sector_oracle_matches_polar_route_beyond_dense_cap(n, monkeypatch):
+    # Lanczos applies H once per basis vector: these chains stay within half its cap.
+    real_lowest_pairs, products = oracle._lowest_pairs, []
+
+    def counted(h, dim, tol):
+        return real_lowest_pairs(lambda v: products.append(None) or h(v), dim, tol)
+
+    monkeypatch.setattr(oracle, "_lowest_pairs", counted)
     rng = np.random.default_rng(1400 + n)
     g = rng.uniform(0.2, 3.0, n)
     dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
     assert ff.ghz_log_overlap_squared(g) == pytest.approx(math.log(dense_plus), abs=1e-9)
+    assert len(products) <= oracle.LANCZOS_BASIS // 2
 
 
 def test_ground_state_reruns_are_bit_identical():
@@ -110,26 +116,75 @@ def test_ground_state_amplitudes_are_one_signed(n):
 
 
 def test_arpack_failure_raises_numerics_error(monkeypatch):
-    def no_convergence(h, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((h.shape[0], 0)))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    with pytest.raises(NumericsError):
+    # A run that has not converged when its basis is full raises: a cap of 8
+    # vectors cannot span the 32-dimensional sector at N = 6.
+    monkeypatch.setattr(oracle, "LANCZOS_BASIS", 8)
+    with pytest.raises(NumericsError, match="did not converge in 8 vectors"):
         oracle.dense_ground_state(np.full(6, 1.0))
 
 
 def test_residual_check_catches_perturbed_eigenvector(monkeypatch):
-    real_eigsh = scipy.sparse.linalg.eigsh
+    real_lowest_pairs = oracle._lowest_pairs
 
-    def perturbed(h, **kwargs):
-        evals, evecs = real_eigsh(h, **kwargs)
-        evecs = evecs.copy()
+    def perturbed(h, dim, tol):
+        evals, evecs = real_lowest_pairs(h, dim, tol)
         evecs[0, 0] += 1e-8
         return evals, evecs
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
-    with pytest.raises(NumericsError):
+    monkeypatch.setattr(oracle, "_lowest_pairs", perturbed)
+    with pytest.raises(NumericsError, match="residual"):
         oracle.dense_ground_state(np.full(6, 1.0))
+
+
+def _even_sector_spectrum(g: np.ndarray) -> np.ndarray:
+    """Eigenvalues of dense_hamiltonian in the flip-even sector, by numpy's dense eigvalsh.
+
+    In the basis (|b> + |flip b>)/sqrt(2), b < flip b, H has the entries
+    H[a, b] + H[a, flip b].
+    """
+    h = oracle.dense_hamiltonian(g)
+    full = h.shape[0] - 1
+    idx = np.arange(full + 1)
+    reps = idx[idx < (idx ^ full)]
+    rows = h[reps]
+    del h
+    return np.linalg.eigvalsh(rows[:, reps] + rows[:, reps ^ full])
+
+
+EVEN_SECTOR_CHAINS = [
+    *(np.full(n, g) for n in (4, 6, 8, 10) for g in (0.1, 1.0, 1.3, 10.0)),
+    *(np.random.default_rng(40 + n).uniform(0.2, 3.0, n) for n in (4, 6, 8, 10)),
+    np.array([1e-4] * 6 + [1e4] * 6),
+]
+
+
+@pytest.mark.parametrize("g", EVEN_SECTOR_CHAINS, ids=lambda g: f"{g.size}-{g[0]:.3g}-{g[-1]:.3g}")
+def test_energy_and_gap_match_the_even_sector_spectrum(g):
+    """Lanczos's energy and even-sector gap against the dense spectrum, within the residual bound.
+
+    The uniform chains at N = 4, and most of those at N = 6, exhaust the
+    all-ones start's Krylov space before converging, so they go through the
+    restart after a breakdown.
+    """
+    state = oracle.dense_ground_state(g)
+    spectrum = _even_sector_spectrum(g)
+    bound = oracle.RESIDUAL_TOL * g.size * (1.0 + g.max())
+    assert abs(state.energy - spectrum[0]) <= bound
+    assert abs(state.gap - (spectrum[1] - spectrum[0])) <= bound
+
+
+def test_lanczos_restarts_past_an_invariant_subspace():
+    """An operator with the all-ones start in an eigenspace above its two lowest eigenvalues.
+
+    -2 (e_0 - e_1)(e_0 - e_1)^T - (e_2 - e_3)(e_2 - e_3)^T has eigenvalues
+    -4, -2 and 0 (four times), and the all-ones vector is in its kernel: the
+    first Lanczos step breaks down, and only the restart finds -4 and -2.
+    """
+    u, w = np.array([1.0, -1.0, 0, 0, 0, 0]), np.array([0, 0, 1.0, -1.0, 0, 0])
+    operator = -2.0 * np.outer(u, u) - np.outer(w, w)
+    values, vectors = oracle._lowest_pairs(lambda v: operator @ v, 6, (1e-14, 1e-14))
+    np.testing.assert_allclose(values, [-4.0, -2.0], rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(operator @ vectors, vectors * values, rtol=0.0, atol=1e-14)
 
 
 def test_degenerate_flag_thresholds():
@@ -243,7 +298,8 @@ def test_blocked_protocol_matches_per_input_reference(block_bytes):
 
 
 def test_extreme_contrast_chain_converges():
-    # ARPACK's default 20-vector basis failed on this chain after 20481 iterations.
+    # ARPACK's default 20-vector basis failed on this chain after 20481 iterations;
+    # Lanczos with full reorthogonalization takes about 120 vectors.
     g = np.array([1e-4] * 6 + [1e4] * 6)
     dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
     assert math.log(dense_plus) == pytest.approx(ff.ghz_log_overlap_squared(g), rel=1e-12)
