@@ -244,10 +244,12 @@ class MonteCarloResult:
     `n_degenerate`; `n_redraws` counts positivity redraws.  The histogram
     bins the per-site shift (u(g) - u(g_bar)) / N over `n_samples` values,
     with outliers clipped into the edge bins.  `max_orthogonality_defect`
-    (worst max|W^T W - I|) and `min_singular_ratio` (smallest s_min / s_max
-    of the chain matrix) report the numerics of the overlap kernel, and
-    `svd_fallbacks` counts the samples it scored by the dense SVD, past Newton-Schulz
-    and the band route; all three are None when no sample needed the kernel.
+    (worst max|W^T W - I|) and `singular_ratio_bound` (a proven lower bound
+    on the smallest s_min / s_max of the chain matrix, the ratio itself where
+    the band route or the SVD scored that chain) report the numerics of the
+    overlap kernel, and `svd_fallbacks` counts the samples it scored by the
+    dense SVD, past Newton-Schulz and the band route; all three are None when
+    no sample needed the kernel.
     """
 
     n_samples: int
@@ -261,7 +263,7 @@ class MonteCarloResult:
     n_degenerate: int
     seed: int
     max_orthogonality_defect: float | None
-    min_singular_ratio: float | None
+    singular_ratio_bound: float | None
     svd_fallbacks: int | None
 
 
@@ -369,7 +371,7 @@ def expected_utility(
         n_degenerate=int(n_samples - kept.size),
         seed=seed,
         max_orthogonality_defect=overlap.max_defect if measured else None,
-        min_singular_ratio=overlap.min_singular_ratio if measured else None,
+        singular_ratio_bound=overlap.singular_ratio_bound if measured else None,
         svd_fallbacks=overlap.svd_fallbacks if measured else None,
     )
 

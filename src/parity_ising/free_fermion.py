@@ -46,10 +46,7 @@ chain's W by one of three routes:
   positive on a gapped chain.  The scalings alpha follow a Chen-Chow
   schedule for the highest of a few fixed lower ends at or below the
   chain's bound, or for NEWTON_SCHULZ_FLOOR if the bound is lower, and
-  each step is two matrix products.  A chain whose bound reaches the floor
-  is checked once the bound, carried through the steps, is within eps of
-  1, where it has converged, and a gapped chain stops only once its Gram is
-  orthogonal to within its rounding.  A chain not converged after
+  each step is two matrix products.  A chain not converged after
   NEWTON_SCHULZ_STEPS steps takes the band route.
 - The band route, for every other chain: Z^T Z is cyclic tridiagonal, a
   band of half-width 2 once the sites are ordered 0, 1, N-1, 2, N-2, ...,
@@ -115,9 +112,8 @@ BAND_FIELD_MAX = 1e150
 # Other chains start on the band route, and a lower end of 0 sends every chain there.
 # Per chain in stacks of 2000 U[0.2, 3] chains, one BLAS thread, band route against
 # Newton-Schulz: N = 4 8.5 / 12.7 us, 6 7.4 / 9.9, 8 10.8 / 9.8, 12 19.9 / 16.2,
-# 16 34.5 / 18.9, 20 66.5 / 40.9.  Newton-Schulz loses on one-chain calls (N = 8
-# 166 / 486 us) and on stacks of near-identical chains, whose ratio proof falls
-# back to eigvalsh (the 289 chains of a 12-site Hessian stencil: 9.1 / 17.0 ms).
+# 16 34.5 / 18.9, 20 66.5 / 40.9, and on the 289 chains of a 12-site Hessian stencil
+# 10.5 / 4.9 ms.  Newton-Schulz loses on one-chain calls (N = 8: 210 / 405 us).
 NEWTON_SCHULZ_SITES = (8, 80)
 # Newton-Schulz steps a chain may take; one that has not converged by then takes the band route.
 NEWTON_SCHULZ_STEPS = 20
@@ -401,6 +397,43 @@ def _groups(entry: np.ndarray, grid: tuple) -> list:
     return [(slice(*entry.searchsorted((j, j + 1))), *grid[j], j > 0) for j in dict.fromkeys(entry.tolist())]
 
 
+@functools.lru_cache(maxsize=1024)
+def _freeze_preimage(steps: tuple, frozen_at: int, tol: float, n_sites: int) -> float:
+    """A lower bound on s_min / s_max of Z for a chain that Newton-Schulz froze at step ``frozen_at``.
+
+    ``steps`` are the (c_I, c_E) of its schedule, then plain steps (1, -1/2),
+    and its freeze test held max|X^T X - I| to ``tol``.  A step maps a
+    singular value s to f(s) = s (c_I + c_E (s^2 - 1)) = p(alpha s), which
+    rises on [0, 1/alpha] to 1 and stays positive up to sqrt(3)/alpha > 1, so
+    s_min(f(X)) <= h(s_min(X)) with h(s) = f(min(s, 1/alpha)) nondecreasing.
+    A computed step lies within r = 4 N^2 eps of f(X) in 2-norm: the Gram and
+    X (c_I I + c_E E) are each off by gamma_N N times their factors' norms
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, SIAM 2002,
+    sec. 3.5), with |X|_2 <= 1 + r and |c_E|, |c_I I + c_E E|_2 <= 3^(3/2)/2;
+    scaling E adds eps N |c_E|, and r leaves room to evaluate H in double.
+    So s_min(X_k) <= H(s_min(X_0)), H the composite of the maps h + r.  The
+    exact max|X_k^T X_k - I| is within gamma_N (1 + max|E|) + eps/2 <= N eps
+    of the tested one, so s_min(X_k) >= sqrt(1 - N (tol + N eps)), and
+    s_min(X_0) exceeds every s that H maps below that: a bisection finds the
+    largest.  Less eps for rounding X_0 = Z / (max g + 1), it bounds
+    s_min / s_max of Z, as |Z|_2 <= max g + 1.
+    """
+    eps = np.finfo(float).eps
+    target, slack = math.sqrt(1.0 - n_sites * (tol + n_sites * eps)), 4.0 * n_sites**2 * eps
+    maps = [steps[i] if i < len(steps) else (1.0, -0.5) for i in range(frozen_at)]
+
+    def image(s: float) -> float:
+        for c_i, c_e in maps:
+            s = min(s, math.sqrt((c_e - c_i) / (3.0 * c_e)))  # the peak of f, 1/alpha
+            s = s * (c_i + c_e * (s * s - 1.0)) + slack
+        return s
+
+    lo, hi = 0.0, 1.0
+    for _ in range(53):  # to the last bit below 1
+        lo, hi = (mid, hi) if image(mid := 0.5 * (lo + hi)) < target else (lo, mid)
+    return lo - eps
+
+
 def chain_matrix(couplings) -> np.ndarray:
     """The even-sector chain matrix Z = A - B at fields g_j.
 
@@ -411,35 +444,6 @@ def chain_matrix(couplings) -> np.ndarray:
     z = _bonds(g.size)
     np.fill_diagonal(z, g)
     return z
-
-
-def _gram_top_bound(g: np.ndarray) -> np.ndarray:
-    """An upper bound on s_max^2, the largest eigenvalue of Z^T Z, for each chain of a stack.
-
-    |Z^T Z| is nonnegative, with g_j^2 + 1 on the diagonal and g_{j+1}
-    between sites j and j + 1 (mod N), so s_max^2 <= rho(|Z^T Z|) <=
-    max_j (|Z^T Z| v)_j / v_j for every positive v (Collatz-Wielandt).
-    v = |Z^T Z|^2 1 puts the bound within ~2% of s_max^2 on the Monte Carlo
-    ensembles, against up to ~25% for (max g + 1)^2.
-    """
-    sites = np.ascontiguousarray(g.T)  # one chain per column: a step along the ring is a row offset
-    diagonal, right = sites * sites + 1.0, np.concatenate((sites[1:], sites[:1]))
-    ring = np.empty((len(sites) + 2, len(g)))  # v_{j-1} at row j, v_j at j + 1, v_{j+1} at j + 2
-    v = ring[1:-1]
-    u = diagonal + right + sites  # the first pass, from v = 1
-    for _ in range(2):
-        np.divide(u, u.max(axis=0), out=v)
-        ring[0], ring[-1] = v[-1], v[0]
-        u = diagonal * v + right * ring[2:] + sites * ring[:-2]
-    return (u / v).max(axis=0)
-
-
-def _factors(a: np.ndarray) -> bool:
-    """Whether ``numpy.linalg.cholesky`` factors a, or every matrix of a stack."""
-    try:
-        return np.linalg.cholesky(a) is not None
-    except np.linalg.LinAlgError:
-        return False
 
 
 class ChainOverlap:
@@ -454,13 +458,13 @@ class ChainOverlap:
     Newton-Schulz when its length lies in NEWTON_SCHULZ_SITES, or when it is
     gapped (all fields on one side of 1) and at least the window's lower end
     long; every other chain starts on the band route, and a chain with a
-    field above BAND_FIELD_MAX goes to the SVD.  Only the band
-    eigensolver, the SVD and the eigenvalues of the ratio proof run once per
-    chain; every other step is one numpy operation over the stack.  Each
-    chain takes the route, and gets the value, that it would alone, whatever
-    stack it is scored in.  The constructor checks the length and allocates
-    scratch for one chain, which grows to the largest stack a call has
-    scored, so a fresh object for one chain is cheap too; it calls no LAPACK.
+    field above BAND_FIELD_MAX goes to the SVD.  Only the band eigensolver
+    and the SVD run once per chain; every other step is one numpy operation
+    over the stack.  Each chain takes the route, and gets the value, that it
+    would alone, whatever stack it is scored in.  The constructor checks the
+    length and allocates scratch for one chain, which grows to the largest
+    stack a call has scored, so a fresh object for one chain is cheap too; it
+    calls no LAPACK.
 
     Every check applies to every chain of a stack: field validation, a
     solver failure (NumericsError), the band route's gate and floor,
@@ -470,9 +474,11 @@ class ChainOverlap:
     ``band_chains`` (which include the SVD's, ``svd_fallbacks``), whose sum
     is ``evaluations``.  It records the most steps a converged Newton-Schulz
     chain took (``max_newton_schulz_steps``), the worst orthogonality defect
-    max|W^T W - I| (``max_defect``), and the smallest s_min / s_max
-    (``min_singular_ratio``), exact on every route.  The scratch is reused,
-    so one object must not be shared between threads.
+    max|W^T W - I| (``max_defect``), and a lower bound on the smallest
+    s_min / s_max of Z (``singular_ratio_bound``): the ratio itself on the
+    band route and the SVD, and on Newton-Schulz the larger of the Weyl
+    bound and what the chain's convergence proves (``_freeze_preimage``).
+    The scratch is reused, so one object must not be shared between threads.
     """
 
     def __init__(self, n_sites: int):
@@ -484,19 +490,9 @@ class ChainOverlap:
         self._newton_schulz = 0 < NEWTON_SCHULZ_SITES[0] <= n_sites  # for gapped chains
         self._straddling_newton_schulz = self._newton_schulz and n_sites <= NEWTON_SCHULZ_SITES[1]
         self._bonds = _bonds(n_sites) if self._newton_schulz else None
-        if self._newton_schulz:  # where the ratio proof reads fields and writes complements
-            m, ring = n_sites // 2, np.arange(n_sites // 2)
-            self._even_after, self._odd_after = (2 * ring + 2) % n_sites, (2 * ring + 3) % n_sites
-            # the diagonal, entries (i + 1, i), the corner (m - 1, 0): the lower triangle
-            self._lower_sites = np.concatenate((ring * (m + 1), ring[1:] * m + ring[:-1], [(m - 1) * m]))
-            self._wrap_signs = np.where(ring < m - 1, -1.0, 1.0)
         self._allocate(1)
-        self.newton_schulz_chains = 0
-        self.max_newton_schulz_steps = 0
-        self.band_chains = 0
-        self.svd_fallbacks = 0
-        self.max_defect = 0.0
-        self.min_singular_ratio = 1.0
+        self.newton_schulz_chains = self.max_newton_schulz_steps = self.band_chains = self.svd_fallbacks = 0
+        self.max_defect, self.singular_ratio_bound = 0.0, 1.0
 
     @property
     def evaluations(self) -> int:
@@ -513,9 +509,6 @@ class ChainOverlap:
         self._gram_diagonal, self._r_diagonal, self._m_diagonal = (
             a.reshape(rows, -1)[:, :: n + 1] for a in (self._gram, self._r, self._m)
         )
-        if self._newton_schulz:
-            # the ratio proof's odd-site complements: it writes the same entries each call
-            self._complement = np.zeros((rows, n // 2, n // 2))
 
     def _fields(self, couplings) -> np.ndarray:
         """Validated fields as an (M, N) stack."""
@@ -574,9 +567,7 @@ class ChainOverlap:
         defect = float(np.abs(gram, out=gram).max())
         self.max_defect = max(self.max_defect, defect)
         if not defect <= UNITARITY_TOL:
-            raise NumericsError(
-                f"polar factor is not orthogonal (defect {defect:.3e} > {UNITARITY_TOL:.1e})"
-            )
+            raise NumericsError(f"polar factor is not orthogonal (defect {defect:.3e} > {UNITARITY_TOL:.1e})")
         return w
 
     def _newton_schulz_polar(self, g, rows, top, low, w) -> np.ndarray:
@@ -590,8 +581,10 @@ class ChainOverlap:
         (sqrt(N) eps if it is gapped), far inside UNITARITY_TOL, leaves the
         iteration with X as its W and that max|E| as its defect; the rest go
         on compacted in the scratch, so every chain takes the same steps
-        wherever it is scored.  Chains still iterating after
-        NEWTON_SCHULZ_STEPS steps are returned.
+        wherever it is scored.  Each chain that leaves is counted and lowers
+        singular_ratio_bound to its ``_freeze_preimage`` or, if larger, to
+        ``low`` less 4 eps relative, the three roundings of that quotient.
+        Chains still iterating after NEWTON_SCHULZ_STEPS steps are returned.
         """
         ends, schedules = _schedule_grid(NEWTON_SCHULZ_FLOOR)
         entry = np.searchsorted(ends, low[rows], side="right")
@@ -603,7 +596,6 @@ class ChainOverlap:
         np.divide(self._bonds, top[rows, None, None] + 1.0, out=x)
         x.reshape(a, n * n)[:, :: n + 1] = g[rows] / (top[rows, None] + 1.0)
         tol, gapped_tol = (NEWTON_SCHULZ_TOL * size * np.finfo(float).eps for size in (n, math.sqrt(n)))
-        frozen = []  # the converged rows, in the order they froze
         for step in range(NEWTON_SCHULZ_STEPS + 1):
             if a == 0:
                 break
@@ -614,12 +606,17 @@ class ChainOverlap:
             self._gram_diagonal[:a] -= 1.0
             if step >= min(check for _, _, check, _ in groups):
                 defect = np.abs(e, out=self._r[:a]).max(axis=(1, 2))
-                done = defect <= tol
-                for chains, _, check, gapped in groups:
-                    done[chains] &= (step >= check) & (not gapped or defect[chains] <= gapped_tol)
+                done = np.zeros(a, dtype=bool)
+                for chains, steps, check, gapped in groups:
+                    limit = gapped_tol if gapped else tol
+                    done[chains] = froze = (step >= check) & (defect[chains] <= limit)
+                    if froze.any():
+                        weyl = float(low[rows[chains][froze]].min()) * (1.0 - 4.0 * np.finfo(float).eps)
+                        proved = _freeze_preimage(steps, step, limit, n)
+                        self.singular_ratio_bound = min(self.singular_ratio_bound, max(weyl, proved))
                 if done.any():
                     w[rows[done]] = x[:a][done]
-                    frozen.append(rows[done])
+                    self.newton_schulz_chains += int(done.sum())
                     self.max_newton_schulz_steps = max(self.max_newton_schulz_steps, step)
                     self.max_defect = max(self.max_defect, float(defect[done].max()))
                     keep = ~done
@@ -635,81 +632,7 @@ class ChainOverlap:
                 self._gram_diagonal[chains] += c_i
             np.matmul(x[:a], e, out=spare[:a])
             x, spare = spare, x
-        if frozen:
-            self._record_singular_ratios(g, w, np.concatenate(frozen))
         return rows
-
-    def _record_singular_ratios(self, g, w, rows) -> None:
-        """Count the Newton-Schulz chains ``rows`` of g and lower min_singular_ratio by them, in that order.
-
-        A chain can lower min_singular_ratio r only if s_min < r s_max.  With
-        c >= s_max^2 from ``_gram_top_bound``, A = Z^T Z - (r^2 c + mu) I
-        positive definite proves the contrary.  On the even ring the even
-        sites of Z^T Z couple only to odd ones, so A is positive definite
-        exactly when its even diagonal is positive and the Schur complement
-        on the N/2 odd sites, which ``_odd_complements`` builds from the
-        fields, has a Cholesky factor.  Only the chains where the proof fails
-        pay for the extreme eigenvalues of the symmetric polar factor
-        H = Z^T W, which are the singular values of Z to ~eps s_max each.
-
-        The margin mu = (N/2 + 2)^2 eps t^2, t = max g + 1, covers every
-        rounding error; no diagonal entry of Z^T Z exceeds t^2.  The computed
-        even pivots u_e bound those of Z^T Z - r^2 c I from below, since the
-        margin exceeds their few roundings, and smaller pivots only lower the
-        complement, so the complement C built from them suffices.  A
-        factorization of C that completes, in any order of its inner
-        products, gives L L^T = C + dC with |dC| <= gamma_{N/2+1} |L| |L^T|
-        (Higham, *Accuracy and Stability of Numerical Algorithms*, SIAM 2002,
-        thm. 10.3), so |dC|_2 <= gamma_{N/2+1} tr(L L^T), about
-        (N/2 + 1) N/2 eps t^2.  Where the diagonal of C is positive, each
-        term it subtracts is below t^2, and so is each off-diagonal entry;
-        rounding them, the shift and the fields' squares leaves under
-        (3 N/2 + 4) eps t^2 a row, the rest of the margin.
-
-        One stacked ``numpy.linalg.cholesky`` first tries every chain at the r
-        the stack starts from.  If any chain fails, the stack is proved again
-        chain by chain, each shifted by the running minimum the chains before
-        it left, so exactly the chains that would pay alone pay.
-        """
-        g = g[rows]
-        k, n = g.shape
-        self.newton_schulz_chains += k
-        eps = np.finfo(float).eps
-        caps = (1.0 + 32.0 * eps) * _gram_top_bound(g)
-        margin = (n // 2 + 2) ** 2 * eps * (g.max(axis=1) + 1.0) ** 2
-        r, complements = self.min_singular_ratio, self._complement[:k]
-        proved = self._odd_complements(g, r**2 * caps + margin, complements)
-        if k > 1 and proved.all() and _factors(complements):
-            return  # a stack of one is the first proof of the loop below
-        for i, row in enumerate(rows):
-            if self.min_singular_ratio != r:  # the rest of the stack, shifted anew
-                r = self.min_singular_ratio
-                proved[i:] = self._odd_complements(g[i:], r**2 * caps[i:] + margin[i:], complements[i:])
-            if not (proved[i] and _factors(complements[i])):
-                h = g[i, :, None] * w[row] + self._bonds.T @ w[row]
-                s = np.linalg.eigvalsh(0.5 * (h + h.T))
-                self.min_singular_ratio = min(self.min_singular_ratio, float(s[0] / s[-1]))
-
-    def _odd_complements(self, g: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Odd-site Schur complements of Z^T Z - shift I into out, and which chains have positive pivots.
-
-        Even site e = 2i + 2 (mod N) couples to the odd sites 2i + 1, by -g_e
-        (+g_0 across the wrap), and 2i + 3, by -g_{e+1}.  Eliminating it on
-        its pivot u = g_e^2 + 1 - shift leaves a cyclic tridiagonal matrix on
-        the N/2 odd sites, site 2i + 1 at position i; only its lower triangle
-        is written, which is all ``numpy.linalg.cholesky`` reads, and its
-        ring needs N >= 6 for distinct neighbours.  The complement of a chain
-        with a pivot that is not positive is left meaningless.
-        """
-        diagonal = g * g + (1.0 - shift[:, None])  # of Z^T Z - shift I
-        left, right, u = g[:, self._even_after], g[:, self._odd_after], diagonal[:, self._even_after]
-        positive = (u > 0.0).all(axis=1)
-        u[~positive] = 1.0
-        # odd site 2i + 1 gives up left_i^2 / u_i to its right and right_{i-1}^2 / u_{i-1} to its left
-        odd_diagonal = diagonal[:, 1::2] - (left * left / u + np.roll(right * right / u, 1, axis=1))
-        off = left * right / u * self._wrap_signs
-        out.reshape(len(g), -1)[:, self._lower_sites] = np.concatenate((odd_diagonal, off), axis=1)
-        return positive
 
     def _band_polar(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
         """W into w by the band route; returns the chains its gate sends to the SVD.
@@ -718,7 +641,7 @@ class ChainOverlap:
         storage; its eigenvectors V; Y = Z V and its column norms d; Q = Y / d
         and E = Q^T Q - I; the gate (max|E| <= BAND_GATE and d_min above the
         floor); and W = Q (I - T) V^T with T_ij = d_i E_ij / (d_i + d_j).
-        The chains the gate passes lower min_singular_ratio by d_min / d_max.
+        The chains the gate passes lower singular_ratio_bound to d_min / d_max.
         """
         from scipy.linalg import lapack
 
@@ -732,9 +655,7 @@ class ChainOverlap:
         for row in range(k):
             _, zigzag[row], info = lapack.dsbevd(bands[row], lower=1)
             if info:
-                raise NumericsError(
-                    f"band eigensolver failed on a {n}-site chain (dsbevd info {info})"
-                )
+                raise NumericsError(f"band eigensolver failed on a {n}-site chain (dsbevd info {info})")
         v = np.take(zigzag, self._position, axis=1, out=self._v[:k], mode="wrap")
         # Y = Z V row by row: y_j = g_j v_j - v_{j-1}, and y_0 = g_0 v_0 + v_{N-1}.
         y = np.multiply(g[:, :, None], v, out=self._y[:k])
@@ -751,9 +672,8 @@ class ChainOverlap:
         e = np.matmul(q.transpose(0, 2, 1), q, out=self._gram[:k])
         self._gram_diagonal[:k] -= 1.0
         fallback |= ~(np.abs(e, out=self._r[:k]).max(axis=(1, 2)) <= BAND_GATE)
-        if not fallback.all():
-            ratio = float((d_min / d_max)[~fallback].min())
-            self.min_singular_ratio = min(self.min_singular_ratio, ratio)
+        passed = float((d_min / d_max)[~fallback].min(initial=1.0))
+        self.singular_ratio_bound = min(self.singular_ratio_bound, passed)
         weight = np.add(d[:, :, None], d[:, None, :], out=self._r[:k])
         np.divide(-d[:, :, None], weight, out=weight)
         correction = np.multiply(e, weight, out=weight)
@@ -765,7 +685,7 @@ class ChainOverlap:
         """W = U V^T into w from numpy's SVD of Z, with the s_min floor and the det Z orientation.
 
         A solver failure is a NumericsError.  The chain lowers
-        min_singular_ratio by s_min / s_max.  Where s_min is below the floor,
+        singular_ratio_bound to s_min / s_max.  Where s_min is below the floor,
         a second such singular value raises, and otherwise the last column of
         U is flipped if det U det V^T < 0.
         """
@@ -774,7 +694,7 @@ class ChainOverlap:
         except np.linalg.LinAlgError as error:
             n = self.n_sites
             raise NumericsError(f"SVD failed on a {n} x {n} chain matrix ({error})") from error
-        self.min_singular_ratio = min(self.min_singular_ratio, float(s[-1] / s[0]))
+        self.singular_ratio_bound = min(self.singular_ratio_bound, float(s[-1] / s[0]))
         floor = self._floor * s[0]
         if s[-1] <= floor:
             if s[-2] <= floor:
@@ -814,9 +734,7 @@ class ChainOverlap:
         _, logabs = np.linalg.slogdet(m)
         worst = float(logabs.max())
         if worst > OVERLAP_SLACK:
-            raise NumericsError(
-                f"overlap determinant exceeds 1 beyond roundoff (log value {worst:.3e})"
-            )
+            raise NumericsError(f"overlap determinant exceeds 1 beyond roundoff (log value {worst:.3e})")
         return np.minimum(logabs, 0.0)
 
 

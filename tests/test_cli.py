@@ -405,7 +405,7 @@ def test_debug_logging_leaves_cli_output_unchanged(tmp_path, capsys, caplog):
     # the artifact stays timing-free, so reruns stay byte-identical
     assert set(json.loads((tmp_path / "mc.json").read_text())["result"]) == {
         "n_samples", "n_redraws", "n_degenerate", "max_orthogonality_defect",
-        "min_singular_ratio", "svd_fallbacks", "seed", "mean_utility", "stderr", "mean_density",
+        "singular_ratio_bound", "svd_fallbacks", "seed", "mean_utility", "stderr", "mean_density",
         "density_stderr", "clean_utility", "clean_density", "shift", "predicted_shift",
         "histogram",
     }

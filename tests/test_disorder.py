@@ -239,17 +239,25 @@ def test_run_matches_per_sample_route(ens):
 
 def _assert_run_matches_per_sample_route(ens, n_samples):
     result = dis.expected_utility(ens, n_samples, seed=41)
-    utilities, redraws, ratios = [], 0, []
+    utilities, redraws, ratios, bounds = [], 0, [], []
     for index in range(n_samples):
         g, extra = dis.sample_couplings(ens, 41, index)
         redraws += extra
         utilities.append(pg.utility_from_log_overlap(ff.ghz_log_overlap_squared(g), ens.n_sites))
         s = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
         ratios.append(s[-1] / s[0])
+        alone = ff.ChainOverlap(ens.n_sites)
+        alone(g)
+        bounds.append(alone.singular_ratio_bound)
+        # a proven lower bound, and the ratio itself off Newton-Schulz
+        assert 0.0 < bounds[-1] <= ratios[-1] * (1.0 + 1e-12)
+        if alone.band_chains:
+            assert bounds[-1] == pytest.approx(ratios[-1], rel=1e-10)
     assert result.n_samples == n_samples
     assert result.n_redraws == redraws
     assert result.mean_utility == pytest.approx(np.mean(utilities), rel=1e-12, abs=0.0)
-    assert result.min_singular_ratio == pytest.approx(min(ratios), rel=1e-10)
+    assert result.singular_ratio_bound == min(bounds)
+    assert min(ratios) / 5.0 <= result.singular_ratio_bound <= min(ratios) * (1.0 + 1e-12)
     assert 0.0 < result.max_orthogonality_defect <= ff.UNITARITY_TOL
 
 
@@ -315,7 +323,7 @@ def test_run_reports_its_overlap_routes(monkeypatch, caplog):
     assert first.endswith(", 45 by Newton-Schulz (at most %d steps), 0 by the band route, 0 SVD fallbacks" % steps)
     assert second.endswith(", 0 by Newton-Schulz (at most 0 steps), 45 by the band route, 0 SVD fallbacks")
     assert newton.mean_utility == pytest.approx(band.mean_utility, rel=0.0, abs=1e-12)
-    assert newton.min_singular_ratio == pytest.approx(band.min_singular_ratio, rel=1e-10)
+    assert band.singular_ratio_bound / 5.0 <= newton.singular_ratio_bound <= band.singular_ratio_bound * (1.0 + 1e-12)
     assert 0.0 < newton.max_orthogonality_defect <= ff.NEWTON_SCHULZ_TOL * 40 * np.finfo(float).eps
     assert (newton.svd_fallbacks, newton.n_redraws) == (band.svd_fallbacks, band.n_redraws)
 
@@ -332,7 +340,7 @@ def test_run_counts_svd_fallbacks(monkeypatch, caplog):
     dense = dis.expected_utility(ens, 40, seed=8)
     assert dense.svd_fallbacks == 40
     assert dense.mean_utility == pytest.approx(banded.mean_utility, rel=1e-12, abs=0.0)
-    assert dense.min_singular_ratio == pytest.approx(banded.min_singular_ratio, rel=1e-10)
+    assert dense.singular_ratio_bound == pytest.approx(banded.singular_ratio_bound, rel=1e-10)
 
 
 def test_redraws_and_degenerate_samples_are_counted_apart():
@@ -373,7 +381,7 @@ def test_sigma_zero_collapses_to_clean_value(ens):
     assert result.n_redraws == result.n_degenerate == 0
     # a uniform chain is scored by the mode product, so no SVD ran
     assert result.max_orthogonality_defect is None
-    assert result.min_singular_ratio is None
+    assert result.singular_ratio_bound is None
     assert result.svd_fallbacks is None
     assert result.histogram_counts.sum() == 5
     assert result.histogram_counts[dis.HISTOGRAM_BINS // 2] == 5

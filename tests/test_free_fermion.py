@@ -382,7 +382,7 @@ def test_unresolved_singular_pair_is_oriented_by_det_z(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", flipped_zero_mode)
     kernel = ff.ChainOverlap(g.size)
     assert kernel(g) == pytest.approx(expected, rel=1e-12)
-    assert kernel.min_singular_ratio == 0.0
+    assert kernel.singular_ratio_bound == 0.0
 
 
 def test_zero_pivot_gives_minus_inf(monkeypatch):
@@ -439,7 +439,7 @@ def test_stack_scores_each_chain_as_it_scores_alone(monkeypatch, band_only, n):
     np.testing.assert_array_equal(values, [alone(g) for g in chains])
     np.testing.assert_array_equal(values, [ff.ghz_log_overlap_squared(g) for g in chains])
     assert values[-1] == -np.inf and np.isfinite(values[:-1]).all()
-    for counter in ("evaluations", "svd_fallbacks", "max_defect", "min_singular_ratio"):
+    for counter in ("evaluations", "svd_fallbacks", "max_defect", "singular_ratio_bound"):
         assert getattr(stacked, counter) == getattr(alone, counter)
     assert stacked.evaluations == 37 and stacked.svd_fallbacks >= 1
 
@@ -479,13 +479,19 @@ def test_kernel_reuse_matches_one_shot_calls():
     rng = np.random.default_rng(3)
     kernel = ff.ChainOverlap(12)
     draws = [rng.uniform(0.2, 3.0, 12) for _ in range(20)]
+    bounds = []
     for g in draws:
         assert kernel(g) == ff.ghz_log_overlap_squared(g)
+        alone = ff.ChainOverlap(12)
+        alone(g)
+        bounds.append(alone.singular_ratio_bound)
     np.testing.assert_array_equal(kernel.polar(draws[0]), ff.ChainOverlap(12).polar(draws[0]))
     assert kernel.evaluations == 21
     assert 0.0 < kernel.max_defect <= ff.UNITARITY_TOL
-    ratios = [np.linalg.svd(ff.chain_matrix(g), compute_uv=False) for g in draws]
-    assert kernel.min_singular_ratio == pytest.approx(min(s[-1] / s[0] for s in ratios), rel=1e-10)
+    for g, bound in zip(draws, bounds):
+        s = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
+        assert 0.0 < bound <= s[-1] / s[0] * (1.0 + 1e-12)
+    assert kernel.singular_ratio_bound == min(bounds)
     for wrong_shape in (np.ones(10), np.ones((2, 10)), np.ones((2, 2, 12))):
         with pytest.raises(ValueError):
             kernel(wrong_shape)
@@ -511,7 +517,7 @@ def test_heavy_tailed_fields_match_dense_oracle():
         g = np.array([1.0 / contrast] * weak + [contrast] * (n - weak))
         kernel = ff.ChainOverlap(n)
         log_o = kernel(g)
-        assert kernel.min_singular_ratio <= n * np.finfo(float).eps
+        assert kernel.singular_ratio_bound <= n * np.finfo(float).eps
         dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
         assert log_o == pytest.approx(np.log(dense_plus), rel=1e-9)
     rng = np.random.default_rng(0)
@@ -641,7 +647,7 @@ def test_svd_dispatch_keeps_stack_order_on_the_band_route(band_only):
     assert np.isfinite(values).all()
     counters = (
         "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "band_chains",
-        "svd_fallbacks", "max_defect", "min_singular_ratio",
+        "svd_fallbacks", "max_defect", "singular_ratio_bound",
     )
     for counter in counters:
         assert getattr(stacked, counter) == getattr(alone, counter)
@@ -696,10 +702,11 @@ def _conditioning_sweep(n):
 
 @pytest.mark.parametrize("n", WINDOW_LENGTHS)
 def test_newton_schulz_matches_band_and_svd_across_conditioning(n):
-    """Chain by chain, log o+ and s_min / s_max by Newton-Schulz, the band route and numpy's SVD agree.
+    """Chain by chain, log o+ by Newton-Schulz, the band route and numpy's SVD agree.
 
-    A chain that Newton-Schulz hands on takes the band route, and gives
-    exactly what the band route gives alone.
+    The band route's s_min / s_max is numpy's, and Newton-Schulz bounds it
+    from below.  A chain that Newton-Schulz hands on takes the band route,
+    and gives exactly what the band route gives alone.
     """
     handed_on = 0
     for g in _conditioning_sweep(n):
@@ -716,14 +723,14 @@ def test_newton_schulz_matches_band_and_svd_across_conditioning(n):
         if newton.band_chains:
             handed_on += 1
             assert log_o == band(g)
-            assert newton.min_singular_ratio == band.min_singular_ratio
+            assert newton.singular_ratio_bound == band.singular_ratio_bound
             continue
         assert 0 < newton.max_newton_schulz_steps <= ff.NEWTON_SCHULZ_STEPS
         assert 0.0 < newton.max_defect <= ff.NEWTON_SCHULZ_TOL * n * np.finfo(float).eps
         assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
         s = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
-        assert newton.min_singular_ratio == pytest.approx(s[-1] / s[0], rel=1e-10)
-        assert newton.min_singular_ratio == pytest.approx(band.min_singular_ratio, rel=1e-10)
+        assert 0.0 < newton.singular_ratio_bound <= s[-1] / s[0] * (1.0 + 1e-12)
+        assert band.singular_ratio_bound == pytest.approx(s[-1] / s[0], rel=1e-10)
     assert 3 <= handed_on <= 10
 
 
@@ -745,7 +752,7 @@ def test_newton_schulz_stack_scores_each_chain_as_it_scores_alone(n):
     np.testing.assert_array_equal(stacked(chains), values)
     counters = (
         "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "band_chains",
-        "svd_fallbacks", "max_defect", "min_singular_ratio",
+        "svd_fallbacks", "max_defect", "singular_ratio_bound",
     )
     for counter in counters:
         assert getattr(stacked, counter) == getattr(alone, counter)
@@ -754,24 +761,28 @@ def test_newton_schulz_stack_scores_each_chain_as_it_scores_alone(n):
     assert stacked.band_chains == steps.count(None) >= 3 and stacked.svd_fallbacks >= 1
 
 
-def test_newton_schulz_ratio_screen_is_exact_and_skips_chains_above_the_minimum(monkeypatch):
-    """Each uniform chain of a falling sequence lowers s_min / s_max by ~10% and pays for it; none above it pays again."""
-    n = 40
-    falling = np.array([np.full(n, g) for g in np.linspace(1.6, 1.3, 7)])
-    eigvalsh, calls = np.linalg.eigvalsh, []
+def test_newton_schulz_ratio_bound_needs_no_eigenvalues_or_factorization(monkeypatch):
+    """A one-chain call and whole sweeps bound s_min / s_max from below without eigvalsh or cholesky."""
+    chain = 1.6 + 0.04 * np.random.default_rng(31).standard_normal(40)
+    stacks = [_conditioning_sweep(40), _gapped_sweep(120)]
 
-    def counted(a):
-        calls.append(None)
-        return eigvalsh(a)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ratio bound called a dense eigensolver or factorization")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    kernel = ff.ChainOverlap(n)
-    kernel(falling)
-    s = np.linalg.svd(ff.chain_matrix(falling[-1]), compute_uv=False)
-    assert kernel.min_singular_ratio == pytest.approx(s[-1] / s[0], rel=1e-10)
-    assert kernel.newton_schulz_chains == len(calls) == 7
-    kernel(falling[:-1])
-    assert kernel.newton_schulz_chains == 13 and len(calls) == 7
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    single = ff.ChainOverlap(chain.size)
+    single(chain)
+    assert (single.newton_schulz_chains, single.band_chains) == (1, 0)
+    kernels = [ff.ChainOverlap(chains.shape[1]) for chains in stacks]
+    for kernel, chains in zip(kernels, stacks):
+        kernel(chains)
+        assert kernel.newton_schulz_chains >= 6
+    monkeypatch.undo()
+    # every gapped chain took Newton-Schulz; the conditioning sweep's unresolved ones took the SVD
+    for kernel, chains in ((single, chain[None]), (kernels[1], stacks[1])):
+        s = np.linalg.svd([ff.chain_matrix(g) for g in chains], compute_uv=False)
+        assert 0.0 < kernel.singular_ratio_bound <= (s[:, -1] / s[:, 0]).min() * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("n", WINDOW_LENGTHS)
@@ -823,7 +834,7 @@ def test_schedule_grid_closes_each_interval_as_fast_as_its_own_schedule():
 GAPPED_LENGTHS = (120, 200)
 COUNTERS = (
     "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "band_chains",
-    "svd_fallbacks", "max_defect", "min_singular_ratio",
+    "svd_fallbacks", "max_defect", "singular_ratio_bound",
 )
 
 
@@ -849,9 +860,9 @@ def _gapped_sweep(n):
 def test_gapped_chains_take_newton_schulz_and_match_band_and_svd(n):
     """Outside the window a gapped chain converges by Newton-Schulz and agrees with the band route and the SVD.
 
-    log o+ to 1e-12 and s_min / s_max to 1e-10 relative, chain by chain,
-    with a defect within the gapped chains' tolerance, NEWTON_SCHULZ_TOL
-    sqrt(N) eps.
+    log o+ to 1e-12, chain by chain, with a defect within the gapped
+    chains' tolerance, NEWTON_SCHULZ_TOL sqrt(N) eps, and s_min / s_max
+    bounded from below where the band route gives numpy's to 1e-10.
     """
     for g in _gapped_sweep(n):
         newton = ff.ChainOverlap(n)
@@ -867,8 +878,8 @@ def test_gapped_chains_take_newton_schulz_and_match_band_and_svd(n):
         assert 0 < newton.max_newton_schulz_steps <= ff.NEWTON_SCHULZ_STEPS
         assert 0.0 < newton.max_defect <= ff.NEWTON_SCHULZ_TOL * math.sqrt(n) * np.finfo(float).eps
         s = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
-        assert newton.min_singular_ratio == pytest.approx(s[-1] / s[0], rel=1e-10)
-        assert newton.min_singular_ratio == pytest.approx(band.min_singular_ratio, rel=1e-10)
+        assert 0.0 < newton.singular_ratio_bound <= s[-1] / s[0] * (1.0 + 1e-12)
+        assert band.singular_ratio_bound == pytest.approx(s[-1] / s[0], rel=1e-10)
 
 
 def _extreme_gapped_chains(n):
@@ -902,7 +913,7 @@ def test_gapped_extreme_fields_converge_without_overflow(n):
         assert kernel(too_large) == pytest.approx(_svd_log_overlap(too_large), rel=1e-12)
     assert (kernel.newton_schulz_chains, kernel.max_newton_schulz_steps) == (2, 0)
     assert (kernel.band_chains, kernel.svd_fallbacks) == (1, 1)
-    assert kernel.min_singular_ratio == pytest.approx(1.0, rel=1e-12)
+    assert kernel.singular_ratio_bound == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", (40, 130))
