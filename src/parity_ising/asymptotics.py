@@ -24,8 +24,9 @@ EULER_GAMMA = 0.57721566490153286061
 
 
 def _half_angle_sines(n_sites: int):
-    if n_sites < 4 or n_sites % 2:
-        raise ValueError(f"chain length must be even and >= 4, got {n_sites}")
+    from .free_fermion import _check_length
+
+    _check_length(n_sites)
     # sin(k/2) for k = (2m+1) pi / N
     return [math.sin((2 * m + 1) * math.pi / (2 * n_sites)) for m in range(n_sites // 2)]
 

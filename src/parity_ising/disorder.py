@@ -376,58 +376,20 @@ def expected_utility(
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    sigma: float
-    shift: float
-    stderr: float
-    prediction: float
-
-
-def second_variation_scan(
-    ensemble: DisorderEnsemble, sigmas, n_samples: int, seed: int
-) -> tuple[ScanRow, ...]:
-    """Sampled E[u] - u(g_bar) against the quadratic prediction on a sigma grid.
-
-    Each sigma runs under seed + its grid position (``_run_seeds``): its
-    streams are disjoint from the other sigmas', not from those of a call
-    with a nearby seed.  For the uniform kind the grid values are
-    interpreted as the standard deviation and converted back to a width.
-    """
-    rows = []
-    for run_seed, sigma in _run_seeds(seed, sigmas):
-        width = None if ensemble.width is None else float(sigma) * UNIFORM_WIDTH_PER_SIGMA
-        scaled = replace(ensemble, sigma=float(sigma), width=width)
-        result = expected_utility(scaled, n_samples, run_seed)
-        rows.append(
-            ScanRow(
-                sigma=float(sigma),
-                shift=result.mean_utility - result.clean_utility,
-                stderr=result.stderr,
-                prediction=predicted_shift(scaled),
-            )
-        )
-    return tuple(rows)
-
-
 def histogram_experiment(
     ensemble: DisorderEnsemble, n_list, n_samples: int, seed: int
 ) -> dict[int, MonteCarloResult]:
     """The utility-shift distribution at several chain lengths, same ensemble.
 
     Returns one MonteCarloResult per requested N, keyed by N; each run uses
-    seed + its position in the list (``_run_seeds``).  A length may appear
-    only once, since its key would hold only the last of its runs.
+    seed + its position in the list, so run j of seed s shares its streams
+    with run j - 1 of seed s + 1.  A length may appear only once, since its
+    key would hold only the last of its runs.
     """
     lengths = [int(n) for n in n_list]
     if len(set(lengths)) != len(lengths):
         raise ValueError(f"chain lengths must not repeat, got {lengths}")
     results: dict[int, MonteCarloResult] = {}
-    for run_seed, n in _run_seeds(seed, lengths):
-        results[n] = expected_utility(replace(ensemble, n_sites=n), n_samples, run_seed)
+    for position, n in enumerate(lengths):
+        results[n] = expected_utility(replace(ensemble, n_sites=n), n_samples, seed + position)
     return results
-
-
-def _run_seeds(seed: int, runs):
-    """(seed + position, run) of each run; run j of seed s shares its streams with run j - 1 of seed s + 1."""
-    return ((seed + position, run) for position, run in enumerate(runs))

@@ -12,17 +12,17 @@ sector.  The ground state is therefore computed in the symmetrized basis
 (|b> + |flip b>)/sqrt(2) of dimension 2^(N-1), N <= 16, where H has N + 1
 entries per column and is applied matrix free: the ZZ diagonal, and one
 gather per field for its spin flip.  A numpy Lanczos with full
-reorthogonalization gives the lowest two eigenpairs, and the lowest is
-lifted back to the full register.  Working in the sector keeps the result
+reorthogonalization converges the lowest eigenpair alone, which is lifted
+back to the full register.  Working in the sector keeps the result
 deterministic even deep in the ferromagnet, where the two GHZ-like states
 are degenerate to far beyond machine precision.  Lanczos starts from the
 all-ones vector: for g_j > 0, -H is non-negative and irreducible in the
 sector, so its ground state is unique with one-signed amplitudes
-(Perron-Frobenius) and overlaps that start, and a fixed start (with a
-fixed-seed restart) makes reruns bit-identical.  The returned eigenpairs
-are checked a posteriori against their residual.  No part of scipy is
-used.  The full 2^N matrix is built only by
-dense_hamiltonian (N <= 12), for commutator and spectrum checks.
+(Perron-Frobenius) and overlaps that start, and the fixed start makes
+reruns bit-identical.  The returned eigenpair is checked a posteriori
+against its residual.  No part of scipy is used.  The full 2^N matrix is
+built only by dense_hamiltonian (N <= 12), for commutator and spectrum
+checks.
 
 The parity game is evaluated through its parity observable.  On promise
 input a (even total) each qubit gets the phase diag(1, i^{a_j}) and a
@@ -47,25 +47,19 @@ from .parity_game import _check_players
 
 MAX_DENSE_SITES = 12
 MAX_SECTOR_SITES = 16
-DEGENERACY_GAP = 1e-10
-# Bound on max|H v - E v| of a returned eigenpair, relative to the norm bound
+# Bound on max|H v - E v| of the returned eigenpair, relative to the norm bound
 # ||H|| <= N (1 + max g); Lanczos reaches a few ulp of it up to N = 16.
 RESIDUAL_TOL = 1e-12
 # Most vectors the Lanczos basis may hold before dense_ground_state raises, 100 MiB
-# at N = 16.  Measured at N = 16: 110-130 vectors for fields U[0.2, 3], and up to
-# 240 for two domains of 8 sites with fields 1/c and c, c = 10..1000.
+# at N = 16.  Measured at N = 16: 80-112 vectors for fields U[0.2, 3], and up to
+# 176 for two domains of 8 sites with fields 1/c and c, c = 3..1000.
 LANCZOS_BASIS = 400
-# Lanczos stops once the residual estimates of its lowest two Ritz pairs are below
-# these times the norm bound N (1 + max g): a few ulp for the ground state, and
-# 1e-13 for the excited pair, which only gives the gap.  The gap then errs by at
-# most that (by its square over the next level spacing if that is not small), and
-# the pair stays 10x inside RESIDUAL_TOL; it ends the run ~10% sooner at N = 12.
-LANCZOS_TOL = (1e-15, 1e-13)
+# Lanczos stops once the residual estimate of its lowest Ritz pair is below this
+# times the norm bound N (1 + max g), a few ulp.
+LANCZOS_TOL = 1e-15
 # Lanczos steps between two convergence tests.  Each test is an eigendecomposition of
 # T, which costs more than a step up to N = 12 (0.65 ms against 0.09 at 88 steps there).
 LANCZOS_CHECK = 16
-# Seed of the vectors Lanczos restarts from after it finds an invariant subspace.
-LANCZOS_SEED = 2654
 
 
 @dataclass(frozen=True)
@@ -75,12 +69,6 @@ class DenseState:
     amplitudes: np.ndarray
     n_qubits: int
     energy: float | None = None
-    gap: float | None = None
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the sector gap is too small to trust excited-state splits."""
-        return self.gap is not None and self.gap < DEGENERACY_GAP
 
 
 def _popcounts(dim: int) -> np.ndarray:
@@ -119,14 +107,13 @@ def dense_ground_state(couplings) -> DenseState:
     """Even-sector ground state of the ring at fields g_j, by Lanczos.
 
     Applies H in the spin-flip-symmetric basis of dimension 2^(N-1) matrix
-    free, takes its lowest two eigenpairs from ``_lowest_pairs`` started at
-    the all-ones vector, lifts the lowest eigenvector to the full register,
-    and fixes the global phase by making the largest-magnitude amplitude
-    real positive.  Raises NumericsError when Lanczos needs more than
-    LANCZOS_BASIS vectors or an eigenpair misses the residual bound
-    RESIDUAL_TOL * N (1 + max g).  The reported gap is the even-sector
-    excitation gap; if it falls below the degeneracy threshold the state is
-    flagged via DenseState.degenerate.
+    free, takes its lowest eigenpair from ``_ground_pair`` started at the
+    all-ones vector, lifts the eigenvector to the full register, and fixes
+    the global phase by making the largest-magnitude amplitude real
+    positive.  Only that pair is converged: no gap or excited state is
+    computed.  Raises NumericsError when Lanczos needs more than
+    LANCZOS_BASIS vectors or the pair misses the residual bound
+    RESIDUAL_TOL * N (1 + max g).
     """
     g = as_couplings(couplings)
     n = g.size
@@ -146,8 +133,8 @@ def dense_ground_state(couplings) -> DenseState:
         return diagonal * v - g @ v[flips]
 
     norm = n * (1.0 + float(np.max(g)))
-    evals, evecs = _lowest_pairs(h, reps.size, np.multiply(LANCZOS_TOL, norm))
-    residual = max(float(np.max(np.abs(h(x) - e * x))) for e, x in zip(evals, evecs.T))
+    energy, x = _ground_pair(h, reps.size, LANCZOS_TOL * norm)
+    residual = float(np.max(np.abs(h(x) - energy * x)))
     bound = RESIDUAL_TOL * norm
     if not residual <= bound:
         raise NumericsError(
@@ -155,21 +142,16 @@ def dense_ground_state(couplings) -> DenseState:
         )
 
     psi = np.zeros(dim)
-    psi[reps] = evecs[:, 0]
-    psi[reps ^ full] = evecs[:, 0]
+    psi[reps] = x
+    psi[reps ^ full] = x
     psi /= math.sqrt(2.0)
     if psi[np.argmax(np.abs(psi))] < 0.0:
         psi = -psi
-    return DenseState(
-        amplitudes=psi.astype(complex),
-        n_qubits=n,
-        energy=float(evals[0]),
-        gap=float(evals[1] - evals[0]),
-    )
+    return DenseState(amplitudes=psi.astype(complex), n_qubits=n, energy=energy)
 
 
-def _lowest_pairs(h, dim: int, tol: np.ndarray):
-    """The lowest two eigenpairs (values, vectors as columns) of a symmetric operator on R^dim.
+def _ground_pair(h, dim: int, tol: float) -> tuple[float, np.ndarray]:
+    """The lowest eigenpair (value, unit vector) of a symmetric operator on R^dim.
 
     Lanczos from the normalized all-ones vector with full
     reorthogonalization (Paige 1972; Parlett, *The Symmetric Eigenvalue
@@ -178,22 +160,17 @@ def _lowest_pairs(h, dim: int, tol: np.ndarray):
     classical Gram-Schmidt pass against the whole basis, and a second one
     when the first removes more than 1 - 1/sqrt(2) of its norm (Daniel,
     Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)).
-    Every LANCZOS_CHECK steps, and when the basis spans R^dim, the
-    eigenpairs (theta, s) of T give Ritz pairs with residual beta |s_last|;
-    the run stops once the lowest two are within their tol, a pair of
-    bounds.  A new vector of norm beta <= tol[0] marks an invariant subspace
-    (on a uniform chain, that of the start's symmetry sector): the run goes
-    on from a vector of a fixed-seed stream orthogonalized against the
-    basis, with that beta dropped from T, and from then on the lowest Ritz
-    pair of the current Krylov block must be within tol[0] as well, so that
-    no sector a block has reached is left unresolved.  A run not done in
-    LANCZOS_BASIS vectors raises.
+    Every LANCZOS_CHECK steps, and when the basis spans R^dim, the lowest
+    eigenpair (theta, s) of T gives the Ritz pair with residual
+    beta |s_last|; the run stops once that is within tol.  A new vector of
+    norm beta <= tol ends the run too: the Krylov space is then invariant,
+    and since the start overlaps the one-signed ground state (see the
+    module docstring) it holds that state, so the lowest Ritz pair is exact
+    to rounding.  A run not done in LANCZOS_BASIS vectors raises.
     """
     basis = np.empty((min(dim, LANCZOS_BASIS), dim))
     t = np.zeros((len(basis) + 1, len(basis) + 1))  # T, and room for the last beta
-    rng = np.random.default_rng(LANCZOS_SEED)
     v = np.full(dim, 1.0 / math.sqrt(dim))
-    block = 0  # the first vector of the current Krylov block
     for j in range(len(basis)):
         basis[j] = v
         w = h(v)
@@ -207,20 +184,10 @@ def _lowest_pairs(h, dim: int, tol: np.ndarray):
             w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
         beta = float(np.linalg.norm(w))
         spans = j + 1 == dim
-        if beta <= tol[0] and not spans:
-            w, block = rng.standard_normal(dim), j + 1
-            for _ in range(2):
-                w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
-            v = w / np.linalg.norm(w)
-            continue
-        if spans or (j + 1) % LANCZOS_CHECK == 0:
+        if spans or beta <= tol or (j + 1) % LANCZOS_CHECK == 0:
             theta, s = np.linalg.eigh(t[: j + 1, : j + 1])
-            done = np.all(beta * np.abs(s[-1, :2]) <= tol)
-            if done and block:
-                lowest = np.linalg.eigh(t[block : j + 1, block : j + 1])[1][-1, 0]
-                done = beta * abs(lowest) <= tol[0]
-            if spans or done:
-                return theta[:2], basis[: j + 1].T @ s[:, :2]
+            if spans or beta * abs(s[-1, 0]) <= tol:
+                return float(theta[0]), basis[: j + 1].T @ s[:, 0]
         t[j, j + 1] = t[j + 1, j] = beta
         v = w / beta
     raise NumericsError(f"Lanczos did not converge in {len(basis)} vectors")

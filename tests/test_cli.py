@@ -286,45 +286,34 @@ def test_montecarlo_flag_validation(tmp_path, capsys):
         assert cli.main(base + ["--kind", kind, "--sigma", "0.1", "--xi", "5"]) == 2
 
 
-def test_curve_commands_and_newton_schulz_montecarlo_leave_scipy_linalg_unloaded(tmp_path):
-    """Every submodule and five commands load no scipy.linalg; a band-route run (N = 130) loads it.
-
-    The fifth, weak correlated disorder at N = 200, is gapped: its chains
-    take Newton-Schulz outside the window too.
-    """
+def test_band_route_montecarlo_loads_scipy_linalg(tmp_path):
+    """A Monte Carlo run at N = 130, where uniform W = 2 chains straddle 1 and take the band route, loads scipy.linalg."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     script = textwrap.dedent(
         """
-        import importlib, pkgutil, sys
-        import parity_ising
+        import sys
         from parity_ising import cli
-        for module in pkgutil.iter_modules(parity_ising.__path__):
-            importlib.import_module("parity_ising." + module.name)
-        montecarlo = ["montecarlo", "--kind", "uniform_iid", "--g", "1.6", "--width", "2", "--out", "mc.json"]
-        runs = [
-            ["b-curve", "--steps", "20", "--out", "b.csv"],
-            ["second-variation", "--kind", "exponential", "--n", "8", "40", "--xi", "2", "--out", "sv.csv"],
-            ["critical-scaling", "--out", "crit.csv"],
-            montecarlo + ["--n", "40", "--samples", "50"],
-            ["montecarlo", "--kind", "gaussian_correlated", "--n", "200", "--g", "1.6", "--sigma", "0.04",
-             "--xi", "5", "--samples", "3", "--out", "gapped.json"],
-        ]
-        print([cli.main(run) for run in runs], "scipy.linalg" in sys.modules)
-        print(cli.main(montecarlo + ["--n", "130", "--samples", "2"]), "scipy.linalg" in sys.modules)
+        run = ["montecarlo", "--kind", "uniform_iid", "--n", "130", "--g", "1.6", "--width", "2",
+               "--samples", "2", "--out", "mc.json"]
+        print(cli.main(run), "scipy.linalg" in sys.modules)
         """
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines() == ["[0, 0, 0, 0, 0] False", "0 True"]
+    assert out.stdout.splitlines() == ["0 True"]
 
 
 def test_verify_and_curve_commands_import_no_scipy(tmp_path):
-    """verify at both levels and the curve commands run without importing any scipy module.
+    """verify at both levels, the curve commands and Newton-Schulz Monte Carlo import no scipy module.
 
-    The oracle's Lanczos, the elliptic integrals and the short chains that
-    verify scores all avoid scipy, so not even its top-level package loads.
+    verify --level full imports every submodule and finds the advantage
+    boundary and the crossover, both by ``bracketed_root``.  The oracle's
+    Lanczos, the elliptic integrals, the short chains that verify scores and
+    Newton-Schulz all avoid scipy: N = 40 lies in its window, and the weak
+    correlated disorder at N = 200 is gapped, so its chains take it outside
+    the window too.  Not even scipy's top-level package loads.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -340,6 +329,10 @@ def test_verify_and_curve_commands_import_no_scipy(tmp_path):
             ["critical-scaling", "--n", "8", "40", "--out", "crit.csv"],
             ["verify", "--level", "fast", "--out", "fast.json"],
             ["verify", "--level", "full", "--out", "full.json"],
+            ["montecarlo", "--kind", "uniform_iid", "--n", "40", "--g", "1.6", "--width", "2",
+             "--samples", "50", "--out", "mc.json"],
+            ["montecarlo", "--kind", "gaussian_correlated", "--n", "200", "--g", "1.6", "--sigma", "0.04",
+             "--xi", "5", "--samples", "3", "--out", "gapped.json"],
         ]
         print([cli.main(run) for run in runs], [m for m in sys.modules if m.startswith("scipy")])
         """
@@ -347,7 +340,7 @@ def test_verify_and_curve_commands_import_no_scipy(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0, 0] []"
 
 
 def test_grid_validation(tmp_path):

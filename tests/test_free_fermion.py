@@ -1,9 +1,6 @@
 """Momentum-space spectrum and its N -> oo rule, the chain matrix, and the polar-factor overlap route."""
 
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -75,21 +72,6 @@ def test_quadrature_error_is_logged_not_printed(capsys, caplog):
     density, laplacian = (r.getMessage() for r in records)
     assert density.startswith("advantage density: error ") and density.endswith(" nodes")
     assert laplacian.startswith("Laplacian density: error ")
-
-
-def test_thermodynamic_integrals_leave_scipy_quadrature_unloaded():
-    """Every submodule, both integrals and both roots, and no scipy.integrate or scipy.optimize."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ff.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = (
-        "import importlib, pkgutil, sys, parity_ising; "
-        "[importlib.import_module('parity_ising.' + m.name) for m in pkgutil.iter_modules(parity_ising.__path__)]; "
-        "parity_ising.parity_game.find_advantage_boundary(); "
-        "parity_ising.perturbation.laplacian_crossover_thermodynamic(); "
-        "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft', 'scipy.spatial') if m in sys.modules])"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["as is", "negated"])
