@@ -18,16 +18,12 @@ Submodules (also re-exported lazily at package level, see below):
     verify         cross-route consistency checks
     cli            command-line interface
 
-Importing the package does not import numpy/scipy; submodules load on first
+Importing the package does not import numpy; submodules load on first
 attribute access.  The CLI relies on this to apply its thread-count setting
-before the numeric stack initializes.  Importing a submodule loads numpy
-and no part of scipy, and the only scipy call left is the overlap kernel's
-band route (``dsbevd``), which imports ``scipy.linalg`` on first use: chains
-below 8 sites, longer than 80 with fields on both sides of 1, or left
-unconverged by Newton-Schulz.  The oracle's Lanczos, the elliptic
-integrals and the roots are plain numpy or Python, and the kernel's SVD
-fallback is numpy's, so ``verify`` and the curve commands import no scipy
-module at all.
+before the numeric stack initializes.  The only runtime dependency is
+numpy: the overlap kernel's routes, the oracle's Lanczos, the elliptic
+integrals and the roots are plain numpy or Python, so no command imports
+any part of scipy.
 
 Run telemetry (Monte Carlo counts and rates, per-check verify times, the
 error estimate of each thermodynamic integral) goes to

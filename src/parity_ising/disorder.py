@@ -25,8 +25,8 @@ other policy.  In the parameter regimes of interest a violation is many
 standard deviations out, so the truncation bias is far below statistical
 resolution.
 A run reports its positivity redraws, its zero-overlap (-inf) samples, and
-the worst orthogonality defect, smallest singular-value ratio and number of
-dense-SVD fallbacks of its overlap kernel.
+the worst orthogonality defect, a lower bound on the smallest singular-value
+ratio and the number of dense-SVD fallbacks of its overlap kernel.
 """
 
 import logging

@@ -35,10 +35,10 @@ is the one overlap route, and ``ghz_log_overlap_squared`` is a single call
 of a fresh one.  It avoids the SVD of Z where it can, and takes each
 chain's W by one of three routes:
 
-- Newton-Schulz, for every chain of a length in NEWTON_SCHULZ_SITES, where
+- Newton-Schulz, for every chain of up to NEWTON_SCHULZ_SITES sites, where
   it measured faster than the band route on the Monte Carlo ensembles, and
-  for every gapped chain (all fields on one side of 1) from the window's
-  lower end on: W is the limit of X <- alpha X (3I - alpha^2 X^T X) / 2
+  for every gapped chain (all fields on one side of 1) at any length: W is
+  the limit of X <- alpha X (3I - alpha^2 X^T X) / 2
   (Higham, *Functions of Matrices*, SIAM 2008, ch. 8) from
   X_0 = Z / (max g + 1), whose singular values lie in (0, 1] since
   |Z|_2 <= max g + 1.  Z is diag(g) plus an orthogonal signed shift, so by
@@ -48,10 +48,9 @@ chain's W by one of three routes:
   chain's bound, or for NEWTON_SCHULZ_FLOOR if the bound is lower, and
   each step is two matrix products.  A chain not converged after
   NEWTON_SCHULZ_STEPS steps takes the band route.
-- The band route, for every other chain: Z^T Z is cyclic tridiagonal, a
-  band of half-width 2 once the sites are ordered 0, 1, N-1, 2, N-2, ...,
-  which ``dsbevd`` diagonalizes in a fraction of the time an SVD of Z
-  takes.  Its eigenvectors V serve only as an orthogonal basis:
+- The band route, for every other chain: Z^T Z is cyclic tridiagonal, and
+  one stacked ``numpy.linalg.eigh`` diagonalizes it for all of a stack's
+  chains.  Its eigenvectors V serve only as an orthogonal basis:
   polar(Z) = polar(Z V) V^T for any orthogonal V, and the columns of
   Y = Z V, formed from Z itself, carry the singular values d (their norms)
   and directions Q = Y / d, so small singular directions are read from Z,
@@ -68,11 +67,7 @@ chain's W by one of three routes:
   det U det V^T < 0.  Two unresolved singular values (separate
   ferromagnetic domains) raise.
 
-Only the band route calls LAPACK through scipy (``dsbevd``), and it imports
-``scipy.linalg`` on its first call: a process that only sums modes, or
-whose chains all converge by Newton-Schulz (every chain ``verify`` scores,
-and weak disorder about a field away from 1 at any length from 8 sites),
-never loads it.
+All three routes are numpy's; no part of scipy is used.
 
 Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
@@ -106,15 +101,15 @@ BAND_GATE = 1e-8
 # Largest field ChainOverlap squares or scales, so that Z^T Z and the column
 # norms of Z V stay far from overflow; a chain with a larger one takes the SVD.
 BAND_FIELD_MAX = 1e150
-# Chain lengths, inclusive, at which ChainOverlap takes the polar factor of every
-# chain by the scaled Newton-Schulz iteration before the band route; a gapped
-# chain (all fields on one side of 1) takes it at every length from the first on.
-# Other chains start on the band route, and a lower end of 0 sends every chain there.
-# Per chain in stacks of 2000 U[0.2, 3] chains, one BLAS thread, band route against
-# Newton-Schulz: N = 4 8.5 / 12.7 us, 6 7.4 / 9.9, 8 10.8 / 9.8, 12 19.9 / 16.2,
-# 16 34.5 / 18.9, 20 66.5 / 40.9, and on the 289 chains of a 12-site Hessian stencil
-# 10.5 / 4.9 ms.  Newton-Schulz loses on one-chain calls (N = 8: 210 / 405 us).
-NEWTON_SCHULZ_SITES = (8, 80)
+# Longest chain on which ChainOverlap takes the polar factor of a chain that
+# straddles 1 by the scaled Newton-Schulz iteration before the band route; a gapped
+# chain (all fields on one side of 1) takes it at every length, a longer straddling
+# chain starts on the band route.  Per chain in stacks of 2000 U[0.2, 3] chains, one
+# BLAS thread, thread CPU time, band route against Newton-Schulz: N = 4 3.4 / 2.5 us,
+# 6 6.4 / 3.8, 8 10.0 / 4.8, 12 19.5 / 9.4, 16 33.1 / 14.2, 20 53.4 / 23.4, and on
+# the 289 chains of a 12-site Hessian stencil 5.5 / 1.8 ms.  Newton-Schulz loses on
+# one-chain calls (N = 4: 98 / 201 us, N = 8: 105 / 190 us).
+NEWTON_SCHULZ_SITES = 80
 # Newton-Schulz steps a chain may take; one that has not converged by then takes the band route.
 NEWTON_SCHULZ_STEPS = 20
 # Lowest l of the singular-value interval (l, 1] of Z / (max g + 1) that a
@@ -314,35 +309,6 @@ def _bonds(n_sites: int) -> np.ndarray:
     return z
 
 
-@functools.lru_cache(maxsize=8)
-def _band_layout(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where Z^T Z sits in the zigzag order 0, 1, N-1, 2, N-2, ..., N/2.
-
-    Returns the zigzag position of each site, then the (3, N) fields that
-    ``dsbevd``'s lower band storage reads, row k holding entry (i + k, i) of
-    the reordered matrix, and the (2, N) signs of the two off-diagonal rows
-    (0 where the band has no entry).  The diagonal row is squared, plus 1.
-    """
-    order = np.empty(n_sites, dtype=np.intp)
-    order[0] = 0
-    order[1::2] = np.arange(1, n_sites // 2 + 1)
-    order[2::2] = np.arange(n_sites - 1, n_sites // 2, -1)
-    position = np.argsort(order)
-    # bond j joins sites j and j + 1 mod N, with entry -g_{j+1}, or +g_0 across the wrap
-    bond = np.arange(n_sites)
-    right = (bond + 1) % n_sites
-    lo = np.minimum(position[bond], position[right])
-    offset = np.abs(position[bond] - position[right])
-    sites = np.zeros((3, n_sites), dtype=np.intp)
-    signs = np.zeros((2, n_sites))
-    sites[0] = order
-    sites[offset, lo] = right
-    signs[offset - 1, lo] = np.where(right == 0, 1.0, -1.0)
-    for a in (position, sites, signs):
-        a.setflags(write=False)
-    return position, sites, signs
-
-
 def _chen_chow_schedule(low: float) -> tuple[tuple, int]:
     """Newton-Schulz coefficients (c_I, c_E) for singular values in (low, 1], and the steps that close it.
 
@@ -455,13 +421,13 @@ class ChainOverlap:
     through its chains ``stack`` = max(1, STACK_ENTRIES // N^2) at a time,
     on (stack, N, N) scratch that the object keeps between calls, so its
     memory is bounded at any N and any call size.  A chain starts on
-    Newton-Schulz when its length lies in NEWTON_SCHULZ_SITES, or when it is
-    gapped (all fields on one side of 1) and at least the window's lower end
-    long; every other chain starts on the band route, and a chain with a
-    field above BAND_FIELD_MAX goes to the SVD.  Only the band eigensolver
-    and the SVD run once per chain; every other step is one numpy operation
-    over the stack.  Each chain takes the route, and gets the value, that it
-    would alone, whatever stack it is scored in.  The constructor checks the
+    Newton-Schulz when it has at most NEWTON_SCHULZ_SITES sites, or when it
+    is gapped (all fields on one side of 1); every other chain starts on the
+    band route, and a chain with a field above BAND_FIELD_MAX goes to the
+    SVD.  Only the SVD runs once per chain; every other step, the band
+    route's eigensolver among them, is one numpy operation over the stack.
+    Each chain takes the route, and gets the value, that it would alone,
+    whatever stack it is scored in.  The constructor checks the
     length and allocates scratch for one chain, which grows to the largest
     stack a call has scored, so a fresh object for one chain is cheap too; it
     calls no LAPACK.
@@ -486,10 +452,8 @@ class ChainOverlap:
         self.n_sites = n_sites
         self.stack = max(1, STACK_ENTRIES // n_sites**2)
         self._floor = n_sites * np.finfo(float).eps  # s_min <= _floor * s_max is unresolved
-        self._position, self._band_sites, self._band_signs = _band_layout(n_sites)
-        self._newton_schulz = 0 < NEWTON_SCHULZ_SITES[0] <= n_sites  # for gapped chains
-        self._straddling_newton_schulz = self._newton_schulz and n_sites <= NEWTON_SCHULZ_SITES[1]
-        self._bonds = _bonds(n_sites) if self._newton_schulz else None
+        self._straddling_newton_schulz = n_sites <= NEWTON_SCHULZ_SITES
+        self._bonds = _bonds(n_sites)
         self._allocate(1)
         self.newton_schulz_chains = self.max_newton_schulz_steps = self.band_chains = self.svd_fallbacks = 0
         self.max_defect, self.singular_ratio_bound = 0.0, 1.0
@@ -502,7 +466,6 @@ class ChainOverlap:
     def _allocate(self, rows: int) -> None:
         """Scratch for stacks of up to ``rows`` chains."""
         n = self.n_sites
-        self._bands = np.empty((rows, 3, n))
         self._v, self._y, self._gram, self._r, self._w, self._m = (
             np.empty((rows, n, n)) for _ in range(6)
         )
@@ -539,13 +502,11 @@ class ChainOverlap:
         w = self._w[:k]
         top = g.max(axis=1)
         svd = top > BAND_FIELD_MAX
-        band = ~svd
-        if self._newton_schulz:
-            # s_min(Z) >= low (max g + 1) by Weyl, and |Z|_2 <= max g + 1
-            low = np.maximum(g.min(axis=1) - 1.0, 1.0 - top) / (top + 1.0)
-            newton = band & (self._straddling_newton_schulz | (low > 0.0))
-            band &= ~newton
-            band[self._newton_schulz_polar(g, np.flatnonzero(newton), top, low, w)] = True
+        # s_min(Z) >= low (max g + 1) by Weyl, and |Z|_2 <= max g + 1
+        low = np.maximum(g.min(axis=1) - 1.0, 1.0 - top) / (top + 1.0)
+        newton = ~svd & (self._straddling_newton_schulz | (low > 0.0))
+        band = ~svd & ~newton
+        band[self._newton_schulz_polar(g, np.flatnonzero(newton), top, low, w)] = True
         rows = np.flatnonzero(band)
         if rows.size:
             # a whole stack is solved, and checked below, in place: at large N each copy costs ~1%
@@ -637,26 +598,26 @@ class ChainOverlap:
     def _band_polar(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
         """W into w by the band route; returns the chains its gate sends to the SVD.
 
-        Steps: the band of Z^T Z in zigzag order, in ``dsbevd``'s lower
-        storage; its eigenvectors V; Y = Z V and its column norms d; Q = Y / d
-        and E = Q^T Q - I; the gate (max|E| <= BAND_GATE and d_min above the
+        Steps: Z^T Z of every chain, in the V scratch; its eigenvectors V
+        from one ``numpy.linalg.eigh`` over the stack, whose failure is a
+        NumericsError; Y = Z V and its column norms d; Q = Y / d and
+        E = Q^T Q - I; the gate (max|E| <= BAND_GATE and d_min above the
         floor); and W = Q (I - T) V^T with T_ij = d_i E_ij / (d_i + d_j).
         The chains the gate passes lower singular_ratio_bound to d_min / d_max.
         """
-        from scipy.linalg import lapack
-
         k, n = g.shape
-        bands = np.take(g, self._band_sites, axis=1, out=self._bands[:k], mode="wrap")
-        np.square(bands[:, 0], out=bands[:, 0])
-        bands[:, 0] += 1.0
-        bands[:, 1:] *= self._band_signs
-        # dsbevd's eigenvectors (zigzag rows, column-major) wait in Y's scratch until V is gathered
-        zigzag = self._y[:k].transpose(0, 2, 1)
-        for row in range(k):
-            _, zigzag[row], info = lapack.dsbevd(bands[row], lower=1)
-            if info:
-                raise NumericsError(f"band eigensolver failed on a {n}-site chain (dsbevd info {info})")
-        v = np.take(zigzag, self._position, axis=1, out=self._v[:k], mode="wrap")
+        # Z^T Z: g_j^2 + 1 on the diagonal, -g_{j+1} at (j, j+1) and (j+1, j), g_0 in the corners
+        zz = self._v[:k]
+        zz.fill(0.0)
+        flat = zz.reshape(k, n * n)
+        np.square(g, out=flat[:, :: n + 1])
+        flat[:, :: n + 1] += 1.0
+        flat[:, 1 :: n + 1] = flat[:, n :: n + 1] = -g[:, 1:]
+        zz[:, 0, -1] = zz[:, -1, 0] = g[:, 0]
+        try:
+            v = np.linalg.eigh(zz)[1]
+        except np.linalg.LinAlgError as error:
+            raise NumericsError(f"eigensolver failed on a {n}-site chain ({error})") from error
         # Y = Z V row by row: y_j = g_j v_j - v_{j-1}, and y_0 = g_0 v_0 + v_{N-1}.
         y = np.multiply(g[:, :, None], v, out=self._y[:k])
         y[:, 1:] -= v[:, :-1]
@@ -755,4 +716,6 @@ def ghz_log_overlap_squared(couplings):
         determinant exceeds 1 beyond roundoff.
     """
     g = np.asarray(couplings, dtype=float)
-    return ChainOverlap(g.shape[-1] if g.ndim else 0)(g)
+    if g.ndim == 0:
+        as_couplings(g)  # raises: a chain is a sequence of fields
+    return ChainOverlap(g.shape[-1])(g)

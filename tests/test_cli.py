@@ -286,40 +286,22 @@ def test_montecarlo_flag_validation(tmp_path, capsys):
         assert cli.main(base + ["--kind", kind, "--sigma", "0.1", "--xi", "5"]) == 2
 
 
-def test_band_route_montecarlo_loads_scipy_linalg(tmp_path):
-    """A Monte Carlo run at N = 130, where uniform W = 2 chains straddle 1 and take the band route, loads scipy.linalg."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    script = textwrap.dedent(
-        """
-        import sys
-        from parity_ising import cli
-        run = ["montecarlo", "--kind", "uniform_iid", "--n", "130", "--g", "1.6", "--width", "2",
-               "--samples", "2", "--out", "mc.json"]
-        print(cli.main(run), "scipy.linalg" in sys.modules)
-        """
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.splitlines() == ["0 True"]
-
-
 def test_verify_and_curve_commands_import_no_scipy(tmp_path):
-    """verify at both levels, the curve commands and Newton-Schulz Monte Carlo import no scipy module.
+    """verify at both levels, the curve commands and Monte Carlo on every overlap route run with scipy blocked.
 
-    verify --level full imports every submodule and finds the advantage
-    boundary and the crossover, both by ``bracketed_root``.  The oracle's
-    Lanczos, the elliptic integrals, the short chains that verify scores and
-    Newton-Schulz all avoid scipy: N = 40 lies in its window, and the weak
-    correlated disorder at N = 200 is gapped, so its chains take it outside
-    the window too.  Not even scipy's top-level package loads.
+    ``sys.modules["scipy"] = None`` makes any scipy import raise.  verify
+    --level full imports every submodule and finds the advantage boundary
+    and the crossover, both by ``bracketed_root``.  The Monte Carlo runs
+    cover the kernel's routes: N = 40 chains take Newton-Schulz, the weak
+    correlated disorder at N = 200 is gapped and takes it too, and uniform
+    W = 2 chains at N = 130 straddle 1 and take the band route.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     script = textwrap.dedent(
         """
         import sys
+        sys.modules["scipy"] = None
         from parity_ising import cli
         runs = [
             ["b-curve", "--steps", "20", "--out", "b.csv"],
@@ -333,14 +315,16 @@ def test_verify_and_curve_commands_import_no_scipy(tmp_path):
              "--samples", "50", "--out", "mc.json"],
             ["montecarlo", "--kind", "gaussian_correlated", "--n", "200", "--g", "1.6", "--sigma", "0.04",
              "--xi", "5", "--samples", "3", "--out", "gapped.json"],
+            ["montecarlo", "--kind", "uniform_iid", "--n", "130", "--g", "1.6", "--width", "2",
+             "--samples", "2", "--out", "band.json"],
         ]
-        print([cli.main(run) for run in runs], [m for m in sys.modules if m.startswith("scipy")])
+        print([cli.main(run) for run in runs])
         """
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0, 0] []"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"
 
 
 def test_grid_validation(tmp_path):

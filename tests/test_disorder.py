@@ -304,16 +304,18 @@ def test_run_telemetry_is_one_debug_record(caplog):
     assert "evaluations/s" in message
     assert " s drawing, " in message and " s scoring), " in message
     assert f", stack {ff.ChainOverlap(4).stack}, " in message
-    assert ", 0 by Newton-Schulz (at most 0 steps), 30 by the band route, 0 SVD fallbacks" in message
+    steps = int(message.split("(at most ")[1].split(" ")[0])
+    assert 0 < steps <= ff.NEWTON_SCHULZ_STEPS
+    assert message.endswith(", 30 by Newton-Schulz (at most %d steps), 0 by the band route, 0 SVD fallbacks" % steps)
 
 
-def test_run_reports_its_overlap_routes(monkeypatch, caplog):
-    """Newton-Schulz scores an N = 40 run; with an empty window the band route gives the same moments."""
+def test_run_reports_its_overlap_routes(band_route, caplog):
+    """Newton-Schulz scores an N = 40 run; handed every chain, the band route gives the same moments."""
     ens = dis.uniform_iid(1.6, 2.0, 40)
     with caplog.at_level("DEBUG", logger="parity_ising"):
         newton = dis.expected_utility(ens, 45, seed=8)
-        monkeypatch.setattr(ff, "NEWTON_SCHULZ_SITES", (0, 0))
-        band = dis.expected_utility(ens, 45, seed=8)
+        with band_route():
+            band = dis.expected_utility(ens, 45, seed=8)
     first, second = (r.getMessage() for r in caplog.records if r.name == "parity_ising.disorder")
     steps = int(first.split("(at most ")[1].split(" ")[0])
     assert 0 < steps <= ff.NEWTON_SCHULZ_STEPS
@@ -325,9 +327,8 @@ def test_run_reports_its_overlap_routes(monkeypatch, caplog):
     assert (newton.svd_fallbacks, newton.n_redraws) == (band.svd_fallbacks, band.n_redraws)
 
 
-def test_run_counts_svd_fallbacks(monkeypatch, caplog):
+def test_run_counts_svd_fallbacks(monkeypatch, band_only, caplog):
     """The band route scores a weak-disorder run; a gate no chain passes sends every sample to the SVD."""
-    monkeypatch.setattr(ff, "NEWTON_SCHULZ_SITES", (0, 0))
     ens = dis.uniform_iid(1.6, 2.0, 12)
     with caplog.at_level("DEBUG", logger="parity_ising"):
         banded = dis.expected_utility(ens, 40, seed=8)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
 
 from parity_ising import disorder
 from parity_ising import free_fermion as ff
@@ -288,6 +287,8 @@ def test_product_formula_for_uniform_chains():
 def test_nonfinite_couplings_rejected_by_pipeline():
     with pytest.raises(ValueError):
         ff.ghz_log_overlap_squared([1.0, 1.0, np.inf, 1.0])
+    with pytest.raises(ValueError, match="one-dimensional sequence"):
+        ff.ghz_log_overlap_squared(1.3)
 
 
 # Resolved on the band route, and a domain wall that only the SVD fallback resolves.
@@ -295,29 +296,17 @@ WELL_CONDITIONED = np.array([0.5, 1.5, 1.0, 2.0, 0.8, 1.2])
 SVD_ONLY = np.array([1.0 / 3000.0] * 5 + [3000.0] * 7)
 
 
-@pytest.fixture
-def band_only():
-    """An empty Newton-Schulz window, so that every chain length starts on the band route.
-
-    Its own patcher, so that a test's ``monkeypatch.undo()`` keeps it.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ff, "NEWTON_SCHULZ_SITES", (0, 0))
-        yield
-
-
 def test_unitarity_guard_catches_corruption(monkeypatch, band_only):
     """A non-orthogonal factor, two zero singular values or a solver failure raises, on either branch."""
-    sbevd = lapack.dsbevd
+    eigh = np.linalg.eigh
     svd = np.linalg.svd
 
-    def scaled_v(ab, **kwargs):
-        w, v, info = sbevd(ab, **kwargs)
-        return w, 2.0 * v, info
+    def scaled_v(a):
+        w, v = eigh(a)
+        return w, 2.0 * v
 
-    def failed_band(ab, **kwargs):
-        w, v, _ = sbevd(ab, **kwargs)
-        return w, v, 1
+    def failed_band(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def scaled_u(a, *args, **kwargs):
         u, s, vt = svd(a, *args, **kwargs)
@@ -332,8 +321,8 @@ def test_unitarity_guard_catches_corruption(monkeypatch, band_only):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     for solver, name, corrupt, g in (
-        (lapack, "dsbevd", scaled_v, WELL_CONDITIONED),
-        (lapack, "dsbevd", failed_band, WELL_CONDITIONED),
+        (np.linalg, "eigh", scaled_v, WELL_CONDITIONED),
+        (np.linalg, "eigh", failed_band, WELL_CONDITIONED),
         (np.linalg, "svd", scaled_u, SVD_ONLY),
         (np.linalg, "svd", two_zero_singular_values, SVD_ONLY),
         (np.linalg, "svd", failed, SVD_ONLY),
@@ -431,16 +420,15 @@ def test_one_failing_chain_raises_for_its_whole_stack(monkeypatch, band_only):
     chains = np.array([np.full(12, 0.9), np.array(([1e-4] * 3 + [1e4] * 3) * 2), np.full(12, 1.7)])
     with pytest.raises(NumericsError, match="two or more"):
         ff.ChainOverlap(12)(chains)
-    sbevd = lapack.dsbevd
-    calls = []
+    eigh = np.linalg.eigh
 
-    def second_scaled(ab, **kwargs):
-        w, v, info = sbevd(ab, **kwargs)
-        calls.append(None)
-        return w, (2.0 if len(calls) == 2 else 1.0) * v, info
+    def second_scaled(a):
+        w, v = eigh(a)
+        v[1] *= 2.0
+        return w, v
 
     uniform = np.array([np.full(12, 0.9), np.full(12, 1.3), np.full(12, 1.7)])
-    monkeypatch.setattr(lapack, "dsbevd", second_scaled)
+    monkeypatch.setattr(np.linalg, "eigh", second_scaled)
     with pytest.raises(NumericsError, match="not orthogonal"):
         ff.ChainOverlap(12)(uniform)
     monkeypatch.undo()
@@ -542,21 +530,21 @@ def _route_sweep():
 def test_band_route_matches_dense_routes_across_conditioning(monkeypatch, band_only):
     """log o+ agrees with the dense SVD, or the oracle up to N = 14, wherever the gate sends it.
 
-    The test records the eigenvectors the kernel gets from dsbevd and
-    measures max|Q^T Q - I| of Q = Z V / d itself, so it also holds the SVD
-    fallback to firing exactly when that spread exceeds BAND_GATE or d_min
-    falls to the floor N eps d_max.
+    The test records the Gram and eigenvectors the kernel gets from eigh
+    and measures max|Q^T Q - I| of Q = Z V / d itself, so it also holds the
+    SVD fallback to firing exactly when that spread exceeds BAND_GATE or
+    d_min falls to the floor N eps d_max.
     """
-    sbevd = lapack.dsbevd
+    eigh = np.linalg.eigh
     seen = []
 
-    def recorded(ab, **kwargs):
-        band = ab.copy()
-        w, v, info = sbevd(ab, **kwargs)
-        seen.append((band, v.copy()))
-        return w, v, info
+    def recorded(a):
+        gram = a.copy()
+        w, v = eigh(a)
+        seen.append((gram, v.copy()))
+        return w, v
 
-    monkeypatch.setattr(lapack, "dsbevd", recorded)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
     spreads, fallbacks = [], []
     for g in _route_sweep():
         n = g.size
@@ -565,17 +553,10 @@ def test_band_route_matches_dense_routes_across_conditioning(monkeypatch, band_o
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             log_o = kernel(g)
-        # zigzag order 0, 1, N-1, 2, N-2, ...: the band is Z^T Z reordered, half-width 2
-        order = np.empty(n, dtype=int)
-        order[0], order[1::2], order[2::2] = 0, np.arange(1, n // 2 + 1), np.arange(n - 1, n // 2, -1)
         z = ff.chain_matrix(g)
-        gram = (z.T @ z)[np.ix_(order, order)]
-        (band, v_band), = seen
-        for k in range(3):
-            np.testing.assert_allclose(band[k, : n - k], np.diag(gram, -k), rtol=1e-15, atol=0.0)
-        assert not np.any(np.tril(gram, -3))
-        v = np.empty_like(v_band)
-        v[order] = v_band
+        (gram, v), = seen
+        np.testing.assert_allclose(gram, (z.T @ z)[None], rtol=1e-15, atol=0.0)
+        v = v[0]
         y = z @ v
         d = np.linalg.norm(y, axis=0)
         spread = np.abs((y / d).T @ (y / d) - np.eye(n)).max()
@@ -658,8 +639,8 @@ def test_large_fields_below_the_square_bound_fall_back_without_overflow():
     assert kernel.svd_fallbacks == 3
 
 
-# The Newton-Schulz window's two edges and two lengths inside it, 40 that of the Monte Carlo runs.
-WINDOW_LENGTHS = (ff.NEWTON_SCHULZ_SITES[0], 24, 40, ff.NEWTON_SCHULZ_SITES[1])
+# Lengths at which every chain starts on Newton-Schulz, up to the longest; 40 is that of the Monte Carlo runs.
+WINDOW_LENGTHS = (8, 24, 40, ff.NEWTON_SCHULZ_SITES)
 
 
 def _conditioning_sweep(n):
@@ -683,7 +664,7 @@ def _conditioning_sweep(n):
 
 
 @pytest.mark.parametrize("n", WINDOW_LENGTHS)
-def test_newton_schulz_matches_band_and_svd_across_conditioning(n):
+def test_newton_schulz_matches_band_and_svd_across_conditioning(band_route, n):
     """Chain by chain, log o+ by Newton-Schulz, the band route and numpy's SVD agree.
 
     The band route's s_min / s_max is numpy's, and Newton-Schulz bounds it
@@ -696,15 +677,15 @@ def test_newton_schulz_matches_band_and_svd_across_conditioning(n):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             log_o = newton(g)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ff, "NEWTON_SCHULZ_SITES", (0, 0))
-            band = ff.ChainOverlap(n)
-        assert band(g) == pytest.approx(log_o, rel=0.0, abs=1e-12)
+        band = ff.ChainOverlap(n)
+        with band_route():
+            band_log_o = band(g)
+        assert band_log_o == pytest.approx(log_o, rel=0.0, abs=1e-12)
         assert (band.newton_schulz_chains, band.band_chains) == (0, 1)
         assert newton.newton_schulz_chains + newton.band_chains == newton.evaluations == 1
         if newton.band_chains:
             handed_on += 1
-            assert log_o == band(g)
+            assert log_o == band_log_o
             assert newton.singular_ratio_bound == band.singular_ratio_bound
             continue
         assert 0 < newton.max_newton_schulz_steps <= ff.NEWTON_SCHULZ_STEPS
@@ -839,7 +820,7 @@ def _gapped_sweep(n):
 
 
 @pytest.mark.parametrize("n", GAPPED_LENGTHS)
-def test_gapped_chains_take_newton_schulz_and_match_band_and_svd(n):
+def test_gapped_chains_take_newton_schulz_and_match_band_and_svd(band_route, n):
     """Outside the window a gapped chain converges by Newton-Schulz and agrees with the band route and the SVD.
 
     log o+ to 1e-12, chain by chain, with a defect within the gapped
@@ -851,11 +832,11 @@ def test_gapped_chains_take_newton_schulz_and_match_band_and_svd(n):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             log_o = newton(g)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ff, "NEWTON_SCHULZ_SITES", (0, 0))
-            band = ff.ChainOverlap(n)
+        band = ff.ChainOverlap(n)
+        with band_route():
+            band_log_o = band(g)
         assert (newton.newton_schulz_chains, newton.band_chains) == (1, 0)
-        assert (band(g), band.newton_schulz_chains, band.band_chains) == (pytest.approx(log_o, abs=1e-12), 0, 1)
+        assert (band_log_o, band.newton_schulz_chains, band.band_chains) == (pytest.approx(log_o, abs=1e-12), 0, 1)
         assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
         assert 0 < newton.max_newton_schulz_steps <= ff.NEWTON_SCHULZ_STEPS
         assert 0.0 < newton.max_defect <= ff.NEWTON_SCHULZ_TOL * math.sqrt(n) * np.finfo(float).eps
@@ -916,7 +897,7 @@ def test_mixed_gapped_and_straddling_stack_scores_each_chain_as_it_scores_alone(
     for counter in COUNTERS:
         assert getattr(stacked, counter) == getattr(alone, counter)
     # every chain but the wall converges by Newton-Schulz at N = 40, the six gapped ones at N = 130
-    newton = len(chains) - 1 if n <= ff.NEWTON_SCHULZ_SITES[1] else 6
+    newton = len(chains) - 1 if n <= ff.NEWTON_SCHULZ_SITES else 6
     assert (stacked.newton_schulz_chains, stacked.band_chains, stacked.svd_fallbacks) == (newton, len(chains) - newton, 1)
 
 
@@ -928,21 +909,21 @@ def _route_counts(ensemble, samples):
 
 
 def test_routes_by_length_and_gap():
-    """Straddling chains beyond the window and every chain below it start on the band route; gapped ones do not.
+    """Straddling chains beyond NEWTON_SCHULZ_SITES start on the band route; gapped ones and shorter ones do not.
 
-    ``uniform_iid(1.6, 2)`` draws at N = 130 and 200 straddle 1, gapped
-    chains at N = 4 and 6 lie below the window's lower end, and weak
+    ``uniform_iid(1.6, 2)`` draws at N = 130 and 200 straddle 1, chains of
+    4 and 6 sites take Newton-Schulz like every chain of up to 80, and weak
     correlated disorder about 1.6 at N = 200 is gapped.
     """
     assert _route_counts(disorder.uniform_iid(1.6, 2.0, 130), 3) == (0, 3)
     assert _route_counts(disorder.uniform_iid(1.6, 2.0, 200), 2) == (0, 2)
-    assert _route_counts(disorder.gaussian_iid(1.6, 0.04, 4), 20) == (0, 20)
-    assert _route_counts(disorder.gaussian_iid(0.5, 0.04, 6), 20) == (0, 20)
+    assert _route_counts(disorder.gaussian_iid(1.6, 0.04, 4), 20) == (20, 0)
+    assert _route_counts(disorder.gaussian_iid(0.5, 0.04, 6), 20) == (20, 0)
     assert _route_counts(disorder.gaussian_correlated(1.6, 0.04, 5.0, 200), 2) == (2, 0)
 
 
 def test_band_only_sends_gapped_chains_to_the_band_route(band_only):
-    """An empty window keeps every chain, gapped or not, at every length, off Newton-Schulz."""
+    """Handed on by Newton-Schulz, every chain, gapped or not, at every length, takes the band route."""
     assert _route_counts(disorder.gaussian_iid(1.6, 0.04, 40), 25) == (0, 25)
     assert _route_counts(disorder.gaussian_correlated(1.6, 0.04, 5.0, 200), 2) == (0, 2)
 
