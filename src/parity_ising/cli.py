@@ -35,7 +35,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .errors import NumericsError
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 THREAD_ENV_VAR = "PARITY_ISING_THREADS"
 # Literal choices keep parsing free of numpy; a test holds them to the library's.
 KINDS = ("gaussian_iid", "gaussian_perfect", "gaussian_correlated", "uniform_iid")
@@ -47,7 +47,7 @@ SV_KINDS = {"perfect": "gaussian_perfect", "iid": "gaussian_iid", "exponential":
 PARAMETER_FLAGS = {"xi": "--xi", "distance_mode": "--distance", "width": "--width"}
 # The montecarlo result entries that MonteCarloResult holds as they are, in artifact order.
 RESULT_FIELDS = (
-    "n_samples", "n_redraws", "n_degenerate", "max_orthogonality_defect", "singular_ratio_bound",
+    "n_samples", "n_redraws", "max_orthogonality_defect", "singular_ratio_bound",
     "svd_fallbacks", "seed", "mean_utility", "stderr", "mean_density",
 )
 _BLAS_ENV_VARS = (
@@ -245,7 +245,6 @@ def cmd_montecarlo(args) -> int:
         "width": ensemble.width,
         "xi": ensemble.xi,
         "distance": ensemble.distance_mode,
-        "positivity_policy": "reject_sample",  # the one policy: redraw, counted in n_redraws
         "samples": args.samples,
         "seed": args.seed,
     }

@@ -11,7 +11,8 @@ with E[delta_g] = 0.  Four kinds are supported, named by their covariance:
 
 Sampling is reproducible and order-independent: sample number `index` of a
 run with seed `seed` is drawn from its own counter-based stream keyed by
-(seed, index), so serial and parallel execution produce identical results.
+(seed, index), so a run's values do not depend on the order or stacking of
+its samples (tested against the one-sample-at-a-time route).
 A run re-keys one Philox generator per sample instead of building a new one,
 and scores its samples in stacks with one ``free_fermion.ChainOverlap``;
 both give exactly what the one-shot ``sample_couplings`` and
@@ -24,9 +25,10 @@ from the same per-sample stream, and every redraw is counted; there is no
 other policy.  In the parameter regimes of interest a violation is many
 standard deviations out, so the truncation bias is far below statistical
 resolution.
-A run reports its positivity redraws, its zero-overlap (-inf) samples, and
-the worst orthogonality defect, a lower bound on the smallest singular-value
-ratio and the number of dense-SVD fallbacks of its overlap kernel.
+A run uses every sample: for positive fields the GHZ overlap is positive, and
+the kernel raises where it is not.  It reports its positivity redraws, and the
+worst orthogonality defect, a lower bound on the smallest singular-value ratio
+and the number of dense-SVD fallbacks of its overlap kernel.
 """
 
 import logging
@@ -228,22 +230,14 @@ def sample_couplings(ensemble: DisorderEnsemble, seed: int, index: int) -> tuple
     return _RunDraws(ensemble, seed).draw(index)
 
 
-def _stack_utilities(
-    ensemble: DisorderEnsemble, fields: np.ndarray, overlap: ChainOverlap
-) -> np.ndarray:
-    """Utilities of a (k, N) stack of field draws, one per row."""
-    return utility_from_log_overlap(overlap(fields), ensemble.n_sites)
-
-
 @dataclass(frozen=True)
 class MonteCarloResult:
     """Sample statistics of the utility under one ensemble and seed.
 
-    `n_samples` counts the realizations that entered the moments.  Draws
-    whose utility is -inf (zero overlap) are excluded and counted in
-    `n_degenerate`; `n_redraws` counts positivity redraws.  The histogram
-    bins the per-site shift (u(g) - u(g_bar)) / N over `n_samples` values,
-    with outliers clipped into the edge bins.  `max_orthogonality_defect`
+    `n_samples` counts the realizations, each of which enters the moments;
+    `n_redraws` counts positivity redraws.  The histogram bins the per-site
+    shift (u(g) - u(g_bar)) / N over `n_samples` values, with outliers
+    clipped into the edge bins.  `max_orthogonality_defect`
     (worst max|W^T W - I|) and `singular_ratio_bound` (a proven lower bound
     on the smallest s_min / s_max of the chain matrix, the ratio itself where
     the band route or the SVD scored that chain) report the numerics of the
@@ -260,7 +254,6 @@ class MonteCarloResult:
     histogram_edges: np.ndarray
     histogram_counts: np.ndarray
     n_redraws: int
-    n_degenerate: int
     seed: int
     max_orthogonality_defect: float | None
     singular_ratio_bound: float | None
@@ -299,10 +292,11 @@ def expected_utility(
     -> ``ghz_log_overlap_squared``.  Where every draw is a uniform chain
     (``gaussian_perfect``, or sigma = 0) the run only collects each
     sample's coupling, and one ``utility_clean`` call scores them all, each
-    value equal to the per-sample call bit for bit.  The clean value
-    u(g_bar) is reported alongside for shift and histogram construction.
-    One DEBUG record on the ``parity_ising.disorder`` logger gives the
-    run's sample, redraw and degenerate counts, its seconds split into
+    value equal to the per-sample call bit for bit.  Every sample enters
+    the moments; a zero or non-finite overlap raises NumericsError from the
+    kernel.  The clean value u(g_bar) is reported alongside for shift and
+    histogram construction.  One DEBUG record on the ``parity_ising.disorder``
+    logger gives the run's sample and redraw counts, its seconds split into
     drawing and scoring, its evaluations per second, the kernel's stack
     size, and the chains it scored by Newton-Schulz (with the most steps one
     took), by the band route and by the SVD fallback.
@@ -333,34 +327,29 @@ def expected_utility(
         if uniform:
             utilities[start : start + len(stack)] = stack[:, 0]
         else:
-            utilities[start : start + len(stack)] = _stack_utilities(ensemble, stack, overlap)
+            utilities[start : start + len(stack)] = utility_from_log_overlap(overlap(stack), ensemble.n_sites)
             score_s += time.perf_counter() - scored
     if uniform:
         scored = time.perf_counter()
         utilities = utility_clean(utilities, ensemble.n_sites)
         score_s = time.perf_counter() - scored
 
-    finite = np.isfinite(utilities)
-    kept = utilities[finite]
-    if kept.size == 0:
-        raise NumericsError("every sample produced a degenerate (-inf) utility")
-
-    mean_u = float(np.mean(kept))
-    stderr = float(np.std(kept, ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
-    edges, counts = _shift_histogram((kept - clean) / ensemble.n_sites)
+    mean_u = float(np.mean(utilities))
+    stderr = float(np.std(utilities, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    edges, counts = _shift_histogram((utilities - clean) / ensemble.n_sites)
     measured = overlap.evaluations > 0
     seconds = time.perf_counter() - started
     _log.debug(
-        "expected_utility %s N=%d: %d samples, %d redraws, %d degenerate, %.3f s "
+        "expected_utility %s N=%d: %d samples, %d redraws, %.3f s "
         "(%.4f s drawing, %.4f s scoring), %.0f evaluations/s, stack %d, "
         "%d by Newton-Schulz (at most %d steps), %d by the band route, %d SVD fallbacks",
-        ensemble.kind, ensemble.n_sites, kept.size, n_redraws, n_samples - kept.size,
+        ensemble.kind, ensemble.n_sites, n_samples, n_redraws,
         seconds, draw_s, score_s, n_samples / seconds, overlap.stack,
         overlap.newton_schulz_chains, overlap.max_newton_schulz_steps, overlap.band_chains,
         overlap.svd_fallbacks,
     )
     return MonteCarloResult(
-        n_samples=int(kept.size),
+        n_samples=n_samples,
         mean_utility=mean_u,
         stderr=stderr,
         mean_density=mean_u / ensemble.n_sites,
@@ -368,7 +357,6 @@ def expected_utility(
         histogram_edges=edges,
         histogram_counts=counts,
         n_redraws=n_redraws,
-        n_degenerate=int(n_samples - kept.size),
         seed=seed,
         max_orthogonality_defect=overlap.max_defect if measured else None,
         singular_ratio_bound=overlap.singular_ratio_bound if measured else None,

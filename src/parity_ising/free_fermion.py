@@ -101,14 +101,14 @@ BAND_GATE = 1e-8
 # Largest field ChainOverlap squares or scales, so that Z^T Z and the column
 # norms of Z V stay far from overflow; a chain with a larger one takes the SVD.
 BAND_FIELD_MAX = 1e150
-# Longest chain on which ChainOverlap takes the polar factor of a chain that
-# straddles 1 by the scaled Newton-Schulz iteration before the band route; a gapped
-# chain (all fields on one side of 1) takes it at every length, a longer straddling
-# chain starts on the band route.  Per chain in stacks of 2000 U[0.2, 3] chains, one
-# BLAS thread, thread CPU time, band route against Newton-Schulz: N = 4 3.4 / 2.5 us,
-# 6 6.4 / 3.8, 8 10.0 / 4.8, 12 19.5 / 9.4, 16 33.1 / 14.2, 20 53.4 / 23.4, and on
-# the 289 chains of a 12-site Hessian stencil 5.5 / 1.8 ms.  Newton-Schulz loses on
-# one-chain calls (N = 4: 98 / 201 us, N = 8: 105 / 190 us).
+# Longest chain on which ChainOverlap takes the polar factor of a chain that straddles
+# 1 by the scaled Newton-Schulz iteration before the band route; a gapped chain (all
+# fields on one side of 1) takes it at every length, a longer straddling chain starts on
+# the band route.  Per chain, thread CPU time, one BLAS thread of a 2-core x86 VM, numpy
+# 2.4, band route against Newton-Schulz in stacks of U[0.2, 3] chains: N = 4 3.6 / 2.5 us,
+# 8 12.8 / 6.3, 20 52 / 25, 40 188 / 103, 80 707 / 566.  Above it, Newton-Schulz / band
+# is 0.60, 0.73, 0.86, 0.90 and 1.23 at N = 96, 130, 160, 200 and 320 for U[0.6, 2.6], and
+# 1.6-2.9 for U[0.2, 2.2], where most chains miss the step budget and are handed on.
 NEWTON_SCHULZ_SITES = 80
 # Newton-Schulz steps a chain may take; one that has not converged by then takes the band route.
 NEWTON_SCHULZ_STEPS = 20
@@ -434,7 +434,7 @@ class ChainOverlap:
 
     Every check applies to every chain of a stack: field validation, a
     solver failure (NumericsError), the band route's gate and floor,
-    UNITARITY_TOL on W, and the overlap's bound log o+ <= OVERLAP_SLACK.  A
+    UNITARITY_TOL on W, and a finite overlap, log o+ <= OVERLAP_SLACK.  A
     chain that fails one raises for its whole call.  Over its calls the
     object counts its chains by route, ``newton_schulz_chains`` and
     ``band_chains`` (which include the SVD's, ``svd_fallbacks``), whose sum
@@ -670,8 +670,7 @@ class ChainOverlap:
     def __call__(self, couplings):
         """log |<GHZ+|psi(g)>|^2 = log|det((I + W0^T W)/2)| of each chain.
 
-        One chain (a field vector) gives a float, an (M, N) stack M values;
-        a value is -inf at an exactly zero pivot.
+        One chain (a field vector) gives a float, an (M, N) stack M values.
         """
         g = np.asarray(couplings, dtype=float)
         if g.ndim == 1:
@@ -693,8 +692,10 @@ class ChainOverlap:
         self._m_diagonal[:k] += 1.0
         m *= 0.5
         _, logabs = np.linalg.slogdet(m)
+        if not np.isfinite(logabs).all():
+            raise NumericsError(f"overlap determinant is zero or not finite on a {self.n_sites}-site chain")
         worst = float(logabs.max())
-        if worst > OVERLAP_SLACK:
+        if not worst <= OVERLAP_SLACK:
             raise NumericsError(f"overlap determinant exceeds 1 beyond roundoff (log value {worst:.3e})")
         return np.minimum(logabs, 0.0)
 
@@ -704,16 +705,16 @@ def ghz_log_overlap_squared(couplings):
 
     Computed as log|det((I + W0^T W)/2)| from the polar factor W of the
     chain matrix, through an LU factorization, so overlaps far below the
-    smallest positive float are still meaningful.  Returns -inf for a state
-    orthogonal to the GHZ state.  A field vector gives a float and an
-    (M, N) stack of fields M values, from one fresh ``ChainOverlap``; loops
-    over many fields of one length should keep one object instead.
+    smallest positive float are still meaningful.  A field vector gives a
+    float and an (M, N) stack of fields M values, from one fresh
+    ``ChainOverlap``; loops over many fields of one length should keep one
+    object instead.
 
     Raises
     ------
     NumericsError
         If a polar factor fails the checks of ``ChainOverlap``, or a
-        determinant exceeds 1 beyond roundoff.
+        determinant is zero, not finite or above 1 beyond roundoff.
     """
     g = np.asarray(couplings, dtype=float)
     if g.ndim == 0:

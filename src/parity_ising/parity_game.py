@@ -72,11 +72,12 @@ def utility_from_log_overlap(log_overlap_plus_sq, n_players: int):
 
     Returns -inf at zero overlap (log o+ = -inf); the upper bound
     (ceil(N/2) - 1) log 2 is reached only by the GHZ state itself.  An
-    array of log weights gives the array of utilities.
+    array of log weights gives the array of utilities; a NaN among them
+    raises, as a log weight above 0 does.
     """
     _check_players(n_players)
-    if np.any(np.greater(log_overlap_plus_sq, 1e-9)):
-        raise ValueError("log squared overlap must be <= 0")
+    if not np.all(np.less_equal(log_overlap_plus_sq, 1e-9)):
+        raise ValueError("log squared overlap must be a number <= 0")
     return _utility_offset(n_players) + log_overlap_plus_sq
 
 

@@ -160,7 +160,10 @@ def test_montecarlo_payload_and_histogram(tmp_path):
         "--sigma", "0.02", "--samples", "40", "--seed", "7", "--out", str(out),
     ]) == 0
     payload = json.loads(out.read_text())
-    assert payload["config"]["positivity_policy"] == "reject_sample"
+    assert payload["config"] == {
+        "command": "montecarlo", "kind": "gaussian_iid", "n": 8, "g": 1.1, "sigma": 0.02,
+        "width": None, "xi": None, "distance": "linear", "samples": 40, "seed": 7,
+    }
     result = payload["result"]
     assert result["n_samples"] == 40
     assert result["seed"] == 7
@@ -381,7 +384,7 @@ def test_debug_logging_leaves_cli_output_unchanged(tmp_path, capsys, caplog):
     }
     # the artifact stays timing-free, so reruns stay byte-identical
     assert set(json.loads((tmp_path / "mc.json").read_text())["result"]) == {
-        "n_samples", "n_redraws", "n_degenerate", "max_orthogonality_defect",
+        "n_samples", "n_redraws", "max_orthogonality_defect",
         "singular_ratio_bound", "svd_fallbacks", "seed", "mean_utility", "stderr", "mean_density",
         "density_stderr", "clean_utility", "clean_density", "shift", "predicted_shift",
         "histogram",

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from parity_ising import asymptotics as asy
+from parity_ising import cli
 from parity_ising import disorder as dis
 from parity_ising import free_fermion as ff
 from parity_ising import parity_game as pg
@@ -300,7 +301,7 @@ def test_run_telemetry_is_one_debug_record(caplog):
     assert len(records) == 1
     assert records[0].levelname == "DEBUG"
     message = records[0].getMessage()
-    assert f"30 samples, {result.n_redraws} redraws, 0 degenerate" in message
+    assert message.startswith(f"expected_utility gaussian_iid N=4: 30 samples, {result.n_redraws} redraws, ")
     assert "evaluations/s" in message
     assert " s drawing, " in message and " s scoring), " in message
     assert f", stack {ff.ChainOverlap(4).stack}, " in message
@@ -341,11 +342,10 @@ def test_run_counts_svd_fallbacks(monkeypatch, band_only, caplog):
     assert dense.singular_ratio_bound == pytest.approx(banded.singular_ratio_bound, rel=1e-10)
 
 
-def test_redraws_and_degenerate_samples_are_counted_apart():
+def test_redraws_are_counted():
     ens = dis.gaussian_iid(0.05, 0.5, 4)
     result = dis.expected_utility(ens, 30, seed=3)
     assert result.n_redraws == sum(dis.sample_couplings(ens, 3, i)[1] for i in range(30)) > 0
-    assert result.n_degenerate == 0
     assert result.n_samples == 30
 
 
@@ -363,7 +363,7 @@ def test_sigma_zero_collapses_to_clean_value(ens):
     result = dis.expected_utility(ens, 5, seed=99)
     assert result.mean_utility == pg.utility_clean(1.6, 8)
     assert result.stderr == 0.0
-    assert result.n_redraws == result.n_degenerate == 0
+    assert result.n_redraws == 0
     # a uniform chain is scored by the mode product, so no SVD ran
     assert result.max_orthogonality_defect is None
     assert result.singular_ratio_bound is None
@@ -396,33 +396,23 @@ def test_monte_carlo_is_reproducible():
     assert a.mean_utility != c.mean_utility
 
 
-def test_degenerate_utilities_excluded_from_moments(monkeypatch):
-    real = dis._stack_utilities
-    calls = {"n": 0}
+def test_nan_overlap_fails_the_run_and_writes_nothing(monkeypatch, tmp_path):
+    """A NaN log|det| for one sample of each kernel stack fails the whole run; no sample is dropped."""
+    slogdet = np.linalg.slogdet
 
-    def flaky(ensemble, fields, overlap):
-        utilities = real(ensemble, fields, overlap)
-        index = calls["n"] + np.arange(1, len(fields) + 1)
-        calls["n"] += len(fields)
-        utilities[index % 3 == 0] = -math.inf
-        return utilities
+    def third_nan(a):
+        sign, logabs = slogdet(a)
+        logabs[2] = np.nan
+        return sign, logabs
 
-    monkeypatch.setattr(dis, "_stack_utilities", flaky)
-    ens = dis.gaussian_iid(1.1, 0.02, 8)
-    result = dis.expected_utility(ens, 30, seed=14)
-    assert result.n_samples == 20
-    assert result.n_degenerate == 10
-    assert result.n_redraws == 0
-    assert math.isfinite(result.mean_utility)
-    assert result.histogram_counts.sum() == 20
-
-
-def test_all_degenerate_raises(monkeypatch):
-    monkeypatch.setattr(
-        dis, "_stack_utilities", lambda ensemble, fields, overlap: np.full(len(fields), -math.inf)
-    )
-    with pytest.raises(NumericsError):
-        dis.expected_utility(dis.gaussian_iid(1.1, 0.02, 8), 10, seed=15)
+    monkeypatch.setattr(np.linalg, "slogdet", third_nan)
+    with pytest.raises(NumericsError, match="zero or not finite"):
+        dis.expected_utility(dis.uniform_iid(1.6, 2.0, 40), 40, seed=7)
+    out = tmp_path / "mc.json"
+    argv = ["montecarlo", "--kind", "uniform_iid", "--width", "2", "--n", "40", "--g", "1.6",
+            "--samples", "40", "--seed", "7", "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_matches_quadratic_response():

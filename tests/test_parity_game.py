@@ -61,6 +61,12 @@ def test_utility_normalization():
         assert pg.utility_from_log_overlap(0.0, n) == pytest.approx(expected, rel=1e-15)
     assert pg.utility_from_log_overlap(-math.inf, 6) == -math.inf
     assert pg.utility_from_log_overlap(-3.0, 6) == pytest.approx(2 * math.log(2.0) - 3.0)
+    np.testing.assert_array_equal(
+        pg.utility_from_log_overlap(np.array([-math.inf, -3.0]), 6), [-math.inf, 2 * math.log(2.0) - 3.0]
+    )
+    for bad in (math.nan, np.array([-3.0, math.nan]), 1e-6):
+        with pytest.raises(ValueError, match="must be a number <= 0"):
+            pg.utility_from_log_overlap(bad, 6)
 
 
 def test_utility_clean_matches_determinant_route():
