@@ -35,7 +35,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .errors import NumericsError
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 THREAD_ENV_VAR = "PARITY_ISING_THREADS"
 # Literal choices keep parsing free of numpy; a test holds them to the library's.
 KINDS = ("gaussian_iid", "gaussian_perfect", "gaussian_correlated", "uniform_iid")

@@ -27,8 +27,9 @@ standard deviations out, so the truncation bias is far below statistical
 resolution.
 A run uses every sample: for positive fields the GHZ overlap is positive, and
 the kernel raises where it is not.  It reports its positivity redraws, and the
-worst orthogonality defect, a lower bound on the smallest singular-value ratio
-and the number of dense-SVD fallbacks of its overlap kernel.
+worst orthogonality defect and the number of dense-SVD fallbacks of its overlap
+kernel, with a proven lower bound on the smallest singular-value ratio of its
+draws that depends on their fields alone.
 """
 
 import logging
@@ -40,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericsError
-from .free_fermion import ChainOverlap, _check_couplings, _check_length
+from .free_fermion import STACK_ENTRIES, ChainOverlap, _check_couplings, _check_length
 from .parity_game import utility_clean, utility_from_log_overlap
 from .perturbation import (
     CovarianceMatrix,
@@ -239,8 +240,8 @@ class MonteCarloResult:
     shift (u(g) - u(g_bar)) / N over `n_samples` values, with outliers
     clipped into the edge bins.  `max_orthogonality_defect`
     (worst max|W^T W - I|) and `singular_ratio_bound` (a proven lower bound
-    on the smallest s_min / s_max of the chain matrix, the ratio itself where
-    the band route or the SVD scored that chain) report the numerics of the
+    on the smallest s_min / s_max of the chain matrices, from the closed form
+    of Z^-1, the same on every route) report the numerics of the
     overlap kernel, and `svd_fallbacks` counts the samples it scored by the
     dense SVD, past Newton-Schulz and the band route; all three are None when
     no sample needed the kernel.
@@ -284,22 +285,25 @@ def expected_utility(
 
     Draws `n_samples` coupling realizations from per-sample streams and
     evaluates the exact utility of each.  The run keeps one re-keyed
-    generator and one ``ChainOverlap``: it draws the samples of one kernel
-    stack into a (stack, N) field buffer, in index order with each sample's
-    own redraws, and scores the buffer in one kernel call.  The kernel
-    scores each chain as it would alone, so the same (ensemble, seed) gives
-    the same draws and values as the per-sample route ``sample_couplings``
-    -> ``ghz_log_overlap_squared``.  Where every draw is a uniform chain
-    (``gaussian_perfect``, or sigma = 0) the run only collects each
-    sample's coupling, and one ``utility_clean`` call scores them all, each
-    value equal to the per-sample call bit for bit.  Every sample enters
-    the moments; a zero or non-finite overlap raises NumericsError from the
-    kernel.  The clean value u(g_bar) is reported alongside for shift and
-    histogram construction.  One DEBUG record on the ``parity_ising.disorder``
-    logger gives the run's sample and redraw counts, its seconds split into
-    drawing and scoring, its evaluations per second, the kernel's stack
-    size, and the chains it scored by Newton-Schulz (with the most steps one
-    took), by the band route and by the SVD fallback.
+    generator and one ``ChainOverlap``.  It draws the samples of as many
+    whole kernel stacks as fill about STACK_ENTRIES // N rows (800 samples
+    at N = 40, at most 256 KiB of fields), in index order with each
+    sample's own redraws, and scores them in one kernel call, which works
+    through them stack by stack and bounds the singular-value ratio of all
+    of them at once.  The kernel scores each chain as it would alone, so the
+    same (ensemble, seed) gives the same draws and values as the per-sample
+    route ``sample_couplings`` -> ``ghz_log_overlap_squared``.  Where every
+    draw is a uniform chain (``gaussian_perfect``, or sigma = 0) the run
+    only collects each sample's coupling, and one ``utility_clean`` call
+    scores them all, each value equal to the per-sample call bit for bit.
+    Every sample enters the moments; a zero or non-finite overlap raises
+    NumericsError from the kernel.  The clean value u(g_bar) is reported
+    alongside for shift and histogram construction.  One DEBUG record on the
+    ``parity_ising.disorder`` logger gives the run's sample and redraw
+    counts, its seconds split into drawing and scoring, its evaluations per
+    second, the kernel's stack size, and the chains it scored by
+    Newton-Schulz (with the most steps one took), by the band route and by
+    the SVD fallback, each chain counted once.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -313,21 +317,22 @@ def expected_utility(
     # Covers sigma = 0 for every kind, making E[u] = u(g_bar) bit-exact there.
     uniform = ensemble.kind == "gaussian_perfect" or ensemble.sigma == 0.0
     utilities = np.empty(n_samples)
-    fields = np.empty((overlap.stack, ensemble.n_sites))
+    stacks = max(1, STACK_ENTRIES // (ensemble.n_sites * overlap.stack))  # per kernel call
+    fields = np.empty((stacks * overlap.stack, ensemble.n_sites))
     n_redraws = 0
     draw_s = score_s = 0.0
-    for start in range(0, n_samples, overlap.stack):
-        stack = fields[: min(overlap.stack, n_samples - start)]
+    for start in range(0, n_samples, len(fields)):
+        batch = fields[: min(len(fields), n_samples - start)]
         drawn = time.perf_counter()
-        for row in range(len(stack)):
-            stack[row], redraws = draws.draw(start + row)
+        for row in range(len(batch)):
+            batch[row], redraws = draws.draw(start + row)
             n_redraws += redraws
         scored = time.perf_counter()
         draw_s += scored - drawn
         if uniform:
-            utilities[start : start + len(stack)] = stack[:, 0]
+            utilities[start : start + len(batch)] = batch[:, 0]
         else:
-            utilities[start : start + len(stack)] = utility_from_log_overlap(overlap(stack), ensemble.n_sites)
+            utilities[start : start + len(batch)] = utility_from_log_overlap(overlap(batch), ensemble.n_sites)
             score_s += time.perf_counter() - scored
     if uniform:
         scored = time.perf_counter()
@@ -345,8 +350,8 @@ def expected_utility(
         "%d by Newton-Schulz (at most %d steps), %d by the band route, %d SVD fallbacks",
         ensemble.kind, ensemble.n_sites, n_samples, n_redraws,
         seconds, draw_s, score_s, n_samples / seconds, overlap.stack,
-        overlap.newton_schulz_chains, overlap.max_newton_schulz_steps, overlap.band_chains,
-        overlap.svd_fallbacks,
+        overlap.newton_schulz_chains, overlap.max_newton_schulz_steps,
+        overlap.band_chains - overlap.svd_fallbacks, overlap.svd_fallbacks,
     )
     return MonteCarloResult(
         n_samples=n_samples,

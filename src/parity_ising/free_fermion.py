@@ -67,7 +67,7 @@ chain's W by one of three routes:
   det U det V^T < 0.  Two unresolved singular values (separate
   ferromagnetic domains) raise.
 
-All three routes are numpy's; no part of scipy is used.
+All three routes are numpy's alone and share one closed-form bound on s_min / s_max.
 
 Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
@@ -84,6 +84,7 @@ import functools
 import logging
 import math
 import numbers
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,8 +202,9 @@ def wavenumber_integral(rule, floor: float, tol: float, label: str) -> tuple:
     its error, the distance from the 12-node rule on the same panels: floats
     for a scalar rule, arrays for an array rule.  An error above ``tol``,
     anywhere on a grid, is a NumericsError.  Each call logs one DEBUG record
-    with the label, the largest error and the node count per axis.
+    with the label, the largest error, the node count per axis and its seconds.
     """
+    started = time.perf_counter()
     edges = [np.pi]
     while edges[-1] > floor:
         edges.append(edges[-1] / 4.0)
@@ -215,7 +217,7 @@ def wavenumber_integral(rule, floor: float, tol: float, label: str) -> tuple:
     )
     error = np.abs(value - coarse)
     worst = float(np.max(error, initial=0.0))
-    _log.debug("%s: error %.3e over %d nodes", label, worst, half.size * LEGENDRE_ORDERS[0])
+    _log.debug("%s: error %.3e over %d nodes in %.3g s", label, worst, half.size * LEGENDRE_ORDERS[0], time.perf_counter() - started)
     if not worst <= tol:
         raise NumericsError(f"{label} quadrature did not converge (error {worst:.3e} > {tol:.1e})")
     return (float(value), float(error)) if value.ndim == 0 else (value, error)
@@ -359,45 +361,50 @@ def _schedule_grid(floor: float) -> tuple[np.ndarray, tuple]:
 
 
 def _groups(entry: np.ndarray, grid: tuple) -> list:
-    """(slice, coefficients, first check, gapped) of each run of one schedule in a sorted ``entry``."""
-    return [(slice(*entry.searchsorted((j, j + 1))), *grid[j], j > 0) for j in dict.fromkeys(entry.tolist())]
+    """(slice, coefficients) of each run of one schedule in a sorted ``entry``."""
+    return [(slice(*entry.searchsorted((j, j + 1))), grid[j][0]) for j in dict.fromkeys(entry.tolist())]
 
 
-@functools.lru_cache(maxsize=1024)
-def _freeze_preimage(steps: tuple, frozen_at: int, tol: float, n_sites: int) -> float:
-    """A lower bound on s_min / s_max of Z for a chain that Newton-Schulz froze at step ``frozen_at``.
+def _singular_ratio_bound(g: np.ndarray) -> np.ndarray:
+    """A proven lower bound on s_min / s_max of Z for each chain of an (M, N) stack, in O(N) per chain.
 
-    ``steps`` are the (c_I, c_E) of its schedule, then plain steps (1, -1/2),
-    and its freeze test held max|X^T X - I| to ``tol``.  A step maps a
-    singular value s to f(s) = s (c_I + c_E (s^2 - 1)) = p(alpha s), which
-    rises on [0, 1/alpha] to 1 and stays positive up to sqrt(3)/alpha > 1, so
-    s_min(f(X)) <= h(s_min(X)) with h(s) = f(min(s, 1/alpha)) nondecreasing.
-    A computed step lies within r = 4 N^2 eps of f(X) in 2-norm: the Gram and
-    X (c_I I + c_E E) are each off by gamma_N N times their factors' norms
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, SIAM 2002,
-    sec. 3.5), with |X|_2 <= 1 + r and |c_E|, |c_I I + c_E E|_2 <= 3^(3/2)/2;
-    scaling E adds eps N |c_E|, and r leaves room to evaluate H in double.
-    So s_min(X_k) <= H(s_min(X_0)), H the composite of the maps h + r.  The
-    exact max|X_k^T X_k - I| is within gamma_N (1 + max|E|) + eps/2 <= N eps
-    of the tested one, so s_min(X_k) >= sqrt(1 - N (tol + N eps)), and
-    s_min(X_0) exceeds every s that H maps below that: a bisection finds the
-    largest.  Less eps for rounding X_0 = Z / (max g + 1), it bounds
-    s_min / s_max of Z, as |Z|_2 <= max g + 1.
+    |Z^-1|_{c+m, c} = (h_c ... h_{c+m}) / (1 + P), h = 1/g, P the product of
+    all h, indices mod N: with G_t = g_0 ... g_{t-1}, column c sums to G_c
+    (G_N sum_{c<t<=N} 1/G_t + sum_{0<t<=c} 1/G_t) / (G_N + 1), in logs unless
+    N l <= 230, l = max|log g|, and the rows are the columns for the reversed
+    fields (Z^T reindexed).  s_min >= 1 / sqrt(|Z^-1|_1 |Z^-1|_oo) (Golub &
+    Van Loan, *Matrix Computations*, sec. 2.3) and s_max <= max g + 1; on a
+    gapped chain every sum is at most 1 / (g_min - 1) or 1 / (1 - g_max), so
+    the bound is not below Weyl's.  With log, exp and log1p within 4 ulps,
+    sums of logs are off by (4 + N/2) N l eps and sums over them add (N/2) eps
+    (N l + log N) + 6 N eps: the result is lowered by 3 N (N + 10)(1 + l) eps.
     """
-    eps = np.finfo(float).eps
-    target, slack = math.sqrt(1.0 - n_sites * (tol + n_sites * eps)), 4.0 * n_sites**2 * eps
-    maps = [steps[i] if i < len(steps) else (1.0, -0.5) for i in range(frozen_at)]
-
-    def image(s: float) -> float:
-        for c_i, c_e in maps:
-            s = min(s, math.sqrt((c_e - c_i) / (3.0 * c_e)))  # the peak of f, 1/alpha
-            s = s * (c_i + c_e * (s * s - 1.0)) + slack
-        return s
-
-    lo, hi = 0.0, 1.0
-    for _ in range(53):  # to the last bit below 1
-        lo, hi = (mid, hi) if image(mid := 0.5 * (lo + hi)) < target else (lo, mid)
-    return lo - eps
+    m, n = g.shape
+    top = g.max(axis=1)
+    reach = np.log(np.maximum(top, 1.0 / g.min(axis=1)))  # l: every |log G_t| <= N l
+    direct = n * reach <= 230.0  # no product of three G_t, nor N of those summed, leaves the normal range
+    log_norm = np.empty((2, m))  # log of the largest column sum, of the chains and of them reversed
+    for side, chains in enumerate((g, g[:, ::-1])):
+        if direct.any():
+            products = np.ones((n + 1, np.count_nonzero(direct)))  # G_t, one chain per column
+            np.cumprod(chains[direct].T, axis=0, out=products[1:])
+            after = 1.0 / products[1:]  # 1/G_t, t = 1..N, summed in place from the end below
+            before = np.zeros_like(after)
+            np.cumsum(after[:-1], axis=0, out=before[1:])
+            np.cumsum(after[::-1], axis=0, out=after[::-1])
+            after *= products[-1]
+            after += before
+            after *= products[:-1]
+            log_norm[side, direct] = np.log(after.max(axis=0) / (products[-1] + 1.0))
+        if not direct.all():
+            falling = np.zeros((n + 1, np.count_nonzero(~direct)))  # -log G_t
+            np.cumsum(-np.log(chains[~direct].T), axis=0, out=falling[1:])
+            before = np.full((n, falling.shape[1]), -np.inf)
+            np.logaddexp.accumulate(falling[1:-1], axis=0, out=before[1:])
+            after = np.logaddexp.accumulate(falling[:0:-1], axis=0)[::-1] - falling[-1]
+            log_norm[side, ~direct] = (np.logaddexp(after, before) - falling[:-1] - np.logaddexp(0.0, -falling[-1])).max(axis=0)
+    margin = 3.0 * n * (n + 10) * (1.0 + reach) * np.finfo(float).eps
+    return np.exp(-0.5 * log_norm.sum(axis=0)) / (top + 1.0) * (1.0 - margin)
 
 
 def chain_matrix(couplings) -> np.ndarray:
@@ -427,10 +434,9 @@ class ChainOverlap:
     SVD.  Only the SVD runs once per chain; every other step, the band
     route's eigensolver among them, is one numpy operation over the stack.
     Each chain takes the route, and gets the value, that it would alone,
-    whatever stack it is scored in.  The constructor checks the
-    length and allocates scratch for one chain, which grows to the largest
-    stack a call has scored, so a fresh object for one chain is cheap too; it
-    calls no LAPACK.
+    whatever stack it is scored in.  The constructor checks the length and
+    allocates scratch for one chain, growing to the largest stack a call has
+    scored, so a fresh object for one chain is cheap and calls no LAPACK.
 
     Every check applies to every chain of a stack: field validation, a
     solver failure (NumericsError), the band route's gate and floor,
@@ -440,10 +446,8 @@ class ChainOverlap:
     ``band_chains`` (which include the SVD's, ``svd_fallbacks``), whose sum
     is ``evaluations``.  It records the most steps a converged Newton-Schulz
     chain took (``max_newton_schulz_steps``), the worst orthogonality defect
-    max|W^T W - I| (``max_defect``), and a lower bound on the smallest
-    s_min / s_max of Z (``singular_ratio_bound``): the ratio itself on the
-    band route and the SVD, and on Newton-Schulz the larger of the Weyl
-    bound and what the chain's convergence proves (``_freeze_preimage``).
+    max|W^T W - I| (``max_defect``), and a proven lower bound on the smallest
+    s_min / s_max of Z (``singular_ratio_bound``), from the fields alone.
     The scratch is reused, so one object must not be shared between threads.
     """
 
@@ -474,10 +478,11 @@ class ChainOverlap:
         )
 
     def _fields(self, couplings) -> np.ndarray:
-        """Validated fields as an (M, N) stack."""
+        """Validated fields as an (M, N) stack, by which singular_ratio_bound is lowered once per call."""
         g = as_couplings(couplings, stacked=True)
         if g.shape[1] != self.n_sites:
             raise ValueError(f"expected {self.n_sites} couplings, got {g.shape[1]}")
+        self.singular_ratio_bound = float(_singular_ratio_bound(g).min(initial=self.singular_ratio_bound))
         return g
 
     def polar(self, couplings) -> np.ndarray:
@@ -542,10 +547,8 @@ class ChainOverlap:
         (sqrt(N) eps if it is gapped), far inside UNITARITY_TOL, leaves the
         iteration with X as its W and that max|E| as its defect; the rest go
         on compacted in the scratch, so every chain takes the same steps
-        wherever it is scored.  Each chain that leaves is counted and lowers
-        singular_ratio_bound to its ``_freeze_preimage`` or, if larger, to
-        ``low`` less 4 eps relative, the three roundings of that quotient.
-        Chains still iterating after NEWTON_SCHULZ_STEPS steps are returned.
+        wherever it is scored.  Each chain that leaves is counted; those still
+        iterating after NEWTON_SCHULZ_STEPS steps are returned.
         """
         ends, schedules = _schedule_grid(NEWTON_SCHULZ_FLOOR)
         entry = np.searchsorted(ends, low[rows], side="right")
@@ -557,6 +560,7 @@ class ChainOverlap:
         np.divide(self._bonds, top[rows, None, None] + 1.0, out=x)
         x.reshape(a, n * n)[:, :: n + 1] = g[rows] / (top[rows, None] + 1.0)
         tol, gapped_tol = (NEWTON_SCHULZ_TOL * size * np.finfo(float).eps for size in (n, math.sqrt(n)))
+        checks = np.array([check for _, check in schedules])
         for step in range(NEWTON_SCHULZ_STEPS + 1):
             if a == 0:
                 break
@@ -565,16 +569,9 @@ class ChainOverlap:
             left = (spare if n < SHARED_GRAM_SITES else x)[:a]
             e = np.matmul(left.transpose(0, 2, 1), x[:a], out=self._gram[:a])
             self._gram_diagonal[:a] -= 1.0
-            if step >= min(check for _, _, check, _ in groups):
+            if step >= checks[entry].min():
                 defect = np.abs(e, out=self._r[:a]).max(axis=(1, 2))
-                done = np.zeros(a, dtype=bool)
-                for chains, steps, check, gapped in groups:
-                    limit = gapped_tol if gapped else tol
-                    done[chains] = froze = (step >= check) & (defect[chains] <= limit)
-                    if froze.any():
-                        weyl = float(low[rows[chains][froze]].min()) * (1.0 - 4.0 * np.finfo(float).eps)
-                        proved = _freeze_preimage(steps, step, limit, n)
-                        self.singular_ratio_bound = min(self.singular_ratio_bound, max(weyl, proved))
+                done = (step >= checks[entry]) & (defect <= np.where(entry > 0, gapped_tol, tol))
                 if done.any():
                     w[rows[done]] = x[:a][done]
                     self.newton_schulz_chains += int(done.sum())
@@ -587,7 +584,7 @@ class ChainOverlap:
                     e = e[:a]
                 if step == NEWTON_SCHULZ_STEPS or a == 0:
                     break
-            for chains, steps, *_ in groups:
+            for chains, steps in groups:
                 c_i, c_e = steps[step] if step < len(steps) else (1.0, -0.5)
                 e[chains] *= c_e
                 self._gram_diagonal[chains] += c_i
@@ -603,7 +600,6 @@ class ChainOverlap:
         NumericsError; Y = Z V and its column norms d; Q = Y / d and
         E = Q^T Q - I; the gate (max|E| <= BAND_GATE and d_min above the
         floor); and W = Q (I - T) V^T with T_ij = d_i E_ij / (d_i + d_j).
-        The chains the gate passes lower singular_ratio_bound to d_min / d_max.
         """
         k, n = g.shape
         # Z^T Z: g_j^2 + 1 on the diagonal, -g_{j+1} at (j, j+1) and (j+1, j), g_0 in the corners
@@ -623,8 +619,7 @@ class ChainOverlap:
         y[:, 1:] -= v[:, :-1]
         y[:, 0] += v[:, -1]
         d = np.sqrt(np.einsum("kij,kij->kj", y, y))
-        d_min, d_max = d.min(axis=1), d.max(axis=1)
-        fallback = ~(d_min > self._floor * d_max)
+        fallback = ~(d.min(axis=1) > self._floor * d.max(axis=1))
         if fallback.any():
             # chains that will not use Y: Q = 0 keeps every step below finite
             d[fallback] = 1.0
@@ -633,8 +628,6 @@ class ChainOverlap:
         e = np.matmul(q.transpose(0, 2, 1), q, out=self._gram[:k])
         self._gram_diagonal[:k] -= 1.0
         fallback |= ~(np.abs(e, out=self._r[:k]).max(axis=(1, 2)) <= BAND_GATE)
-        passed = float((d_min / d_max)[~fallback].min(initial=1.0))
-        self.singular_ratio_bound = min(self.singular_ratio_bound, passed)
         weight = np.add(d[:, :, None], d[:, None, :], out=self._r[:k])
         np.divide(-d[:, :, None], weight, out=weight)
         correction = np.multiply(e, weight, out=weight)
@@ -645,17 +638,14 @@ class ChainOverlap:
     def _svd_polar(self, g: np.ndarray, w: np.ndarray) -> None:
         """W = U V^T into w from numpy's SVD of Z, with the s_min floor and the det Z orientation.
 
-        A solver failure is a NumericsError.  The chain lowers
-        singular_ratio_bound to s_min / s_max.  Where s_min is below the floor,
+        A solver failure is a NumericsError.  Where s_min is below the floor,
         a second such singular value raises, and otherwise the last column of
         U is flipped if det U det V^T < 0.
         """
         try:
             u, s, vt = np.linalg.svd(chain_matrix(g))
         except np.linalg.LinAlgError as error:
-            n = self.n_sites
-            raise NumericsError(f"SVD failed on a {n} x {n} chain matrix ({error})") from error
-        self.singular_ratio_bound = min(self.singular_ratio_bound, float(s[-1] / s[0]))
+            raise NumericsError(f"SVD failed on a {self.n_sites}-site chain ({error})") from error
         floor = self._floor * s[0]
         if s[-1] <= floor:
             if s[-2] <= floor:

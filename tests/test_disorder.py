@@ -247,10 +247,8 @@ def _assert_run_matches_per_sample_route(ens, n_samples):
         alone = ff.ChainOverlap(ens.n_sites)
         alone(g)
         bounds.append(alone.singular_ratio_bound)
-        # a proven lower bound, and the ratio itself off Newton-Schulz
-        assert 0.0 < bounds[-1] <= ratios[-1] * (1.0 + 1e-12)
-        if alone.band_chains:
-            assert bounds[-1] == pytest.approx(ratios[-1], rel=1e-10)
+        # a proven lower bound, from the fields alone
+        assert 0.0 < bounds[-1] == ff._singular_ratio_bound(g[None])[0] <= ratios[-1] * (1.0 + 1e-12)
     assert result.n_samples == n_samples
     assert result.n_redraws == redraws
     assert result.mean_utility == pytest.approx(np.mean(utilities), rel=1e-12, abs=0.0)
@@ -323,7 +321,7 @@ def test_run_reports_its_overlap_routes(band_route, caplog):
     assert first.endswith(", 45 by Newton-Schulz (at most %d steps), 0 by the band route, 0 SVD fallbacks" % steps)
     assert second.endswith(", 0 by Newton-Schulz (at most 0 steps), 45 by the band route, 0 SVD fallbacks")
     assert newton.mean_utility == pytest.approx(band.mean_utility, rel=0.0, abs=1e-12)
-    assert band.singular_ratio_bound / 5.0 <= newton.singular_ratio_bound <= band.singular_ratio_bound * (1.0 + 1e-12)
+    assert newton.singular_ratio_bound == band.singular_ratio_bound
     assert 0.0 < newton.max_orthogonality_defect <= ff.NEWTON_SCHULZ_TOL * 40 * np.finfo(float).eps
     assert (newton.svd_fallbacks, newton.n_redraws) == (band.svd_fallbacks, band.n_redraws)
 
@@ -333,13 +331,28 @@ def test_run_counts_svd_fallbacks(monkeypatch, band_only, caplog):
     ens = dis.uniform_iid(1.6, 2.0, 12)
     with caplog.at_level("DEBUG", logger="parity_ising"):
         banded = dis.expected_utility(ens, 40, seed=8)
-    assert banded.svd_fallbacks == 0
-    assert caplog.records[-1].getMessage().endswith(", 0 SVD fallbacks")
-    monkeypatch.setattr(ff, "BAND_GATE", -1.0)
-    dense = dis.expected_utility(ens, 40, seed=8)
-    assert dense.svd_fallbacks == 40
+        assert caplog.records[-1].getMessage().endswith(", 40 by the band route, 0 SVD fallbacks")
+        monkeypatch.setattr(ff, "BAND_GATE", -1.0)
+        dense = dis.expected_utility(ens, 40, seed=8)
+        # each sample counted once, by the route that gave its polar factor
+        assert caplog.records[-1].getMessage().endswith(", 0 by the band route, 40 SVD fallbacks")
+    assert (banded.svd_fallbacks, dense.svd_fallbacks) == (0, 40)
     assert dense.mean_utility == pytest.approx(banded.mean_utility, rel=1e-12, abs=0.0)
-    assert dense.singular_ratio_bound == pytest.approx(banded.singular_ratio_bound, rel=1e-10)
+    assert dense.singular_ratio_bound == banded.singular_ratio_bound
+
+
+def test_run_ratio_bound_is_the_closed_form_over_its_draws(monkeypatch, band_route):
+    """Newton-Schulz, the band route and the SVD report one bound: the least closed-form bound over the run's draws."""
+    ens = dis.uniform_iid(1.6, 2.0, 40)
+    draws = np.array([dis.sample_couplings(ens, 8, i)[0] for i in range(45)])
+    newton = dis.expected_utility(ens, 45, seed=8)
+    with band_route():
+        band = dis.expected_utility(ens, 45, seed=8)
+        monkeypatch.setattr(ff, "BAND_GATE", -1.0)
+        dense = dis.expected_utility(ens, 45, seed=8)
+    assert (newton.svd_fallbacks, band.svd_fallbacks, dense.svd_fallbacks) == (0, 0, 45)
+    bound = float(ff._singular_ratio_bound(draws).min())
+    assert newton.singular_ratio_bound == band.singular_ratio_bound == dense.singular_ratio_bound == bound
 
 
 def test_redraws_are_counted():
