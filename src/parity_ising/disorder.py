@@ -26,10 +26,9 @@ other policy.  In the parameter regimes of interest a violation is many
 standard deviations out, so the truncation bias is far below statistical
 resolution.
 A run uses every sample: for positive fields the GHZ overlap is positive, and
-the kernel raises where it is not.  It reports its positivity redraws, and the
+the kernel raises where it is not.  It reports its positivity redraws, the
 worst orthogonality defect and the number of dense-SVD fallbacks of its overlap
-kernel, with a proven lower bound on the smallest singular-value ratio of its
-draws that depends on their fields alone.
+kernel, and a lower bound on the smallest singular-value ratio of its draws.
 """
 
 import logging
@@ -41,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericsError
-from .free_fermion import STACK_ENTRIES, ChainOverlap, _check_couplings, _check_length
+from .free_fermion import STACK_ENTRIES, ChainOverlap, _check_couplings, _check_length, _singular_ratio_bound
 from .parity_game import utility_clean, utility_from_log_overlap
 from .perturbation import (
     CovarianceMatrix,
@@ -240,11 +239,11 @@ class MonteCarloResult:
     shift (u(g) - u(g_bar)) / N over `n_samples` values, with outliers
     clipped into the edge bins.  `max_orthogonality_defect`
     (worst max|W^T W - I|) and `singular_ratio_bound` (a proven lower bound
-    on the smallest s_min / s_max of the chain matrices, from the closed form
-    of Z^-1, the same on every route) report the numerics of the
-    overlap kernel, and `svd_fallbacks` counts the samples it scored by the
-    dense SVD, past Newton-Schulz and the band route; all three are None when
-    no sample needed the kernel.
+    on the smallest s_min / s_max of the chain matrices, from the fields
+    alone, whatever route scored them) report the numerics of the overlap
+    kernel, and `svd_fallbacks` counts the samples it scored by the dense
+    SVD, past Newton-Schulz and the band route; all three are None when no
+    sample needed the kernel.
     """
 
     n_samples: int
@@ -285,25 +284,24 @@ def expected_utility(
 
     Draws `n_samples` coupling realizations from per-sample streams and
     evaluates the exact utility of each.  The run keeps one re-keyed
-    generator and one ``ChainOverlap``.  It draws the samples of as many
-    whole kernel stacks as fill about STACK_ENTRIES // N rows (800 samples
-    at N = 40, at most 256 KiB of fields), in index order with each
-    sample's own redraws, and scores them in one kernel call, which works
-    through them stack by stack and bounds the singular-value ratio of all
-    of them at once.  The kernel scores each chain as it would alone, so the
-    same (ensemble, seed) gives the same draws and values as the per-sample
-    route ``sample_couplings`` -> ``ghz_log_overlap_squared``.  Where every
-    draw is a uniform chain (``gaussian_perfect``, or sigma = 0) the run
-    only collects each sample's coupling, and one ``utility_clean`` call
-    scores them all, each value equal to the per-sample call bit for bit.
-    Every sample enters the moments; a zero or non-finite overlap raises
-    NumericsError from the kernel.  The clean value u(g_bar) is reported
-    alongside for shift and histogram construction.  One DEBUG record on the
-    ``parity_ising.disorder`` logger gives the run's sample and redraw
-    counts, its seconds split into drawing and scoring, its evaluations per
-    second, the kernel's stack size, and the chains it scored by
-    Newton-Schulz (with the most steps one took), by the band route and by
-    the SVD fallback, each chain counted once.
+    generator and one ``ChainOverlap``: it draws max(1, STACK_ENTRIES // N)
+    samples at a time (819 at N = 40, 256 KiB of fields), in index order
+    with each sample's own redraws, scores them in one kernel call, which
+    works through them stack by stack, and bounds their singular-value
+    ratios by ``free_fermion._singular_ratio_bound``.  The kernel scores
+    each chain as it would alone, so the same (ensemble, seed) gives the
+    same draws and values as the per-sample route ``sample_couplings`` ->
+    ``ghz_log_overlap_squared``.  Where every draw is a uniform chain
+    (``gaussian_perfect``, or sigma = 0) the run only collects each
+    sample's coupling, and one ``utility_clean`` call scores them all, each
+    value equal to the per-sample call bit for bit.  Every sample enters
+    the moments; a zero or non-finite overlap raises NumericsError from the
+    kernel.  The clean value u(g_bar) is reported alongside for shift and
+    histogram construction.  One DEBUG record on the ``parity_ising.disorder``
+    logger gives the run's sample and redraw counts, its seconds split into
+    drawing and scoring, its evaluations per second, the kernel's stack
+    size, and the chains it scored by Newton-Schulz (with the most steps one
+    took), by the band route and by the SVD fallback, each counted once.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -317,9 +315,9 @@ def expected_utility(
     # Covers sigma = 0 for every kind, making E[u] = u(g_bar) bit-exact there.
     uniform = ensemble.kind == "gaussian_perfect" or ensemble.sigma == 0.0
     utilities = np.empty(n_samples)
-    stacks = max(1, STACK_ENTRIES // (ensemble.n_sites * overlap.stack))  # per kernel call
-    fields = np.empty((stacks * overlap.stack, ensemble.n_sites))
+    fields = np.empty((max(1, STACK_ENTRIES // ensemble.n_sites), ensemble.n_sites))
     n_redraws = 0
+    ratio_bound = 1.0
     draw_s = score_s = 0.0
     for start in range(0, n_samples, len(fields)):
         batch = fields[: min(len(fields), n_samples - start)]
@@ -333,6 +331,7 @@ def expected_utility(
             utilities[start : start + len(batch)] = batch[:, 0]
         else:
             utilities[start : start + len(batch)] = utility_from_log_overlap(overlap(batch), ensemble.n_sites)
+            ratio_bound = min(ratio_bound, float(_singular_ratio_bound(batch).min()))
             score_s += time.perf_counter() - scored
     if uniform:
         scored = time.perf_counter()
@@ -364,7 +363,7 @@ def expected_utility(
         n_redraws=n_redraws,
         seed=seed,
         max_orthogonality_defect=overlap.max_defect if measured else None,
-        singular_ratio_bound=overlap.singular_ratio_bound if measured else None,
+        singular_ratio_bound=ratio_bound if measured else None,
         svd_fallbacks=overlap.svd_fallbacks if measured else None,
     )
 

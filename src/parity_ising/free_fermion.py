@@ -67,7 +67,7 @@ chain's W by one of three routes:
   det U det V^T < 0.  Two unresolved singular values (separate
   ferromagnetic domains) raise.
 
-All three routes are numpy's alone and share one closed-form bound on s_min / s_max.
+All three routes are numpy's; no part of scipy is used.
 
 Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
@@ -373,15 +373,17 @@ def _singular_ratio_bound(g: np.ndarray) -> np.ndarray:
     (G_N sum_{c<t<=N} 1/G_t + sum_{0<t<=c} 1/G_t) / (G_N + 1), in logs unless
     N l <= 230, l = max|log g|, and the rows are the columns for the reversed
     fields (Z^T reindexed).  s_min >= 1 / sqrt(|Z^-1|_1 |Z^-1|_oo) (Golub &
-    Van Loan, *Matrix Computations*, sec. 2.3) and s_max <= max g + 1; on a
-    gapped chain every sum is at most 1 / (g_min - 1) or 1 / (1 - g_max), so
-    the bound is not below Weyl's.  With log, exp and log1p within 4 ulps,
-    sums of logs are off by (4 + N/2) N l eps and sums over them add (N/2) eps
-    (N l + log N) + 6 N eps: the result is lowered by 3 N (N + 10)(1 + l) eps.
+    Van Loan, *Matrix Computations*, sec. 2.3) and s_max <= max g + 1.  With
+    log, exp and log1p within 4 ulps, sums of logs are off by (4 + N/2) N l
+    eps and sums over them add (N/2) eps (N l + log N) + 6 N eps: the result
+    is lowered by 3 N (N + 10)(1 + l) eps.  Before rounding it is never below
+    Weyl's bound max(g_min - 1, 1 - g_max) / (max g + 1), as on a gapped chain
+    each sum is at most 1 / (g_min - 1) or 1 / (1 - g_max); Weyl's, less 4 eps
+    for its three roundings, is taken where the margin pulls the result below.
     """
     m, n = g.shape
     top = g.max(axis=1)
-    reach = np.log(np.maximum(top, 1.0 / g.min(axis=1)))  # l: every |log G_t| <= N l
+    reach = np.maximum(np.log(top), -np.log(g.min(axis=1)))  # l: every |log G_t| <= N l
     direct = n * reach <= 230.0  # no product of three G_t, nor N of those summed, leaves the normal range
     log_norm = np.empty((2, m))  # log of the largest column sum, of the chains and of them reversed
     for side, chains in enumerate((g, g[:, ::-1])):
@@ -403,8 +405,10 @@ def _singular_ratio_bound(g: np.ndarray) -> np.ndarray:
             np.logaddexp.accumulate(falling[1:-1], axis=0, out=before[1:])
             after = np.logaddexp.accumulate(falling[:0:-1], axis=0)[::-1] - falling[-1]
             log_norm[side, ~direct] = (np.logaddexp(after, before) - falling[:-1] - np.logaddexp(0.0, -falling[-1])).max(axis=0)
-    margin = 3.0 * n * (n + 10) * (1.0 + reach) * np.finfo(float).eps
-    return np.exp(-0.5 * log_norm.sum(axis=0)) / (top + 1.0) * (1.0 - margin)
+    eps = np.finfo(float).eps
+    weyl = np.maximum(g.min(axis=1) - 1.0, 1.0 - top) / (top + 1.0) * (1.0 - 4.0 * eps)
+    closed = np.exp(-0.5 * log_norm.sum(axis=0)) / (top + 1.0) * (1.0 - 3.0 * n * (n + 10) * (1.0 + reach) * eps)
+    return np.maximum(closed, weyl)
 
 
 def chain_matrix(couplings) -> np.ndarray:
@@ -445,9 +449,8 @@ class ChainOverlap:
     object counts its chains by route, ``newton_schulz_chains`` and
     ``band_chains`` (which include the SVD's, ``svd_fallbacks``), whose sum
     is ``evaluations``.  It records the most steps a converged Newton-Schulz
-    chain took (``max_newton_schulz_steps``), the worst orthogonality defect
-    max|W^T W - I| (``max_defect``), and a proven lower bound on the smallest
-    s_min / s_max of Z (``singular_ratio_bound``), from the fields alone.
+    chain took (``max_newton_schulz_steps``) and the worst orthogonality
+    defect max|W^T W - I| (``max_defect``).
     The scratch is reused, so one object must not be shared between threads.
     """
 
@@ -460,7 +463,7 @@ class ChainOverlap:
         self._bonds = _bonds(n_sites)
         self._allocate(1)
         self.newton_schulz_chains = self.max_newton_schulz_steps = self.band_chains = self.svd_fallbacks = 0
-        self.max_defect, self.singular_ratio_bound = 0.0, 1.0
+        self.max_defect = 0.0
 
     @property
     def evaluations(self) -> int:
@@ -478,11 +481,10 @@ class ChainOverlap:
         )
 
     def _fields(self, couplings) -> np.ndarray:
-        """Validated fields as an (M, N) stack, by which singular_ratio_bound is lowered once per call."""
+        """Validated fields as an (M, N) stack."""
         g = as_couplings(couplings, stacked=True)
         if g.shape[1] != self.n_sites:
             raise ValueError(f"expected {self.n_sites} couplings, got {g.shape[1]}")
-        self.singular_ratio_bound = float(_singular_ratio_bound(g).min(initial=self.singular_ratio_bound))
         return g
 
     def polar(self, couplings) -> np.ndarray:

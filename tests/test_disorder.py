@@ -244,11 +244,8 @@ def _assert_run_matches_per_sample_route(ens, n_samples):
         utilities.append(pg.utility_from_log_overlap(ff.ghz_log_overlap_squared(g), ens.n_sites))
         s = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
         ratios.append(s[-1] / s[0])
-        alone = ff.ChainOverlap(ens.n_sites)
-        alone(g)
-        bounds.append(alone.singular_ratio_bound)
-        # a proven lower bound, from the fields alone
-        assert 0.0 < bounds[-1] == ff._singular_ratio_bound(g[None])[0] <= ratios[-1] * (1.0 + 1e-12)
+        bounds.append(ff._singular_ratio_bound(g[None])[0])
+        assert 0.0 < bounds[-1] <= ratios[-1] * (1.0 + 1e-12)  # a proven lower bound, from the fields alone
     assert result.n_samples == n_samples
     assert result.n_redraws == redraws
     assert result.mean_utility == pytest.approx(np.mean(utilities), rel=1e-12, abs=0.0)
@@ -345,6 +342,7 @@ def test_run_ratio_bound_is_the_closed_form_over_its_draws(monkeypatch, band_rou
     """Newton-Schulz, the band route and the SVD report one bound: the least closed-form bound over the run's draws."""
     ens = dis.uniform_iid(1.6, 2.0, 40)
     draws = np.array([dis.sample_couplings(ens, 8, i)[0] for i in range(45)])
+    monkeypatch.setattr(dis, "STACK_ENTRIES", 400)  # ten draws at a time, so the run takes the least over five
     newton = dis.expected_utility(ens, 45, seed=8)
     with band_route():
         band = dis.expected_utility(ens, 45, seed=8)

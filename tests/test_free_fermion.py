@@ -357,8 +357,6 @@ def test_unresolved_singular_pair_is_oriented_by_det_z(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", flipped_zero_mode)
     kernel = ff.ChainOverlap(g.size)
     assert kernel(g) == pytest.approx(expected, rel=1e-12)
-    # the bound comes from the fields alone, so the zeroed singular value leaves it as it is
-    assert kernel.singular_ratio_bound == ff._singular_ratio_bound(g[None])[0] > 0.0
 
 
 @pytest.mark.parametrize("spoil", ["zero", "nan"])
@@ -408,9 +406,10 @@ def test_stack_scores_each_chain_as_it_scores_alone(band_only, n):
     np.testing.assert_array_equal(values, [alone(g) for g in chains])
     np.testing.assert_array_equal(values, [ff.ghz_log_overlap_squared(g) for g in chains])
     assert np.isfinite(values).all()
-    for counter in ("evaluations", "svd_fallbacks", "max_defect", "singular_ratio_bound"):
+    for counter in ("evaluations", "svd_fallbacks", "max_defect"):
         assert getattr(stacked, counter) == getattr(alone, counter)
     assert stacked.evaluations == 37 and stacked.svd_fallbacks >= 1
+    np.testing.assert_array_equal(ff._singular_ratio_bound(chains), [ff._singular_ratio_bound(g[None])[0] for g in chains])
 
 
 def test_one_failing_chain_raises_for_its_whole_stack(monkeypatch, band_only):
@@ -452,21 +451,14 @@ def test_kernel_reuse_matches_one_shot_calls():
     rng = np.random.default_rng(3)
     kernel = ff.ChainOverlap(12)
     draws = [rng.uniform(0.2, 3.0, 12) for _ in range(20)]
-    bounds = []
     for g in draws:
         assert kernel(g) == ff.ghz_log_overlap_squared(g)
-        alone = ff.ChainOverlap(12)
-        alone(g)
-        bounds.append(alone.singular_ratio_bound)
-    fresh = ff.ChainOverlap(12)
-    np.testing.assert_array_equal(kernel.polar(draws[0]), fresh.polar(draws[0]))
-    assert fresh.singular_ratio_bound == bounds[0]  # a polar call lowers the bound too
+    np.testing.assert_array_equal(kernel.polar(draws[0]), ff.ChainOverlap(12).polar(draws[0]))
     assert kernel.evaluations == 21
     assert 0.0 < kernel.max_defect <= ff.UNITARITY_TOL
-    for g, bound in zip(draws, bounds):
+    for g, bound in zip(draws, ff._singular_ratio_bound(np.array(draws))):
         s = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
         assert 0.0 < bound <= s[-1] / s[0] * (1.0 + 1e-12)
-    assert kernel.singular_ratio_bound == min(bounds)
     for wrong_shape in (np.ones(10), np.ones((2, 10)), np.ones((2, 2, 12))):
         with pytest.raises(ValueError):
             kernel(wrong_shape)
@@ -492,7 +484,7 @@ def test_heavy_tailed_fields_match_dense_oracle():
         g = np.array([1.0 / contrast] * weak + [contrast] * (n - weak))
         kernel = ff.ChainOverlap(n)
         log_o = kernel(g)
-        assert kernel.singular_ratio_bound <= n * np.finfo(float).eps
+        assert ff._singular_ratio_bound(g[None])[0] <= n * np.finfo(float).eps
         dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
         assert log_o == pytest.approx(np.log(dense_plus), rel=1e-9)
     rng = np.random.default_rng(0)
@@ -652,7 +644,7 @@ def test_svd_dispatch_keeps_stack_order_on_the_band_route(band_only):
     assert np.isfinite(values).all()
     counters = (
         "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "band_chains",
-        "svd_fallbacks", "max_defect", "singular_ratio_bound",
+        "svd_fallbacks", "max_defect",
     )
     for counter in counters:
         assert getattr(stacked, counter) == getattr(alone, counter)
@@ -709,9 +701,9 @@ def _conditioning_sweep(n):
 def test_newton_schulz_matches_band_and_svd_across_conditioning(band_route, n):
     """Chain by chain, log o+ by Newton-Schulz, the band route and numpy's SVD agree.
 
-    Both report the same bound on s_min / s_max, at most numpy's.  A chain
-    that Newton-Schulz hands on takes the band route, and gives exactly what
-    the band route gives alone.
+    The bound on s_min / s_max is at most numpy's.  A chain that
+    Newton-Schulz hands on takes the band route, and gives exactly what the
+    band route gives alone.
     """
     handed_on = 0
     for g in _conditioning_sweep(n):
@@ -719,14 +711,14 @@ def test_newton_schulz_matches_band_and_svd_across_conditioning(band_route, n):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             log_o = newton(g)
+            bound = ff._singular_ratio_bound(g[None])[0]
         band = ff.ChainOverlap(n)
         with band_route():
             band_log_o = band(g)
         assert band_log_o == pytest.approx(log_o, rel=0.0, abs=1e-12)
         assert (band.newton_schulz_chains, band.band_chains) == (0, 1)
         assert newton.newton_schulz_chains + newton.band_chains == newton.evaluations == 1
-        assert newton.singular_ratio_bound == band.singular_ratio_bound
-        assert 0.0 < band.singular_ratio_bound <= _singular_ratio(g) * (1.0 + 1e-12)
+        assert 0.0 < bound <= _singular_ratio(g) * (1.0 + 1e-12)
         if newton.band_chains:
             handed_on += 1
             assert log_o == band_log_o
@@ -755,7 +747,7 @@ def test_newton_schulz_stack_scores_each_chain_as_it_scores_alone(n):
     np.testing.assert_array_equal(stacked(chains), values)
     counters = (
         "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "band_chains",
-        "svd_fallbacks", "max_defect", "singular_ratio_bound",
+        "svd_fallbacks", "max_defect",
     )
     for counter in counters:
         assert getattr(stacked, counter) == getattr(alone, counter)
@@ -765,7 +757,7 @@ def test_newton_schulz_stack_scores_each_chain_as_it_scores_alone(n):
 
 
 def test_newton_schulz_ratio_bound_needs_no_eigenvalues_or_factorization(monkeypatch):
-    """A one-chain call and whole sweeps bound s_min / s_max from below without eigvalsh or cholesky."""
+    """A one-chain call and whole sweeps score, and s_min / s_max is bounded from below, without eigvalsh or cholesky."""
     chain = 1.6 + 0.04 * np.random.default_rng(31).standard_normal(40)
     stacks = [_conditioning_sweep(40), _gapped_sweep(120)]
 
@@ -781,11 +773,10 @@ def test_newton_schulz_ratio_bound_needs_no_eigenvalues_or_factorization(monkeyp
     for kernel, chains in zip(kernels, stacks):
         kernel(chains)
         assert kernel.newton_schulz_chains >= 6
+    bounds = [ff._singular_ratio_bound(chains) for chains in (chain[None], *stacks)]
     monkeypatch.undo()
-    # every gapped chain took Newton-Schulz; the conditioning sweep's unresolved ones took the SVD
-    for kernel, chains in ((single, chain[None]), (kernels[1], stacks[1])):
-        s = np.linalg.svd([ff.chain_matrix(g) for g in chains], compute_uv=False)
-        assert 0.0 < kernel.singular_ratio_bound <= (s[:, -1] / s[:, 0]).min() * (1.0 + 1e-12)
+    for bound, chains in zip(bounds, (chain[None], *stacks)):
+        assert (0.0 < bound).all() and (bound <= [_singular_ratio(g) * (1.0 + 1e-12) for g in chains]).all()
 
 
 @pytest.mark.parametrize("n", WINDOW_LENGTHS)
@@ -805,9 +796,10 @@ def test_newton_schulz_window_hands_extreme_fields_on_without_overflow(n):
         assert (kernel.newton_schulz_chains, kernel.band_chains, kernel.svd_fallbacks) == (0, 2, 2)
         values = kernel(stack)
         expected = [ff.ghz_log_overlap_squared(g) for g in stack]
+        bounds = ff._singular_ratio_bound(stack)
     np.testing.assert_array_equal(values, expected)
     assert (kernel.newton_schulz_chains, kernel.band_chains, kernel.svd_fallbacks) == (1, 5, 5)
-    assert 0.0 < kernel.singular_ratio_bound <= min(map(_singular_ratio, stack)) * (1.0 + 1e-12)
+    assert (0.0 < bounds).all() and (bounds <= [_singular_ratio(g) * (1.0 + 1e-12) for g in stack]).all()
 
 
 def test_schedule_grid_closes_each_interval_as_fast_as_its_own_schedule():
@@ -838,7 +830,7 @@ def test_schedule_grid_closes_each_interval_as_fast_as_its_own_schedule():
 GAPPED_LENGTHS = (120, 200)
 COUNTERS = (
     "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "band_chains",
-    "svd_fallbacks", "max_defect", "singular_ratio_bound",
+    "svd_fallbacks", "max_defect",
 )
 
 
@@ -865,14 +857,15 @@ def test_gapped_chains_take_newton_schulz_and_match_band_and_svd(band_route, n):
     """Outside the window a gapped chain converges by Newton-Schulz and agrees with the band route and the SVD.
 
     log o+ to 1e-12, chain by chain, with a defect within the gapped
-    chains' tolerance, NEWTON_SCHULZ_TOL sqrt(N) eps, and the same bound on
-    s_min / s_max from both routes, at most numpy's.
+    chains' tolerance, NEWTON_SCHULZ_TOL sqrt(N) eps, and a bound on
+    s_min / s_max at most numpy's.
     """
     for g in _gapped_sweep(n):
         newton = ff.ChainOverlap(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             log_o = newton(g)
+            bound = ff._singular_ratio_bound(g[None])[0]
         band = ff.ChainOverlap(n)
         with band_route():
             band_log_o = band(g)
@@ -881,8 +874,7 @@ def test_gapped_chains_take_newton_schulz_and_match_band_and_svd(band_route, n):
         assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
         assert 0 < newton.max_newton_schulz_steps <= ff.NEWTON_SCHULZ_STEPS
         assert 0.0 < newton.max_defect <= ff.NEWTON_SCHULZ_TOL * math.sqrt(n) * np.finfo(float).eps
-        assert newton.singular_ratio_bound == band.singular_ratio_bound
-        assert 0.0 < newton.singular_ratio_bound <= _singular_ratio(g) * (1.0 + 1e-12)
+        assert 0.0 < bound <= _singular_ratio(g) * (1.0 + 1e-12)
 
 
 def _extreme_gapped_chains(n):
@@ -908,21 +900,23 @@ def test_gapped_stack_scores_each_chain_as_it_scores_alone(n):
 def test_gapped_extreme_fields_converge_without_overflow(n):
     """Fields of 1e-100 and 1e100 are gapped: Newton-Schulz takes them at step 0, with the limits of o+.
 
-    s_min / s_max rounds to 1 on all three chains, and the bound on it lies
-    within its rounding margin below 1, about 1e-8 for prefix sums of logs
-    this large.
+    s_min / s_max rounds to 1 on all three chains, and so does the bound on
+    it; the bound holds without overflow on subnormal fields too.
     """
     tiny, huge, too_large = _extreme_gapped_chains(n)
+    subnormal = np.array([np.full(n, 1e-310), np.array([1e-310] + [1.3] * (n - 1))])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         kernel = ff.ChainOverlap(n)
         assert kernel(tiny) == pytest.approx(0.0, abs=1e-12)
         assert kernel(huge) == pytest.approx((1 - n) * math.log(2.0), rel=1e-12)
         assert kernel(too_large) == pytest.approx(_svd_log_overlap(too_large), rel=1e-12)
+        bounds = ff._singular_ratio_bound(np.vstack((tiny, huge, too_large, subnormal)))
     assert (kernel.newton_schulz_chains, kernel.max_newton_schulz_steps) == (2, 0)
     assert (kernel.band_chains, kernel.svd_fallbacks) == (1, 1)
-    ratio = min(map(_singular_ratio, (tiny, huge, too_large)))
-    assert 1.0 - 1e-8 < kernel.singular_ratio_bound <= ratio * (1.0 + 1e-12)
+    assert bounds[:3].min() == pytest.approx(1.0, rel=1e-12)
+    ratios = [_singular_ratio(g) for g in (tiny, huge, too_large, *subnormal)]
+    assert (0.0 < bounds).all() and (bounds <= np.multiply(ratios, 1.0 + 1e-12)).all()
 
 
 @pytest.mark.parametrize("n", (40, 130))
