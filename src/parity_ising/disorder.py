@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericsError
-from .free_fermion import STACK_ENTRIES, ChainOverlap, _check_couplings, _check_length, _singular_ratio_bound
+from .free_fermion import STACK_ENTRIES, ChainOverlap, _check_couplings, _check_length
 from .parity_game import utility_clean, utility_from_log_overlap
 from .perturbation import (
     CovarianceMatrix,
@@ -286,9 +286,9 @@ def expected_utility(
     evaluates the exact utility of each.  The run keeps one re-keyed
     generator and one ``ChainOverlap``: it draws max(1, STACK_ENTRIES // N)
     samples at a time (819 at N = 40, 256 KiB of fields), in index order
-    with each sample's own redraws, scores them in one kernel call, which
-    works through them stack by stack, and bounds their singular-value
-    ratios by ``free_fermion._singular_ratio_bound``.  The kernel scores
+    with each sample's own redraws, and scores them in one kernel call,
+    which bounds their singular-value ratios once and works through them
+    stack by stack; the run reports the kernel's least bound.  The kernel scores
     each chain as it would alone, so the same (ensemble, seed) gives the
     same draws and values as the per-sample route ``sample_couplings`` ->
     ``ghz_log_overlap_squared``.  Where every draw is a uniform chain
@@ -300,7 +300,8 @@ def expected_utility(
     histogram construction.  One DEBUG record on the ``parity_ising.disorder``
     logger gives the run's sample and redraw counts, its seconds split into
     drawing and scoring, its evaluations per second, the kernel's stack
-    size, and the chains it scored by Newton-Schulz (with the most steps one
+    size, and the chains it scored by Newton-Schulz (with how many of its
+    chains were seeded by a Newton step, and the most Newton-Schulz steps one
     took), by the band route and by the SVD fallback, each counted once.
     """
     if n_samples < 1:
@@ -317,7 +318,6 @@ def expected_utility(
     utilities = np.empty(n_samples)
     fields = np.empty((max(1, STACK_ENTRIES // ensemble.n_sites), ensemble.n_sites))
     n_redraws = 0
-    ratio_bound = 1.0
     draw_s = score_s = 0.0
     for start in range(0, n_samples, len(fields)):
         batch = fields[: min(len(fields), n_samples - start)]
@@ -331,7 +331,6 @@ def expected_utility(
             utilities[start : start + len(batch)] = batch[:, 0]
         else:
             utilities[start : start + len(batch)] = utility_from_log_overlap(overlap(batch), ensemble.n_sites)
-            ratio_bound = min(ratio_bound, float(_singular_ratio_bound(batch).min()))
             score_s += time.perf_counter() - scored
     if uniform:
         scored = time.perf_counter()
@@ -346,10 +345,10 @@ def expected_utility(
     _log.debug(
         "expected_utility %s N=%d: %d samples, %d redraws, %.3f s "
         "(%.4f s drawing, %.4f s scoring), %.0f evaluations/s, stack %d, "
-        "%d by Newton-Schulz (at most %d steps), %d by the band route, %d SVD fallbacks",
+        "%d by Newton-Schulz (%d seeded, at most %d steps), %d by the band route, %d SVD fallbacks",
         ensemble.kind, ensemble.n_sites, n_samples, n_redraws,
         seconds, draw_s, score_s, n_samples / seconds, overlap.stack,
-        overlap.newton_schulz_chains, overlap.max_newton_schulz_steps,
+        overlap.newton_schulz_chains, overlap.newton_seeded_chains, overlap.max_newton_schulz_steps,
         overlap.band_chains - overlap.svd_fallbacks, overlap.svd_fallbacks,
     )
     return MonteCarloResult(
@@ -363,7 +362,7 @@ def expected_utility(
         n_redraws=n_redraws,
         seed=seed,
         max_orthogonality_defect=overlap.max_defect if measured else None,
-        singular_ratio_bound=ratio_bound if measured else None,
+        singular_ratio_bound=overlap.singular_ratio_bound if measured else None,
         svd_fallbacks=overlap.svd_fallbacks if measured else None,
     )
 

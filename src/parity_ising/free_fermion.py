@@ -39,13 +39,16 @@ chain's W by one of three routes:
   it measured faster than the band route on the Monte Carlo ensembles, and
   for every gapped chain (all fields on one side of 1) at any length: W is
   the limit of X <- alpha X (3I - alpha^2 X^T X) / 2
-  (Higham, *Functions of Matrices*, SIAM 2008, ch. 8) from
-  X_0 = Z / (max g + 1), whose singular values lie in (0, 1] since
-  |Z|_2 <= max g + 1.  Z is diag(g) plus an orthogonal signed shift, so by
-  Weyl's inequality s_min(Z) >= max(g_min - 1, 1 - g_max), which is
-  positive on a gapped chain.  The scalings alpha follow a Chen-Chow
-  schedule for the highest of a few fixed lower ends at or below the
-  chain's bound, or for NEWTON_SCHULZ_FLOOR if the bound is lower, and
+  (Higham, *Functions of Matrices*, SIAM 2008, ch. 8).  Z^-1 has a closed
+  form with no cancellation, which bounds s_min(Z) from below in O(N)
+  (``_singular_ratio_bound``), and |Z|_2 <= max g + 1.  Where no product of
+  fields leaves the normal range (N max|log g| <= 230) X_0 is one scaled
+  Newton step (mu Z + Z^-T / mu) / 2 with Z^-T written from the closed form,
+  and elsewhere Z / (max g + 1); Z is diag(g) plus an orthogonal signed
+  shift, so by Weyl's inequality s_min(Z) >= max(g_min - 1, 1 - g_max),
+  positive on a gapped chain (``_newton_start``).  The scalings alpha follow
+  a Chen-Chow schedule for the highest of a few fixed lower ends at or below
+  that of X_0, or for NEWTON_SCHULZ_FLOOR if it is lower or unknown, and
   each step is two matrix products.  A chain not converged after
   NEWTON_SCHULZ_STEPS steps takes the band route.
 - The band route, for every other chain: Z^T Z is cyclic tridiagonal, and
@@ -107,15 +110,17 @@ BAND_FIELD_MAX = 1e150
 # fields on one side of 1) takes it at every length, a longer straddling chain starts on
 # the band route.  Per chain, thread CPU time, one BLAS thread of a 2-core x86 VM, numpy
 # 2.4, band route against Newton-Schulz in stacks of U[0.2, 3] chains: N = 4 3.6 / 2.5 us,
-# 8 12.8 / 6.3, 20 52 / 25, 40 188 / 103, 80 707 / 566.  Above it, Newton-Schulz / band
-# is 0.60, 0.73, 0.86, 0.90 and 1.23 at N = 96, 130, 160, 200 and 320 for U[0.6, 2.6], and
-# 1.6-2.9 for U[0.2, 2.2], where most chains miss the step budget and are handed on.
+# 8 12.8 / 6.3, 20 52 / 25, 40 188 / 103, 80 707 / 566.  Above it, with the seeded start,
+# Newton-Schulz / band is 0.57, 0.72, 0.74, 0.75 and 1.12 at N = 96, 130, 160, 200 and 320
+# for U[0.6, 2.6], every chain seeded but at 320, which lies outside the direct range; and
+# 0.75, 1.13, 1.74, 2.2 and 2.1 for U[0.2, 2.2], seeded up to 130 and from 160 on mostly
+# not, where a third of the chains miss the step budget and are handed on.
 NEWTON_SCHULZ_SITES = 80
 # Newton-Schulz steps a chain may take; one that has not converged by then takes the band route.
 NEWTON_SCHULZ_STEPS = 20
-# Lowest l of the singular-value interval (l, 1] of Z / (max g + 1) that a
-# Chen-Chow scaling schedule is built for: the whole schedule of every chain
-# that straddles 1, and of every gapped chain whose own bound is lower.
+# Lowest l of the singular-value interval (l, 1] of a Newton-Schulz start that a
+# Chen-Chow scaling schedule is built for: the whole schedule of every unseeded
+# chain that straddles 1, and of every start whose own lower end is lower.
 NEWTON_SCHULZ_FLOOR = 3e-2
 # Shortest chain on which a Newton-Schulz step forms X^T X by matmul's
 # shared-operand product (syrk) rather than a copy and gemm.  Per chain, one
@@ -303,14 +308,6 @@ def bogoliubov_spectrum(g: float, n_sites: int) -> BogoliubovSpectrum:
     return BogoliubovSpectrum(g, k, eps, sin_theta, cos_theta)
 
 
-def _bonds(n_sites: int) -> np.ndarray:
-    """Z without its diagonal: -1 below it and +1 in the corner (0, N-1)."""
-    z = np.zeros((n_sites, n_sites))
-    z[np.arange(1, n_sites), np.arange(n_sites - 1)] = -1.0
-    z[0, n_sites - 1] = 1.0
-    return z
-
-
 def _chen_chow_schedule(low: float) -> tuple[tuple, int]:
     """Newton-Schulz coefficients (c_I, c_E) for singular values in (low, 1], and the steps that close it.
 
@@ -337,27 +334,27 @@ def _chen_chow_schedule(low: float) -> tuple[tuple, int]:
 def _schedule_grid(floor: float) -> tuple[np.ndarray, tuple]:
     """The Newton-Schulz schedules: ascending interval ends, and (coefficients, first check) of each.
 
-    A chain with lower end l takes schedule ``searchsorted(ends, l, "right")``.
-    Schedule 0 is the one for ``floor``, checked from its end on, for the
-    chains that straddle 1 (l <= 0), and schedule 1 the same for gapped
-    chains whose l lies below the floor.  A chain with l >= ``floor`` takes
-    schedule j >= 2, built for ends[j - 1]:
-    ``floor`` itself, then for each step count s below the floor's the
-    lowest end (to ~1e-12) whose interval closes within s steps.  The
-    interval (l, 1] lies inside that end's, so its schedule serves l and
-    closes it as fast as l's own would, and the chain is checked from the
-    step at which it closes, where its iterate is orthogonal to rounding.
-    (The closing test meets the last ulp below 1, so some ends up to ~2%
-    below a grid end close a step sooner on their own: 0.4% of them.)
+    A start whose singular values lie in (l, 1] takes schedule
+    ``searchsorted(ends, l, "right")``.  Schedule 0 is the one for ``floor``,
+    checked from its end on: it serves the unseeded chains that straddle 1
+    (l <= 0) and every start whose l lies below the floor.  A start with
+    l >= ``floor`` takes schedule j >= 1, built for ends[j - 1]: ``floor``
+    itself, then for each step count s below the floor's the lowest end (to
+    ~1e-12) whose interval closes within s steps.  The interval (l, 1] lies
+    inside that end's, so its schedule serves l and closes it as fast as l's
+    own would, and the chain is checked from the step at which it closes,
+    where its iterate is orthogonal to rounding.  (The closing test meets the
+    last ulp below 1, so some ends up to ~2% below a grid end close a step
+    sooner on their own: 0.4% of them.)
     """
     steps, closing = _chen_chow_schedule(floor)
-    ends = [np.nextafter(0.0, 1.0), floor]  # below the first end a chain straddles 1
+    ends = [floor]
     for bound in range(closing - 1, -1, -1):  # the lowest end that closes within bound steps, by bisection
         lo, hi = ends[-1], 1.0
         for _ in range(40):
             lo, hi = (lo, mid) if _chen_chow_schedule(mid := 0.5 * (lo + hi))[1] <= bound else (mid, hi)
         ends.append(hi)
-    return np.array(ends), ((steps, len(steps)),) * 2 + tuple(map(_chen_chow_schedule, ends[1:]))
+    return np.array(ends), ((steps, len(steps)), *map(_chen_chow_schedule, ends))
 
 
 def _groups(entry: np.ndarray, grid: tuple) -> list:
@@ -365,15 +362,38 @@ def _groups(entry: np.ndarray, grid: tuple) -> list:
     return [(slice(*entry.searchsorted((j, j + 1))), grid[j][0]) for j in dict.fromkeys(entry.tolist())]
 
 
+def _reach(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """l = max|log g| of each chain of an (M, N) stack, and whether it lies in the direct range N l <= 230.
+
+    There every |log G_t| <= N l, G_t = g_0 ... g_{t-1}, so no product of three
+    G_t, nor N of those summed, leaves the normal range.
+    """
+    reach = np.maximum(np.log(g.max(axis=1)), -np.log(g.min(axis=1)))
+    return reach, g.shape[1] * reach <= 230.0
+
+
+def _prefix_products(g: np.ndarray) -> np.ndarray:
+    """G_t = g_0 ... g_{t-1}, t = 0..N, of each chain of an (M, N) stack in the direct range, one chain per column.
+
+    Z^-1 is written in them, with no cancellation:
+    (Z^-1)_{r, c} = G_c / G_{r+1} G_N / (G_N + 1) for r >= c and
+    -G_c / (G_{r+1} (G_N + 1)) for r < c, the entries whose path crosses the
+    wrap bond.
+    """
+    products = np.ones((g.shape[1] + 1, len(g)))
+    np.cumprod(g.T, axis=0, out=products[1:])
+    return products
+
+
 def _singular_ratio_bound(g: np.ndarray) -> np.ndarray:
     """A proven lower bound on s_min / s_max of Z for each chain of an (M, N) stack, in O(N) per chain.
 
-    |Z^-1|_{c+m, c} = (h_c ... h_{c+m}) / (1 + P), h = 1/g, P the product of
-    all h, indices mod N: with G_t = g_0 ... g_{t-1}, column c sums to G_c
-    (G_N sum_{c<t<=N} 1/G_t + sum_{0<t<=c} 1/G_t) / (G_N + 1), in logs unless
-    N l <= 230, l = max|log g|, and the rows are the columns for the reversed
-    fields (Z^T reindexed).  s_min >= 1 / sqrt(|Z^-1|_1 |Z^-1|_oo) (Golub &
-    Van Loan, *Matrix Computations*, sec. 2.3) and s_max <= max g + 1.  With
+    By ``_prefix_products``, column c of |Z^-1| sums to G_c
+    (G_N sum_{c<t<=N} 1/G_t + sum_{0<t<=c} 1/G_t) / (G_N + 1), in logs outside
+    the direct range N l <= 230, l = max|log g| (``_reach``), and the rows
+    are the columns for the reversed fields (Z^T reindexed).
+    s_min >= 1 / sqrt(|Z^-1|_1 |Z^-1|_oo) (Golub & Van Loan, *Matrix
+    Computations*, sec. 2.3) and s_max <= max g + 1.  With
     log, exp and log1p within 4 ulps, sums of logs are off by (4 + N/2) N l
     eps and sums over them add (N/2) eps (N l + log N) + 6 N eps: the result
     is lowered by 3 N (N + 10)(1 + l) eps.  Before rounding it is never below
@@ -383,13 +403,11 @@ def _singular_ratio_bound(g: np.ndarray) -> np.ndarray:
     """
     m, n = g.shape
     top = g.max(axis=1)
-    reach = np.maximum(np.log(top), -np.log(g.min(axis=1)))  # l: every |log G_t| <= N l
-    direct = n * reach <= 230.0  # no product of three G_t, nor N of those summed, leaves the normal range
+    reach, direct = _reach(g)
     log_norm = np.empty((2, m))  # log of the largest column sum, of the chains and of them reversed
     for side, chains in enumerate((g, g[:, ::-1])):
         if direct.any():
-            products = np.ones((n + 1, np.count_nonzero(direct)))  # G_t, one chain per column
-            np.cumprod(chains[direct].T, axis=0, out=products[1:])
+            products = _prefix_products(chains[direct])
             after = 1.0 / products[1:]  # 1/G_t, t = 1..N, summed in place from the end below
             before = np.zeros_like(after)
             np.cumsum(after[:-1], axis=0, out=before[1:])
@@ -398,6 +416,7 @@ def _singular_ratio_bound(g: np.ndarray) -> np.ndarray:
             after += before
             after *= products[:-1]
             log_norm[side, direct] = np.log(after.max(axis=0) / (products[-1] + 1.0))
+            del products, after, before  # freed before the reversed chains' are made: a call's peak memory
         if not direct.all():
             falling = np.zeros((n + 1, np.count_nonzero(~direct)))  # -log G_t
             np.cumsum(-np.log(chains[~direct].T), axis=0, out=falling[1:])
@@ -411,16 +430,63 @@ def _singular_ratio_bound(g: np.ndarray) -> np.ndarray:
     return np.maximum(closed, weyl)
 
 
+def _newton_start(g: np.ndarray, top: np.ndarray, low: np.ndarray, bound: np.ndarray) -> tuple:
+    """(d, b, l) of each chain of a (k, N) stack: its Newton-Schulz start X_0 = Z / d + b Z^-T has its singular values in (l, 1].
+
+    With max g in ``top`` and r the ``bound`` of ``_singular_ratio_bound``,
+    the singular values of Z lie in [r (max g + 1), max g + 1].  In the
+    direct range of ``_reach`` X_0 is one scaled Newton step,
+    (mu Z + Z^-T / mu) / (2 ell) with mu = 1 / ((max g + 1) sqrt r): it keeps
+    Z's singular vectors and maps each s to (mu s + 1 / (mu s)) / (2 ell), in
+    [1 / ell, 1] for ell = (sqrt r + 1 / sqrt r) / 2 (Higham, *Functions of
+    Matrices*, ch. 8).  Elsewhere X_0 = Z / (max g + 1), b = 0 and l = ``low``,
+    Weyl's bound max(g_min - 1, 1 - g_max) / (max g + 1).
+    """
+    d, b, lower = top + 1.0, np.zeros(len(g)), low.copy()
+    seeded = _reach(g)[1]
+    scale, root = d[seeded], np.sqrt(bound[seeded])
+    ell = 0.5 * (root + 1.0 / root)
+    d[seeded], b[seeded], lower[seeded] = 2.0 * ell * scale * root, scale * root / (2.0 * ell), 1.0 / ell
+    return d, b, lower
+
+
+def _write_start(g: np.ndarray, d: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """X_0 = Z / d + b Z^-T of each chain of a (k, N) stack into ``out``, (k, N, N).
+
+    b Z^-T comes from ``_prefix_products`` as one outer product,
+    b G_c G_N / (G_N + 1) times 1 / G_{r+1} at [c, r], whose entries below
+    the diagonal, the paths across the wrap bond, are then scaled by
+    -1 / G_N in place; three strided adds put in Z / d.  A chain with b = 0
+    needs no prefix products and gets exactly the Z / d of its fields, and
+    d = inf leaves b Z^-T alone.
+    """
+    k, n = g.shape
+    by_row, by_column, crossing = np.zeros((k, n)), np.ones((k, n)), np.ones(k)
+    seeded = b > 0.0
+    if seeded.any():
+        products = _prefix_products(g[seeded])
+        total = products[-1]
+        by_row[seeded] = (products[:-1] * (b[seeded] * total / (total + 1.0))).T
+        by_column[seeded] = (1.0 / products[1:]).T
+        crossing[seeded] = -1.0 / total
+    np.multiply(by_row[:, :, None], by_column[:, None, :], out=out)
+    np.multiply(out, crossing[:, None, None], out=out, where=np.tri(n, k=-1, dtype=bool))
+    flat = out.reshape(k, n * n)
+    flat[:, :: n + 1] += g / d[:, None]
+    flat[:, n :: n + 1] -= 1.0 / d[:, None]
+    out[:, 0, -1] += 1.0 / d
+
+
 def chain_matrix(couplings) -> np.ndarray:
     """The even-sector chain matrix Z = A - B at fields g_j.
 
     Fields on the diagonal, -1 on the subdiagonal, and +1 in the corner
     (0, N-1) for the antiperiodic wrap-around bond.
     """
-    g = as_couplings(couplings)
-    z = _bonds(g.size)
-    np.fill_diagonal(z, g)
-    return z
+    g = as_couplings(couplings)[None]
+    z = np.empty((1, g.size, g.size))
+    _write_start(g, np.ones(1), np.zeros(1), z)
+    return z[0]
 
 
 class ChainOverlap:
@@ -431,7 +497,9 @@ class ChainOverlap:
     returns a float.  ``polar`` returns W of one chain.  A call works
     through its chains ``stack`` = max(1, STACK_ENTRIES // N^2) at a time,
     on (stack, N, N) scratch that the object keeps between calls, so its
-    memory is bounded at any N and any call size.  A chain starts on
+    scratch is bounded at any N and any call size; the call first bounds
+    s_min / s_max of all its chains (``_singular_ratio_bound``, a few
+    (N + 1) x M arrays) and hands each stack its slice.  A chain starts on
     Newton-Schulz when it has at most NEWTON_SCHULZ_SITES sites, or when it
     is gapped (all fields on one side of 1); every other chain starts on the
     band route, and a chain with a field above BAND_FIELD_MAX goes to the
@@ -448,9 +516,12 @@ class ChainOverlap:
     chain that fails one raises for its whole call.  Over its calls the
     object counts its chains by route, ``newton_schulz_chains`` and
     ``band_chains`` (which include the SVD's, ``svd_fallbacks``), whose sum
-    is ``evaluations``.  It records the most steps a converged Newton-Schulz
-    chain took (``max_newton_schulz_steps``) and the worst orthogonality
-    defect max|W^T W - I| (``max_defect``).
+    is ``evaluations``, and of the Newton-Schulz chains those it started
+    from the seeded Newton step (``newton_seeded_chains``).  It records the
+    most Newton-Schulz steps a converged chain took, not counting the seed
+    (``max_newton_schulz_steps``), the worst orthogonality defect
+    max|W^T W - I| (``max_defect``), and the least ``_singular_ratio_bound``
+    of its chains (``singular_ratio_bound``, 1 before the first).
     The scratch is reused, so one object must not be shared between threads.
     """
 
@@ -460,10 +531,11 @@ class ChainOverlap:
         self.stack = max(1, STACK_ENTRIES // n_sites**2)
         self._floor = n_sites * np.finfo(float).eps  # s_min <= _floor * s_max is unresolved
         self._straddling_newton_schulz = n_sites <= NEWTON_SCHULZ_SITES
-        self._bonds = _bonds(n_sites)
         self._allocate(1)
-        self.newton_schulz_chains = self.max_newton_schulz_steps = self.band_chains = self.svd_fallbacks = 0
+        self.newton_schulz_chains = self.newton_seeded_chains = self.max_newton_schulz_steps = 0
+        self.band_chains = self.svd_fallbacks = 0
         self.max_defect = 0.0
+        self.singular_ratio_bound = 1.0
 
     @property
     def evaluations(self) -> int:
@@ -492,14 +564,22 @@ class ChainOverlap:
 
         The result is scratch that the object's next call overwrites.
         """
-        return self._polar(self._fields(np.asarray(couplings, dtype=float)[None]))[0]
+        g = self._fields(np.asarray(couplings, dtype=float)[None])
+        return self._polar(g, self._bound(g))[0]
 
-    def _polar(self, g: np.ndarray) -> np.ndarray:
+    def _bound(self, g: np.ndarray) -> np.ndarray:
+        """``_singular_ratio_bound`` of each chain of g, with the least kept in ``singular_ratio_bound``."""
+        bound = _singular_ratio_bound(g)
+        self.singular_ratio_bound = min(self.singular_ratio_bound, float(bound.min()))
+        return bound
+
+    def _polar(self, g: np.ndarray, bound: np.ndarray) -> np.ndarray:
         """The (k, N, N) polar factors of k <= stack chains, each by its route.
 
         A chain with a field above BAND_FIELD_MAX goes to the SVD.  Of the
         others, those the class docstring names start on Newton-Schulz, which
-        checks the chains it converges; the band route takes the rest, and its
+        seeds them by their ``_singular_ratio_bound`` in ``bound`` and checks
+        the chains it converges; the band route takes the rest, and its
         gate sends some on to the SVD.  Every W of the band route or the SVD
         is then held to UNITARITY_TOL, and its chain counts in ``band_chains``.
         """
@@ -513,7 +593,7 @@ class ChainOverlap:
         low = np.maximum(g.min(axis=1) - 1.0, 1.0 - top) / (top + 1.0)
         newton = ~svd & (self._straddling_newton_schulz | (low > 0.0))
         band = ~svd & ~newton
-        band[self._newton_schulz_polar(g, np.flatnonzero(newton), top, low, w)] = True
+        band[self._newton_schulz_polar(g, np.flatnonzero(newton), top, low, bound, w)] = True
         rows = np.flatnonzero(band)
         if rows.size:
             # a whole stack is solved, and checked below, in place: at large N each copy costs ~1%
@@ -538,29 +618,32 @@ class ChainOverlap:
             raise NumericsError(f"polar factor is not orthogonal (defect {defect:.3e} > {UNITARITY_TOL:.1e})")
         return w
 
-    def _newton_schulz_polar(self, g, rows, top, low, w) -> np.ndarray:
+    def _newton_schulz_polar(self, g, rows, top, low, bound, w) -> np.ndarray:
         """W into w for the chains ``rows`` of g by Newton-Schulz; returns those left to the band route.
 
-        X_0 = Z / (max g + 1), with max g in ``top``, has its singular values
-        in (``low``, 1] on a gapped chain.  Each step computes E = X^T X - I and
-        X <- X (c_I I + c_E E), by the schedule ``_schedule_grid`` gives the
-        chain and by the plain step after it.  From the schedule's first
-        check on, a chain whose max|E| is within NEWTON_SCHULZ_TOL N eps
-        (sqrt(N) eps if it is gapped), far inside UNITARITY_TOL, leaves the
-        iteration with X as its W and that max|E| as its defect; the rest go
-        on compacted in the scratch, so every chain takes the same steps
-        wherever it is scored.  Each chain that leaves is counted; those still
-        iterating after NEWTON_SCHULZ_STEPS steps are returned.
+        Each chain starts from the X_0 of ``_newton_start`` (max g in ``top``,
+        Weyl's bound in ``low``), built in the scratch by ``_write_start``.
+        Each step computes E = X^T X - I and X <- X (c_I I + c_E E), by the
+        schedule ``_schedule_grid`` gives the lower end of X_0 and by the plain
+        step after it.  From the schedule's first check on, a chain whose max|E| is
+        within NEWTON_SCHULZ_TOL N eps (sqrt(N) eps if it is gapped, low > 0),
+        far inside UNITARITY_TOL, leaves the iteration with X as its W and
+        that max|E| as its defect; the rest go on compacted in the scratch, so
+        every chain takes the same steps wherever it is scored.  Each chain
+        that leaves is counted, and apart each seeded one; those still iterating
+        after NEWTON_SCHULZ_STEPS steps are returned.
         """
         ends, schedules = _schedule_grid(NEWTON_SCHULZ_FLOOR)
-        entry = np.searchsorted(ends, low[rows], side="right")
+        d, b, lower = _newton_start(g[rows], top[rows], low[rows], bound[rows])
+        entry = np.searchsorted(ends, lower, side="right")
         # the chains of one schedule side by side, so that each step scales them by scalars
-        rows, entry = rows[np.argsort(entry, kind="stable")], np.sort(entry)
-        groups = _groups(entry, schedules)
+        order = np.argsort(entry, kind="stable")
+        rows, entry, d, b = rows[order], entry[order], d[order], b[order]
+        seeded = b > 0.0
         a, n = rows.size, self.n_sites
         x, spare = self._v[:a], self._y[:a]
-        np.divide(self._bonds, top[rows, None, None] + 1.0, out=x)
-        x.reshape(a, n * n)[:, :: n + 1] = g[rows] / (top[rows, None] + 1.0)
+        _write_start(g[rows], d, b, x)
+        groups = _groups(entry, schedules)
         tol, gapped_tol = (NEWTON_SCHULZ_TOL * size * np.finfo(float).eps for size in (n, math.sqrt(n)))
         checks = np.array([check for _, check in schedules])
         for step in range(NEWTON_SCHULZ_STEPS + 1):
@@ -573,16 +656,18 @@ class ChainOverlap:
             self._gram_diagonal[:a] -= 1.0
             if step >= checks[entry].min():
                 defect = np.abs(e, out=self._r[:a]).max(axis=(1, 2))
-                done = (step >= checks[entry]) & (defect <= np.where(entry > 0, gapped_tol, tol))
+                done = (step >= checks[entry]) & (defect <= np.where(low[rows] > 0.0, gapped_tol, tol))
                 if done.any():
                     w[rows[done]] = x[:a][done]
                     self.newton_schulz_chains += int(done.sum())
+                    self.newton_seeded_chains += int(seeded[done].sum())
                     self.max_newton_schulz_steps = max(self.max_newton_schulz_steps, step)
                     self.max_defect = max(self.max_defect, float(defect[done].max()))
                     keep = ~done
-                    rows, entry = rows[keep], entry[keep]
+                    rows, entry, seeded = rows[keep], entry[keep], seeded[keep]
                     groups, a = _groups(entry, schedules), rows.size
-                    x[:a], e[:a] = x[: keep.size][keep], e[: keep.size][keep]
+                    first = int(done.argmax())  # the chains that stay move down from the first that left on
+                    x[first:a], e[first:a] = x[first : keep.size][keep[first:]], e[first : keep.size][keep[first:]]
                     e = e[:a]
                 if step == NEWTON_SCHULZ_STEPS or a == 0:
                     break
@@ -668,15 +753,17 @@ class ChainOverlap:
         if g.ndim == 1:
             return float(self(g[None])[0])
         g = self._fields(g)
+        bound = self._bound(g)
         out = np.empty(len(g))
         for start in range(0, len(g), self.stack):
-            out[start : start + self.stack] = self._log_overlaps(g[start : start + self.stack])
+            chains = slice(start, start + self.stack)
+            out[chains] = self._log_overlaps(g[chains], bound[chains])
         return out
 
-    def _log_overlaps(self, g: np.ndarray) -> np.ndarray:
-        """log o+ of k <= stack chains."""
+    def _log_overlaps(self, g: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        """log o+ of k <= stack chains, with their ``_singular_ratio_bound``."""
         k = len(g)
-        w = self._polar(g)
+        w = self._polar(g, bound)
         m = self._m[:k]
         # W0^T W moves row j+1 of W to row j with a minus sign and row 0 to row N-1.
         np.negative(w[:, 1:], out=m[:, :-1])

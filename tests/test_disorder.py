@@ -300,9 +300,10 @@ def test_run_telemetry_is_one_debug_record(caplog):
     assert "evaluations/s" in message
     assert " s drawing, " in message and " s scoring), " in message
     assert f", stack {ff.ChainOverlap(4).stack}, " in message
-    steps = int(message.split("(at most ")[1].split(" ")[0])
+    steps = int(message.split(" seeded, at most ")[1].split(" ")[0])
     assert 0 < steps <= ff.NEWTON_SCHULZ_STEPS
-    assert message.endswith(", 30 by Newton-Schulz (at most %d steps), 0 by the band route, 0 SVD fallbacks" % steps)
+    # every field of N = 4 lies in the direct range, so each chain starts from the seeded Newton step
+    assert message.endswith(", 30 by Newton-Schulz (30 seeded, at most %d steps), 0 by the band route, 0 SVD fallbacks" % steps)
 
 
 def test_run_reports_its_overlap_routes(band_route, caplog):
@@ -313,10 +314,10 @@ def test_run_reports_its_overlap_routes(band_route, caplog):
         with band_route():
             band = dis.expected_utility(ens, 45, seed=8)
     first, second = (r.getMessage() for r in caplog.records if r.name == "parity_ising.disorder")
-    steps = int(first.split("(at most ")[1].split(" ")[0])
+    steps = int(first.split(" seeded, at most ")[1].split(" ")[0])
     assert 0 < steps <= ff.NEWTON_SCHULZ_STEPS
-    assert first.endswith(", 45 by Newton-Schulz (at most %d steps), 0 by the band route, 0 SVD fallbacks" % steps)
-    assert second.endswith(", 0 by Newton-Schulz (at most 0 steps), 45 by the band route, 0 SVD fallbacks")
+    assert first.endswith(", 45 by Newton-Schulz (45 seeded, at most %d steps), 0 by the band route, 0 SVD fallbacks" % steps)
+    assert second.endswith(", 0 by Newton-Schulz (0 seeded, at most 0 steps), 45 by the band route, 0 SVD fallbacks")
     assert newton.mean_utility == pytest.approx(band.mean_utility, rel=0.0, abs=1e-12)
     assert newton.singular_ratio_bound == band.singular_ratio_bound
     assert 0.0 < newton.max_orthogonality_defect <= ff.NEWTON_SCHULZ_TOL * 40 * np.finfo(float).eps

@@ -456,7 +456,9 @@ def test_kernel_reuse_matches_one_shot_calls():
     np.testing.assert_array_equal(kernel.polar(draws[0]), ff.ChainOverlap(12).polar(draws[0]))
     assert kernel.evaluations == 21
     assert 0.0 < kernel.max_defect <= ff.UNITARITY_TOL
-    for g, bound in zip(draws, ff._singular_ratio_bound(np.array(draws))):
+    bounds = ff._singular_ratio_bound(np.array(draws))
+    assert kernel.singular_ratio_bound == bounds.min()  # the least over its calls, polar's among them
+    for g, bound in zip(draws, bounds):
         s = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
         assert 0.0 < bound <= s[-1] / s[0] * (1.0 + 1e-12)
     for wrong_shape in (np.ones(10), np.ones((2, 10)), np.ones((2, 2, 12))):
@@ -675,6 +677,10 @@ def test_large_fields_below_the_square_bound_fall_back_without_overflow():
 
 # Lengths at which every chain starts on Newton-Schulz, up to the longest; 40 is that of the Monte Carlo runs.
 WINDOW_LENGTHS = (8, 24, 40, ff.NEWTON_SCHULZ_SITES)
+# (band route, SVD) chains of each length's conditioning sweep: at N = 80 a uniform chain with a
+# field below e^-2.9, outside the direct range, starts unseeded and misses the step budget.
+SWEEP_HANDED_ON = {8: 3, 24: 0, 40: 0, 80: 1}
+SWEEP_SVD = {8: 3, 24: 0, 40: 0, 80: 0}
 
 
 def _conditioning_sweep(n):
@@ -682,10 +688,12 @@ def _conditioning_sweep(n):
 
     Gaussian fields about 1.6 converge in the fewest steps and uniform fields
     about the critical point in more.  One weak domain of contrast c sends
-    s_min / (max g + 1) from ~1e-2 to ~1e-17 as c grows: past the step
-    budget to the band route, and at the largest contrasts past the
+    s_min / (max g + 1) from ~1e-2 to ~1e-17 as c grows: unseeded, past the
+    step budget to the band route, and at the largest contrasts past the
     resolvable floor on to the SVD.  s_min falls about as c^-weak, so on a
     domain of fewer than 16 sites c reaches 10^(16 / weak) instead of 10.
+    The seeded Newton step lifts the domain wall's singular value to the
+    top of X_0, so from N = 24 on every chain in the direct range converges.
     The order is shuffled, so chains leave a stack from its middle.
     """
     rng = np.random.default_rng((15, n))
@@ -701,7 +709,9 @@ def _conditioning_sweep(n):
 def test_newton_schulz_matches_band_and_svd_across_conditioning(band_route, n):
     """Chain by chain, log o+ by Newton-Schulz, the band route and numpy's SVD agree.
 
-    The bound on s_min / s_max is at most numpy's.  A chain that
+    numpy's SVD serves where it resolves s_min; below N eps s_max the band
+    route hands the chain to the SVD oriented by det Z.  The bound on
+    s_min / s_max is at most numpy's.  A chain that
     Newton-Schulz hands on takes the band route, and gives exactly what the
     band route gives alone.
     """
@@ -725,15 +735,17 @@ def test_newton_schulz_matches_band_and_svd_across_conditioning(band_route, n):
             continue
         assert 0 < newton.max_newton_schulz_steps <= ff.NEWTON_SCHULZ_STEPS
         assert 0.0 < newton.max_defect <= ff.NEWTON_SCHULZ_TOL * n * np.finfo(float).eps
-        assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
-    assert 3 <= handed_on <= 10
+        s = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
+        if s[-1] > n * np.finfo(float).eps * s[0]:  # below it numpy's SVD leaves W's orientation to chance
+            assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
+    assert handed_on == SWEEP_HANDED_ON[n]
 
 
 @pytest.mark.parametrize("n", WINDOW_LENGTHS)
 def test_newton_schulz_stack_scores_each_chain_as_it_scores_alone(n):
     """Chains that converge early, late or never give in one stack bit for bit what they give alone.
 
-    Never-converging chains go on to the band route, and one of them on to the SVD.
+    Never-converging chains go on to the band route, and at N = 8 some of them on to the SVD.
     """
     chains = _conditioning_sweep(n)
     alone, steps = ff.ChainOverlap(n), []
@@ -753,7 +765,8 @@ def test_newton_schulz_stack_scores_each_chain_as_it_scores_alone(n):
         assert getattr(stacked, counter) == getattr(alone, counter)
     converged = [s for s in steps if s is not None]
     assert min(converged) < max(converged) and stacked.newton_schulz_chains == len(converged)
-    assert stacked.band_chains == steps.count(None) >= 3 and stacked.svd_fallbacks >= 1
+    assert (stacked.band_chains, stacked.svd_fallbacks) == (steps.count(None), SWEEP_SVD[n])
+    assert stacked.band_chains == SWEEP_HANDED_ON[n]
 
 
 def test_newton_schulz_ratio_bound_needs_no_eigenvalues_or_factorization(monkeypatch):
@@ -805,31 +818,31 @@ def test_newton_schulz_window_hands_extreme_fields_on_without_overflow(n):
 def test_schedule_grid_closes_each_interval_as_fast_as_its_own_schedule():
     """A proved lower end l takes the schedule of a grid end at or below it that closes within l's own steps.
 
-    A chain that straddles 1 (l <= 0) takes the floor's schedule, checked
-    from its end on, as does a gapped chain whose l lies below the floor;
+    An unseeded chain that straddles 1 (l <= 0) takes the floor's schedule,
+    checked from its end on, as does a start whose l lies below the floor;
     at the floor the same coefficients are checked from where they close.
     Up to ~2% below a grid end the closing test, at the last ulp below 1,
     lets a few ends close a step sooner on their own.
     """
     ends, schedules = ff._schedule_grid(ff.NEWTON_SCHULZ_FLOOR)
     floor_steps, floor_closing = ff._chen_chow_schedule(ff.NEWTON_SCHULZ_FLOOR)
-    assert schedules[:3] == ((floor_steps, len(floor_steps)),) * 2 + ((floor_steps, floor_closing),)
+    assert schedules[:2] == ((floor_steps, len(floor_steps)), (floor_steps, floor_closing))
     below = [-0.5, 0.0, 1e-300, 0.9 * ff.NEWTON_SCHULZ_FLOOR]
-    assert np.searchsorted(ends, below, side="right").tolist() == [0, 0, 1, 1]
-    lows = np.concatenate((np.geomspace(ff.NEWTON_SCHULZ_FLOOR, 1.0, 500), ends[1:]))
+    assert np.searchsorted(ends, below, side="right").tolist() == [0, 0, 0, 0]
+    lows = np.concatenate((np.geomspace(ff.NEWTON_SCHULZ_FLOOR, 1.0, 500), ends))
     extra = []
     for low in lows:
         entry = np.searchsorted(ends, low, side="right")
-        assert entry >= 2 and ends[entry - 1] <= low
+        assert entry >= 1 and ends[entry - 1] <= low
         extra.append(schedules[entry][1] - ff._chen_chow_schedule(low)[1])
-        assert extra[-1] <= 0 or min(abs(low / ends[1:] - 1.0)) < 2e-2
+        assert extra[-1] <= 0 or min(abs(low / ends - 1.0)) < 2e-2
     assert max(extra) <= 1 and extra.count(1) <= len(lows) // 100
 
 
 # Lengths beyond the window, where only gapped chains take Newton-Schulz.
 GAPPED_LENGTHS = (120, 200)
 COUNTERS = (
-    "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "band_chains",
+    "evaluations", "newton_schulz_chains", "newton_seeded_chains", "max_newton_schulz_steps", "band_chains",
     "svd_fallbacks", "max_defect",
 )
 
@@ -939,6 +952,94 @@ def test_mixed_gapped_and_straddling_stack_scores_each_chain_as_it_scores_alone(
     # every chain but the wall converges by Newton-Schulz at N = 40, the six gapped ones at N = 130
     newton = len(chains) - 1 if n <= ff.NEWTON_SCHULZ_SITES else 6
     assert (stacked.newton_schulz_chains, stacked.band_chains, stacked.svd_fallbacks) == (newton, len(chains) - newton, 1)
+
+
+def test_written_inverse_is_the_closed_form_and_numpys():
+    """The kernel's Z^-T, from prefix products over a stack, is ``_closed_form_inverse`` transposed, and numpy's where Z is well conditioned."""
+    rng = np.random.default_rng(43)
+    conditioned = [rng.uniform(0.2, 3.0, n) for n in (4, 12, 40)] + [np.exp(rng.standard_normal(24))]
+    for chains in [[g] for g in conditioned] + [[g for g in _route_sweep() if g.size == 12]]:
+        g = np.array(chains)
+        out = np.empty((len(g), g.shape[1], g.shape[1]))
+        ff._write_start(g, np.full(len(g), np.inf), np.ones(len(g)), out)  # d = inf: b Z^-T alone
+        for chain, inverse_t in zip(g, out):
+            np.testing.assert_allclose(inverse_t, _closed_form_inverse(chain).T, rtol=1e-10, atol=0.0)
+    for g in conditioned:
+        out = np.empty((1, g.size, g.size))
+        ff._write_start(g[None], np.array([np.inf]), np.ones(1), out)
+        np.testing.assert_allclose(out[0], np.linalg.inv(ff.chain_matrix(g)).T, rtol=1e-10, atol=0.0)
+
+
+def test_newton_start_singular_values_lie_in_their_interval():
+    """X_0 has its singular values in [l, 1] up to rounding: seeded or not, and gapped (l > 0) or not.
+
+    Seeded chains of the sweep span lower ends from ~0.95 to ~2e-7; the
+    uniform chains with a field below e^-2.9 at N = 80 lie outside the direct
+    range and start from Z / (max g + 1).
+    """
+    seeded = 0
+    for g in _route_sweep():
+        n = g.size
+        top, low = g.max(keepdims=True), np.maximum(g.min() - 1.0, 1.0 - g.max(keepdims=True)) / (g.max() + 1.0)
+        d, b, lower = ff._newton_start(g[None], top, low, ff._singular_ratio_bound(g[None]))
+        x = np.empty((1, n, n))
+        ff._write_start(g[None], d, b, x)
+        s = np.linalg.svd(x[0], compute_uv=False)
+        rounding = 4.0 * n * np.finfo(float).eps
+        assert s[0] <= 1.0 + rounding
+        assert s[-1] >= lower[0] * (1.0 - rounding)
+        if b[0] > 0.0:
+            seeded += 1
+            assert lower[0] > 0.0 and d[0] > 0.0
+        else:
+            np.testing.assert_array_equal(x[0], ff.chain_matrix(g) / (g.max() + 1.0))
+    assert seeded == len(_route_sweep()) - 3
+
+
+@pytest.mark.parametrize("n", (40, ff.NEWTON_SCHULZ_SITES))
+def test_near_critical_chains_converge_on_newton_schulz(n):
+    """Every ``uniform_iid(1.2, 2)`` chain is seeded and converges by Newton-Schulz, with log o+ of numpy's SVD.
+
+    Started from Z / (max g + 1), 1 in 100 at N = 40 and 12 in 60 at N = 80
+    missed the step budget and took the band route.
+    """
+    ensemble = disorder.uniform_iid(1.2, 2.0, n)
+    chains = np.array([disorder.sample_couplings(ensemble, 7, i)[0] for i in range(60)])
+    kernel = ff.ChainOverlap(n)
+    values = kernel(chains)
+    assert (kernel.newton_schulz_chains, kernel.newton_seeded_chains, kernel.band_chains) == (60, 60, 0)
+    assert 0 < kernel.max_newton_schulz_steps <= ff.NEWTON_SCHULZ_STEPS
+    for g, log_o in zip(chains, values):
+        assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", (40, ff.NEWTON_SCHULZ_SITES))
+def test_seeded_and_unseeded_chains_score_in_one_stack_as_alone(n):
+    """Seeded chains among chains outside the direct range give in one call bit for bit what they give alone.
+
+    Seven chains lie in the direct range: straddling, gapped and near-critical.
+    Five do not, each for one field of 1e-3 or 1e3 (N |log g| > 230): two
+    straddle 1, two are gapped, and the domain wall goes on to the SVD.
+    """
+    rng = np.random.default_rng((47, n))
+    seeded = [*rng.uniform(0.6, 2.6, (3, n)), *(1.6 + 0.04 * rng.standard_normal((2, n))), *rng.uniform(0.2, 2.2, (2, n))]
+    unseeded = [*rng.uniform(0.6, 2.6, (2, n)), *rng.uniform(1.05, 3.0, (2, n))]
+    unseeded[0][3], unseeded[1][n // 2], unseeded[2][5], unseeded[3][-1] = 1e-3, 1e-3, 1e3, 1e3
+    weak = 5 * n // 12
+    unseeded.append(np.array([1.0 / 3000.0] * weak + [3000.0] * (n - weak)))
+    chains = np.array(seeded + unseeded)
+    assert ff._reach(chains)[1].tolist() == [True] * 7 + [False] * 5
+    chains = chains[rng.permutation(len(chains))]
+    stacked, alone = ff.ChainOverlap(n), ff.ChainOverlap(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = stacked(chains)
+        np.testing.assert_array_equal(values, [alone(g) for g in chains])
+    for counter in (*COUNTERS, "singular_ratio_bound"):
+        assert getattr(stacked, counter) == getattr(alone, counter)
+    # the gapped ones converge unseeded; the two that straddle miss the step budget
+    assert (stacked.newton_schulz_chains, stacked.newton_seeded_chains) == (9, 7)
+    assert (stacked.band_chains, stacked.svd_fallbacks) == (3, 1)
 
 
 def _route_counts(ensemble, samples):
