@@ -237,13 +237,15 @@ class MonteCarloResult:
     `n_samples` counts the realizations, each of which enters the moments;
     `n_redraws` counts positivity redraws.  The histogram bins the per-site
     shift (u(g) - u(g_bar)) / N over `n_samples` values, with outliers
-    clipped into the edge bins.  `max_orthogonality_defect`
-    (worst max|W^T W - I|) and `singular_ratio_bound` (a proven lower bound
-    on the smallest s_min / s_max of the chain matrices, from the fields
-    alone, whatever route scored them) report the numerics of the overlap
-    kernel, and `svd_fallbacks` counts the samples it scored by the dense
-    SVD, past Newton-Schulz and the band route; all three are None when no
-    sample needed the kernel.
+    clipped into the edge bins.  `max_orthogonality_defect` (the kernel's
+    ``max_defect``: the worst max|W^T W - I| of a polar factor it formed, or
+    where it folded a chain's last Newton-Schulz step into the determinant,
+    the bound on what the fold leaves out) and `singular_ratio_bound` (a
+    proven lower bound on the smallest s_min / s_max of the chain matrices,
+    from the fields alone, whatever route scored them) report the numerics
+    of the overlap kernel, and `svd_fallbacks` counts the samples it scored
+    by the dense SVD, past Newton-Schulz and the band route; all three are
+    None when no sample needed the kernel.
     """
 
     n_samples: int
@@ -301,8 +303,9 @@ def expected_utility(
     logger gives the run's sample and redraw counts, its seconds split into
     drawing and scoring, its evaluations per second, the kernel's stack
     size, and the chains it scored by Newton-Schulz (with how many of its
-    chains were seeded by a Newton step, and the most Newton-Schulz steps one
-    took), by the band route and by the SVD fallback, each counted once.
+    chains were seeded from the closed-form Z^-T, and the most Newton-Schulz
+    steps one took before its last, folded into the determinant), by the
+    band route and by the SVD fallback, each counted once.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

@@ -41,16 +41,24 @@ chain's W by one of three routes:
   the limit of X <- alpha X (3I - alpha^2 X^T X) / 2
   (Higham, *Functions of Matrices*, SIAM 2008, ch. 8).  Z^-1 has a closed
   form with no cancellation, which bounds s_min(Z) from below in O(N)
-  (``_singular_ratio_bound``), and |Z|_2 <= max g + 1.  Where no product of
-  fields leaves the normal range (N max|log g| <= 230) X_0 is one scaled
-  Newton step (mu Z + Z^-T / mu) / 2 with Z^-T written from the closed form,
-  and elsewhere Z / (max g + 1); Z is diag(g) plus an orthogonal signed
-  shift, so by Weyl's inequality s_min(Z) >= max(g_min - 1, 1 - g_max),
-  positive on a gapped chain (``_newton_start``).  The scalings alpha follow
-  a Chen-Chow schedule for the highest of a few fixed lower ends at or below
-  that of X_0, or for NEWTON_SCHULZ_FLOOR if it is lower or unknown, and
-  each step is two matrix products.  A chain not converged after
-  NEWTON_SCHULZ_STEPS steps takes the band route.
+  (``_singular_ratio_bound``), and |Z|_2 <= max g + 1.  With
+  Y = Z / (max g + 1), where every prefix product of the fields stays
+  within e^+-230, X_0 = Y phi(Y^T Y), phi(h) = a + c h + b / h, has the
+  polar factor of Z: a three-term seed fitted to each of a few bounds,
+  whose Y Y^T Y has four cyclic diagonals, or below them one scaled Newton
+  step (c = 0), with Y^-T written from the closed form; elsewhere X_0 = Y.
+  Z is diag(g) plus an orthogonal signed shift, so by Weyl's inequality
+  s_min(Z) >= max(g_min - 1, 1 - g_max), positive on a gapped chain
+  (``_newton_start``).  The scalings alpha follow a Chen-Chow schedule for
+  the highest of a few fixed lower ends at or below that of X_0, or for
+  NEWTON_SCHULZ_FLOOR if it is lower or unknown, and each step is two
+  matrix products.  The last step is folded into the overlap determinant:
+  with E = X^T X - I, W = X (I + E)^(-1/2), so
+  log o+ = log|det(((I + E)^(1/2) + W0^T X) / 2)| - log det(I + E) / 2,
+  and once I + E/2 stands in for the square root to NEWTON_SCHULZ_TOL, from
+  one step before the schedule closes, tr E / 2 - |E|_F^2 / 4 stands in for
+  the second term.  A chain not converged after NEWTON_SCHULZ_STEPS steps
+  takes the band route.
 - The band route, for every other chain: Z^T Z is cyclic tridiagonal, and
   one stacked ``numpy.linalg.eigh`` diagonalizes it for all of a stack's
   chains.  Its eigenvectors V serve only as an orthogonal basis:
@@ -110,11 +118,10 @@ BAND_FIELD_MAX = 1e150
 # fields on one side of 1) takes it at every length, a longer straddling chain starts on
 # the band route.  Per chain, thread CPU time, one BLAS thread of a 2-core x86 VM, numpy
 # 2.4, band route against Newton-Schulz in stacks of U[0.2, 3] chains: N = 4 3.6 / 2.5 us,
-# 8 12.8 / 6.3, 20 52 / 25, 40 188 / 103, 80 707 / 566.  Above it, with the seeded start,
-# Newton-Schulz / band is 0.57, 0.72, 0.74, 0.75 and 1.12 at N = 96, 130, 160, 200 and 320
-# for U[0.6, 2.6], every chain seeded but at 320, which lies outside the direct range; and
-# 0.75, 1.13, 1.74, 2.2 and 2.1 for U[0.2, 2.2], seeded up to 130 and from 160 on mostly
-# not, where a third of the chains miss the step budget and are handed on.
+# 8 12.8 / 6.3, 20 52 / 25, 40 188 / 103, 80 707 / 566.  Above it, with the three-term
+# seed and the last step folded, Newton-Schulz / band is 0.47, 0.53, 0.56, 0.59 and 0.82 at
+# N = 96, 130, 160, 200 and 320 for U[0.6, 2.6], and 0.64, 0.95, 0.96, 1.09 and 1.39 for
+# U[0.2, 2.2] (medians of 3 rounds); every chain is seeded and none misses the step budget.
 NEWTON_SCHULZ_SITES = 80
 # Newton-Schulz steps a chain may take; one that has not converged by then takes the band route.
 NEWTON_SCHULZ_STEPS = 20
@@ -127,9 +134,11 @@ NEWTON_SCHULZ_FLOOR = 3e-2
 # BLAS thread, copy + gemm against shared: N = 40 3.0 / 5.9 us, 80 21.5 / 24.1,
 # 96 37 / 37, 120 96 / 63, 200 395 / 224.
 SHARED_GRAM_SITES = 96
-# A Newton-Schulz iterate X has converged once max|X^T X - I| <= this times N eps,
-# or for a gapped chain this times sqrt(N) eps, about where the rounding of a converged
-# Gram lies: log o+ moves by up to ~N times the defect, 6e-12 at 4 N eps and N = 200.
+# A Newton-Schulz iterate X, E = X^T X - I, has converged once delta^2 / (8 (1 - delta)^(3/2)),
+# delta = |E|_F, which bounds what I + E/2 leaves out of (I + E)^(1/2) when its last step is
+# folded into the overlap determinant, is at most this times N eps, or for a gapped chain this
+# times sqrt(N) eps, about where the rounding of a converged Gram lies: log o+ moves by up to
+# ~N times it, 6e-12 at 4 N eps and N = 200.
 NEWTON_SCHULZ_TOL = 4.0
 # Matrix entries (chains x N x N) in each stack-sized scratch array of
 # ChainOverlap, 256 KiB apiece: a stack holds max(1, STACK_ENTRIES // N^2) chains.
@@ -331,21 +340,22 @@ def _chen_chow_schedule(low: float) -> tuple[tuple, int]:
 
 
 @functools.lru_cache(maxsize=1)
-def _schedule_grid(floor: float) -> tuple[np.ndarray, tuple]:
-    """The Newton-Schulz schedules: ascending interval ends, and (coefficients, first check) of each.
+def _schedule_grid(floor: float) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """The Newton-Schulz schedules: ascending interval ends, (coefficients, closing step) of each, and its first check.
 
     A start whose singular values lie in (l, 1] takes schedule
     ``searchsorted(ends, l, "right")``.  Schedule 0 is the one for ``floor``,
-    checked from its end on: it serves the unseeded chains that straddle 1
+    run on from its end: it serves the unseeded chains that straddle 1
     (l <= 0) and every start whose l lies below the floor.  A start with
     l >= ``floor`` takes schedule j >= 1, built for ends[j - 1]: ``floor``
     itself, then for each step count s below the floor's the lowest end (to
     ~1e-12) whose interval closes within s steps.  The interval (l, 1] lies
     inside that end's, so its schedule serves l and closes it as fast as l's
-    own would, and the chain is checked from the step at which it closes,
-    where its iterate is orthogonal to rounding.  (The closing test meets the
-    last ulp below 1, so some ends up to ~2% below a grid end close a step
-    sooner on their own: 0.4% of them.)
+    own would.  A chain is checked from one step before its schedule closes
+    (schedule 0: one before its end), where the last step can be folded into
+    the overlap determinant.  (The closing test meets the last ulp below 1, so
+    some ends up to ~2% below a grid end close a step sooner on their own:
+    0.4% of them.)
     """
     steps, closing = _chen_chow_schedule(floor)
     ends = [floor]
@@ -354,7 +364,8 @@ def _schedule_grid(floor: float) -> tuple[np.ndarray, tuple]:
         for _ in range(40):
             lo, hi = (lo, mid) if _chen_chow_schedule(mid := 0.5 * (lo + hi))[1] <= bound else (mid, hi)
         ends.append(hi)
-    return np.array(ends), ((steps, len(steps)), *map(_chen_chow_schedule, ends))
+    schedules = ((steps, len(steps)), *map(_chen_chow_schedule, ends))
+    return np.array(ends), schedules, np.array([closes - 1 for _, closes in schedules])
 
 
 def _groups(entry: np.ndarray, grid: tuple) -> list:
@@ -372,8 +383,17 @@ def _reach(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reach, g.shape[1] * reach <= 230.0
 
 
+def _in_range(g: np.ndarray) -> np.ndarray:
+    """Whether every |log G_t| <= 230, G_t = g_0 ... g_{t-1}, for each chain of an (M, N) stack.
+
+    There no product of three G_t leaves the normal range, so ``_write_start``
+    can write Z^-T from them directly.  It holds on the direct range of ``_reach``.
+    """
+    return np.abs(np.cumsum(np.log(g), axis=1)).max(axis=1) <= 230.0
+
+
 def _prefix_products(g: np.ndarray) -> np.ndarray:
-    """G_t = g_0 ... g_{t-1}, t = 0..N, of each chain of an (M, N) stack in the direct range, one chain per column.
+    """G_t = g_0 ... g_{t-1}, t = 0..N, of each chain of an (M, N) stack ``_in_range``, one chain per column.
 
     Z^-1 is written in them, with no cancellation:
     (Z^-1)_{r, c} = G_c / G_{r+1} G_N / (G_N + 1) for r >= c and
@@ -430,51 +450,96 @@ def _singular_ratio_bound(g: np.ndarray) -> np.ndarray:
     return np.maximum(closed, weyl)
 
 
-def _newton_start(g: np.ndarray, top: np.ndarray, low: np.ndarray, bound: np.ndarray) -> tuple:
-    """(d, b, l) of each chain of a (k, N) stack: its Newton-Schulz start X_0 = Z / d + b Z^-T has its singular values in (l, 1].
+# The three-term Newton-Schulz starts, one row (r_k, a, c, b, l) per schedule end of
+# _schedule_grid above the floor.  f(x) = a x + c x^3 + b / x maps [r_k, 1] into [l, 1]:
+# its interior extrema solve 3 c x^4 + a x^2 - b = 0, and tests check the bounds there and
+# on a dense grid.  l enters the schedule that closes in 8, 7, ..., 2 steps.  Fitted by a
+# linear program on a 20 000-point grid with a 1% margin on r_k, then normalized by the
+# closed-form maximum (less 1e-11); never solved for at run time.
+_SEED_ROWS = np.array([
+    (1.05655e-4, 2.58098646943, -2.54807035991, 1.05626188501e-4, 0.033021),
+    (7.07907e-4, 2.55177112018, -2.46756200049, 7.06628225629e-4, 0.084915),
+    (4.49257e-3, 2.46961974464, -2.26474277532, 4.44272612983e-3, 0.209319),
+    (2.63363e-2, 2.23590561605, -1.79199844852, 2.47863364025e-2, 0.468693),
+    (0.129191, 1.71025474633, -0.995859328617, 0.100923626702, 0.815319),
+    (0.450171, 1.0971418756, -0.354591050468, 0.242393451318, 0.984944),
+    (0.873163, 0.802364141221, -0.152538252804, 0.350096246709, 0.999922),
+])
 
-    With max g in ``top`` and r the ``bound`` of ``_singular_ratio_bound``,
-    the singular values of Z lie in [r (max g + 1), max g + 1].  In the
-    direct range of ``_reach`` X_0 is one scaled Newton step,
-    (mu Z + Z^-T / mu) / (2 ell) with mu = 1 / ((max g + 1) sqrt r): it keeps
-    Z's singular vectors and maps each s to (mu s + 1 / (mu s)) / (2 ell), in
-    [1 / ell, 1] for ell = (sqrt r + 1 / sqrt r) / 2 (Higham, *Functions of
-    Matrices*, ch. 8).  Elsewhere X_0 = Z / (max g + 1), b = 0 and l = ``low``,
-    Weyl's bound max(g_min - 1, 1 - g_max) / (max g + 1).
+
+def _newton_start(g: np.ndarray, low: np.ndarray, bound: np.ndarray) -> tuple:
+    """(a, c, b, l) of each chain of a (k, N) stack: X_0 = a Y + c Y Y^T Y + b Y^-T, Y = Z / (max g + 1), has its singular values in [l, 1].
+
+    X_0 = Y phi(Y^T Y) with phi(h) = a + c h + b / h > 0 on the spectrum, so
+    it has the polar factor of Z and maps each singular value x of Y to
+    f(x) = a x + c x^3 + b / x, and x lies in [r, 1] for r the ``bound`` of
+    ``_singular_ratio_bound``.  A chain ``_in_range`` takes the highest row
+    of _SEED_ROWS with r_k <= r, and below the lowest one scaled Newton step,
+    c = 0, a = 1 / (2 ell sqrt r) and b = sqrt r / (2 ell), which maps
+    [r, 1] into [1 / ell, 1] for ell = (sqrt r + 1 / sqrt r) / 2 (Higham,
+    *Functions of Matrices*, ch. 8).  Elsewhere X_0 = Y, b = c = 0 and
+    l = ``low``, Weyl's bound max(g_min - 1, 1 - g_max) / (max g + 1).
     """
-    d, b, lower = top + 1.0, np.zeros(len(g)), low.copy()
-    seeded = _reach(g)[1]
-    scale, root = d[seeded], np.sqrt(bound[seeded])
+    k = len(g)
+    a, c, b, lower = np.ones(k), np.zeros(k), np.zeros(k), low.copy()
+    seeded = _in_range(g)
+    row = np.searchsorted(_SEED_ROWS[:, 0], bound, side="right") - 1
+    fitted, newton = seeded & (row >= 0), seeded & (row < 0)
+    a[fitted], c[fitted], b[fitted], lower[fitted] = _SEED_ROWS[row[fitted], 1:].T
+    root = np.sqrt(bound[newton])
     ell = 0.5 * (root + 1.0 / root)
-    d[seeded], b[seeded], lower[seeded] = 2.0 * ell * scale * root, scale * root / (2.0 * ell), 1.0 / ell
-    return d, b, lower
+    a[newton], b[newton], lower[newton] = 0.5 / (ell * root), 0.5 * root / ell, 1.0 / ell
+    return a, c, b, lower
 
 
-def _write_start(g: np.ndarray, d: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """X_0 = Z / d + b Z^-T of each chain of a (k, N) stack into ``out``, (k, N, N).
+def _write_start(g, scale, a, c, b, out, below=None) -> None:
+    """X_0 = a Y + c Y Y^T Y + b Y^-T, Y = Z / scale, of each chain of a (k, N) stack into ``out``, (k, N, N).
 
-    b Z^-T comes from ``_prefix_products`` as one outer product,
-    b G_c G_N / (G_N + 1) times 1 / G_{r+1} at [c, r], whose entries below
-    the diagonal, the paths across the wrap bond, are then scaled by
-    -1 / G_N in place; three strided adds put in Z / d.  A chain with b = 0
-    needs no prefix products and gets exactly the Z / d of its fields, and
-    d = inf leaves b Z^-T alone.
+    b Y^-T = b scale Z^-T comes from ``_prefix_products`` as one outer
+    product, b scale G_c G_N / (G_N + 1) times 1 / G_{r+1} at [c, r], whose
+    entries below the diagonal (``below``, ``np.tri(N, k=-1, dtype=bool)``,
+    needed where some b > 0), the paths across the wrap bond, are then
+    scaled by -1 / G_N in place.  Strided adds put in the rest.  Y has
+    u = g / scale on its diagonal and t = 1 / scale on the signed shift,
+    and Y Y^T Y has four cyclic diagonals, [j, j] = u_j^3 + 2 t^2 u_j,
+    [j, j+1] = -t u_j u_{j+1}, [j, j-1] = -t (u_j^2 + u_{j-1}^2 + t^2) and
+    [j, j-2] = t^2 u_{j-1}, each with its sign flipped where it wraps, at
+    [N-1, 0], [0, N-1], [0, N-2] and [1, N-1]; it is only formed where
+    c != 0, from u <= 1 and t <= 1, so no power of a field overflows.  A
+    chain with b = 0 needs no prefix products, and scale = a = 1, b = c = 0
+    give exactly Z.
     """
     k, n = g.shape
-    by_row, by_column, crossing = np.zeros((k, n)), np.ones((k, n)), np.ones(k)
     seeded = b > 0.0
     if seeded.any():
+        by_row, by_column, crossing = np.zeros((k, n)), np.ones((k, n)), np.ones(k)
         products = _prefix_products(g[seeded])
         total = products[-1]
-        by_row[seeded] = (products[:-1] * (b[seeded] * total / (total + 1.0))).T
+        by_row[seeded] = (products[:-1] * (b[seeded] * scale[seeded] * total / (total + 1.0))).T
         by_column[seeded] = (1.0 / products[1:]).T
         crossing[seeded] = -1.0 / total
-    np.multiply(by_row[:, :, None], by_column[:, None, :], out=out)
-    np.multiply(out, crossing[:, None, None], out=out, where=np.tri(n, k=-1, dtype=bool))
+        np.multiply(by_row[:, :, None], by_column[:, None, :], out=out)
+        np.multiply(out, crossing[:, None, None], out=out, where=below)
+    else:
+        out.fill(0.0)
     flat = out.reshape(k, n * n)
-    flat[:, :: n + 1] += g / d[:, None]
-    flat[:, n :: n + 1] -= 1.0 / d[:, None]
-    out[:, 0, -1] += 1.0 / d
+    u, t = g / scale[:, None], 1.0 / scale
+    flat[:, :: n + 1] += a[:, None] * u
+    flat[:, n :: n + 1] -= (a * t)[:, None]
+    out[:, 0, -1] += a * t
+    if not c.any():
+        return
+    ct, tt = (c * t)[:, None], (t * t)[:, None]
+    square = u * u
+    flat[:, :: n + 1] += c[:, None] * u * (square + 2.0 * tt)
+    flat[:, 1 :: n + 1] -= ct * u[:, :-1] * u[:, 1:]
+    out[:, -1, 0] += ct[:, 0] * u[:, -1] * u[:, 0]
+    flat[:, n :: n + 1] -= ct * (square[:, 1:] + square[:, :-1] + tt)
+    out[:, 0, -1] += ct[:, 0] * (square[:, 0] + square[:, -1] + tt[:, 0])
+    ctu = c[:, None] * tt * u  # c t^2 u_j
+    flat[:, 2 * n :: n + 1] += ctu[:, 1:-1]
+    out[:, 0, -2] -= ctu[:, -1]
+    out[:, 1, -1] -= ctu[:, 0]
 
 
 def chain_matrix(couplings) -> np.ndarray:
@@ -485,7 +550,8 @@ def chain_matrix(couplings) -> np.ndarray:
     """
     g = as_couplings(couplings)[None]
     z = np.empty((1, g.size, g.size))
-    _write_start(g, np.ones(1), np.zeros(1), z)
+    one, zero = np.ones(1), np.zeros(1)
+    _write_start(g, one, one, zero, zero, z)
     return z[0]
 
 
@@ -512,16 +578,18 @@ class ChainOverlap:
 
     Every check applies to every chain of a stack: field validation, a
     solver failure (NumericsError), the band route's gate and floor,
-    UNITARITY_TOL on W, and a finite overlap, log o+ <= OVERLAP_SLACK.  A
-    chain that fails one raises for its whole call.  Over its calls the
+    UNITARITY_TOL on each W it forms, and a finite overlap,
+    log o+ <= OVERLAP_SLACK.  A chain that fails one raises for its whole call.  Over its calls the
     object counts its chains by route, ``newton_schulz_chains`` and
     ``band_chains`` (which include the SVD's, ``svd_fallbacks``), whose sum
     is ``evaluations``, and of the Newton-Schulz chains those it started
-    from the seeded Newton step (``newton_seeded_chains``).  It records the
+    from a seed written with Z^-T (``newton_seeded_chains``).  It records the
     most Newton-Schulz steps a converged chain took, not counting the seed
-    (``max_newton_schulz_steps``), the worst orthogonality defect
-    max|W^T W - I| (``max_defect``), and the least ``_singular_ratio_bound``
-    of its chains (``singular_ratio_bound``, 1 before the first).
+    (``max_newton_schulz_steps``), the worst defect (``max_defect``:
+    max|W^T W - I| of each W it formed, and for a chain whose last
+    Newton-Schulz step it folded into the determinant the bound on what the
+    fold leaves out), and the least ``_singular_ratio_bound`` of its chains
+    (``singular_ratio_bound``, 1 before the first).
     The scratch is reused, so one object must not be shared between threads.
     """
 
@@ -531,6 +599,7 @@ class ChainOverlap:
         self.stack = max(1, STACK_ENTRIES // n_sites**2)
         self._floor = n_sites * np.finfo(float).eps  # s_min <= _floor * s_max is unresolved
         self._straddling_newton_schulz = n_sites <= NEWTON_SCHULZ_SITES
+        self._below = np.tri(n_sites, k=-1, dtype=bool)  # for _write_start
         self._allocate(1)
         self.newton_schulz_chains = self.newton_seeded_chains = self.max_newton_schulz_steps = 0
         self.band_chains = self.svd_fallbacks = 0
@@ -562,10 +631,13 @@ class ChainOverlap:
     def polar(self, couplings) -> np.ndarray:
         """The orthogonal polar factor W of Z at fields g, one chain.
 
+        A Newton-Schulz chain takes the last step that an overlap call folds
+        away, and its W is held to UNITARITY_TOL like the band route's.
+
         The result is scratch that the object's next call overwrites.
         """
         g = self._fields(np.asarray(couplings, dtype=float)[None])
-        return self._polar(g, self._bound(g))[0]
+        return self._polar(g, self._bound(g), None)[0]
 
     def _bound(self, g: np.ndarray) -> np.ndarray:
         """``_singular_ratio_bound`` of each chain of g, with the least kept in ``singular_ratio_bound``."""
@@ -573,7 +645,7 @@ class ChainOverlap:
         self.singular_ratio_bound = min(self.singular_ratio_bound, float(bound.min()))
         return bound
 
-    def _polar(self, g: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    def _polar(self, g: np.ndarray, bound: np.ndarray, correction) -> np.ndarray:
         """The (k, N, N) polar factors of k <= stack chains, each by its route.
 
         A chain with a field above BAND_FIELD_MAX goes to the SVD.  Of the
@@ -582,6 +654,11 @@ class ChainOverlap:
         the chains it converges; the band route takes the rest, and its
         gate sends some on to the SVD.  Every W of the band route or the SVD
         is then held to UNITARITY_TOL, and its chain counts in ``band_chains``.
+        With a (k,) ``correction`` of NaN, Newton-Schulz folds its last step
+        into the overlap determinant: a chain it converges holds its overlap
+        matrix M in place of W, and its entry of ``correction`` turns finite
+        (see ``_newton_schulz_polar``).  With None it takes that step, and its
+        W is held to UNITARITY_TOL too.
         """
         k = len(g)
         if k > len(self._w):
@@ -593,7 +670,7 @@ class ChainOverlap:
         low = np.maximum(g.min(axis=1) - 1.0, 1.0 - top) / (top + 1.0)
         newton = ~svd & (self._straddling_newton_schulz | (low > 0.0))
         band = ~svd & ~newton
-        band[self._newton_schulz_polar(g, np.flatnonzero(newton), top, low, bound, w)] = True
+        band[self._newton_schulz_polar(g, np.flatnonzero(newton), top, low, bound, w, correction)] = True
         rows = np.flatnonzero(band)
         if rows.size:
             # a whole stack is solved, and checked below, in place: at large N each copy costs ~1%
@@ -606,6 +683,8 @@ class ChainOverlap:
         self.svd_fallbacks += fallbacks.size
         for row in fallbacks:
             self._svd_polar(g[row], w[row])
+        if correction is None:
+            held = np.flatnonzero(svd | band | newton)
         if not held.size:
             return w
         # gathered into warm scratch: a fresh array pays its page faults
@@ -618,34 +697,39 @@ class ChainOverlap:
             raise NumericsError(f"polar factor is not orthogonal (defect {defect:.3e} > {UNITARITY_TOL:.1e})")
         return w
 
-    def _newton_schulz_polar(self, g, rows, top, low, bound, w) -> np.ndarray:
+    def _newton_schulz_polar(self, g, rows, top, low, bound, w, correction) -> np.ndarray:
         """W into w for the chains ``rows`` of g by Newton-Schulz; returns those left to the band route.
 
         Each chain starts from the X_0 of ``_newton_start`` (max g in ``top``,
         Weyl's bound in ``low``), built in the scratch by ``_write_start``.
         Each step computes E = X^T X - I and X <- X (c_I I + c_E E), by the
-        schedule ``_schedule_grid`` gives the lower end of X_0 and by the plain
-        step after it.  From the schedule's first check on, a chain whose max|E| is
-        within NEWTON_SCHULZ_TOL N eps (sqrt(N) eps if it is gapped, low > 0),
-        far inside UNITARITY_TOL, leaves the iteration with X as its W and
-        that max|E| as its defect; the rest go on compacted in the scratch, so
-        every chain takes the same steps wherever it is scored.  Each chain
-        that leaves is counted, and apart each seeded one; those still iterating
-        after NEWTON_SCHULZ_STEPS steps are returned.
+        schedule ``_schedule_grid`` gives the lower end of X_0.  From one
+        step before the schedule closes, W = X (I + E)^(-1/2) is in reach:
+        with delta = |E|_F >= |E|_2, |(I + E)^(1/2) - I - E/2| <=
+        delta^2 / (8 (1 - delta)^(3/2)), and a chain whose bound is within
+        NEWTON_SCHULZ_TOL N eps (sqrt(N) eps if it is gapped, low > 0)
+        leaves the iteration, with that bound as its defect.  As
+        det((I + W0^T W) / 2) = det(((I + E)^(1/2) + W0^T X) / 2) / det(I + E)^(1/2),
+        its slot of w gets M = (I + W0^T X + E / 2) / 2, and its entry of
+        ``correction`` (1/2) log det(I + E) to second order, tr E / 2 - |E|_F^2 / 4;
+        with ``correction`` None it takes the plain step instead, W = X (I - E / 2).
+        The rest go on compacted in the scratch, so every chain takes the same
+        steps wherever it is scored.  Each chain that leaves is counted, and
+        apart each seeded one; those still iterating after NEWTON_SCHULZ_STEPS
+        steps are returned.
         """
-        ends, schedules = _schedule_grid(NEWTON_SCHULZ_FLOOR)
-        d, b, lower = _newton_start(g[rows], top[rows], low[rows], bound[rows])
+        ends, schedules, first = _schedule_grid(NEWTON_SCHULZ_FLOOR)
+        *seed, lower = _newton_start(g[rows], low[rows], bound[rows])
         entry = np.searchsorted(ends, lower, side="right")
         # the chains of one schedule side by side, so that each step scales them by scalars
         order = np.argsort(entry, kind="stable")
-        rows, entry, d, b = rows[order], entry[order], d[order], b[order]
-        seeded = b > 0.0
+        rows, entry, seed = rows[order], entry[order], [part[order] for part in seed]
+        seeded = seed[-1] > 0.0  # b > 0
         a, n = rows.size, self.n_sites
+        tolerance = NEWTON_SCHULZ_TOL * np.finfo(float).eps * np.where(low[rows] > 0.0, math.sqrt(n), n)
         x, spare = self._v[:a], self._y[:a]
-        _write_start(g[rows], d, b, x)
+        _write_start(g[rows], top[rows] + 1.0, *seed, x, self._below)
         groups = _groups(entry, schedules)
-        tol, gapped_tol = (NEWTON_SCHULZ_TOL * size * np.finfo(float).eps for size in (n, math.sqrt(n)))
-        checks = np.array([check for _, check in schedules])
         for step in range(NEWTON_SCHULZ_STEPS + 1):
             if a == 0:
                 break
@@ -654,20 +738,21 @@ class ChainOverlap:
             left = (spare if n < SHARED_GRAM_SITES else x)[:a]
             e = np.matmul(left.transpose(0, 2, 1), x[:a], out=self._gram[:a])
             self._gram_diagonal[:a] -= 1.0
-            if step >= checks[entry].min():
-                defect = np.abs(e, out=self._r[:a]).max(axis=(1, 2))
-                done = (step >= checks[entry]) & (defect <= np.where(low[rows] > 0.0, gapped_tol, tol))
+            if step >= first[entry].min():
+                frobenius = np.square(e, out=self._r[:a]).sum(axis=(1, 2))
+                # above delta = 1/2 the bound exceeds any tolerance; the clip keeps 1 - delta positive
+                defect = frobenius / (8.0 * (1.0 - np.minimum(np.sqrt(frobenius), 0.5)) ** 1.5)
+                done = (step >= first[entry]) & (defect <= tolerance)
                 if done.any():
-                    w[rows[done]] = x[:a][done]
+                    self._leave(x[:a], e, done, rows, defect, frobenius, w, correction)
                     self.newton_schulz_chains += int(done.sum())
                     self.newton_seeded_chains += int(seeded[done].sum())
-                    self.max_newton_schulz_steps = max(self.max_newton_schulz_steps, step)
-                    self.max_defect = max(self.max_defect, float(defect[done].max()))
+                    self.max_newton_schulz_steps = max(self.max_newton_schulz_steps, step + (correction is None))
                     keep = ~done
-                    rows, entry, seeded = rows[keep], entry[keep], seeded[keep]
+                    rows, entry, seeded, tolerance = rows[keep], entry[keep], seeded[keep], tolerance[keep]
                     groups, a = _groups(entry, schedules), rows.size
-                    first = int(done.argmax())  # the chains that stay move down from the first that left on
-                    x[first:a], e[first:a] = x[first : keep.size][keep[first:]], e[first : keep.size][keep[first:]]
+                    moved = int(done.argmax())  # the chains that stay move down from the first that left on
+                    x[moved:a], e[moved:a] = x[moved : keep.size][keep[moved:]], e[moved : keep.size][keep[moved:]]
                     e = e[:a]
                 if step == NEWTON_SCHULZ_STEPS or a == 0:
                     break
@@ -678,6 +763,40 @@ class ChainOverlap:
             np.matmul(x[:a], e, out=spare[:a])
             x, spare = spare, x
         return rows
+
+    def _leave(self, x, e, done, rows, defect, frobenius, w, correction) -> None:
+        """Write the ``done`` chains of a Newton-Schulz stack, iterates x and Grams E = e, into their slots of w.
+
+        M = (I + W0^T X + E / 2) / 2 and its ``correction`` where that is an
+        array, recording the defect, and otherwise W = X (I - E / 2).  The
+        chains that leave together are most often one run of the scratch,
+        read in place, and when they fill a run of w's slots in order they
+        are written there directly; otherwise each is formed in its Gram's
+        place and scattered.
+        """
+        index = np.flatnonzero(done)
+        leaving = rows[index]
+        count, n = leaving.size, self.n_sites
+        run = slice(index[0], index[-1] + 1) if index[-1] - index[0] == count - 1 else index
+        x_done, e_done = x[run], e[run]
+        direct = bool((np.diff(leaving) == 1).all())
+        target = w[leaving[0] : leaving[-1] + 1] if direct else e_done
+        if correction is None:
+            e_done *= -0.5
+            e_done.reshape(count, -1)[:, :: n + 1] += 1.0
+            target = np.matmul(x_done, e_done, out=target if direct else None)
+        else:
+            trace = e_done.reshape(count, -1)[:, :: n + 1].sum(axis=1)
+            correction[leaving] = 0.5 * trace - 0.25 * frobenius[index]
+            self.max_defect = max(self.max_defect, float(defect[index].max()))
+            e_done *= 0.5
+            # W0^T X moves row j+1 of X to row j with a minus sign and row 0 to row N-1
+            np.subtract(e_done[:, :-1], x_done[:, 1:], out=target[:, :-1])
+            np.add(e_done[:, -1], x_done[:, 0], out=target[:, -1])
+            target.reshape(count, -1)[:, :: n + 1] += 1.0
+            target *= 0.5
+        if not direct:
+            w[leaving] = target
 
     def _band_polar(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
         """W into w by the band route; returns the chains its gate sends to the SVD.
@@ -761,16 +880,27 @@ class ChainOverlap:
         return out
 
     def _log_overlaps(self, g: np.ndarray, bound: np.ndarray) -> np.ndarray:
-        """log o+ of k <= stack chains, with their ``_singular_ratio_bound``."""
+        """log o+ of k <= stack chains, with their ``_singular_ratio_bound``.
+
+        A chain whose last Newton-Schulz step is folded holds its M in place
+        of W, and its (1/2) log det(I + E) comes off the log determinant.
+        """
         k = len(g)
-        w = self._polar(g, bound)
-        m = self._m[:k]
-        # W0^T W moves row j+1 of W to row j with a minus sign and row 0 to row N-1.
-        np.negative(w[:, 1:], out=m[:, :-1])
-        m[:, -1] = w[:, 0]
-        self._m_diagonal[:k] += 1.0
-        m *= 0.5
+        correction = np.full(k, np.nan)
+        w = self._polar(g, bound, correction)
+        folded = ~np.isnan(correction)
+        m = w
+        if not folded.all():
+            m = self._m[:k]
+            # W0^T W moves row j+1 of W to row j with a minus sign and row 0 to row N-1.
+            np.negative(w[:, 1:], out=m[:, :-1])
+            m[:, -1] = w[:, 0]
+            self._m_diagonal[:k] += 1.0
+            m *= 0.5
+            if folded.any():
+                m[folded] = w[folded]
         _, logabs = np.linalg.slogdet(m)
+        np.subtract(logabs, correction, out=logabs, where=folded)
         if not np.isfinite(logabs).all():
             raise NumericsError(f"overlap determinant is zero or not finite on a {self.n_sites}-site chain")
         worst = float(logabs.max())

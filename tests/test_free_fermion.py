@@ -677,9 +677,9 @@ def test_large_fields_below_the_square_bound_fall_back_without_overflow():
 
 # Lengths at which every chain starts on Newton-Schulz, up to the longest; 40 is that of the Monte Carlo runs.
 WINDOW_LENGTHS = (8, 24, 40, ff.NEWTON_SCHULZ_SITES)
-# (band route, SVD) chains of each length's conditioning sweep: at N = 80 a uniform chain with a
-# field below e^-2.9, outside the direct range, starts unseeded and misses the step budget.
-SWEEP_HANDED_ON = {8: 3, 24: 0, 40: 0, 80: 1}
+# (band route, SVD) chains of each length's conditioning sweep: at N = 8 three domain walls
+# miss the step budget and take the SVD; every other chain is seeded and converges.
+SWEEP_HANDED_ON = {8: 3, 24: 0, 40: 0, 80: 0}
 SWEEP_SVD = {8: 3, 24: 0, 40: 0, 80: 0}
 
 
@@ -819,14 +819,16 @@ def test_schedule_grid_closes_each_interval_as_fast_as_its_own_schedule():
     """A proved lower end l takes the schedule of a grid end at or below it that closes within l's own steps.
 
     An unseeded chain that straddles 1 (l <= 0) takes the floor's schedule,
-    checked from its end on, as does a start whose l lies below the floor;
-    at the floor the same coefficients are checked from where they close.
+    run on from its end, as does a start whose l lies below the floor; at
+    the floor the same coefficients close where the floor's own interval
+    does.  Each is first checked one step before it closes.
     Up to ~2% below a grid end the closing test, at the last ulp below 1,
     lets a few ends close a step sooner on their own.
     """
-    ends, schedules = ff._schedule_grid(ff.NEWTON_SCHULZ_FLOOR)
+    ends, schedules, first = ff._schedule_grid(ff.NEWTON_SCHULZ_FLOOR)
     floor_steps, floor_closing = ff._chen_chow_schedule(ff.NEWTON_SCHULZ_FLOOR)
     assert schedules[:2] == ((floor_steps, len(floor_steps)), (floor_steps, floor_closing))
+    assert first.tolist() == [closing - 1 for _, closing in schedules]  # one step early, for the fold
     below = [-0.5, 0.0, 1e-300, 0.9 * ff.NEWTON_SCHULZ_FLOOR]
     assert np.searchsorted(ends, below, side="right").tolist() == [0, 0, 0, 0]
     lows = np.concatenate((np.geomspace(ff.NEWTON_SCHULZ_FLOOR, 1.0, 500), ends))
@@ -936,8 +938,10 @@ def test_gapped_extreme_fields_converge_without_overflow(n):
 def test_mixed_gapped_and_straddling_stack_scores_each_chain_as_it_scores_alone(n):
     """Gapped chains of several schedules among chains that straddle 1 score in one call as alone.
 
-    At N = 40 the straddling chains take Newton-Schulz on the floor's
-    schedule beside the gapped ones; at N = 130 they take the band route.
+    At N = 40 the straddling chains take Newton-Schulz beside the gapped
+    ones, and so does the domain wall, seeded: its prefix products stay
+    within e^+-230; at N = 130 the straddling chains take the band route,
+    and the wall goes on to the SVD.
     """
     rng = np.random.default_rng((23, n))
     weak = 5 * n // 12  # a domain wall that only the SVD resolves
@@ -949,9 +953,10 @@ def test_mixed_gapped_and_straddling_stack_scores_each_chain_as_it_scores_alone(
     np.testing.assert_array_equal(values, [alone(g) for g in chains])
     for counter in COUNTERS:
         assert getattr(stacked, counter) == getattr(alone, counter)
-    # every chain but the wall converges by Newton-Schulz at N = 40, the six gapped ones at N = 130
-    newton = len(chains) - 1 if n <= ff.NEWTON_SCHULZ_SITES else 6
-    assert (stacked.newton_schulz_chains, stacked.band_chains, stacked.svd_fallbacks) == (newton, len(chains) - newton, 1)
+    # every chain converges by Newton-Schulz at N = 40, the six gapped ones at N = 130
+    newton = len(chains) if n <= ff.NEWTON_SCHULZ_SITES else 6
+    assert (stacked.newton_schulz_chains, stacked.band_chains) == (newton, len(chains) - newton)
+    assert stacked.svd_fallbacks == (n > ff.NEWTON_SCHULZ_SITES)
 
 
 def test_written_inverse_is_the_closed_form_and_numpys():
@@ -961,39 +966,102 @@ def test_written_inverse_is_the_closed_form_and_numpys():
     for chains in [[g] for g in conditioned] + [[g for g in _route_sweep() if g.size == 12]]:
         g = np.array(chains)
         out = np.empty((len(g), g.shape[1], g.shape[1]))
-        ff._write_start(g, np.full(len(g), np.inf), np.ones(len(g)), out)  # d = inf: b Z^-T alone
+        ones, zeros = np.ones(len(g)), np.zeros(len(g))
+        ff._write_start(g, ones, zeros, zeros, ones, out, np.tri(g.shape[1], k=-1, dtype=bool))  # scale = b = 1, a = c = 0: Z^-T alone
         for chain, inverse_t in zip(g, out):
             np.testing.assert_allclose(inverse_t, _closed_form_inverse(chain).T, rtol=1e-10, atol=0.0)
     for g in conditioned:
         out = np.empty((1, g.size, g.size))
-        ff._write_start(g[None], np.array([np.inf]), np.ones(1), out)
+        ff._write_start(g[None], np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), out, np.tri(g.size, k=-1, dtype=bool))
         np.testing.assert_allclose(out[0], np.linalg.inv(ff.chain_matrix(g)).T, rtol=1e-10, atol=0.0)
 
 
-def test_newton_start_singular_values_lie_in_their_interval():
-    """X_0 has its singular values in [l, 1] up to rounding: seeded or not, and gapped (l > 0) or not.
+def test_written_cube_is_the_dense_product():
+    """The seed's c Y Y^T Y, Y = Z / scale, written on its four cyclic diagonals, is the dense product.
 
-    Seeded chains of the sweep span lower ends from ~0.95 to ~2e-7; the
-    uniform chains with a field below e^-2.9 at N = 80 lie outside the direct
-    range and start from Z / (max g + 1).
+    Alone (c = 1, scale = 1: Z Z^T Z), for single chains and a stack of
+    several lengths' worth, and scaled by max g + 1 beside the other two
+    terms; fields up to BAND_FIELD_MAX write without overflow, where
+    Z Z^T Z itself would not fit in a float.
     """
-    seeded = 0
-    for g in _route_sweep():
+    rng = np.random.default_rng(53)
+    for n in (4, 6, 12, 40):
+        g = np.vstack((rng.uniform(0.2, 3.0, (3, n)), np.exp(rng.standard_normal((2, n)))))
+        ones, zeros = np.ones(len(g)), np.zeros(len(g))
+        out = np.empty((len(g), n, n))
+        ff._write_start(g, ones, zeros, ones, zeros, out)
+        for chain, cube in zip(g, out):
+            z = ff.chain_matrix(chain)
+            np.testing.assert_allclose(cube, z @ z.T @ z, rtol=1e-14, atol=1e-14 * np.abs(z @ z.T @ z).max())
+        scale, a, c, b = g.max(axis=1) + 1.0, rng.uniform(0.5, 2.5, len(g)), rng.uniform(-2.5, -0.1, len(g)), rng.uniform(1e-3, 0.3, len(g))
+        ff._write_start(g, scale, a, c, b, out, np.tri(n, k=-1, dtype=bool))
+        for chain, t, *coefficients, start in zip(g, scale, a, c, b, out):
+            y = ff.chain_matrix(chain) / t
+            expected = coefficients[0] * y + coefficients[1] * y @ y.T @ y + coefficients[2] * np.linalg.inv(y).T
+            np.testing.assert_allclose(start, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+    huge = np.array([[1e150] * 3 + [1e-150] * 3, [1e149] * 6])
+    out = np.empty((2, 6, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ff._write_start(huge, huge.max(axis=1) + 1.0, np.ones(2), -np.ones(2), np.zeros(2), out)
+    y = ff.chain_matrix(huge[1]) / (huge[1, 0] + 1.0)
+    np.testing.assert_allclose(out[1], y - y @ y.T @ y, rtol=0.0, atol=1e-15)
+    assert np.isfinite(out).all()
+
+
+def test_seed_rows_map_their_interval_into_their_schedule():
+    """Each seed row's f(x) = a x + c x^3 + b / x maps [r_k, 1] into [l, 1], and l closes in 8, 7, ..., 2 steps.
+
+    The extrema of f on [r_k, 1] lie at the ends and at the roots of
+    3 c x^4 + a x^2 - b = 0, in closed form; a dense grid agrees.  Rows
+    ascend in r_k and l, and each l lies above what one scaled Newton step
+    reaches from r_k, 2 sqrt(r_k) / (1 + r_k).
+    """
+    ends, schedules, _ = ff._schedule_grid(ff.NEWTON_SCHULZ_FLOOR)
+    rows = ff._SEED_ROWS
+    assert (np.diff(rows[:, 0]) > 0).all() and (np.diff(rows[:, 4]) > 0).all()
+    closing = []
+    for r, a, c, b, low in rows:
+        f = lambda x: a * x + c * x**3 + b / x  # noqa: E731
+        y = (-a + np.array([1.0, -1.0]) * math.sqrt(a * a + 12.0 * c * b)) / (6.0 * c)  # x^2 at the interior extrema
+        x = np.sqrt(y[(y >= r * r) & (y <= 1.0)])
+        extrema = f(np.concatenate(([r, 1.0], x)))
+        assert low <= extrema.min() and extrema.max() <= 1.0
+        grid = f(np.geomspace(r, 1.0, 100_001))
+        assert low <= grid.min() and grid.max() <= 1.0
+        assert low > 2.0 * math.sqrt(r) / (1.0 + r)
+        closing.append(schedules[np.searchsorted(ends, low, side="right")][1])
+    assert closing == [8, 7, 6, 5, 4, 3, 2]
+
+
+def test_newton_start_singular_values_lie_in_their_interval():
+    """X_0 has its singular values in [l, 1] up to rounding: by a seed row, by the Newton step or unseeded.
+
+    Every chain of the sweep is seeded: its bounds span ~0.95 to ~1e-13, so
+    both seeds occur.  Chains whose prefix products leave e^+-230, gapped
+    and straddling, start from Y = Z / (max g + 1).
+    """
+    beyond = [np.full(12, 1e30), np.full(40, 1e-10), np.array([1e-9] * 30 + [1.5] * 10)]
+    kinds = []
+    for g in _route_sweep() + beyond:
         n = g.size
-        top, low = g.max(keepdims=True), np.maximum(g.min() - 1.0, 1.0 - g.max(keepdims=True)) / (g.max() + 1.0)
-        d, b, lower = ff._newton_start(g[None], top, low, ff._singular_ratio_bound(g[None]))
+        low = np.maximum(g.min() - 1.0, 1.0 - g.max(keepdims=True)) / (g.max() + 1.0)
+        a, c, b, lower = ff._newton_start(g[None], low, ff._singular_ratio_bound(g[None]))
         x = np.empty((1, n, n))
-        ff._write_start(g[None], d, b, x)
+        ff._write_start(g[None], g.max(keepdims=True) + 1.0, a, c, b, x, np.tri(n, k=-1, dtype=bool))
         s = np.linalg.svd(x[0], compute_uv=False)
         rounding = 4.0 * n * np.finfo(float).eps
         assert s[0] <= 1.0 + rounding
         assert s[-1] >= lower[0] * (1.0 - rounding)
         if b[0] > 0.0:
-            seeded += 1
-            assert lower[0] > 0.0 and d[0] > 0.0
+            kinds.append("fitted" if c[0] < 0.0 else "newton")
+            assert lower[0] > 0.0 and a[0] > 0.0
         else:
+            kinds.append("unseeded")
+            assert (a[0], c[0], lower[0]) == (1.0, 0.0, low[0])
             np.testing.assert_array_equal(x[0], ff.chain_matrix(g) / (g.max() + 1.0))
-    assert seeded == len(_route_sweep()) - 3
+    assert kinds[-3:] == ["unseeded"] * 3
+    assert kinds.count("unseeded") == 3 and kinds.count("newton") > 0 and kinds.count("fitted") > 0
 
 
 @pytest.mark.parametrize("n", (40, ff.NEWTON_SCHULZ_SITES))
@@ -1015,20 +1083,29 @@ def test_near_critical_chains_converge_on_newton_schulz(n):
 
 @pytest.mark.parametrize("n", (40, ff.NEWTON_SCHULZ_SITES))
 def test_seeded_and_unseeded_chains_score_in_one_stack_as_alone(n):
-    """Seeded chains among chains outside the direct range give in one call bit for bit what they give alone.
+    """Seeded chains among unseeded ones give in one call bit for bit what they give alone.
 
-    Seven chains lie in the direct range: straddling, gapped and near-critical.
-    Five do not, each for one field of 1e-3 or 1e3 (N |log g| > 230): two
-    straddle 1, two are gapped, and the domain wall goes on to the SVD.
+    Seven chains lie in the direct range of the bound: straddling, gapped
+    and near-critical.  Five do not, each for one field of 1e-3 or 1e3
+    (N |log g| > 230), but their prefix products stay within e^+-230, so
+    they are seeded too, but for the domain wall at N = 80, which takes the
+    SVD.  Four more have prefix products beyond that range and start
+    unseeded: two straddle 1 with a run of 26 fields of 1e4, miss the step
+    budget and take the band route on to the SVD, and two are gapped with
+    every field in [1e4, 3e4].
     """
     rng = np.random.default_rng((47, n))
     seeded = [*rng.uniform(0.6, 2.6, (3, n)), *(1.6 + 0.04 * rng.standard_normal((2, n))), *rng.uniform(0.2, 2.2, (2, n))]
-    unseeded = [*rng.uniform(0.6, 2.6, (2, n)), *rng.uniform(1.05, 3.0, (2, n))]
-    unseeded[0][3], unseeded[1][n // 2], unseeded[2][5], unseeded[3][-1] = 1e-3, 1e-3, 1e3, 1e3
+    far = [*rng.uniform(0.6, 2.6, (2, n)), *rng.uniform(1.05, 3.0, (2, n))]
+    far[0][3], far[1][n // 2], far[2][5], far[3][-1] = 1e-3, 1e-3, 1e3, 1e3
     weak = 5 * n // 12
-    unseeded.append(np.array([1.0 / 3000.0] * weak + [3000.0] * (n - weak)))
-    chains = np.array(seeded + unseeded)
-    assert ff._reach(chains)[1].tolist() == [True] * 7 + [False] * 5
+    far.append(np.array([1.0 / 3000.0] * weak + [3000.0] * (n - weak)))
+    unseeded = [*rng.uniform(0.6, 2.6, (2, n)), *rng.uniform(1e4, 3e4, (2, n))]
+    unseeded[0][:26] = unseeded[1][:26] = 1e4
+    chains = np.array(seeded + far + unseeded)
+    wall = n > 40
+    assert ff._reach(chains)[1].tolist() == [True] * 7 + [False] * 9
+    assert ff._in_range(chains).tolist() == [True] * (12 - wall) + [False] * (4 + wall)
     chains = chains[rng.permutation(len(chains))]
     stacked, alone = ff.ChainOverlap(n), ff.ChainOverlap(n)
     with warnings.catch_warnings():
@@ -1037,9 +1114,68 @@ def test_seeded_and_unseeded_chains_score_in_one_stack_as_alone(n):
         np.testing.assert_array_equal(values, [alone(g) for g in chains])
     for counter in (*COUNTERS, "singular_ratio_bound"):
         assert getattr(stacked, counter) == getattr(alone, counter)
-    # the gapped ones converge unseeded; the two that straddle miss the step budget
-    assert (stacked.newton_schulz_chains, stacked.newton_seeded_chains) == (9, 7)
-    assert (stacked.band_chains, stacked.svd_fallbacks) == (3, 1)
+    assert (stacked.newton_schulz_chains, stacked.newton_seeded_chains) == (14 - wall, 12 - wall)
+    assert (stacked.band_chains, stacked.svd_fallbacks) == (2 + wall, 2 + wall)
+    for g, log_o in zip(chains, values):
+        if g.max() < 3000.0:
+            assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
+
+
+FOLD_ENSEMBLES = (
+    (disorder.uniform_iid(1.2, 2.0, 80), 30, 11),
+    (disorder.uniform_iid(1.0, 2.0, 40), 40, 7),
+    (disorder.gaussian_correlated(1.6, 0.04, 5.0, 200), 4, 3),
+)
+
+
+@pytest.mark.parametrize("ensemble, samples, most_steps", FOLD_ENSEMBLES, ids=("uniform-1.2-80", "uniform-1.0-40", "correlated-200"))
+def test_folded_overlaps_match_the_svd_and_score_in_a_stack_as_alone(ensemble, samples, most_steps):
+    """Every chain is seeded and converges, its last step folded, to log o+ within 1e-12 of numpy's SVD.
+
+    Near-critical uniform draws, a field down to ~0 among them, and weak
+    correlated disorder at N = 200, which takes 3 steps; one call scores the
+    draws bit for bit, every counter included, as one call each does.
+    """
+    chains = np.array([disorder.sample_couplings(ensemble, 7, i)[0] for i in range(samples)])
+    stacked, alone = ff.ChainOverlap(ensemble.n_sites), ff.ChainOverlap(ensemble.n_sites)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = stacked(chains)
+        np.testing.assert_array_equal(values, [alone(g) for g in chains])
+    for counter in (*COUNTERS, "singular_ratio_bound"):
+        assert getattr(stacked, counter) == getattr(alone, counter)
+    assert (stacked.newton_schulz_chains, stacked.newton_seeded_chains, stacked.band_chains) == (samples, samples, 0)
+    assert stacked.max_newton_schulz_steps == most_steps
+    tolerance = ff.NEWTON_SCHULZ_TOL * ensemble.n_sites * np.finfo(float).eps
+    assert 0.0 < stacked.max_defect <= tolerance
+    for g, log_o in zip(chains, values):
+        assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
+
+
+def test_polar_takes_the_last_step_and_stays_orthogonal():
+    """``polar`` finishes each Newton-Schulz chain with the plain step that the overlap folds away.
+
+    Its W is numpy's U V^T to 1e-12, held to UNITARITY_TOL, and takes one
+    step more than the same chain scored for its overlap; seed rows and the
+    Newton seed both occur.
+    """
+    rng = np.random.default_rng(59)
+    chains = [1.6 + 0.04 * rng.standard_normal(40), rng.uniform(0.6, 2.6, 40), rng.uniform(0.0, 2.0, 24), np.full(12, 0.7)]
+    weak = 5
+    chains.append(np.array([1.0 / 30.0] * weak + [30.0] * (12 - weak)))
+    bounds = [ff._singular_ratio_bound(g[None])[0] for g in chains]
+    rows = np.searchsorted(ff._SEED_ROWS[:, 0], bounds, side="right")  # 0: below every row, the Newton seed
+    assert 0 in rows and rows.max() > 0
+    for g in chains:
+        polar, overlap = ff.ChainOverlap(g.size), ff.ChainOverlap(g.size)
+        w = polar.polar(g)
+        overlap(g)
+        assert (polar.newton_schulz_chains, overlap.newton_schulz_chains) == (1, 1)
+        assert polar.max_newton_schulz_steps == overlap.max_newton_schulz_steps + 1
+        assert 0.0 < polar.max_defect <= ff.UNITARITY_TOL
+        np.testing.assert_allclose(w.T @ w, np.eye(g.size), rtol=0.0, atol=1e-13)
+        u, _, vt = np.linalg.svd(ff.chain_matrix(g))
+        np.testing.assert_allclose(w, u @ vt, rtol=0.0, atol=1e-12)
 
 
 def _route_counts(ensemble, samples):
