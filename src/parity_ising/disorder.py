@@ -198,7 +198,9 @@ class _RunDraws:
 
     ``draw(index)`` points the generator at the start of the stream that
     ``sample_stream(seed, index)`` opens, so it returns the same fields at
-    a fraction of the cost of a new generator.
+    a fraction of the cost of a new generator.  ``first(index)`` returns
+    that stream's first attempt, positive or not: where it is positive,
+    ``draw`` returns it with no redraw.
     """
 
     def __init__(self, ensemble: DisorderEnsemble, seed: int):
@@ -207,11 +209,19 @@ class _RunDraws:
         self._rng = sample_stream(seed, 0)
         self._start = self._rng.bit_generator.state
 
-    def draw(self, index: int) -> tuple[np.ndarray, int]:
-        """Fields of sample `index` and the number of positivity redraws they took."""
+    def _rekey(self, index: int) -> None:
         _check_key(self._seed, index)
         self._start["state"]["key"][0] = index
         self._rng.bit_generator.state = self._start
+
+    def first(self, index: int) -> np.ndarray:
+        """The first attempt of sample `index`, untested for positivity."""
+        self._rekey(index)
+        return _draw(self.ensemble, self._rng)
+
+    def draw(self, index: int) -> tuple[np.ndarray, int]:
+        """Fields of sample `index` and the number of positivity redraws they took."""
+        self._rekey(index)
         for attempt in range(MAX_REDRAWS):
             g = _draw(self.ensemble, self._rng)
             if (g > 0.0).all():
@@ -287,11 +297,13 @@ def expected_utility(
     Draws `n_samples` coupling realizations from per-sample streams and
     evaluates the exact utility of each.  The run keeps one re-keyed
     generator and one ``ChainOverlap``: it draws max(1, STACK_ENTRIES // N)
-    samples at a time (819 at N = 40, 256 KiB of fields), in index order
-    with each sample's own redraws, and scores them in one kernel call,
-    which bounds their singular-value ratios once and works through them
-    stack by stack; the run reports the kernel's least bound.  The kernel scores
-    each chain as it would alone, so the same (ensemble, seed) gives the
+    samples at a time (819 at N = 40, 256 KiB of fields), each sample's
+    first attempt in index order, tests the whole batch for positivity at
+    once and redraws only the samples that failed, from their own streams,
+    and scores the batch in one kernel call, which bounds, seeds and orders
+    its chains once and works through them stack by stack; the run reports
+    the kernel's least bound.  The kernel scores each chain as it would
+    alone, so the same (ensemble, seed) gives the
     same draws and values as the per-sample route ``sample_couplings`` ->
     ``ghz_log_overlap_squared``.  Where every draw is a uniform chain
     (``gaussian_perfect``, or sigma = 0) the run only collects each
@@ -326,6 +338,8 @@ def expected_utility(
         batch = fields[: min(len(fields), n_samples - start)]
         drawn = time.perf_counter()
         for row in range(len(batch)):
+            batch[row] = draws.first(start + row)
+        for row in np.flatnonzero(~(batch > 0.0).all(axis=1)):
             batch[row], redraws = draws.draw(start + row)
             n_redraws += redraws
         scored = time.perf_counter()

@@ -97,6 +97,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -555,6 +556,25 @@ def chain_matrix(couplings) -> np.ndarray:
     return z[0]
 
 
+class _Plan(NamedTuple):
+    """Per chain of a call: max g, the seed (a, c, b), the schedule and the tolerance.
+
+    ``entry`` is the ``_schedule_grid`` schedule of a chain that starts on
+    Newton-Schulz, and -1 for any other; ``tolerance`` is its freeze tolerance.
+    """
+
+    top: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    b: np.ndarray
+    entry: np.ndarray
+    tolerance: np.ndarray
+
+    def part(self, chains) -> "_Plan":
+        """The plan of the chains an index or slice picks."""
+        return _Plan(*(field[chains] for field in self))
+
+
 class ChainOverlap:
     """The GHZ-overlap kernel for chains of one length, scoring stacks of chains.
 
@@ -563,14 +583,17 @@ class ChainOverlap:
     returns a float.  ``polar`` returns W of one chain.  A call works
     through its chains ``stack`` = max(1, STACK_ENTRIES // N^2) at a time,
     on (stack, N, N) scratch that the object keeps between calls, so its
-    scratch is bounded at any N and any call size; the call first bounds
-    s_min / s_max of all its chains (``_singular_ratio_bound``, a few
-    (N + 1) x M arrays) and hands each stack its slice.  A chain starts on
-    Newton-Schulz when it has at most NEWTON_SCHULZ_SITES sites, or when it
-    is gapped (all fields on one side of 1); every other chain starts on the
-    band route, and a chain with a field above BAND_FIELD_MAX goes to the
-    SVD.  Only the SVD runs once per chain; every other step, the band
-    route's eigensolver among them, is one numpy operation over the stack.
+    scratch is bounded at any N and any call size.  A call bounds, seeds
+    and orders its chains once (``_plan``, with ``_singular_ratio_bound``'s
+    few (N + 1) x M arrays) and stable-sorts them, SVD and band route first,
+    then Newton-Schulz by schedule, unless they are in order already; each
+    stack is a run of that order, and its values go back to the chains'
+    places.  A chain starts on Newton-Schulz when it has at most
+    NEWTON_SCHULZ_SITES sites, or when it is gapped (all fields on one side
+    of 1); every other chain starts on the band route, and a chain with a
+    field above BAND_FIELD_MAX goes to the SVD.  Only the SVD runs once per
+    chain; every other step, the band route's eigensolver among them, is one
+    numpy operation over the stack.
     Each chain takes the route, and gets the value, that it would alone,
     whatever stack it is scored in.  The constructor checks the length and
     allocates scratch for one chain, growing to the largest stack a call has
@@ -637,21 +660,29 @@ class ChainOverlap:
         The result is scratch that the object's next call overwrites.
         """
         g = self._fields(np.asarray(couplings, dtype=float)[None])
-        return self._polar(g, self._bound(g), None)[0]
+        return self._polar(g, self._plan(g), None)[0]
 
-    def _bound(self, g: np.ndarray) -> np.ndarray:
-        """``_singular_ratio_bound`` of each chain of g, with the least kept in ``singular_ratio_bound``."""
+    def _plan(self, g: np.ndarray) -> _Plan:
+        """The ``_Plan`` of each chain of a call's fields g, by the routes of the class docstring; keeps the least bound."""
         bound = _singular_ratio_bound(g)
         self.singular_ratio_bound = min(self.singular_ratio_bound, float(bound.min()))
-        return bound
+        n = self.n_sites
+        top = g.max(axis=1)
+        svd = top > BAND_FIELD_MAX
+        # s_min(Z) >= low (max g + 1) by Weyl, and |Z|_2 <= max g + 1
+        low = np.maximum(g.min(axis=1) - 1.0, 1.0 - top) / (top + 1.0)
+        newton = ~svd & (self._straddling_newton_schulz | (low > 0.0))
+        a, c, b, lower = _newton_start(g, low, bound)  # of every chain: only those in range are seeded
+        entry = np.where(newton, np.searchsorted(_schedule_grid(NEWTON_SCHULZ_FLOOR)[0], lower, side="right"), -1)
+        tolerance = NEWTON_SCHULZ_TOL * np.finfo(float).eps * np.where(low > 0.0, math.sqrt(n), n)
+        return _Plan(top, a, c, b, entry, tolerance)
 
-    def _polar(self, g: np.ndarray, bound: np.ndarray, correction) -> np.ndarray:
-        """The (k, N, N) polar factors of k <= stack chains, each by its route.
+    def _polar(self, g: np.ndarray, plan: _Plan, correction) -> np.ndarray:
+        """The (k, N, N) polar factors of k <= stack chains, each by the route of its ``plan``.
 
-        A chain with a field above BAND_FIELD_MAX goes to the SVD.  Of the
-        others, those the class docstring names start on Newton-Schulz, which
-        seeds them by their ``_singular_ratio_bound`` in ``bound`` and checks
-        the chains it converges; the band route takes the rest, and its
+        Newton-Schulz takes the chains that its plan starts on it, which
+        must come last and in order of schedule, as a call sorts them, and
+        checks those it converges; the band route takes the rest, and its
         gate sends some on to the SVD.  Every W of the band route or the SVD
         is then held to UNITARITY_TOL, and its chain counts in ``band_chains``.
         With a (k,) ``correction`` of NaN, Newton-Schulz folds its last step
@@ -664,13 +695,10 @@ class ChainOverlap:
         if k > len(self._w):
             self._allocate(k)
         w = self._w[:k]
-        top = g.max(axis=1)
-        svd = top > BAND_FIELD_MAX
-        # s_min(Z) >= low (max g + 1) by Weyl, and |Z|_2 <= max g + 1
-        low = np.maximum(g.min(axis=1) - 1.0, 1.0 - top) / (top + 1.0)
-        newton = ~svd & (self._straddling_newton_schulz | (low > 0.0))
+        svd = plan.top > BAND_FIELD_MAX
+        newton = plan.entry >= 0
         band = ~svd & ~newton
-        band[self._newton_schulz_polar(g, np.flatnonzero(newton), top, low, bound, w, correction)] = True
+        band[self._newton_schulz_polar(g, np.flatnonzero(newton), plan, w, correction)] = True
         rows = np.flatnonzero(band)
         if rows.size:
             # a whole stack is solved, and checked below, in place: at large N each copy costs ~1%
@@ -697,18 +725,18 @@ class ChainOverlap:
             raise NumericsError(f"polar factor is not orthogonal (defect {defect:.3e} > {UNITARITY_TOL:.1e})")
         return w
 
-    def _newton_schulz_polar(self, g, rows, top, low, bound, w, correction) -> np.ndarray:
-        """W into w for the chains ``rows`` of g by Newton-Schulz; returns those left to the band route.
+    def _newton_schulz_polar(self, g, rows, plan, w, correction) -> np.ndarray:
+        """W into w for the chains ``rows`` of g, in order of schedule, by Newton-Schulz; returns those left to the band route.
 
-        Each chain starts from the X_0 of ``_newton_start`` (max g in ``top``,
-        Weyl's bound in ``low``), built in the scratch by ``_write_start``.
+        Each chain starts from the X_0 of its ``plan`` seed, built in the
+        scratch by ``_write_start``.
         Each step computes E = X^T X - I and X <- X (c_I I + c_E E), by the
-        schedule ``_schedule_grid`` gives the lower end of X_0.  From one
+        schedule the plan gives the lower end of X_0.  From one
         step before the schedule closes, W = X (I + E)^(-1/2) is in reach:
         with delta = |E|_F >= |E|_2, |(I + E)^(1/2) - I - E/2| <=
         delta^2 / (8 (1 - delta)^(3/2)), and a chain whose bound is within
-        NEWTON_SCHULZ_TOL N eps (sqrt(N) eps if it is gapped, low > 0)
-        leaves the iteration, with that bound as its defect.  As
+        its plan's tolerance, NEWTON_SCHULZ_TOL N eps (sqrt(N) eps if it is
+        gapped), leaves the iteration, with that bound as its defect.  As
         det((I + W0^T W) / 2) = det(((I + E)^(1/2) + W0^T X) / 2) / det(I + E)^(1/2),
         its slot of w gets M = (I + W0^T X + E / 2) / 2, and its entry of
         ``correction`` (1/2) log det(I + E) to second order, tr E / 2 - |E|_F^2 / 4;
@@ -718,17 +746,14 @@ class ChainOverlap:
         apart each seeded one; those still iterating after NEWTON_SCHULZ_STEPS
         steps are returned.
         """
-        ends, schedules, first = _schedule_grid(NEWTON_SCHULZ_FLOOR)
-        *seed, lower = _newton_start(g[rows], low[rows], bound[rows])
-        entry = np.searchsorted(ends, lower, side="right")
-        # the chains of one schedule side by side, so that each step scales them by scalars
-        order = np.argsort(entry, kind="stable")
-        rows, entry, seed = rows[order], entry[order], [part[order] for part in seed]
-        seeded = seed[-1] > 0.0  # b > 0
+        _, schedules, first = _schedule_grid(NEWTON_SCHULZ_FLOOR)
+        if rows.size < len(g):
+            g, plan = g[rows], plan.part(rows)
+        # the chains of one schedule lie side by side, so that each step scales them by scalars
+        entry, tolerance, seeded = plan.entry, plan.tolerance, plan.b > 0.0
         a, n = rows.size, self.n_sites
-        tolerance = NEWTON_SCHULZ_TOL * np.finfo(float).eps * np.where(low[rows] > 0.0, math.sqrt(n), n)
         x, spare = self._v[:a], self._y[:a]
-        _write_start(g[rows], top[rows] + 1.0, *seed, x, self._below)
+        _write_start(g, plan.top + 1.0, plan.a, plan.c, plan.b, x, self._below)
         groups = _groups(entry, schedules)
         for step in range(NEWTON_SCHULZ_STEPS + 1):
             if a == 0:
@@ -872,22 +897,28 @@ class ChainOverlap:
         if g.ndim == 1:
             return float(self(g[None])[0])
         g = self._fields(g)
-        bound = self._bound(g)
+        if not len(g):
+            return np.empty(0)
+        plan = self._plan(g)
+        # SVD and band-route chains first, then Newton-Schulz by schedule: a stack is a run of that order
+        order = np.argsort(plan.entry, kind="stable") if (plan.entry[1:] < plan.entry[:-1]).any() else None
+        if order is None and len(g) <= self.stack:
+            return self._log_overlaps(g, plan)
         out = np.empty(len(g))
         for start in range(0, len(g), self.stack):
-            chains = slice(start, start + self.stack)
-            out[chains] = self._log_overlaps(g[chains], bound[chains])
+            chains = slice(start, start + self.stack) if order is None else order[start : start + self.stack]
+            out[chains] = self._log_overlaps(g[chains], plan.part(chains))
         return out
 
-    def _log_overlaps(self, g: np.ndarray, bound: np.ndarray) -> np.ndarray:
-        """log o+ of k <= stack chains, with their ``_singular_ratio_bound``.
+    def _log_overlaps(self, g: np.ndarray, plan: _Plan) -> np.ndarray:
+        """log o+ of k <= stack chains, with their ``_Plan``.
 
         A chain whose last Newton-Schulz step is folded holds its M in place
         of W, and its (1/2) log det(I + E) comes off the log determinant.
         """
         k = len(g)
         correction = np.full(k, np.nan)
-        w = self._polar(g, bound, correction)
+        w = self._polar(g, plan, correction)
         folded = ~np.isnan(correction)
         m = w
         if not folded.all():

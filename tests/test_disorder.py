@@ -263,6 +263,24 @@ def test_run_matches_per_sample_route_at_stack_edges(n_samples):
     _assert_run_matches_per_sample_route(dis.uniform_iid(1.6, 2.0, 40), n_samples)
 
 
+def test_run_redraws_only_the_samples_whose_first_attempt_fails(monkeypatch):
+    """A run tests each batch for positivity once; only the samples that fail it replay their streams, drawing what they draw alone."""
+    ens = dis.gaussian_iid(0.5, 0.3, 8)
+    alone = [dis.sample_couplings(ens, 13, index) for index in range(101)]
+    replayed, draw = [], dis._RunDraws.draw
+
+    def counted(self, index):
+        replayed.append(index)
+        return draw(self, index)
+
+    monkeypatch.setattr(dis._RunDraws, "draw", counted)
+    result = dis.expected_utility(ens, 101, seed=13)
+    assert replayed == [index for index, (_, redraws) in enumerate(alone) if redraws]
+    assert result.n_redraws == sum(redraws for _, redraws in alone) > 0
+    values = ff.ChainOverlap(8)(np.array([g for g, _ in alone]))
+    assert result.mean_utility == float(np.mean(pg.utility_from_log_overlap(values, 8)))
+
+
 @pytest.mark.parametrize(
     "ens",
     [dis.gaussian_perfect(1.3, 0.1, 40), dis.gaussian_perfect(0.2, 0.15, 8)],

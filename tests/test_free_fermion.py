@@ -959,6 +959,74 @@ def test_mixed_gapped_and_straddling_stack_scores_each_chain_as_it_scores_alone(
     assert stacked.svd_fallbacks == (n > ff.NEWTON_SCHULZ_SITES)
 
 
+def _call_chains(n):
+    """Draws that one call scores on several schedules: 819 at N = 40, 600 at N = 8, and at N = 130 band-route and gapped chains.
+
+    819 and 600 draws end on a partial stack (stacks of 20 and 512); each
+    N = 130 chain is a stack of its own.
+    """
+    if n == 130:
+        straddling = disorder.uniform_iid(1.6, 2.0, n)
+        gapped = disorder.gaussian_correlated(1.6, 0.04, 5.0, n)
+        return np.array([disorder.sample_couplings(e, 7, i)[0] for i in range(4) for e in (straddling, gapped)])
+    return np.array([disorder.sample_couplings(disorder.uniform_iid(1.6, 2.0, n), 7, i)[0] for i in range({40: 819, 8: 600}[n])])
+
+
+@pytest.mark.parametrize("n", (40, 8, 130))
+def test_shuffled_call_returns_the_permuted_values(n):
+    """A call sorts its chains by route and schedule: shuffled, it returns the permuted values bit for bit, with every counter."""
+    chains = _call_chains(n)
+    entry = ff.ChainOverlap(n)._plan(chains).entry
+    # two schedules at N = 40 and 8, band-route chains (entry -1) among one schedule at N = 130
+    assert len(set(entry.tolist())) >= 2 and (n == 130) == (entry < 0).any()
+    assert (entry[1:] < entry[:-1]).any()  # the draws are not in order already
+    permutation = np.random.default_rng(n).permutation(len(chains))
+    kernel, shuffled = ff.ChainOverlap(n), ff.ChainOverlap(n)
+    values = kernel(chains)
+    np.testing.assert_array_equal(shuffled(chains[permutation]), values[permutation])
+    for counter in (*COUNTERS, "singular_ratio_bound"):
+        assert getattr(shuffled, counter) == getattr(kernel, counter)
+    assert kernel.band_chains == (4 if n == 130 else 0)
+
+
+def test_a_call_bounds_seeds_and_orders_its_chains_once(monkeypatch):
+    """``_singular_ratio_bound`` and ``_newton_start`` run once per call, however many stacks; sorted chains take no argsort."""
+    calls = {"_singular_ratio_bound": 0, "_newton_start": 0, "argsort": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((ff, "_singular_ratio_bound"), (ff, "_newton_start"), (np, "argsort")):
+        counted(module, name)
+    for n in (40, 130):
+        chains = _call_chains(n)
+        kernel = ff.ChainOverlap(n)
+        assert len(chains) > 5 * kernel.stack
+        for call in (chains, chains[np.argsort(kernel._plan(chains).entry, kind="stable")], chains[0], chains[:1]):
+            calls.update(dict.fromkeys(calls, 0))
+            kernel(call)
+            assert calls == {"_singular_ratio_bound": 1, "_newton_start": 1, "argsort": call is chains}
+    calls.update(dict.fromkeys(calls, 0))
+    kernel.polar(chains[0])
+    assert calls == {"_singular_ratio_bound": 1, "_newton_start": 1, "argsort": 0}
+
+
+def test_empty_stacks_score_to_empty_arrays():
+    """No chains give no values, and leave every counter and the bound as they were."""
+    kernel = ff.ChainOverlap(40)
+    for values in (kernel(np.empty((0, 40))), ff.ghz_log_overlap_squared(np.empty((0, 8)))):
+        assert isinstance(values, np.ndarray) and values.shape == (0,) and values.dtype == float
+    for counter in COUNTERS:
+        assert getattr(kernel, counter) == 0
+    assert kernel.singular_ratio_bound == 1.0
+
+
 def test_written_inverse_is_the_closed_form_and_numpys():
     """The kernel's Z^-T, from prefix products over a stack, is ``_closed_form_inverse`` transposed, and numpy's where Z is well conditioned."""
     rng = np.random.default_rng(43)
