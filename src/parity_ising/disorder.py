@@ -254,8 +254,8 @@ class MonteCarloResult:
     proven lower bound on the smallest s_min / s_max of the chain matrices,
     from the fields alone, whatever route scored them) report the numerics
     of the overlap kernel, and `svd_fallbacks` counts the samples it scored
-    by the dense SVD, past Newton-Schulz and the band route; all three are
-    None when no sample needed the kernel.
+    by the dense SVD, past Newton-Schulz's step budget or its field cap; all
+    three are None when no sample needed the kernel.
     """
 
     n_samples: int
@@ -316,8 +316,8 @@ def expected_utility(
     drawing and scoring, its evaluations per second, the kernel's stack
     size, and the chains it scored by Newton-Schulz (with how many of its
     chains were seeded from the closed-form Z^-T, and the most Newton-Schulz
-    steps one took before its last, folded into the determinant), by the
-    band route and by the SVD fallback, each counted once.
+    steps one took before its last, folded into the determinant) and by
+    the SVD fallback, each counted once.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -362,11 +362,11 @@ def expected_utility(
     _log.debug(
         "expected_utility %s N=%d: %d samples, %d redraws, %.3f s "
         "(%.4f s drawing, %.4f s scoring), %.0f evaluations/s, stack %d, "
-        "%d by Newton-Schulz (%d seeded, at most %d steps), %d by the band route, %d SVD fallbacks",
+        "%d by Newton-Schulz (%d seeded, at most %d steps), %d SVD fallbacks",
         ensemble.kind, ensemble.n_sites, n_samples, n_redraws,
         seconds, draw_s, score_s, n_samples / seconds, overlap.stack,
         overlap.newton_schulz_chains, overlap.newton_seeded_chains, overlap.max_newton_schulz_steps,
-        overlap.band_chains - overlap.svd_fallbacks, overlap.svd_fallbacks,
+        overlap.svd_fallbacks,
     )
     return MonteCarloResult(
         n_samples=n_samples,

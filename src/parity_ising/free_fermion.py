@@ -33,12 +33,11 @@ Z is never singular: its only permutation terms are the diagonal and the
 N-cycle, so det Z = prod_j g_j + 1 > 0 and W is unique.  ``ChainOverlap``
 is the one overlap route, and ``ghz_log_overlap_squared`` is a single call
 of a fresh one.  It avoids the SVD of Z where it can, and takes each
-chain's W by one of three routes:
+chain's W by one of two routes:
 
-- Newton-Schulz, for every chain of up to NEWTON_SCHULZ_SITES sites, where
-  it measured faster than the band route on the Monte Carlo ensembles, and
-  for every gapped chain (all fields on one side of 1) at any length: W is
-  the limit of X <- alpha X (3I - alpha^2 X^T X) / 2
+- Newton-Schulz, for every chain with no field above NEWTON_SCHULZ_FIELD_MAX,
+  whatever its length or gap: W is the limit of
+  X <- alpha X (3I - alpha^2 X^T X) / 2
   (Higham, *Functions of Matrices*, SIAM 2008, ch. 8).  Z^-1 has a closed
   form with no cancellation, which bounds s_min(Z) from below in O(N)
   (``_singular_ratio_bound``), and |Z|_2 <= max g + 1.  With
@@ -58,27 +57,16 @@ chain's W by one of three routes:
   and once I + E/2 stands in for the square root to NEWTON_SCHULZ_TOL, from
   one step before the schedule closes, tr E / 2 - |E|_F^2 / 4 stands in for
   the second term.  A chain not converged after NEWTON_SCHULZ_STEPS steps
-  takes the band route.
-- The band route, for every other chain: Z^T Z is cyclic tridiagonal, and
-  one stacked ``numpy.linalg.eigh`` diagonalizes it for all of a stack's
-  chains.  Its eigenvectors V serve only as an orthogonal basis:
-  polar(Z) = polar(Z V) V^T for any orthogonal V, and the columns of
-  Y = Z V, formed from Z itself, carry the singular values d (their norms)
-  and directions Q = Y / d, so small singular directions are read from Z,
-  never from Z^T Z.  The polar factor of Y is Q (I - T) to first order in
-  E = Q^T Q - I (Higham, SIAM J. Sci. Stat. Comput. 7, 1160 (1986)).
-  Squaring Z blurs the directions of nearly degenerate small singular
-  values, which is what max|E| measures: above BAND_GATE, or where d_min
-  falls to the resolvable floor N eps d_max, the chain takes the SVD.
+  takes the SVD.
 - The dense SVD Z = U diag(s) V^T, for those chains and for every chain
-  with a field above BAND_FIELD_MAX, too large to square.  Fields of strong
-  contrast can push one domain wall's singular value below the floor; its
-  singular pair then fixes W only up to the relative sign of u_N and v_N,
-  and since det W = sign(det Z) = +1, the last column of U is flipped when
-  det U det V^T < 0.  Two unresolved singular values (separate
-  ferromagnetic domains) raise.
+  with a field above NEWTON_SCHULZ_FIELD_MAX.  Fields of strong
+  contrast can push one domain wall's singular value below the floor
+  N eps s_max; its singular pair then fixes W only up to the relative sign
+  of u_N and v_N, and since det W = sign(det Z) = +1, the last column of U
+  is flipped when det U det V^T < 0.  Two unresolved singular values
+  (separate ferromagnetic domains) raise.
 
-All three routes are numpy's; no part of scipy is used.
+Both routes are numpy's; no part of scipy is used.
 
 Conventions: sites are indexed 0..N-1, positive wavenumbers are the odd
 multiples k = (2m+1) pi/N in (0, pi), and the Bogoliubov angle satisfies
@@ -107,24 +95,11 @@ UNITARITY_TOL = 1e-10
 # Raw determinants may exceed 1 by roundoff; anything worse than this slack
 # indicates a genuine numerical failure rather than noise.
 OVERLAP_SLACK = 1e-8
-# Largest max|Q^T Q - I| at which ChainOverlap takes W from the band route's
-# first-order correction, which leaves an error of order its square; above
-# it the call takes the dense SVD.
-BAND_GATE = 1e-8
-# Largest field ChainOverlap squares or scales, so that Z^T Z and the column
-# norms of Z V stay far from overflow; a chain with a larger one takes the SVD.
-BAND_FIELD_MAX = 1e150
-# Longest chain on which ChainOverlap takes the polar factor of a chain that straddles
-# 1 by the scaled Newton-Schulz iteration before the band route; a gapped chain (all
-# fields on one side of 1) takes it at every length, a longer straddling chain starts on
-# the band route.  Per chain, thread CPU time, one BLAS thread of a 2-core x86 VM, numpy
-# 2.4, band route against Newton-Schulz in stacks of U[0.2, 3] chains: N = 4 3.6 / 2.5 us,
-# 8 12.8 / 6.3, 20 52 / 25, 40 188 / 103, 80 707 / 566.  Above it, with the three-term
-# seed and the last step folded, Newton-Schulz / band is 0.47, 0.53, 0.56, 0.59 and 0.82 at
-# N = 96, 130, 160, 200 and 320 for U[0.6, 2.6], and 0.64, 0.95, 0.96, 1.09 and 1.39 for
-# U[0.2, 2.2] (medians of 3 rounds); every chain is seeded and none misses the step budget.
-NEWTON_SCHULZ_SITES = 80
-# Newton-Schulz steps a chain may take; one that has not converged by then takes the band route.
+# Largest field of a chain that ChainOverlap starts on Newton-Schulz: it keeps the
+# scale max g + 1, and 1 / (max g + 1) and its square in the X_0 that _write_start
+# writes, far from overflow and underflow.  A chain with a larger field takes the SVD.
+NEWTON_SCHULZ_FIELD_MAX = 1e150
+# Newton-Schulz steps a chain may take; one that has not converged by then takes the SVD.
 NEWTON_SCHULZ_STEPS = 20
 # Lowest l of the singular-value interval (l, 1] of a Newton-Schulz start that a
 # Chen-Chow scaling schedule is built for: the whole schedule of every unseeded
@@ -560,7 +535,8 @@ class _Plan(NamedTuple):
     """Per chain of a call: max g, the seed (a, c, b), the schedule and the tolerance.
 
     ``entry`` is the ``_schedule_grid`` schedule of a chain that starts on
-    Newton-Schulz, and -1 for any other; ``tolerance`` is its freeze tolerance.
+    Newton-Schulz, and -1 for one that takes the SVD; ``tolerance`` is its
+    freeze tolerance.
     """
 
     top: np.ndarray
@@ -585,28 +561,26 @@ class ChainOverlap:
     on (stack, N, N) scratch that the object keeps between calls, so its
     scratch is bounded at any N and any call size.  A call bounds, seeds
     and orders its chains once (``_plan``, with ``_singular_ratio_bound``'s
-    few (N + 1) x M arrays) and stable-sorts them, SVD and band route first,
-    then Newton-Schulz by schedule, unless they are in order already; each
+    few (N + 1) x M arrays) and stable-sorts them, SVD first, then
+    Newton-Schulz by schedule, unless they are in order already; each
     stack is a run of that order, and its values go back to the chains'
-    places.  A chain starts on Newton-Schulz when it has at most
-    NEWTON_SCHULZ_SITES sites, or when it is gapped (all fields on one side
-    of 1); every other chain starts on the band route, and a chain with a
-    field above BAND_FIELD_MAX goes to the SVD.  Only the SVD runs once per
-    chain; every other step, the band route's eigensolver among them, is one
-    numpy operation over the stack.
+    places.  Every chain starts on Newton-Schulz, whatever its length or
+    gap, except one with a field above NEWTON_SCHULZ_FIELD_MAX, which goes
+    to the SVD, as does a chain that Newton-Schulz does not converge.  Only
+    the SVD runs once per chain; every other step is one numpy operation
+    over the stack.
     Each chain takes the route, and gets the value, that it would alone,
     whatever stack it is scored in.  The constructor checks the length and
     allocates scratch for one chain, growing to the largest stack a call has
     scored, so a fresh object for one chain is cheap and calls no LAPACK.
 
     Every check applies to every chain of a stack: field validation, a
-    solver failure (NumericsError), the band route's gate and floor,
-    UNITARITY_TOL on each W it forms, and a finite overlap,
-    log o+ <= OVERLAP_SLACK.  A chain that fails one raises for its whole call.  Over its calls the
-    object counts its chains by route, ``newton_schulz_chains`` and
-    ``band_chains`` (which include the SVD's, ``svd_fallbacks``), whose sum
-    is ``evaluations``, and of the Newton-Schulz chains those it started
-    from a seed written with Z^-T (``newton_seeded_chains``).  It records the
+    solver failure (NumericsError), the SVD's floor, UNITARITY_TOL on each
+    W it forms, and a finite overlap, log o+ <= OVERLAP_SLACK.  A chain that
+    fails one raises for its whole call.  Over its calls the object counts
+    its chains by route, ``newton_schulz_chains`` and ``svd_fallbacks``,
+    whose sum is ``evaluations``, and of the Newton-Schulz chains those it
+    started from a seed written with Z^-T (``newton_seeded_chains``).  It records the
     most Newton-Schulz steps a converged chain took, not counting the seed
     (``max_newton_schulz_steps``), the worst defect (``max_defect``:
     max|W^T W - I| of each W it formed, and for a chain whose last
@@ -621,28 +595,25 @@ class ChainOverlap:
         self.n_sites = n_sites
         self.stack = max(1, STACK_ENTRIES // n_sites**2)
         self._floor = n_sites * np.finfo(float).eps  # s_min <= _floor * s_max is unresolved
-        self._straddling_newton_schulz = n_sites <= NEWTON_SCHULZ_SITES
         self._below = np.tri(n_sites, k=-1, dtype=bool)  # for _write_start
         self._allocate(1)
         self.newton_schulz_chains = self.newton_seeded_chains = self.max_newton_schulz_steps = 0
-        self.band_chains = self.svd_fallbacks = 0
+        self.svd_fallbacks = 0
         self.max_defect = 0.0
         self.singular_ratio_bound = 1.0
 
     @property
     def evaluations(self) -> int:
         """Chains scored over the object's calls, on every route."""
-        return self.newton_schulz_chains + self.band_chains
+        return self.newton_schulz_chains + self.svd_fallbacks
 
     def _allocate(self, rows: int) -> None:
         """Scratch for stacks of up to ``rows`` chains."""
         n = self.n_sites
-        self._v, self._y, self._gram, self._r, self._w, self._m = (
+        self._x, self._spare, self._gram, self._squares, self._w, self._m = (
             np.empty((rows, n, n)) for _ in range(6)
         )
-        self._gram_diagonal, self._r_diagonal, self._m_diagonal = (
-            a.reshape(rows, -1)[:, :: n + 1] for a in (self._gram, self._r, self._m)
-        )
+        self._gram_diagonal, self._m_diagonal = (a.reshape(rows, -1)[:, :: n + 1] for a in (self._gram, self._m))
 
     def _fields(self, couplings) -> np.ndarray:
         """Validated fields as an (M, N) stack."""
@@ -655,7 +626,7 @@ class ChainOverlap:
         """The orthogonal polar factor W of Z at fields g, one chain.
 
         A Newton-Schulz chain takes the last step that an overlap call folds
-        away, and its W is held to UNITARITY_TOL like the band route's.
+        away, and its W is held to UNITARITY_TOL like the SVD's.
 
         The result is scratch that the object's next call overwrites.
         """
@@ -668,10 +639,9 @@ class ChainOverlap:
         self.singular_ratio_bound = min(self.singular_ratio_bound, float(bound.min()))
         n = self.n_sites
         top = g.max(axis=1)
-        svd = top > BAND_FIELD_MAX
+        newton = top <= NEWTON_SCHULZ_FIELD_MAX
         # s_min(Z) >= low (max g + 1) by Weyl, and |Z|_2 <= max g + 1
         low = np.maximum(g.min(axis=1) - 1.0, 1.0 - top) / (top + 1.0)
-        newton = ~svd & (self._straddling_newton_schulz | (low > 0.0))
         a, c, b, lower = _newton_start(g, low, bound)  # of every chain: only those in range are seeded
         entry = np.where(newton, np.searchsorted(_schedule_grid(NEWTON_SCHULZ_FLOOR)[0], lower, side="right"), -1)
         tolerance = NEWTON_SCHULZ_TOL * np.finfo(float).eps * np.where(low > 0.0, math.sqrt(n), n)
@@ -682,37 +652,26 @@ class ChainOverlap:
 
         Newton-Schulz takes the chains that its plan starts on it, which
         must come last and in order of schedule, as a call sorts them, and
-        checks those it converges; the band route takes the rest, and its
-        gate sends some on to the SVD.  Every W of the band route or the SVD
-        is then held to UNITARITY_TOL, and its chain counts in ``band_chains``.
-        With a (k,) ``correction`` of NaN, Newton-Schulz folds its last step
-        into the overlap determinant: a chain it converges holds its overlap
-        matrix M in place of W, and its entry of ``correction`` turns finite
-        (see ``_newton_schulz_polar``).  With None it takes that step, and its
-        W is held to UNITARITY_TOL too.
+        checks those it converges; the SVD takes the rest, and every W it
+        forms is then held to UNITARITY_TOL, its chain counted in
+        ``svd_fallbacks``.  With a (k,) ``correction`` of NaN, Newton-Schulz
+        folds its last step into the overlap determinant: a chain it
+        converges holds its overlap matrix M in place of W, and its entry of
+        ``correction`` turns finite (see ``_newton_schulz_polar``).  With
+        None it takes that step, and its W is held to UNITARITY_TOL too.
         """
         k = len(g)
         if k > len(self._w):
             self._allocate(k)
         w = self._w[:k]
-        svd = plan.top > BAND_FIELD_MAX
-        newton = plan.entry >= 0
-        band = ~svd & ~newton
-        band[self._newton_schulz_polar(g, np.flatnonzero(newton), plan, w, correction)] = True
-        rows = np.flatnonzero(band)
-        if rows.size:
-            # a whole stack is solved, and checked below, in place: at large N each copy costs ~1%
-            solved = w if rows.size == k else self._m[: rows.size]
-            svd[rows] = self._band_polar(g[rows], solved)
-            if solved is not w:
-                w[rows] = solved
-        held, fallbacks = np.flatnonzero(svd | band), np.flatnonzero(svd)
-        self.band_chains += held.size
-        self.svd_fallbacks += fallbacks.size
-        for row in fallbacks:
+        svd = plan.entry < 0
+        svd[self._newton_schulz_polar(g, np.flatnonzero(~svd), plan, w, correction)] = True
+        held = np.flatnonzero(svd)
+        self.svd_fallbacks += held.size
+        for row in held:
             self._svd_polar(g[row], w[row])
         if correction is None:
-            held = np.flatnonzero(svd | band | newton)
+            held = np.arange(k)
         if not held.size:
             return w
         # gathered into warm scratch: a fresh array pays its page faults
@@ -726,7 +685,7 @@ class ChainOverlap:
         return w
 
     def _newton_schulz_polar(self, g, rows, plan, w, correction) -> np.ndarray:
-        """W into w for the chains ``rows`` of g, in order of schedule, by Newton-Schulz; returns those left to the band route.
+        """W into w for the chains ``rows`` of g, in order of schedule, by Newton-Schulz; returns those left to the SVD.
 
         Each chain starts from the X_0 of its ``plan`` seed, built in the
         scratch by ``_write_start``.
@@ -752,7 +711,7 @@ class ChainOverlap:
         # the chains of one schedule lie side by side, so that each step scales them by scalars
         entry, tolerance, seeded = plan.entry, plan.tolerance, plan.b > 0.0
         a, n = rows.size, self.n_sites
-        x, spare = self._v[:a], self._y[:a]
+        x, spare = self._x[:a], self._spare[:a]
         _write_start(g, plan.top + 1.0, plan.a, plan.c, plan.b, x, self._below)
         groups = _groups(entry, schedules)
         for step in range(NEWTON_SCHULZ_STEPS + 1):
@@ -764,7 +723,7 @@ class ChainOverlap:
             e = np.matmul(left.transpose(0, 2, 1), x[:a], out=self._gram[:a])
             self._gram_diagonal[:a] -= 1.0
             if step >= first[entry].min():
-                frobenius = np.square(e, out=self._r[:a]).sum(axis=(1, 2))
+                frobenius = np.square(e, out=self._squares[:a]).sum(axis=(1, 2))
                 # above delta = 1/2 the bound exceeds any tolerance; the clip keeps 1 - delta positive
                 defect = frobenius / (8.0 * (1.0 - np.minimum(np.sqrt(frobenius), 0.5)) ** 1.5)
                 done = (step >= first[entry]) & (defect <= tolerance)
@@ -823,49 +782,6 @@ class ChainOverlap:
         if not direct:
             w[leaving] = target
 
-    def _band_polar(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """W into w by the band route; returns the chains its gate sends to the SVD.
-
-        Steps: Z^T Z of every chain, in the V scratch; its eigenvectors V
-        from one ``numpy.linalg.eigh`` over the stack, whose failure is a
-        NumericsError; Y = Z V and its column norms d; Q = Y / d and
-        E = Q^T Q - I; the gate (max|E| <= BAND_GATE and d_min above the
-        floor); and W = Q (I - T) V^T with T_ij = d_i E_ij / (d_i + d_j).
-        """
-        k, n = g.shape
-        # Z^T Z: g_j^2 + 1 on the diagonal, -g_{j+1} at (j, j+1) and (j+1, j), g_0 in the corners
-        zz = self._v[:k]
-        zz.fill(0.0)
-        flat = zz.reshape(k, n * n)
-        np.square(g, out=flat[:, :: n + 1])
-        flat[:, :: n + 1] += 1.0
-        flat[:, 1 :: n + 1] = flat[:, n :: n + 1] = -g[:, 1:]
-        zz[:, 0, -1] = zz[:, -1, 0] = g[:, 0]
-        try:
-            v = np.linalg.eigh(zz)[1]
-        except np.linalg.LinAlgError as error:
-            raise NumericsError(f"eigensolver failed on a {n}-site chain ({error})") from error
-        # Y = Z V row by row: y_j = g_j v_j - v_{j-1}, and y_0 = g_0 v_0 + v_{N-1}.
-        y = np.multiply(g[:, :, None], v, out=self._y[:k])
-        y[:, 1:] -= v[:, :-1]
-        y[:, 0] += v[:, -1]
-        d = np.sqrt(np.einsum("kij,kij->kj", y, y))
-        fallback = ~(d.min(axis=1) > self._floor * d.max(axis=1))
-        if fallback.any():
-            # chains that will not use Y: Q = 0 keeps every step below finite
-            d[fallback] = 1.0
-            y[fallback] = 0.0
-        q = np.divide(y, d[:, None, :], out=y)
-        e = np.matmul(q.transpose(0, 2, 1), q, out=self._gram[:k])
-        self._gram_diagonal[:k] -= 1.0
-        fallback |= ~(np.abs(e, out=self._r[:k]).max(axis=(1, 2)) <= BAND_GATE)
-        weight = np.add(d[:, :, None], d[:, None, :], out=self._r[:k])
-        np.divide(-d[:, :, None], weight, out=weight)
-        correction = np.multiply(e, weight, out=weight)
-        self._r_diagonal[:k] += 1.0
-        np.matmul(np.matmul(q, correction, out=self._gram[:k]), v.transpose(0, 2, 1), out=w)
-        return fallback
-
     def _svd_polar(self, g: np.ndarray, w: np.ndarray) -> None:
         """W = U V^T into w from numpy's SVD of Z, with the s_min floor and the det Z orientation.
 
@@ -900,7 +816,7 @@ class ChainOverlap:
         if not len(g):
             return np.empty(0)
         plan = self._plan(g)
-        # SVD and band-route chains first, then Newton-Schulz by schedule: a stack is a run of that order
+        # SVD chains first, then Newton-Schulz by schedule: a stack is a run of that order
         order = np.argsort(plan.entry, kind="stable") if (plan.entry[1:] < plan.entry[:-1]).any() else None
         if order is None and len(g) <= self.stack:
             return self._log_overlaps(g, plan)

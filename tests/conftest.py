@@ -8,24 +8,17 @@ from parity_ising import free_fermion as ff
 
 
 @contextlib.contextmanager
-def _band_route():
-    """Inside it Newton-Schulz converges no chain and hands each on, so every chain starts on the band route."""
+def _svd_route():
+    """Inside it Newton-Schulz converges no chain and hands each on, so every chain takes the SVD."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ff.ChainOverlap, "_newton_schulz_polar", lambda self, g, rows, *rest: rows)
         yield
 
 
 @pytest.fixture
-def band_route():
-    """``with band_route():`` starts every chain of every ``ChainOverlap`` on the band route."""
-    return _band_route
+def svd_route():
+    """``with svd_route():`` sends every chain of every ``ChainOverlap`` to the SVD, the reference route.
 
-
-@pytest.fixture
-def band_only():
-    """Every chain of the test starts on the band route.
-
-    Its own patcher, so that a test's ``monkeypatch.undo()`` keeps it.
+    Its own patcher, so that a test's ``monkeypatch.undo()`` inside the block keeps it.
     """
-    with _band_route():
-        yield
+    return _svd_route

@@ -290,14 +290,14 @@ def test_montecarlo_flag_validation(tmp_path, capsys):
 
 
 def test_verify_and_curve_commands_import_no_scipy(tmp_path):
-    """verify at both levels, the curve commands and Monte Carlo on every overlap route run with scipy blocked.
+    """verify at both levels, the curve commands and Monte Carlo at several lengths run with scipy blocked.
 
     ``sys.modules["scipy"] = None`` makes any scipy import raise.  verify
     --level full imports every submodule and finds the advantage boundary
-    and the crossover, both by ``bracketed_root``.  The Monte Carlo runs
-    cover the kernel's routes: N = 40 chains take Newton-Schulz, the weak
-    correlated disorder at N = 200 is gapped and takes it too, and uniform
-    W = 2 chains at N = 130 straddle 1 and take the band route.
+    and the crossover, both by ``bracketed_root``.  The Monte Carlo runs all
+    take Newton-Schulz: N = 40 chains, the weak correlated disorder at
+    N = 200, which is gapped, and uniform W = 2 chains at N = 130, which
+    straddle 1, seeded, one chain per kernel stack.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -319,7 +319,7 @@ def test_verify_and_curve_commands_import_no_scipy(tmp_path):
             ["montecarlo", "--kind", "gaussian_correlated", "--n", "200", "--g", "1.6", "--sigma", "0.04",
              "--xi", "5", "--samples", "3", "--out", "gapped.json"],
             ["montecarlo", "--kind", "uniform_iid", "--n", "130", "--g", "1.6", "--width", "2",
-             "--samples", "2", "--out", "band.json"],
+             "--samples", "2", "--out", "straddling.json"],
         ]
         print([cli.main(run) for run in runs])
         """

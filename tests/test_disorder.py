@@ -321,55 +321,54 @@ def test_run_telemetry_is_one_debug_record(caplog):
     steps = int(message.split(" seeded, at most ")[1].split(" ")[0])
     assert 0 < steps <= ff.NEWTON_SCHULZ_STEPS
     # every field of N = 4 lies in the direct range, so each chain starts from the seeded Newton step
-    assert message.endswith(", 30 by Newton-Schulz (30 seeded, at most %d steps), 0 by the band route, 0 SVD fallbacks" % steps)
+    assert message.endswith(", 30 by Newton-Schulz (30 seeded, at most %d steps), 0 SVD fallbacks" % steps)
 
 
-def test_run_reports_its_overlap_routes(band_route, caplog):
-    """Newton-Schulz scores an N = 40 run; handed every chain, the band route gives the same moments."""
+def test_run_reports_its_overlap_routes(svd_route, caplog):
+    """Newton-Schulz scores an N = 40 run; handed every chain, the SVD gives the same moments."""
     ens = dis.uniform_iid(1.6, 2.0, 40)
     with caplog.at_level("DEBUG", logger="parity_ising"):
         newton = dis.expected_utility(ens, 45, seed=8)
-        with band_route():
-            band = dis.expected_utility(ens, 45, seed=8)
+        with svd_route():
+            dense = dis.expected_utility(ens, 45, seed=8)
     first, second = (r.getMessage() for r in caplog.records if r.name == "parity_ising.disorder")
     steps = int(first.split(" seeded, at most ")[1].split(" ")[0])
     assert 0 < steps <= ff.NEWTON_SCHULZ_STEPS
-    assert first.endswith(", 45 by Newton-Schulz (45 seeded, at most %d steps), 0 by the band route, 0 SVD fallbacks" % steps)
-    assert second.endswith(", 0 by Newton-Schulz (0 seeded, at most 0 steps), 45 by the band route, 0 SVD fallbacks")
-    assert newton.mean_utility == pytest.approx(band.mean_utility, rel=0.0, abs=1e-12)
-    assert newton.singular_ratio_bound == band.singular_ratio_bound
+    assert first.endswith(", 45 by Newton-Schulz (45 seeded, at most %d steps), 0 SVD fallbacks" % steps)
+    assert second.endswith(", 0 by Newton-Schulz (0 seeded, at most 0 steps), 45 SVD fallbacks")
+    assert newton.mean_utility == pytest.approx(dense.mean_utility, rel=0.0, abs=1e-12)
+    assert newton.singular_ratio_bound == dense.singular_ratio_bound
     assert 0.0 < newton.max_orthogonality_defect <= ff.NEWTON_SCHULZ_TOL * 40 * np.finfo(float).eps
-    assert (newton.svd_fallbacks, newton.n_redraws) == (band.svd_fallbacks, band.n_redraws)
+    assert 0.0 < dense.max_orthogonality_defect <= ff.UNITARITY_TOL
+    assert (newton.svd_fallbacks, dense.svd_fallbacks, newton.n_redraws) == (0, 45, dense.n_redraws)
 
 
-def test_run_counts_svd_fallbacks(monkeypatch, band_only, caplog):
-    """The band route scores a weak-disorder run; a gate no chain passes sends every sample to the SVD."""
+def test_run_counts_svd_fallbacks(svd_route, caplog):
+    """Newton-Schulz scores a weak-disorder run; handing every chain on sends every sample to the SVD, counted once."""
     ens = dis.uniform_iid(1.6, 2.0, 12)
     with caplog.at_level("DEBUG", logger="parity_ising"):
-        banded = dis.expected_utility(ens, 40, seed=8)
-        assert caplog.records[-1].getMessage().endswith(", 40 by the band route, 0 SVD fallbacks")
-        monkeypatch.setattr(ff, "BAND_GATE", -1.0)
-        dense = dis.expected_utility(ens, 40, seed=8)
+        newton = dis.expected_utility(ens, 40, seed=8)
+        assert caplog.records[-1].getMessage().endswith(", 0 SVD fallbacks")
+        with svd_route():
+            dense = dis.expected_utility(ens, 40, seed=8)
         # each sample counted once, by the route that gave its polar factor
-        assert caplog.records[-1].getMessage().endswith(", 0 by the band route, 40 SVD fallbacks")
-    assert (banded.svd_fallbacks, dense.svd_fallbacks) == (0, 40)
-    assert dense.mean_utility == pytest.approx(banded.mean_utility, rel=1e-12, abs=0.0)
-    assert dense.singular_ratio_bound == banded.singular_ratio_bound
+        assert caplog.records[-1].getMessage().endswith(", 0 by Newton-Schulz (0 seeded, at most 0 steps), 40 SVD fallbacks")
+    assert (newton.svd_fallbacks, dense.svd_fallbacks) == (0, 40)
+    assert dense.mean_utility == pytest.approx(newton.mean_utility, rel=1e-12, abs=0.0)
+    assert dense.singular_ratio_bound == newton.singular_ratio_bound
 
 
-def test_run_ratio_bound_is_the_closed_form_over_its_draws(monkeypatch, band_route):
-    """Newton-Schulz, the band route and the SVD report one bound: the least closed-form bound over the run's draws."""
+def test_run_ratio_bound_is_the_closed_form_over_its_draws(monkeypatch, svd_route):
+    """Newton-Schulz and the SVD report one bound: the least closed-form bound over the run's draws."""
     ens = dis.uniform_iid(1.6, 2.0, 40)
     draws = np.array([dis.sample_couplings(ens, 8, i)[0] for i in range(45)])
     monkeypatch.setattr(dis, "STACK_ENTRIES", 400)  # ten draws at a time, so the run takes the least over five
     newton = dis.expected_utility(ens, 45, seed=8)
-    with band_route():
-        band = dis.expected_utility(ens, 45, seed=8)
-        monkeypatch.setattr(ff, "BAND_GATE", -1.0)
+    with svd_route():
         dense = dis.expected_utility(ens, 45, seed=8)
-    assert (newton.svd_fallbacks, band.svd_fallbacks, dense.svd_fallbacks) == (0, 0, 45)
+    assert (newton.svd_fallbacks, dense.svd_fallbacks) == (0, 45)
     bound = float(ff._singular_ratio_bound(draws).min())
-    assert newton.singular_ratio_bound == band.singular_ratio_bound == dense.singular_ratio_bound == bound
+    assert newton.singular_ratio_bound == dense.singular_ratio_bound == bound
 
 
 def test_redraws_are_counted():

@@ -1,5 +1,6 @@
 """Momentum-space spectrum and its N -> oo rule, the chain matrix, and the polar-factor overlap route."""
 
+import contextlib
 import math
 import warnings
 
@@ -295,22 +296,15 @@ def test_nonfinite_couplings_rejected_by_pipeline():
         ff.ghz_log_overlap_squared(1.3)
 
 
-# Resolved on the band route, and a domain wall that only the SVD fallback resolves.
+# A well-conditioned chain, and a domain wall whose s_min lies below N eps s_max:
+# Newton-Schulz converges both, and the SVD resolves the wall only by orienting it.
 WELL_CONDITIONED = np.array([0.5, 1.5, 1.0, 2.0, 0.8, 1.2])
-SVD_ONLY = np.array([1.0 / 3000.0] * 5 + [3000.0] * 7)
+DOMAIN_WALL = np.array([1.0 / 3000.0] * 5 + [3000.0] * 7)
 
 
-def test_unitarity_guard_catches_corruption(monkeypatch, band_only):
-    """A non-orthogonal factor, two zero singular values or a solver failure raises, on either branch."""
-    eigh = np.linalg.eigh
+def test_unitarity_guard_catches_corruption(monkeypatch, svd_route):
+    """On the SVD route a non-orthogonal factor, two zero singular values or a solver failure raises, for ``polar`` and the overlap."""
     svd = np.linalg.svd
-
-    def scaled_v(a):
-        w, v = eigh(a)
-        return w, 2.0 * v
-
-    def failed_band(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def scaled_u(a, *args, **kwargs):
         u, s, vt = svd(a, *args, **kwargs)
@@ -324,27 +318,26 @@ def test_unitarity_guard_catches_corruption(monkeypatch, band_only):
     def failed(a, *args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    for solver, name, corrupt, g in (
-        (np.linalg, "eigh", scaled_v, WELL_CONDITIONED),
-        (np.linalg, "eigh", failed_band, WELL_CONDITIONED),
-        (np.linalg, "svd", scaled_u, SVD_ONLY),
-        (np.linalg, "svd", two_zero_singular_values, SVD_ONLY),
-        (np.linalg, "svd", failed, SVD_ONLY),
-    ):
-        monkeypatch.setattr(solver, name, corrupt)
-        for route in (ff.ChainOverlap(g.size).polar, ff.ghz_log_overlap_squared):
-            with pytest.raises(NumericsError):
-                route(g)
-        monkeypatch.undo()
-    kernel = ff.ChainOverlap(WELL_CONDITIONED.size)
-    assert kernel(WELL_CONDITIONED) < 0.0 and kernel.svd_fallbacks == 0
-    kernel = ff.ChainOverlap(SVD_ONLY.size)
-    assert kernel(SVD_ONLY) < 0.0 and kernel.svd_fallbacks == 1
+    with svd_route():
+        for corrupt, g in (
+            (scaled_u, WELL_CONDITIONED),
+            (scaled_u, DOMAIN_WALL),
+            (two_zero_singular_values, DOMAIN_WALL),
+            (failed, DOMAIN_WALL),
+        ):
+            monkeypatch.setattr(np.linalg, "svd", corrupt)
+            for route in (ff.ChainOverlap(g.size).polar, ff.ghz_log_overlap_squared):
+                with pytest.raises(NumericsError):
+                    route(g)
+            monkeypatch.undo()
+        for g in (WELL_CONDITIONED, DOMAIN_WALL):
+            kernel = ff.ChainOverlap(g.size)
+            assert kernel(g) < 0.0 and kernel.svd_fallbacks == 1
 
 
-def test_unresolved_singular_pair_is_oriented_by_det_z(monkeypatch):
-    """One zero singular value with its pair flipped in sign: det Z > 0 restores W."""
-    g = SVD_ONLY
+def test_unresolved_singular_pair_is_oriented_by_det_z(monkeypatch, svd_route):
+    """On the SVD route, one zero singular value with its pair flipped in sign: det Z > 0 restores Newton-Schulz's W."""
+    g = DOMAIN_WALL
     expected = ff.ghz_log_overlap_squared(g)
     svd = np.linalg.svd
 
@@ -356,7 +349,9 @@ def test_unresolved_singular_pair_is_oriented_by_det_z(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", flipped_zero_mode)
     kernel = ff.ChainOverlap(g.size)
-    assert kernel(g) == pytest.approx(expected, rel=1e-12)
+    with svd_route():
+        assert kernel(g) == pytest.approx(expected, rel=1e-12)
+    assert kernel.svd_fallbacks == 1
 
 
 @pytest.mark.parametrize("spoil", ["zero", "nan"])
@@ -383,7 +378,7 @@ def test_zero_or_nan_determinant_raises(monkeypatch, spoil):
 
 
 def _stack_chains(n):
-    """37 chains of length n: random fields, one SVD fallback, and the uniform chain 1.3 last."""
+    """37 chains of length n: random fields, a domain wall, and the uniform chain 1.3 last."""
     rng = np.random.default_rng((37, n))
     chains = [rng.uniform(0.2, 3.0, n) for _ in range(33)]
     chains += [np.exp(1.5 * rng.standard_normal(n)) for _ in range(2)]
@@ -393,41 +388,45 @@ def _stack_chains(n):
 
 
 @pytest.mark.parametrize("n", [12, 40], ids=("one-stack", "two-stacks"))
-def test_stack_scores_each_chain_as_it_scores_alone(band_only, n):
-    """A stack gives bit for bit the values and counters of its chains scored one at a time.
+def test_stack_scores_each_chain_as_it_scores_alone(svd_route, n):
+    """On either route a stack gives bit for bit the values and counters of its chains scored one at a time.
 
-    The fallback chain is SVD_ONLY at N = 12.
+    Newton-Schulz converges every chain, the domain wall (DOMAIN_WALL at
+    N = 12) among them; handed every chain on, the SVD scores them all.
     """
     chains = _stack_chains(n)
-    assert (n == 12) == np.array_equal(chains[-2], SVD_ONLY)
-    stacked, alone = ff.ChainOverlap(n), ff.ChainOverlap(n)
-    assert stacked.stack == max(1, ff.STACK_ENTRIES // n**2)
-    values = stacked(chains)
-    np.testing.assert_array_equal(values, [alone(g) for g in chains])
-    np.testing.assert_array_equal(values, [ff.ghz_log_overlap_squared(g) for g in chains])
-    assert np.isfinite(values).all()
-    for counter in ("evaluations", "svd_fallbacks", "max_defect"):
-        assert getattr(stacked, counter) == getattr(alone, counter)
-    assert stacked.evaluations == 37 and stacked.svd_fallbacks >= 1
+    assert (n == 12) == np.array_equal(chains[-2], DOMAIN_WALL)
+    for route, fallbacks in ((contextlib.nullcontext, 0), (svd_route, len(chains))):
+        stacked, alone = ff.ChainOverlap(n), ff.ChainOverlap(n)
+        assert stacked.stack == max(1, ff.STACK_ENTRIES // n**2)
+        with route():
+            values = stacked(chains)
+            np.testing.assert_array_equal(values, [alone(g) for g in chains])
+            np.testing.assert_array_equal(values, [ff.ghz_log_overlap_squared(g) for g in chains])
+        assert np.isfinite(values).all()
+        for counter in ("evaluations", "svd_fallbacks", "max_defect"):
+            assert getattr(stacked, counter) == getattr(alone, counter)
+        assert (stacked.evaluations, stacked.svd_fallbacks) == (37, fallbacks)
     np.testing.assert_array_equal(ff._singular_ratio_bound(chains), [ff._singular_ratio_bound(g[None])[0] for g in chains])
 
 
-def test_one_failing_chain_raises_for_its_whole_stack(monkeypatch, band_only):
+def test_one_failing_chain_raises_for_its_whole_stack(monkeypatch, svd_route):
     """Two unresolved singular values, a non-orthogonal factor, or an overlap above 1, zero or NaN in mid-stack raise for it."""
     chains = np.array([np.full(12, 0.9), np.array(([1e-4] * 3 + [1e4] * 3) * 2), np.full(12, 1.7)])
     with pytest.raises(NumericsError, match="two or more"):
         ff.ChainOverlap(12)(chains)
-    eigh = np.linalg.eigh
+    svd, calls = np.linalg.svd, []
 
-    def second_scaled(a):
-        w, v = eigh(a)
-        v[1] *= 2.0
-        return w, v
+    def second_scaled(a, *args, **kwargs):
+        u, s, vt = svd(a, *args, **kwargs)
+        calls.append(a)
+        return (2.0 * u if len(calls) == 2 else u), s, vt
 
     uniform = np.array([np.full(12, 0.9), np.full(12, 1.3), np.full(12, 1.7)])
-    monkeypatch.setattr(np.linalg, "eigh", second_scaled)
-    with pytest.raises(NumericsError, match="not orthogonal"):
+    monkeypatch.setattr(np.linalg, "svd", second_scaled)
+    with svd_route(), pytest.raises(NumericsError, match="not orthogonal"):
         ff.ChainOverlap(12)(uniform)
+    assert len(calls) == 3
     monkeypatch.undo()
     slogdet = np.linalg.slogdet
 
@@ -554,7 +553,7 @@ def _route_sweep():
     chains = [np.full(n, g) for n in (12, 40) for g in (0.3, 1.0, 1.7)]
     chains += [rng.uniform(0.0, 2.0, 80) for _ in range(4)]  # near-critical uniform_iid(1, W = 2)
     chains += [np.exp(1.5 * rng.standard_normal(12)) for _ in range(4)]
-    # one weak domain of contrast c: kappa from ~30 past the gate (~1e8) to ~1e14
+    # one weak domain of contrast c: kappa from ~30 to ~1e14
     chains += [
         np.array([1.0 / c] * weak + [c] * (n - weak))
         for c in np.logspace(0.25, 2.0, 22)
@@ -563,55 +562,8 @@ def _route_sweep():
     return chains
 
 
-def test_band_route_matches_dense_routes_across_conditioning(monkeypatch, band_only):
-    """log o+ agrees with the dense SVD, or the oracle up to N = 14, wherever the gate sends it.
-
-    The test records the Gram and eigenvectors the kernel gets from eigh
-    and measures max|Q^T Q - I| of Q = Z V / d itself, so it also holds the
-    SVD fallback to firing exactly when that spread exceeds BAND_GATE or
-    d_min falls to the floor N eps d_max.
-    """
-    eigh = np.linalg.eigh
-    seen = []
-
-    def recorded(a):
-        gram = a.copy()
-        w, v = eigh(a)
-        seen.append((gram, v.copy()))
-        return w, v
-
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
-    spreads, fallbacks = [], []
-    for g in _route_sweep():
-        n = g.size
-        seen.clear()
-        kernel = ff.ChainOverlap(n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            log_o = kernel(g)
-        z = ff.chain_matrix(g)
-        (gram, v), = seen
-        np.testing.assert_allclose(gram, (z.T @ z)[None], rtol=1e-15, atol=0.0)
-        v = v[0]
-        y = z @ v
-        d = np.linalg.norm(y, axis=0)
-        spread = np.abs((y / d).T @ (y / d) - np.eye(n)).max()
-        resolved = d.min() > n * np.finfo(float).eps * d.max()
-        assert kernel.svd_fallbacks == int(not resolved or spread > ff.BAND_GATE)
-        if n <= 14:
-            dense_plus, _ = oracle.ghz_overlaps(oracle.dense_ground_state(g))
-            assert log_o == pytest.approx(math.log(dense_plus), rel=1e-12)
-        if resolved:
-            assert log_o == pytest.approx(_svd_log_overlap(g), rel=1e-12)
-        spreads.append(spread)
-        fallbacks.append(kernel.svd_fallbacks)
-    # both branches ran, and some chains fell back from just over the gate
-    assert 0 < sum(fallbacks) < len(fallbacks)
-    assert any(ff.BAND_GATE < s <= 1e3 * ff.BAND_GATE for s in spreads)
-
-
-def test_fields_too_large_to_square_take_the_svd(band_only):
-    """Above BAND_FIELD_MAX the band route would overflow; the call goes to the SVD without a warning."""
+def test_fields_too_large_to_square_take_the_svd():
+    """Above NEWTON_SCHULZ_FIELD_MAX the call goes to the SVD without a warning."""
     uniform, one_site = np.full(6, 1e151), np.array([1e151, 1.0, 2.0, 0.5, 1.0, 3.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -624,17 +576,16 @@ def test_fields_too_large_to_square_take_the_svd(band_only):
         assert kernel.svd_fallbacks == 2
 
 
-def test_svd_dispatch_keeps_stack_order_on_the_band_route(band_only):
-    """Chains above BAND_FIELD_MAX among band-route and SVD_ONLY chains score in a stack as alone.
+def test_svd_dispatch_keeps_stack_order():
+    """Chains above NEWTON_SCHULZ_FIELD_MAX among Newton-Schulz chains score in a stack as alone.
 
-    With the Newton-Schulz window empty, every chain starts on the band
-    route.  The large-field chains skip it, and its chains are scattered
-    back between them, and go to the SVD with SVD_ONLY.
+    The large-field chains skip Newton-Schulz: the call sorts them first
+    and scatters their values back between the others.
     """
-    n = SVD_ONLY.size
+    n = DOMAIN_WALL.size
     rng = np.random.default_rng(17)
     chains = np.array([
-        rng.uniform(0.2, 3.0, n), np.full(n, 1e151), rng.uniform(0.2, 3.0, n), SVD_ONLY,
+        rng.uniform(0.2, 3.0, n), np.full(n, 1e151), rng.uniform(0.2, 3.0, n), DOMAIN_WALL,
         1e151 * rng.uniform(1.0, 2.0, n), np.full(n, 1.3), np.full(n, 2e151), rng.uniform(0.2, 3.0, n),
     ])
     stacked, alone = ff.ChainOverlap(n), ff.ChainOverlap(n)
@@ -645,19 +596,18 @@ def test_svd_dispatch_keeps_stack_order_on_the_band_route(band_only):
         np.testing.assert_array_equal(values, [alone(g) for g in chains])
     assert np.isfinite(values).all()
     counters = (
-        "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "band_chains",
-        "svd_fallbacks", "max_defect",
+        "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "svd_fallbacks", "max_defect",
     )
     for counter in counters:
         assert getattr(stacked, counter) == getattr(alone, counter)
-    assert (stacked.evaluations, stacked.band_chains, stacked.svd_fallbacks) == (8, 8, 4)
+    assert (stacked.evaluations, stacked.newton_schulz_chains, stacked.svd_fallbacks) == (8, 5, 3)
     for g, log_o in zip(chains, values):
-        if g.max() > ff.BAND_FIELD_MAX:
+        if g.max() > ff.NEWTON_SCHULZ_FIELD_MAX:
             assert log_o == pytest.approx(_svd_log_overlap(g), rel=1e-12)
 
 
 def test_large_fields_below_the_square_bound_fall_back_without_overflow():
-    """A chain under BAND_FIELD_MAX whose d_min hits the floor takes the SVD without a warning, alone or in a stack.
+    """A chain under NEWTON_SCHULZ_FIELD_MAX that Newton-Schulz hands on takes the SVD without a warning, alone or in a stack.
 
     Three sites held along x and a fourth left free by its field but fixed
     by the even sector make |++++>, whose GHZ overlap is 1/8; its one
@@ -675,11 +625,10 @@ def test_large_fields_below_the_square_bound_fall_back_without_overflow():
     assert kernel.svd_fallbacks == 3
 
 
-# Lengths at which every chain starts on Newton-Schulz, up to the longest; 40 is that of the Monte Carlo runs.
-WINDOW_LENGTHS = (8, 24, 40, ff.NEWTON_SCHULZ_SITES)
-# (band route, SVD) chains of each length's conditioning sweep: at N = 8 three domain walls
-# miss the step budget and take the SVD; every other chain is seeded and converges.
-SWEEP_HANDED_ON = {8: 3, 24: 0, 40: 0, 80: 0}
+# Lengths of the conditioning sweep; 40 is that of the Monte Carlo runs.
+SWEEP_LENGTHS = (8, 24, 40, 80)
+# SVD chains of each length's conditioning sweep: at N = 8 three domain walls miss the
+# step budget and take the SVD; every other chain is seeded and converges.
 SWEEP_SVD = {8: 3, 24: 0, 40: 0, 80: 0}
 
 
@@ -689,8 +638,8 @@ def _conditioning_sweep(n):
     Gaussian fields about 1.6 converge in the fewest steps and uniform fields
     about the critical point in more.  One weak domain of contrast c sends
     s_min / (max g + 1) from ~1e-2 to ~1e-17 as c grows: unseeded, past the
-    step budget to the band route, and at the largest contrasts past the
-    resolvable floor on to the SVD.  s_min falls about as c^-weak, so on a
+    step budget on to the SVD, at the largest contrasts past the resolvable
+    floor.  s_min falls about as c^-weak, so on a
     domain of fewer than 16 sites c reaches 10^(16 / weak) instead of 10.
     The seeded Newton step lifts the domain wall's singular value to the
     top of X_0, so from N = 24 on every chain in the direct range converges.
@@ -705,15 +654,14 @@ def _conditioning_sweep(n):
     return np.array(chains)[rng.permutation(len(chains))]
 
 
-@pytest.mark.parametrize("n", WINDOW_LENGTHS)
-def test_newton_schulz_matches_band_and_svd_across_conditioning(band_route, n):
-    """Chain by chain, log o+ by Newton-Schulz, the band route and numpy's SVD agree.
+@pytest.mark.parametrize("n", SWEEP_LENGTHS)
+def test_newton_schulz_matches_band_and_svd_across_conditioning(svd_route, n):
+    """Chain by chain, log o+ by Newton-Schulz, the kernel's SVD route and numpy's SVD agree.
 
-    numpy's SVD serves where it resolves s_min; below N eps s_max the band
-    route hands the chain to the SVD oriented by det Z.  The bound on
-    s_min / s_max is at most numpy's.  A chain that
-    Newton-Schulz hands on takes the band route, and gives exactly what the
-    band route gives alone.
+    numpy's plain SVD serves where it resolves s_min; below N eps s_max the
+    kernel's SVD route orients the chain by det Z.  The bound on
+    s_min / s_max is at most numpy's.  A chain that Newton-Schulz hands on
+    gives exactly what the SVD route gives it alone.
     """
     handed_on = 0
     for g in _conditioning_sweep(n):
@@ -722,30 +670,30 @@ def test_newton_schulz_matches_band_and_svd_across_conditioning(band_route, n):
             warnings.simplefilter("error", RuntimeWarning)
             log_o = newton(g)
             bound = ff._singular_ratio_bound(g[None])[0]
-        band = ff.ChainOverlap(n)
-        with band_route():
-            band_log_o = band(g)
-        assert band_log_o == pytest.approx(log_o, rel=0.0, abs=1e-12)
-        assert (band.newton_schulz_chains, band.band_chains) == (0, 1)
-        assert newton.newton_schulz_chains + newton.band_chains == newton.evaluations == 1
+        dense = ff.ChainOverlap(n)
+        with svd_route():
+            dense_log_o = dense(g)
+        assert dense_log_o == pytest.approx(log_o, rel=0.0, abs=1e-12)
+        assert (dense.newton_schulz_chains, dense.svd_fallbacks) == (0, 1)
+        assert newton.newton_schulz_chains + newton.svd_fallbacks == newton.evaluations == 1
         assert 0.0 < bound <= _singular_ratio(g) * (1.0 + 1e-12)
-        if newton.band_chains:
+        if newton.svd_fallbacks:
             handed_on += 1
-            assert log_o == band_log_o
+            assert log_o == dense_log_o
             continue
         assert 0 < newton.max_newton_schulz_steps <= ff.NEWTON_SCHULZ_STEPS
         assert 0.0 < newton.max_defect <= ff.NEWTON_SCHULZ_TOL * n * np.finfo(float).eps
         s = np.linalg.svd(ff.chain_matrix(g), compute_uv=False)
         if s[-1] > n * np.finfo(float).eps * s[0]:  # below it numpy's SVD leaves W's orientation to chance
             assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
-    assert handed_on == SWEEP_HANDED_ON[n]
+    assert handed_on == SWEEP_SVD[n]
 
 
-@pytest.mark.parametrize("n", WINDOW_LENGTHS)
+@pytest.mark.parametrize("n", SWEEP_LENGTHS)
 def test_newton_schulz_stack_scores_each_chain_as_it_scores_alone(n):
     """Chains that converge early, late or never give in one stack bit for bit what they give alone.
 
-    Never-converging chains go on to the band route, and at N = 8 some of them on to the SVD.
+    Never-converging chains, three at N = 8, go on to the SVD.
     """
     chains = _conditioning_sweep(n)
     alone, steps = ff.ChainOverlap(n), []
@@ -758,30 +706,29 @@ def test_newton_schulz_stack_scores_each_chain_as_it_scores_alone(n):
     stacked = ff.ChainOverlap(n)
     np.testing.assert_array_equal(stacked(chains), values)
     counters = (
-        "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "band_chains",
-        "svd_fallbacks", "max_defect",
+        "evaluations", "newton_schulz_chains", "max_newton_schulz_steps", "svd_fallbacks", "max_defect",
     )
     for counter in counters:
         assert getattr(stacked, counter) == getattr(alone, counter)
     converged = [s for s in steps if s is not None]
     assert min(converged) < max(converged) and stacked.newton_schulz_chains == len(converged)
-    assert (stacked.band_chains, stacked.svd_fallbacks) == (steps.count(None), SWEEP_SVD[n])
-    assert stacked.band_chains == SWEEP_HANDED_ON[n]
+    assert stacked.svd_fallbacks == steps.count(None) == SWEEP_SVD[n]
 
 
 def test_newton_schulz_ratio_bound_needs_no_eigenvalues_or_factorization(monkeypatch):
-    """A one-chain call and whole sweeps score, and s_min / s_max is bounded from below, without eigvalsh or cholesky."""
+    """A one-chain call and whole sweeps score, and s_min / s_max is bounded from below, without eigh, eigvalsh or cholesky."""
     chain = 1.6 + 0.04 * np.random.default_rng(31).standard_normal(40)
     stacks = [_conditioning_sweep(40), _gapped_sweep(120)]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the ratio bound called a dense eigensolver or factorization")
 
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     monkeypatch.setattr(np.linalg, "cholesky", forbidden)
     single = ff.ChainOverlap(chain.size)
     single(chain)
-    assert (single.newton_schulz_chains, single.band_chains) == (1, 0)
+    assert (single.newton_schulz_chains, single.svd_fallbacks) == (1, 0)
     kernels = [ff.ChainOverlap(chains.shape[1]) for chains in stacks]
     for kernel, chains in zip(kernels, stacks):
         kernel(chains)
@@ -792,9 +739,9 @@ def test_newton_schulz_ratio_bound_needs_no_eigenvalues_or_factorization(monkeyp
         assert (0.0 < bound).all() and (bound <= [_singular_ratio(g) * (1.0 + 1e-12) for g in chains]).all()
 
 
-@pytest.mark.parametrize("n", WINDOW_LENGTHS)
+@pytest.mark.parametrize("n", SWEEP_LENGTHS)
 def test_newton_schulz_window_hands_extreme_fields_on_without_overflow(n):
-    """Fields of 1e120 beside 1e-120, and fields above BAND_FIELD_MAX, reach the SVD without a warning.
+    """Fields of 1e120 beside 1e-120, and fields above NEWTON_SCHULZ_FIELD_MAX, reach the SVD without a warning.
 
     N - 1 sites held along x make |+...+>, whose GHZ overlap is 2^(1 - N).
     """
@@ -806,12 +753,12 @@ def test_newton_schulz_window_hands_extreme_fields_on_without_overflow(n):
         kernel = ff.ChainOverlap(n)
         assert kernel(held) == pytest.approx((1 - n) * math.log(2.0), rel=1e-12)
         assert kernel(too_large) == pytest.approx(_svd_log_overlap(too_large), rel=1e-12)
-        assert (kernel.newton_schulz_chains, kernel.band_chains, kernel.svd_fallbacks) == (0, 2, 2)
+        assert (kernel.newton_schulz_chains, kernel.svd_fallbacks) == (0, 2)
         values = kernel(stack)
         expected = [ff.ghz_log_overlap_squared(g) for g in stack]
         bounds = ff._singular_ratio_bound(stack)
     np.testing.assert_array_equal(values, expected)
-    assert (kernel.newton_schulz_chains, kernel.band_chains, kernel.svd_fallbacks) == (1, 5, 5)
+    assert (kernel.newton_schulz_chains, kernel.svd_fallbacks) == (1, 5)
     assert (0.0 < bounds).all() and (bounds <= [_singular_ratio(g) * (1.0 + 1e-12) for g in stack]).all()
 
 
@@ -841,11 +788,11 @@ def test_schedule_grid_closes_each_interval_as_fast_as_its_own_schedule():
     assert max(extra) <= 1 and extra.count(1) <= len(lows) // 100
 
 
-# Lengths beyond the window, where only gapped chains take Newton-Schulz.
+# Lengths of the gapped sweep, beyond those of the conditioning sweep.
 GAPPED_LENGTHS = (120, 200)
 COUNTERS = (
-    "evaluations", "newton_schulz_chains", "newton_seeded_chains", "max_newton_schulz_steps", "band_chains",
-    "svd_fallbacks", "max_defect",
+    "evaluations", "newton_schulz_chains", "newton_seeded_chains", "max_newton_schulz_steps", "svd_fallbacks",
+    "max_defect",
 )
 
 
@@ -868,8 +815,8 @@ def _gapped_sweep(n):
 
 
 @pytest.mark.parametrize("n", GAPPED_LENGTHS)
-def test_gapped_chains_take_newton_schulz_and_match_band_and_svd(band_route, n):
-    """Outside the window a gapped chain converges by Newton-Schulz and agrees with the band route and the SVD.
+def test_gapped_chains_take_newton_schulz_and_match_band_and_svd(svd_route, n):
+    """A long gapped chain converges by Newton-Schulz and agrees with the kernel's SVD route and numpy's SVD.
 
     log o+ to 1e-12, chain by chain, with a defect within the gapped
     chains' tolerance, NEWTON_SCHULZ_TOL sqrt(N) eps, and a bound on
@@ -881,11 +828,11 @@ def test_gapped_chains_take_newton_schulz_and_match_band_and_svd(band_route, n):
             warnings.simplefilter("error", RuntimeWarning)
             log_o = newton(g)
             bound = ff._singular_ratio_bound(g[None])[0]
-        band = ff.ChainOverlap(n)
-        with band_route():
-            band_log_o = band(g)
-        assert (newton.newton_schulz_chains, newton.band_chains) == (1, 0)
-        assert (band_log_o, band.newton_schulz_chains, band.band_chains) == (pytest.approx(log_o, abs=1e-12), 0, 1)
+        dense = ff.ChainOverlap(n)
+        with svd_route():
+            dense_log_o = dense(g)
+        assert (newton.newton_schulz_chains, newton.svd_fallbacks) == (1, 0)
+        assert (dense_log_o, dense.newton_schulz_chains, dense.svd_fallbacks) == (pytest.approx(log_o, abs=1e-12), 0, 1)
         assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
         assert 0 < newton.max_newton_schulz_steps <= ff.NEWTON_SCHULZ_STEPS
         assert 0.0 < newton.max_defect <= ff.NEWTON_SCHULZ_TOL * math.sqrt(n) * np.finfo(float).eps
@@ -893,7 +840,7 @@ def test_gapped_chains_take_newton_schulz_and_match_band_and_svd(band_route, n):
 
 
 def _extreme_gapped_chains(n):
-    """All fields 1e-100 (o+ -> 1), all 1e100 (|+...+>, o+ = 2^(1 - N)), and a chain above BAND_FIELD_MAX."""
+    """All fields 1e-100 (o+ -> 1), all 1e100 (|+...+>, o+ = 2^(1 - N)), and a chain above NEWTON_SCHULZ_FIELD_MAX."""
     return np.array([np.full(n, 1e-100), np.full(n, 1e100), np.full(n, 1e151)])
 
 
@@ -908,7 +855,7 @@ def test_gapped_stack_scores_each_chain_as_it_scores_alone(n):
         np.testing.assert_array_equal(values, [alone(g) for g in chains])
     for counter in COUNTERS:
         assert getattr(stacked, counter) == getattr(alone, counter)
-    assert (stacked.newton_schulz_chains, stacked.band_chains, stacked.svd_fallbacks) == (len(chains) - 1, 1, 1)
+    assert (stacked.newton_schulz_chains, stacked.svd_fallbacks) == (len(chains) - 1, 1)
 
 
 @pytest.mark.parametrize("n", GAPPED_LENGTHS)
@@ -928,7 +875,7 @@ def test_gapped_extreme_fields_converge_without_overflow(n):
         assert kernel(too_large) == pytest.approx(_svd_log_overlap(too_large), rel=1e-12)
         bounds = ff._singular_ratio_bound(np.vstack((tiny, huge, too_large, subnormal)))
     assert (kernel.newton_schulz_chains, kernel.max_newton_schulz_steps) == (2, 0)
-    assert (kernel.band_chains, kernel.svd_fallbacks) == (1, 1)
+    assert kernel.svd_fallbacks == 1
     assert bounds[:3].min() == pytest.approx(1.0, rel=1e-12)
     ratios = [_singular_ratio(g) for g in (tiny, huge, too_large, *subnormal)]
     assert (0.0 < bounds).all() and (bounds <= np.multiply(ratios, 1.0 + 1e-12)).all()
@@ -938,10 +885,9 @@ def test_gapped_extreme_fields_converge_without_overflow(n):
 def test_mixed_gapped_and_straddling_stack_scores_each_chain_as_it_scores_alone(n):
     """Gapped chains of several schedules among chains that straddle 1 score in one call as alone.
 
-    At N = 40 the straddling chains take Newton-Schulz beside the gapped
-    ones, and so does the domain wall, seeded: its prefix products stay
-    within e^+-230; at N = 130 the straddling chains take the band route,
-    and the wall goes on to the SVD.
+    The straddling chains take Newton-Schulz beside the gapped ones.  So
+    does the domain wall at N = 40, seeded: its prefix products stay within
+    e^+-230; at N = 130 they do not, and Newton-Schulz hands it on to the SVD.
     """
     rng = np.random.default_rng((23, n))
     weak = 5 * n // 12  # a domain wall that only the SVD resolves
@@ -953,14 +899,13 @@ def test_mixed_gapped_and_straddling_stack_scores_each_chain_as_it_scores_alone(
     np.testing.assert_array_equal(values, [alone(g) for g in chains])
     for counter in COUNTERS:
         assert getattr(stacked, counter) == getattr(alone, counter)
-    # every chain converges by Newton-Schulz at N = 40, the six gapped ones at N = 130
-    newton = len(chains) if n <= ff.NEWTON_SCHULZ_SITES else 6
-    assert (stacked.newton_schulz_chains, stacked.band_chains) == (newton, len(chains) - newton)
-    assert stacked.svd_fallbacks == (n > ff.NEWTON_SCHULZ_SITES)
+    # every chain converges by Newton-Schulz at N = 40, all but the wall at N = 130
+    wall = n > 40
+    assert (stacked.newton_schulz_chains, stacked.svd_fallbacks) == (len(chains) - wall, wall)
 
 
 def _call_chains(n):
-    """Draws that one call scores on several schedules: 819 at N = 40, 600 at N = 8, and at N = 130 band-route and gapped chains.
+    """Draws that one call scores on several schedules: 819 at N = 40, 600 at N = 8, and at N = 130 straddling and gapped chains.
 
     819 and 600 draws end on a partial stack (stacks of 20 and 512); each
     N = 130 chain is a stack of its own.
@@ -977,8 +922,8 @@ def test_shuffled_call_returns_the_permuted_values(n):
     """A call sorts its chains by route and schedule: shuffled, it returns the permuted values bit for bit, with every counter."""
     chains = _call_chains(n)
     entry = ff.ChainOverlap(n)._plan(chains).entry
-    # two schedules at N = 40 and 8, band-route chains (entry -1) among one schedule at N = 130
-    assert len(set(entry.tolist())) >= 2 and (n == 130) == (entry < 0).any()
+    # every chain starts on Newton-Schulz, on two schedules or more
+    assert len(set(entry.tolist())) >= 2 and (entry >= 0).all()
     assert (entry[1:] < entry[:-1]).any()  # the draws are not in order already
     permutation = np.random.default_rng(n).permutation(len(chains))
     kernel, shuffled = ff.ChainOverlap(n), ff.ChainOverlap(n)
@@ -986,7 +931,7 @@ def test_shuffled_call_returns_the_permuted_values(n):
     np.testing.assert_array_equal(shuffled(chains[permutation]), values[permutation])
     for counter in (*COUNTERS, "singular_ratio_bound"):
         assert getattr(shuffled, counter) == getattr(kernel, counter)
-    assert kernel.band_chains == (4 if n == 130 else 0)
+    assert kernel.svd_fallbacks == 0
 
 
 def test_a_call_bounds_seeds_and_orders_its_chains_once(monkeypatch):
@@ -1049,7 +994,7 @@ def test_written_cube_is_the_dense_product():
 
     Alone (c = 1, scale = 1: Z Z^T Z), for single chains and a stack of
     several lengths' worth, and scaled by max g + 1 beside the other two
-    terms; fields up to BAND_FIELD_MAX write without overflow, where
+    terms; fields up to NEWTON_SCHULZ_FIELD_MAX write without overflow, where
     Z Z^T Z itself would not fit in a float.
     """
     rng = np.random.default_rng(53)
@@ -1132,24 +1077,24 @@ def test_newton_start_singular_values_lie_in_their_interval():
     assert kinds.count("unseeded") == 3 and kinds.count("newton") > 0 and kinds.count("fitted") > 0
 
 
-@pytest.mark.parametrize("n", (40, ff.NEWTON_SCHULZ_SITES))
+@pytest.mark.parametrize("n", (40, 80))
 def test_near_critical_chains_converge_on_newton_schulz(n):
     """Every ``uniform_iid(1.2, 2)`` chain is seeded and converges by Newton-Schulz, with log o+ of numpy's SVD.
 
-    Started from Z / (max g + 1), 1 in 100 at N = 40 and 12 in 60 at N = 80
-    missed the step budget and took the band route.
+    Started from Z / (max g + 1) instead, 1 in 100 at N = 40 and 12 in 60
+    at N = 80 would miss the step budget.
     """
     ensemble = disorder.uniform_iid(1.2, 2.0, n)
     chains = np.array([disorder.sample_couplings(ensemble, 7, i)[0] for i in range(60)])
     kernel = ff.ChainOverlap(n)
     values = kernel(chains)
-    assert (kernel.newton_schulz_chains, kernel.newton_seeded_chains, kernel.band_chains) == (60, 60, 0)
+    assert (kernel.newton_schulz_chains, kernel.newton_seeded_chains, kernel.svd_fallbacks) == (60, 60, 0)
     assert 0 < kernel.max_newton_schulz_steps <= ff.NEWTON_SCHULZ_STEPS
     for g, log_o in zip(chains, values):
         assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", (40, ff.NEWTON_SCHULZ_SITES))
+@pytest.mark.parametrize("n", (40, 80))
 def test_seeded_and_unseeded_chains_score_in_one_stack_as_alone(n):
     """Seeded chains among unseeded ones give in one call bit for bit what they give alone.
 
@@ -1159,7 +1104,7 @@ def test_seeded_and_unseeded_chains_score_in_one_stack_as_alone(n):
     they are seeded too, but for the domain wall at N = 80, which takes the
     SVD.  Four more have prefix products beyond that range and start
     unseeded: two straddle 1 with a run of 26 fields of 1e4, miss the step
-    budget and take the band route on to the SVD, and two are gapped with
+    budget and take the SVD, and two are gapped with
     every field in [1e4, 3e4].
     """
     rng = np.random.default_rng((47, n))
@@ -1183,7 +1128,7 @@ def test_seeded_and_unseeded_chains_score_in_one_stack_as_alone(n):
     for counter in (*COUNTERS, "singular_ratio_bound"):
         assert getattr(stacked, counter) == getattr(alone, counter)
     assert (stacked.newton_schulz_chains, stacked.newton_seeded_chains) == (14 - wall, 12 - wall)
-    assert (stacked.band_chains, stacked.svd_fallbacks) == (2 + wall, 2 + wall)
+    assert stacked.svd_fallbacks == 2 + wall
     for g, log_o in zip(chains, values):
         if g.max() < 3000.0:
             assert log_o == pytest.approx(_svd_log_overlap(g), rel=0.0, abs=1e-12)
@@ -1193,16 +1138,23 @@ FOLD_ENSEMBLES = (
     (disorder.uniform_iid(1.2, 2.0, 80), 30, 11),
     (disorder.uniform_iid(1.0, 2.0, 40), 40, 7),
     (disorder.gaussian_correlated(1.6, 0.04, 5.0, 200), 4, 3),
+    (disorder.uniform_iid(1.6, 2.0, 130), 4, 5),
+    (disorder.uniform_iid(1.2, 2.0, 200), 4, 13),
 )
 
 
-@pytest.mark.parametrize("ensemble, samples, most_steps", FOLD_ENSEMBLES, ids=("uniform-1.2-80", "uniform-1.0-40", "correlated-200"))
+@pytest.mark.parametrize(
+    "ensemble, samples, most_steps",
+    FOLD_ENSEMBLES,
+    ids=("uniform-1.2-80", "uniform-1.0-40", "correlated-200", "uniform-1.6-130", "uniform-1.2-200"),
+)
 def test_folded_overlaps_match_the_svd_and_score_in_a_stack_as_alone(ensemble, samples, most_steps):
     """Every chain is seeded and converges, its last step folded, to log o+ within 1e-12 of numpy's SVD.
 
-    Near-critical uniform draws, a field down to ~0 among them, and weak
-    correlated disorder at N = 200, which takes 3 steps; one call scores the
-    draws bit for bit, every counter included, as one call each does.
+    Near-critical uniform draws, a field down to ~0 among them, weak
+    correlated disorder at N = 200, which takes 3 steps, and long chains
+    that straddle 1, one per kernel stack; one call scores the draws bit for
+    bit, every counter included, as one call each does.
     """
     chains = np.array([disorder.sample_couplings(ensemble, 7, i)[0] for i in range(samples)])
     stacked, alone = ff.ChainOverlap(ensemble.n_sites), ff.ChainOverlap(ensemble.n_sites)
@@ -1212,7 +1164,7 @@ def test_folded_overlaps_match_the_svd_and_score_in_a_stack_as_alone(ensemble, s
         np.testing.assert_array_equal(values, [alone(g) for g in chains])
     for counter in (*COUNTERS, "singular_ratio_bound"):
         assert getattr(stacked, counter) == getattr(alone, counter)
-    assert (stacked.newton_schulz_chains, stacked.newton_seeded_chains, stacked.band_chains) == (samples, samples, 0)
+    assert (stacked.newton_schulz_chains, stacked.newton_seeded_chains, stacked.svd_fallbacks) == (samples, samples, 0)
     assert stacked.max_newton_schulz_steps == most_steps
     tolerance = ff.NEWTON_SCHULZ_TOL * ensemble.n_sites * np.finfo(float).eps
     assert 0.0 < stacked.max_defect <= tolerance
@@ -1247,30 +1199,24 @@ def test_polar_takes_the_last_step_and_stays_orthogonal():
 
 
 def _route_counts(ensemble, samples):
-    """(Newton-Schulz, band-route) chain counts of one kernel call on ``samples`` draws of the ensemble."""
+    """(Newton-Schulz, SVD) chain counts of one kernel call on ``samples`` draws of the ensemble."""
     kernel = ff.ChainOverlap(ensemble.n_sites)
     kernel(np.array([disorder.sample_couplings(ensemble, 7, i)[0] for i in range(samples)]))
-    return kernel.newton_schulz_chains, kernel.band_chains
+    return kernel.newton_schulz_chains, kernel.svd_fallbacks
 
 
 def test_routes_by_length_and_gap():
-    """Straddling chains beyond NEWTON_SCHULZ_SITES start on the band route; gapped ones and shorter ones do not.
+    """Every chain starts on Newton-Schulz, whatever its length or gap, and converges there.
 
     ``uniform_iid(1.6, 2)`` draws at N = 130 and 200 straddle 1, chains of
-    4 and 6 sites take Newton-Schulz like every chain of up to 80, and weak
-    correlated disorder about 1.6 at N = 200 is gapped.
+    4 and 6 sites take it like longer ones, and weak correlated disorder
+    about 1.6 at N = 200 is gapped.
     """
-    assert _route_counts(disorder.uniform_iid(1.6, 2.0, 130), 3) == (0, 3)
-    assert _route_counts(disorder.uniform_iid(1.6, 2.0, 200), 2) == (0, 2)
+    assert _route_counts(disorder.uniform_iid(1.6, 2.0, 130), 3) == (3, 0)
+    assert _route_counts(disorder.uniform_iid(1.6, 2.0, 200), 2) == (2, 0)
     assert _route_counts(disorder.gaussian_iid(1.6, 0.04, 4), 20) == (20, 0)
     assert _route_counts(disorder.gaussian_iid(0.5, 0.04, 6), 20) == (20, 0)
     assert _route_counts(disorder.gaussian_correlated(1.6, 0.04, 5.0, 200), 2) == (2, 0)
-
-
-def test_band_only_sends_gapped_chains_to_the_band_route(band_only):
-    """Handed on by Newton-Schulz, every chain, gapped or not, at every length, takes the band route."""
-    assert _route_counts(disorder.gaussian_iid(1.6, 0.04, 40), 25) == (0, 25)
-    assert _route_counts(disorder.gaussian_correlated(1.6, 0.04, 5.0, 200), 2) == (0, 2)
 
 
 # Property tests over random positive fields on even chains.  Derandomized and
